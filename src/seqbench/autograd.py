@@ -52,10 +52,9 @@ class NonFiniteError(GraphError):
 
 
 class Node:
-    __slots__ = ("graph", "idx", "op", "parents", "value", "grad", "aux", "param")
+    __slots__ = ("idx", "op", "parents", "value", "grad", "aux", "param")
 
-    def __init__(self, graph, idx, op, parents, aux=None, param=None):
-        self.graph = graph
+    def __init__(self, idx, op, parents, aux=None, param=None):
         self.idx = idx
         self.op = op
         self.parents = parents
@@ -78,7 +77,7 @@ class Graph:
         self._backward_done = False
 
     def _add(self, op, parents, aux=None, param=None) -> Node:
-        node = Node(self, len(self.nodes), op, [p.idx for p in parents],
+        node = Node(len(self.nodes), op, [p.idx for p in parents],
                     aux=aux, param=param)
         self.nodes.append(node)
         return node

@@ -45,6 +45,13 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> Parser:
     parser = Parser(prog="seqbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -148,18 +155,18 @@ def build_parser() -> Parser:
         p.add_argument("--output", help="default stdout")
         p.add_argument("--search", choices=["greedy", "beam", "sample"],
                        default="greedy")
-        p.add_argument("--beam-size", type=int, default=4)
+        p.add_argument("--beam-size", type=positive_int, default=4)
         p.add_argument("--length-norm", choices=["none", "prior", "perword"],
                        default="none")
         p.add_argument("--nbest", type=int, default=0,
                        help="emit an n-best list instead of one line per input")
         p.add_argument("--replace-unk", action="store_true")
-        p.add_argument("--max-len", type=int)
+        p.add_argument("--max-len", type=positive_int)
 
     p = cmd("sample", help="draw random sentences from a language model")
     p.add_argument("--model", required=True)
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--max-len", type=int, default=100)
+    p.add_argument("--max-len", type=positive_int, default=100)
     p.add_argument("--output")
 
     p = cmd("bleu", help="corpus BLEU of hypotheses against references")

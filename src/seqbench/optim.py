@@ -16,11 +16,15 @@ def global_norm(grads) -> float:
         return float(np.sqrt(sum(float((g ** 2).sum()) for g in grads)))
 
 
-def clip_gradients(grads, max_norm: float):
-    """Scale all gradients in place so their global L2 norm is at most max_norm."""
+def clip_gradients(grads, max_norm: float, norm: float | None = None):
+    """Scale all gradients in place so their global L2 norm is at most max_norm.
+
+    ``norm`` is the gradients' global norm when the caller already has it.
+    """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    norm = global_norm(grads)
+    if norm is None:
+        norm = global_norm(grads)
     if norm > max_norm:
         factor = max_norm / norm
         for g in grads:
@@ -45,9 +49,10 @@ class Optimizer:
     def step(self):
         if self.clip_norm is not None:
             grads = [p.grad for p in self.params]
-            if not np.isfinite(global_norm(grads)):
+            norm = global_norm(grads)
+            if not np.isfinite(norm):
                 raise TrainingDivergence("gradient norm is not finite")
-            clip_gradients(grads, self.clip_norm)
+            clip_gradients(grads, self.clip_norm, norm)
         self._update()
 
     def zero_grad(self):

@@ -87,19 +87,18 @@ def _trace_entry(alpha) -> int:
     return -1 if alpha is None else int(np.argmax(alpha))
 
 
-def sample(model, source_ids=None, rng=0, max_len: int | None = None) -> Hypothesis:
-    """Ancestral sampling: draw each token from the model distribution."""
+def _decode(model, source_ids, max_len, choose) -> Hypothesis:
+    """Extend one hypothesis by ``choose(p)`` until EOS or ``max_len`` tokens."""
     if max_len is None:
         max_len = default_max_len(source_ids)
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     state = model.start(source_ids)
     hyp = Hypothesis(tokens=[], logprob=0.0, attention_trace=[])
     prev = BOS_ID
     for _ in range(max_len):
         p, state, alpha = model.step(state, prev)
-        tok = int(rng.choice(len(p), p=p / p.sum()))
+        tok = choose(p)
         hyp.tokens.append(tok)
         hyp.logprob += math.log(p[tok])
         hyp.attention_trace.append(_trace_entry(alpha))
@@ -110,30 +109,19 @@ def sample(model, source_ids=None, rng=0, max_len: int | None = None) -> Hypothe
     hyp.truncated = not hyp.finished
     hyp.state = state
     return hyp
+
+
+def sample(model, source_ids=None, rng=0, max_len: int | None = None) -> Hypothesis:
+    """Ancestral sampling: draw each token from the model distribution."""
+    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    return _decode(model, source_ids, max_len,
+                   lambda p: int(rng.choice(len(p), p=p / p.sum())))
 
 
 def greedy(model, source_ids=None, max_len: int | None = None) -> Hypothesis:
     """Pick the most probable token at every step (ties: lowest id)."""
-    if max_len is None:
-        max_len = default_max_len(source_ids)
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    state = model.start(source_ids)
-    hyp = Hypothesis(tokens=[], logprob=0.0, attention_trace=[])
-    prev = BOS_ID
-    for _ in range(max_len):
-        p, state, alpha = model.step(state, prev)
-        tok = int(np.argmax(p))       # argmax returns the first (lowest) id on ties
-        hyp.tokens.append(tok)
-        hyp.logprob += math.log(p[tok])
-        hyp.attention_trace.append(_trace_entry(alpha))
-        if tok == EOS_ID:
-            hyp.finished = True
-            break
-        prev = tok
-    hyp.truncated = not hyp.finished
-    hyp.state = state
-    return hyp
+    # argmax returns the first (lowest) id on ties
+    return _decode(model, source_ids, max_len, lambda p: int(np.argmax(p)))
 
 
 def _rescore(hyp: Hypothesis, mode: str, prior: LengthPrior | None,
@@ -151,6 +139,24 @@ def _rescore(hyp: Hypothesis, mode: str, prior: LengthPrior | None,
     raise ValueError(f"unknown length mode {mode!r}; choose from {LENGTH_MODES}")
 
 
+def _best_candidates(scores: np.ndarray, prefixes, k: int) -> list[tuple[int, int]]:
+    """(row, token) of the ``k`` best finite entries of ``scores``, best first.
+
+    ``scores`` is the (hypotheses x vocabulary) matrix of extension scores and
+    ``prefixes[row]`` the token tuple of the hypothesis on that row. The order
+    is that of the key ``(-score, prefixes[row] + (token,))``. Only the entries
+    scoring at least the k-th best value are sorted; every entry tied at the
+    cut is among them, so the tie rule picks the survivors as a full sort would.
+    """
+    flat = scores.ravel()
+    k = min(k, flat.size)
+    cut = -np.partition(-flat, k - 1)[k - 1]
+    picked = np.flatnonzero((flat >= cut) & (flat > -math.inf)).tolist()
+    width = scores.shape[1]
+    picked.sort(key=lambda i: (-flat[i], prefixes[i // width] + (i % width,)))
+    return [divmod(i, width) for i in picked[:k]]
+
+
 def beam_search(model, source_ids=None, beam_size: int = 4,
                 max_len: int | None = None, length_mode: str = "none",
                 length_prior: LengthPrior | None = None) -> list[Hypothesis]:
@@ -158,7 +164,10 @@ def beam_search(model, source_ids=None, beam_size: int = 4,
 
     Each step expands every active hypothesis over the whole vocabulary,
     prunes back to the top ``beam_size`` by accumulated log probability, and
-    moves those ending in EOS to a completed pool. Search stops once the pool
+    moves those ending in EOS to a completed pool. Zero-probability
+    extensions are never kept. When several extensions tie at the cut, the
+    ones whose token sequences sort lexicographically first survive, exactly
+    as if every extension had been sorted. Search stops once the pool
     holds ``beam_size`` hypotheses (or nothing is left to extend, or
     ``max_len`` is hit); the pool is then rescored by ``length_mode`` and
     returned best-first. If nothing completed, the best unfinished hypothesis
@@ -170,6 +179,8 @@ def beam_search(model, source_ids=None, beam_size: int = 4,
         raise ValueError(f"unknown length mode {length_mode!r}")
     if max_len is None:
         max_len = default_max_len(source_ids)
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     source_len = None if source_ids is None else len(source_ids)
 
     start = Hypothesis(tokens=[], logprob=0.0, state=model.start(source_ids),
@@ -177,22 +188,21 @@ def beam_search(model, source_ids=None, beam_size: int = 4,
     active = [start]
     completed: list[Hypothesis] = []
     for _ in range(max_len):
-        candidates = []
+        rows, steps = [], []
         for hyp in active:
             prev = hyp.tokens[-1] if hyp.tokens else BOS_ID
             p, new_state, alpha = model.step(hyp.state, prev)
             with np.errstate(divide="ignore"):
-                logp = np.log(p)
-            trace_tail = _trace_entry(alpha)
-            for tok in range(len(p)):
-                if logp[tok] == -math.inf:
-                    continue
-                candidates.append((hyp.logprob + logp[tok], hyp, tok,
-                                   new_state, trace_tail))
-        candidates.sort(key=lambda c: (-c[0], tuple(c[1].tokens) + (c[2],)))
+                rows.append(hyp.logprob + np.log(p))
+            steps.append((new_state, _trace_entry(alpha)))
+        scores = np.vstack(rows)
+        prefixes = [tuple(hyp.tokens) for hyp in active]
+        parents = active
         active = []
-        for score, parent, tok, state, trace_tail in candidates[:beam_size]:
-            child = Hypothesis(tokens=parent.tokens + [tok], logprob=score,
+        for row, tok in _best_candidates(scores, prefixes, beam_size):
+            parent = parents[row]
+            state, trace_tail = steps[row]
+            child = Hypothesis(tokens=parent.tokens + [tok], logprob=scores[row, tok],
                                state=state, finished=tok == EOS_ID,
                                attention_trace=parent.attention_trace + [trace_tail])
             (completed if child.finished else active).append(child)

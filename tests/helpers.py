@@ -1,8 +1,13 @@
-"""Shared test oracles: central finite differences against analytic gradients."""
+"""Shared test oracles: central finite differences against analytic gradients,
+brute-force and sort-everything references for search."""
+
+import math
 
 import numpy as np
 
 from seqbench.autograd import Parameter
+from seqbench.corpus import BOS_ID
+from seqbench.search import Hypothesis, _rescore, _trace_entry, default_max_len
 
 
 def rel_error(a: float, b: float, floor: float = 1e-3) -> float:
@@ -189,3 +194,71 @@ def enumerate_sequences(model, max_len):
 def brute_force_best(model, max_len):
     seqs = enumerate_sequences(model, max_len)
     return min(seqs, key=lambda item: (-item[1], tuple(item[0])))
+
+
+def quantized_table_model(rng, vocab_size=3, max_len=4, levels=4):
+    """Random table model whose probabilities are multiples of 1/total, many
+    of them zero, so that extension scores tie often."""
+    table = {}
+
+    def fill(prefix):
+        if len(prefix) >= max_len:
+            return
+        counts = rng.integers(0, levels, size=vocab_size).astype(float)
+        if counts.sum() == 0:
+            counts[EOS_ID] = 1.0
+        table[prefix] = counts / counts.sum()
+        for tok in range(vocab_size):
+            if tok != EOS_ID:
+                fill(prefix + (tok,))
+
+    fill(())
+    return TableModel(table)
+
+
+def reference_beam_search(model, source_ids=None, beam_size=4, max_len=None,
+                          length_mode="none", length_prior=None):
+    """Beam search that builds and sorts every (hypothesis, token) candidate.
+
+    The reference for ``search.beam_search``'s candidate selection: the same
+    search, with the whole candidate list sorted by the documented key.
+    """
+    if max_len is None:
+        max_len = default_max_len(source_ids)
+    source_len = None if source_ids is None else len(source_ids)
+    start = Hypothesis(tokens=[], logprob=0.0, state=model.start(source_ids),
+                       attention_trace=[])
+    active = [start]
+    completed = []
+    for _ in range(max_len):
+        candidates = []
+        for hyp in active:
+            prev = hyp.tokens[-1] if hyp.tokens else BOS_ID
+            p, new_state, alpha = model.step(hyp.state, prev)
+            with np.errstate(divide="ignore"):
+                logp = np.log(p)
+            trace_tail = _trace_entry(alpha)
+            for tok in range(len(p)):
+                if logp[tok] == -math.inf:
+                    continue
+                candidates.append((hyp.logprob + logp[tok], hyp, tok,
+                                   new_state, trace_tail))
+        candidates.sort(key=lambda c: (-c[0], tuple(c[1].tokens) + (c[2],)))
+        active = []
+        for score, parent, tok, state, trace_tail in candidates[:beam_size]:
+            child = Hypothesis(tokens=parent.tokens + [tok], logprob=score,
+                               state=state, finished=tok == EOS_ID,
+                               attention_trace=parent.attention_trace + [trace_tail])
+            (completed if child.finished else active).append(child)
+        if len(completed) >= beam_size or not active:
+            break
+
+    if not completed:
+        best = min(active, key=lambda h: (-h.logprob, tuple(h.tokens)))
+        best.truncated = True
+        best.score = _rescore(best, length_mode, length_prior, source_len)
+        return [best]
+    for hyp in completed:
+        hyp.score = _rescore(hyp, length_mode, length_prior, source_len)
+    completed.sort(key=lambda h: (-h.score, tuple(h.tokens)))
+    return completed[:beam_size]

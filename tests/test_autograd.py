@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -183,3 +185,21 @@ def test_squared_distance_gradient():
 
         worst = max(worst, max_gradient_error(build, params))
     assert worst < 1e-6
+
+
+def test_graph_freed_without_cycle_collector():
+    # nodes must not point back at their graph: a finished graph, with all
+    # its values and gradients, is freed by reference counting alone
+    w = Parameter("w", [[0.5, -0.2], [0.1, 0.3]])
+    gc.disable()
+    try:
+        g = Graph()
+        x = g.input([1.0, 2.0])
+        g.sum(g.tanh(g.matmul(g.param(w), x)))
+        g.forward()
+        g.backward()
+        ref = weakref.ref(g)
+        del g, x
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -218,6 +218,23 @@ def test_eval_ppl_conditional_needs_source(translation_setup, capsys):
     assert float(report["perplexity"]) > 0
 
 
+def test_decode_rejects_non_positive_sizes(translation_setup, toy_corpus, capsys):
+    tmp_path, model, inputs = translation_setup
+    out = str(tmp_path / "bad.txt")
+    for flags in (["--search", "beam", "--beam-size", "0"],
+                  ["--search", "beam", "--beam-size", "-3"],
+                  ["--search", "greedy", "--max-len", "0"],
+                  ["--search", "beam", "--max-len", "0"],
+                  ["--search", "sample", "--max-len", "-1"]):
+        assert main(["translate", "--model", model, "--input", inputs,
+                     "--output", out] + flags) == 1
+        assert "must be >= 1" in capsys.readouterr().err
+    lm_dir, train = toy_corpus
+    lm = str(lm_dir / "lm.bin")
+    assert main(["train-ngram", "--train", train, "--model", lm]) == 0
+    assert main(["sample", "--model", lm, "--max-len", "0"]) == 1
+
+
 def test_translate_rejects_language_models(toy_corpus, capsys):
     tmp_path, train = toy_corpus
     model = str(tmp_path / "lm2.bin")

@@ -3,7 +3,8 @@ import pytest
 
 from seqbench.autograd import Parameter
 from seqbench.optim import (SGD, Adam, AdaGrad, EpochTracker, Momentum,
-                            clip_gradients, global_norm, make_optimizer)
+                            TrainingDivergence, clip_gradients, global_norm,
+                            make_optimizer)
 
 
 def param_with_grad(value, grad):
@@ -84,6 +85,26 @@ def test_clip_gradients():
     z = np.zeros((2, 1))
     clip_gradients([z], 5.0)
     assert not z.any()
+
+
+def test_clipped_step_matches_clip_then_update():
+    rng = np.random.default_rng(3)
+    values = [rng.normal(size=(3, 2)), rng.normal(size=(4, 1))]
+    grads = [10.0 * rng.normal(size=v.shape) for v in values]
+    clipped = [p.copy() for p in grads]
+    clip_gradients(clipped, 1.5)
+    expected = [v - 0.1 * g for v, g in zip(values, clipped)]
+    params = [param_with_grad(v, g) for v, g in zip(values, grads)]
+    SGD(params, lr=0.1, clip_norm=1.5).step()
+    for p, want in zip(params, expected):
+        assert np.array_equal(p.value, want)
+
+
+def test_non_finite_gradient_norm_stops_before_scaling():
+    params = [param_with_grad([1.0], [3.0]), param_with_grad([1.0], [np.inf])]
+    with pytest.raises(TrainingDivergence):
+        SGD(params, lr=0.1, clip_norm=1.0).step()
+    assert params[0].grad[0, 0] == 3.0 and params[0].value[0, 0] == 1.0
 
 
 def test_learning_rate_must_be_positive():

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import (TableModel, brute_force_best, enumerate_sequences,
-                     random_table_model)
+                     quantized_table_model, random_table_model,
+                     reference_beam_search)
 from seqbench import corpus as C
-from seqbench.search import (Hypothesis, LengthPrior, beam_search, greedy,
-                             nbest_lines, replace_unknowns, sample)
+from seqbench.search import (LENGTH_MODES, Hypothesis, LengthPrior,
+                             _best_candidates, beam_search, greedy, nbest_lines,
+                             replace_unknowns, sample)
 
 # the hand-built toy model: vocabulary {a(id 0), EOS(id 1), b(id 2)}
 A, EOS, B = 0, 1, 2
@@ -75,6 +77,36 @@ def test_beam_score_monotone_in_width():
                   for b in (1, 2, 3)]
         assert scores[1] >= scores[0] - 1e-12
         assert scores[2] >= scores[1] - 1e-12
+
+
+def test_best_candidates_breaks_ties_at_the_cut_lexicographically():
+    scores = np.array([[-1.0, -1.0, -np.inf],
+                       [-1.0, -2.0, -1.0]])
+    prefixes = [(2,), (0,)]
+    # four entries tie at -1; (0, 0) and (0, 2) sort before (2, 0) and (2, 1)
+    assert _best_candidates(scores, prefixes, 2) == [(1, 0), (1, 2)]
+    assert _best_candidates(scores, prefixes, 3) == [(1, 0), (1, 2), (0, 0)]
+    # asking for more than the finite entries returns all of them, in order
+    assert _best_candidates(scores, prefixes, 9) == [(1, 0), (1, 2), (0, 0),
+                                                     (0, 1), (1, 1)]
+
+
+def test_beam_equals_full_sort_reference_with_ties_and_zeros():
+    rng = np.random.default_rng(26)
+    source = [7, 8]
+    prior = LengthPrior.from_pairs([(source, [A] * k + [EOS]) for k in (0, 1, 1, 2, 3)])
+    for trial in range(12):
+        vocab_size = 3 if trial % 2 else 4
+        model = quantized_table_model(rng, vocab_size=vocab_size, max_len=4)
+        for beam_size in range(1, vocab_size ** 2 + 1):
+            for mode in LENGTH_MODES:
+                kwargs = dict(beam_size=beam_size, max_len=4, length_mode=mode,
+                              length_prior=prior)
+                fast = beam_search(model, source, **kwargs)
+                ref = reference_beam_search(model, source, **kwargs)
+                assert fast == ref
+                assert all(type(f.logprob) is type(r.logprob)
+                           for f, r in zip(fast, ref))
 
 
 def test_best_completion_score_decays_with_length():
@@ -195,6 +227,10 @@ def test_search_rejects_bad_arguments():
         beam_search(TOY, beam_size=0)
     with pytest.raises(ValueError):
         greedy(TOY, max_len=0)
+    with pytest.raises(ValueError):
+        sample(TOY, max_len=0)
+    with pytest.raises(ValueError):
+        beam_search(TOY, beam_size=2, max_len=0)
     with pytest.raises(ValueError):
         beam_search(TOY, beam_size=2, length_mode="shortest")
 
