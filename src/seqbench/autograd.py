@@ -6,9 +6,15 @@ nodes are appended in construction order, which is already a topological
 order, and two dynamic programs run over the node list:
 
 * ``forward()`` evaluates unevaluated nodes in insertion order;
-* ``backward()`` seeds the final scalar node with gradient one and accumulates
-  gradients into parents in reverse insertion order, pushing parameter-node
-  gradients into their backing :class:`Parameter`.
+* ``backward()`` seeds the final scalar node with gradient one and sends each
+  node's gradient to its parents in reverse insertion order.
+
+A :class:`Parameter` enters a graph once, as one ``parameter`` node however
+often it is used, and that node's gradient slot is ``Parameter.grad`` itself,
+so every use adds straight into the parameter's accumulator. Other nodes get a
+gradient slot when their first contribution arrives, and nodes that reach no
+parameter (inputs, masks, zero states and everything computed only from them)
+never get one.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ class NonFiniteError(GraphError):
 
 
 class Node:
-    __slots__ = ("idx", "op", "parents", "value", "grad", "aux", "param")
+    __slots__ = ("idx", "op", "parents", "value", "grad", "aux", "param",
+                 "needs_grad")
 
     def __init__(self, idx, op, parents, aux=None, param=None):
         self.idx = idx
@@ -62,6 +69,12 @@ class Node:
         self.grad = None
         self.aux = aux
         self.param = param
+        # True when some parameter lies upstream, so a gradient is worth sending
+        self.needs_grad = param is not None
+        for p in parents:
+            if p.needs_grad:
+                self.needs_grad = True
+                break
 
     @property
     def shape(self):
@@ -73,12 +86,12 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self._params: dict[int, Node] = {}
         self._next_unevaluated = 0
         self._backward_done = False
 
     def _add(self, op, parents, aux=None, param=None) -> Node:
-        node = Node(len(self.nodes), op, [p.idx for p in parents],
-                    aux=aux, param=param)
+        node = Node(len(self.nodes), op, parents, aux=aux, param=param)
         self.nodes.append(node)
         return node
 
@@ -90,8 +103,12 @@ class Graph:
         return node
 
     def param(self, parameter: Parameter) -> Node:
-        node = self._add("parameter", [], param=parameter)
-        node.value = parameter.value
+        """The graph's one node for ``parameter``, added on first use."""
+        node = self._params.get(id(parameter))
+        if node is None:
+            node = self._add("parameter", [], param=parameter)
+            node.value = parameter.value
+            self._params[id(parameter)] = node
         return node
 
     def lookup_column(self, matrix: Node, index) -> Node:
@@ -105,6 +122,17 @@ class Graph:
     def add(self, a: Node, b: Node) -> Node:
         """Elementwise sum; a (n,1) operand broadcasts across (n, m)."""
         return self._add("add", [a, b])
+
+    def affine(self, bias: Node, *terms: Node) -> Node:
+        """``((W1 @ x1 + W2 @ x2) + ...) + bias`` for ``terms = W1, x1, W2, x2, ...``.
+
+        One node in place of the equivalent ``matmul``/``add`` chain, with the
+        same floating-point results; ``bias`` and any (n,1) product broadcast
+        across columns as in :meth:`add`.
+        """
+        if not terms or len(terms) % 2:
+            raise GraphError("affine needs one or more (weight, input) pairs")
+        return self._add("affine", [bias, *terms])
 
     def cmult(self, a: Node, b: Node) -> Node:
         return self._add("cmult", [a, b])
@@ -151,177 +179,338 @@ class Graph:
     # ---- execution ---------------------------------------------------------
 
     def forward(self) -> np.ndarray:
-        """Evaluate all unevaluated nodes in insertion order; return the last value."""
-        if not self.nodes:
+        """Evaluate all unevaluated nodes in insertion order; return the last value.
+
+        Raises :class:`NonFiniteError` naming the first node whose value is
+        not finite. Ops in ``FINITE_PRESERVING_OPS`` cannot turn finite inputs
+        into a non-finite value, so only the other nodes are checked.
+        """
+        nodes = self.nodes
+        if not nodes:
             raise GraphError("empty graph")
-        for i in range(self._next_unevaluated, len(self.nodes)):
-            node = self.nodes[i]
-            if node.value is None:
-                node.value = self._compute(node)
-            if not np.all(np.isfinite(node.value)):
-                raise NonFiniteError(f"non-finite value at node {i} ({node.op})")
-        self._next_unevaluated = len(self.nodes)
-        return self.nodes[-1].value
-
-    def _compute(self, node: Node) -> np.ndarray:
-        vals = [self.nodes[p].value for p in node.parents]
-        op = node.op
-        if op == "lookup_column":
-            return vals[0][:, node.aux]
-        if op == "matmul":
-            a, b = vals
-            if a.shape[1] != b.shape[0]:
-                raise GraphError(
-                    f"node {node.idx} matmul: {a.shape} x {b.shape} mismatch")
-            with np.errstate(over="ignore"):    # forward() flags non-finite results
-                return a @ b
-        if op == "add":
-            a, b = vals
-            if a.shape != b.shape and not self._broadcastable(a, b):
-                raise GraphError(f"node {node.idx} add: {a.shape} + {b.shape} mismatch")
-            return a + b
-        if op == "cmult":
-            a, b = vals
-            if a.shape != b.shape:
-                raise GraphError(f"node {node.idx} cmult: {a.shape} * {b.shape} mismatch")
-            return a * b
-        if op == "concat_rows":
-            if len({v.shape[1] for v in vals}) != 1:
-                raise GraphError(f"node {node.idx} concat_rows: column counts differ")
-            node.aux = [v.shape[0] for v in vals]
-            return np.concatenate(vals, axis=0)
-        if op == "concat_cols":
-            if len({v.shape[0] for v in vals}) != 1:
-                raise GraphError(f"node {node.idx} concat_cols: row counts differ")
-            node.aux = [v.shape[1] for v in vals]
-            return np.concatenate(vals, axis=1)
-        if op == "transpose":
-            return vals[0].T.copy()
-        if op == "tanh":
-            return np.tanh(vals[0])
-        if op == "sigmoid":
-            with np.errstate(over="ignore"):        # exp overflow saturates to 0/1
-                return 1.0 / (1.0 + np.exp(-vals[0]))
-        if op == "relu":
-            return np.maximum(vals[0], 0.0)
-        if op == "step":
-            return np.where(vals[0] > 0.0, 1.0, -1.0)
-        if op == "softmax":
-            return _softmax_cols(vals[0])
-        if op == "pick_neg_log_softmax":
-            s = vals[0]
-            targets = node.aux["targets"]
-            if len(targets) != s.shape[1]:
-                raise GraphError(
-                    f"node {node.idx} pick_neg_log_softmax: {len(targets)} targets "
-                    f"for {s.shape[1]} columns")
-            if np.any(np.isnan(s)):
-                raise GraphError(f"node {node.idx}: NaN scores")
-            p = _softmax_cols(s)
-            node.aux["softmax"] = p
-            cols = np.arange(s.shape[1])
-            shifted = s - s.max(axis=0, keepdims=True)
-            logz = np.log(np.exp(shifted).sum(axis=0))
-            losses = logz - shifted[targets, cols]
-            return losses.reshape(1, -1)
-        if op == "squared_distance":
-            a, b = vals
-            if a.shape != b.shape:
-                raise GraphError(f"node {node.idx} squared_distance: shape mismatch")
-            return np.array([[np.sum((a - b) ** 2)]])
-        if op == "sum":
-            return np.array([[vals[0].sum()]])
-        if op == "scale":
-            return vals[0] * node.aux
-        raise GraphError(f"unknown op {op!r}")
-
-    @staticmethod
-    def _broadcastable(a, b):
-        return (a.shape[0] == b.shape[0]) and (a.shape[1] == 1 or b.shape[1] == 1)
+        with np.errstate(over="ignore"):      # overflow is reported as NonFiniteError
+            for i in range(self._next_unevaluated, len(nodes)):
+                node = nodes[i]
+                op = node.op
+                if node.value is None:
+                    compute = _FORWARD.get(op)
+                    if compute is None:
+                        raise GraphError(f"unknown op {op!r}")
+                    node.value = compute(node)
+                if op not in FINITE_PRESERVING_OPS and not np.isfinite(node.value).all():
+                    raise NonFiniteError(f"non-finite value at node {i} ({op})")
+        self._next_unevaluated = len(nodes)
+        return nodes[-1].value
 
     def backward(self):
-        """Accumulate gradients of the final scalar node into every parent.
+        """Accumulate gradients of the final scalar node back through the graph.
 
-        Parameters referenced several times receive the sum over all paths;
-        their gradients are also pushed into ``Parameter.grad``.
+        Gradients land in ``Parameter.grad``, added to whatever it already
+        holds; a parameter used several times receives the sum over all
+        paths. Branches that reach no parameter get no gradient.
         """
         if self._next_unevaluated != len(self.nodes):
             raise GraphError("backward called before forward")
-        final = self.nodes[-1]
+        nodes = self.nodes
+        final = nodes[-1]
         if final.value.shape != (1, 1):
             raise GraphError(f"loss node must be scalar, got shape {final.value.shape}")
-        for node in self.nodes:
-            node.grad = np.zeros_like(node.value)
-        final.grad[...] = 1.0
-        for node in reversed(self.nodes):
-            if node.parents or node.op == "parameter":
-                self._accumulate(node)
+        if self._backward_done:
+            for node in nodes:
+                node.grad = None
+        for node in self._params.values():
+            node.grad = node.param.grad
         self._backward_done = True
-
-    def _accumulate(self, node: Node):
-        g = node.grad
-        op = node.op
-        if op == "parameter":
-            node.param.grad += g
+        if final.param is not None:
+            final.grad += 1.0
             return
-        parents = [self.nodes[p] for p in node.parents]
-        vals = [p.value for p in parents]
-        if op == "lookup_column":
-            np.add.at(parents[0].grad, (slice(None), node.aux), g)
-        elif op == "matmul":
-            parents[0].grad += g @ vals[1].T
-            parents[1].grad += vals[0].T @ g
-        elif op == "add":
-            for p in parents:
-                if p.value.shape == g.shape:
-                    p.grad += g
-                else:   # broadcast (n,1) across columns
-                    p.grad += g.sum(axis=1, keepdims=True)
-        elif op == "cmult":
-            parents[0].grad += g * vals[1]
-            parents[1].grad += g * vals[0]
-        elif op == "concat_rows":
-            offset = 0
-            for p, rows in zip(parents, node.aux):
-                p.grad += g[offset:offset + rows, :]
-                offset += rows
-        elif op == "concat_cols":
-            offset = 0
-            for p, cols in zip(parents, node.aux):
-                p.grad += g[:, offset:offset + cols]
-                offset += cols
-        elif op == "transpose":
-            parents[0].grad += g.T
-        elif op == "tanh":
-            parents[0].grad += g * (1.0 - node.value ** 2)
-        elif op == "sigmoid":
-            parents[0].grad += g * node.value * (1.0 - node.value)
-        elif op == "relu":
-            parents[0].grad += g * (vals[0] > 0.0)
-        elif op == "step":
-            raise GraphError("step has no usable derivative; use tanh or relu")
-        elif op == "softmax":
-            p = node.value
-            inner = (g * p).sum(axis=0, keepdims=True)
-            parents[0].grad += p * (g - inner)
-        elif op == "pick_neg_log_softmax":
-            p = node.aux["softmax"]
-            targets = node.aux["targets"]
-            ds = p * g            # g has shape (1, cols), broadcasts over rows
-            ds[targets, np.arange(len(targets))] -= g[0]
-            parents[0].grad += ds
-        elif op == "squared_distance":
-            diff = 2.0 * g[0, 0] * (vals[0] - vals[1])
-            parents[0].grad += diff
-            parents[1].grad -= diff
-        elif op == "sum":
-            parents[0].grad += g[0, 0]
-        elif op == "scale":
-            parents[0].grad += g * node.aux
-        elif op == "input":
-            pass
-        else:
-            raise GraphError(f"unknown op {op!r}")
+        if not final.needs_grad:
+            return
+        final.grad = np.ones_like(final.value)
+        for node in reversed(nodes):
+            g = node.grad
+            if g is not None and node.parents:
+                _BACKWARD[node.op](node, g)
+
+
+# Ops whose value is finite whenever their inputs are; forward() skips their
+# finite check, so the first non-finite value is still caught at its source.
+FINITE_PRESERVING_OPS = frozenset({
+    "lookup_column", "concat_rows", "concat_cols", "transpose", "tanh",
+    "sigmoid", "relu", "step", "softmax"})
+
+
+def _broadcastable(a, b):
+    return (a.shape[0] == b.shape[0]) and (a.shape[1] == 1 or b.shape[1] == 1)
+
+
+# ---- forward rules: node -> value ------------------------------------------------
+
+def _fwd_lookup_column(node):
+    return node.parents[0].value[:, node.aux]
+
+
+def _fwd_matmul(node):
+    a, b = node.parents[0].value, node.parents[1].value
+    if a.shape[1] != b.shape[0]:
+        raise GraphError(f"node {node.idx} matmul: {a.shape} x {b.shape} mismatch")
+    return a @ b
+
+
+def _fwd_add(node):
+    a, b = node.parents[0].value, node.parents[1].value
+    if a.shape != b.shape and not _broadcastable(a, b):
+        raise GraphError(f"node {node.idx} add: {a.shape} + {b.shape} mismatch")
+    return a + b
+
+
+def _fwd_affine(node):
+    parents = node.parents
+    out = None
+    for k in range(1, len(parents), 2):
+        w, x = parents[k].value, parents[k + 1].value
+        if w.shape[1] != x.shape[0]:
+            raise GraphError(f"node {node.idx} affine: term {k // 2} "
+                             f"{w.shape} x {x.shape} mismatch")
+        out = _sum_into(node, out, w @ x)
+    return _sum_into(node, out, parents[0].value)
+
+
+def _sum_into(node, total, term):
+    """``total + term`` with ``add``'s broadcasting, in place when shapes agree."""
+    if total is None:
+        return term
+    if total.shape == term.shape:
+        total += term
+        return total
+    if not _broadcastable(total, term):
+        raise GraphError(f"node {node.idx} affine: {total.shape} + {term.shape} mismatch")
+    return total + term
+
+
+def _fwd_cmult(node):
+    a, b = node.parents[0].value, node.parents[1].value
+    if a.shape != b.shape:
+        raise GraphError(f"node {node.idx} cmult: {a.shape} * {b.shape} mismatch")
+    return a * b
+
+
+def _fwd_concat_rows(node):
+    vals = [p.value for p in node.parents]
+    if len({v.shape[1] for v in vals}) != 1:
+        raise GraphError(f"node {node.idx} concat_rows: column counts differ")
+    node.aux = [v.shape[0] for v in vals]
+    return np.concatenate(vals, axis=0)
+
+
+def _fwd_concat_cols(node):
+    vals = [p.value for p in node.parents]
+    if len({v.shape[0] for v in vals}) != 1:
+        raise GraphError(f"node {node.idx} concat_cols: row counts differ")
+    node.aux = [v.shape[1] for v in vals]
+    return np.concatenate(vals, axis=1)
+
+
+def _fwd_pick_neg_log_softmax(node):
+    s = node.parents[0].value
+    targets = node.aux["targets"]
+    if len(targets) != s.shape[1]:
+        raise GraphError(
+            f"node {node.idx} pick_neg_log_softmax: {len(targets)} targets "
+            f"for {s.shape[1]} columns")
+    if np.any(np.isnan(s)):
+        raise GraphError(f"node {node.idx}: NaN scores")
+    p = _softmax_cols(s)
+    node.aux["softmax"] = p
+    cols = np.arange(s.shape[1])
+    shifted = s - s.max(axis=0, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=0))
+    losses = logz - shifted[targets, cols]
+    return losses.reshape(1, -1)
+
+
+def _fwd_squared_distance(node):
+    a, b = node.parents[0].value, node.parents[1].value
+    if a.shape != b.shape:
+        raise GraphError(f"node {node.idx} squared_distance: shape mismatch")
+    return np.array([[np.sum((a - b) ** 2)]])
+
+
+_FORWARD = {
+    "lookup_column": _fwd_lookup_column,
+    "matmul": _fwd_matmul,
+    "add": _fwd_add,
+    "affine": _fwd_affine,
+    "cmult": _fwd_cmult,
+    "concat_rows": _fwd_concat_rows,
+    "concat_cols": _fwd_concat_cols,
+    "transpose": lambda node: node.parents[0].value.T.copy(),
+    "tanh": lambda node: np.tanh(node.parents[0].value),
+    "sigmoid": lambda node: 1.0 / (1.0 + np.exp(-node.parents[0].value)),
+    "relu": lambda node: np.maximum(node.parents[0].value, 0.0),
+    "step": lambda node: np.where(node.parents[0].value > 0.0, 1.0, -1.0),
+    "softmax": lambda node: _softmax_cols(node.parents[0].value),
+    "pick_neg_log_softmax": _fwd_pick_neg_log_softmax,
+    "squared_distance": _fwd_squared_distance,
+    "sum": lambda node: np.array([[node.parents[0].value.sum()]]),
+    "scale": lambda node: node.parents[0].value * node.aux,
+}
+
+
+# ---- backward rules: (node, its gradient) -> contributions to its parents ---------
+
+def _give(node, contribution, owned=True):
+    """Add one gradient contribution into ``node``'s slot, creating the slot
+    on the first one.
+
+    An ``owned`` contribution is a fresh array nothing else refers to; it
+    becomes the slot when it has the layout of ``node.value``. Otherwise the
+    slot starts as zeros shaped and laid out like the value. Either way every
+    slot has the layout a zero-filled one would have, so the BLAS calls and
+    reductions later applied to it round exactly alike. (Adopting skips a
+    ``0.0 + contribution`` that could only turn -0.0 into +0.0, a difference
+    that vanishes once added into a ``Parameter.grad``.)
+    """
+    if not node.needs_grad:
+        return
+    slot = node.grad
+    if slot is not None:
+        slot += contribution
+    elif owned and contribution.strides == node.value.strides:
+        node.grad = contribution
+    else:
+        node.grad = slot = np.zeros_like(node.value)
+        slot += contribution
+
+
+def _back_lookup_column(node, g):
+    matrix = node.parents[0]
+    if not matrix.needs_grad:
+        return
+    if matrix.grad is None:
+        matrix.grad = np.zeros_like(matrix.value)
+    idx = node.aux
+    if len(set(idx)) == len(idx):
+        matrix.grad[:, idx] += g
+        return
+    if matrix.param is None:
+        np.add.at(matrix.grad, (slice(None), idx), g)
+        return
+    # A parameter's slot already holds the other uses' gradients: sum the
+    # repeated ids' columns in a small block first and add the block once,
+    # so each column rounds as it would with a node of its own per use.
+    unique, inverse = np.unique(idx, return_inverse=True)
+    block = np.zeros((g.shape[0], len(unique)))
+    np.add.at(block, (slice(None), inverse), g)
+    matrix.grad[:, unique] += block
+
+
+def _back_matmul(node, g):
+    a, b = node.parents
+    if a.needs_grad:
+        _give(a, g @ b.value.T)
+    if b.needs_grad:
+        _give(b, a.value.T @ g)
+
+
+def _back_add(node, g):
+    for p in node.parents:
+        if p.value.shape == g.shape:
+            _give(p, g, owned=False)
+        else:   # broadcast (n,1) across columns
+            _give(p, g.sum(axis=1, keepdims=True))
+
+
+def _back_affine(node, g):
+    # the order the matmul/add chain sends them: bias, then the last term
+    # back to the first
+    parents = node.parents
+    bias = parents[0]
+    if bias.value.shape == g.shape:
+        _give(bias, g, owned=False)
+    else:
+        _give(bias, g.sum(axis=1, keepdims=True))
+    g_col = None
+    for k in range(len(parents) - 2, 0, -2):
+        w, x = parents[k], parents[k + 1]
+        g_term = g
+        if (w.value.shape[0], x.value.shape[1]) != g.shape:
+            if g_col is None:
+                g_col = g.sum(axis=1, keepdims=True)
+            g_term = g_col
+        if w.needs_grad:
+            _give(w, g_term @ x.value.T)
+        if x.needs_grad:
+            _give(x, w.value.T @ g_term)
+
+
+def _back_cmult(node, g):
+    a, b = node.parents
+    if a.needs_grad:
+        _give(a, g * b.value)
+    if b.needs_grad:
+        _give(b, g * a.value)
+
+
+def _back_concat_rows(node, g):
+    offset = 0
+    for p, rows in zip(node.parents, node.aux):
+        _give(p, g[offset:offset + rows, :], owned=False)
+        offset += rows
+
+
+def _back_concat_cols(node, g):
+    offset = 0
+    for p, cols in zip(node.parents, node.aux):
+        _give(p, g[:, offset:offset + cols], owned=False)
+        offset += cols
+
+
+def _back_step(node, g):
+    raise GraphError("step has no usable derivative; use tanh or relu")
+
+
+def _back_softmax(node, g):
+    p = node.value
+    inner = (g * p).sum(axis=0, keepdims=True)
+    _give(node.parents[0], p * (g - inner))
+
+
+def _back_pick_neg_log_softmax(node, g):
+    p = node.aux["softmax"]
+    targets = node.aux["targets"]
+    ds = p * g            # g has shape (1, cols), broadcasts over rows
+    ds[targets, np.arange(len(targets))] -= g[0]
+    _give(node.parents[0], ds)
+
+
+def _back_squared_distance(node, g):
+    a, b = node.parents
+    diff = 2.0 * g[0, 0] * (a.value - b.value)
+    _give(a, diff)
+    _give(b, -diff)
+
+
+_BACKWARD = {
+    "lookup_column": _back_lookup_column,
+    "matmul": _back_matmul,
+    "add": _back_add,
+    "affine": _back_affine,
+    "cmult": _back_cmult,
+    "concat_rows": _back_concat_rows,
+    "concat_cols": _back_concat_cols,
+    "transpose": lambda node, g: _give(node.parents[0], g.T, owned=False),
+    "tanh": lambda node, g: _give(node.parents[0], g * (1.0 - node.value ** 2)),
+    "sigmoid": lambda node, g: _give(node.parents[0],
+                                     g * node.value * (1.0 - node.value)),
+    "relu": lambda node, g: _give(node.parents[0], g * (node.parents[0].value > 0.0)),
+    "step": _back_step,
+    "softmax": _back_softmax,
+    "pick_neg_log_softmax": _back_pick_neg_log_softmax,
+    "squared_distance": _back_squared_distance,
+    "sum": lambda node, g: _give(node.parents[0], g[0, 0], owned=False),
+    "scale": lambda node, g: _give(node.parents[0], g * node.aux),
+}
 
 
 def _softmax_cols(s: np.ndarray) -> np.ndarray:

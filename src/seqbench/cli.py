@@ -52,6 +52,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> Parser:
     parser = Parser(prog="seqbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -77,7 +84,7 @@ def build_parser() -> Parser:
         p.add_argument("--hidden", type=int, default=128)
         p.add_argument("--optimizer", choices=["sgd", "momentum", "adagrad", "adam"],
                        default="adam")
-        p.add_argument("--batch-size", type=int, default=8)
+        p.add_argument("--batch-size", type=positive_int, default=8)
         p.add_argument("--clip-norm", type=float, default=5.0)
         p.add_argument("--unk-policy",
                        choices=["keep_all", "replace_singletons", "min_count"],
@@ -158,14 +165,14 @@ def build_parser() -> Parser:
         p.add_argument("--beam-size", type=positive_int, default=4)
         p.add_argument("--length-norm", choices=["none", "prior", "perword"],
                        default="none")
-        p.add_argument("--nbest", type=int, default=0,
+        p.add_argument("--nbest", type=non_negative_int, default=0,
                        help="emit an n-best list instead of one line per input")
         p.add_argument("--replace-unk", action="store_true")
         p.add_argument("--max-len", type=positive_int)
 
     p = cmd("sample", help="draw random sentences from a language model")
     p.add_argument("--model", required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=positive_int, default=1)
     p.add_argument("--max-len", type=positive_int, default=100)
     p.add_argument("--output")
 
@@ -201,6 +208,14 @@ def _apply_config(argv: list[str]) -> list[str]:
     head = argv[:1]              # subcommand first, then config defaults
     rest = argv[1:at] + argv[at + 2:]
     return head + injected + rest
+
+
+def _new_model(cls, *args, **kwargs):
+    """Construct a model, reporting a rejected flag combination as a usage error."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _build_vocab_from(path, policy, min_count, v_all):
@@ -309,18 +324,18 @@ def _train_neural_lm(args, rng, model):
 def cmd_train_ffnnlm(args, rng) -> int:
     vocab = _build_vocab_from(args.train, args.unk_policy, args.min_count,
                               args.v_all)
-    model = FFNNLM(vocab, n=args.order, embed_size=args.embed,
-                   hidden_size=args.hidden, nonlinearity=args.nonlinearity,
-                   rng=rng)
+    model = _new_model(FFNNLM, vocab, n=args.order, embed_size=args.embed,
+                       hidden_size=args.hidden, nonlinearity=args.nonlinearity,
+                       rng=rng)
     return _train_neural_lm(args, rng, model)
 
 
 def cmd_train_rnnlm(args, rng) -> int:
     vocab = _build_vocab_from(args.train, args.unk_policy, args.min_count,
                               args.v_all)
-    model = RNNLM(vocab, cell=args.cell, embed_size=args.embed,
-                  hidden_size=args.hidden, layers=args.layers,
-                  residual=args.residual, rng=rng)
+    model = _new_model(RNNLM, vocab, cell=args.cell, embed_size=args.embed,
+                       hidden_size=args.hidden, layers=args.layers,
+                       residual=args.residual, rng=rng)
     return _train_neural_lm(args, rng, model)
 
 
@@ -331,10 +346,10 @@ def cmd_train_encdec(args, rng) -> int:
     tgt_vocab = _build_vocab_from(args.train_tgt, args.unk_policy,
                                   args.min_count, args.v_all)
     direction = {"bidir": "bidirectional"}.get(args.encoder, args.encoder)
-    model = EncDecModel(src_vocab, tgt_vocab, embed_size=args.embed,
-                        hidden_size=args.hidden, dec_hidden=args.dec_hidden,
-                        layers=args.layers, encoder=direction,
-                        bridge=args.bridge, attention=args.attention, rng=rng)
+    model = _new_model(EncDecModel, src_vocab, tgt_vocab, embed_size=args.embed,
+                       hidden_size=args.hidden, dec_hidden=args.dec_hidden,
+                       layers=args.layers, encoder=direction,
+                       bridge=args.bridge, attention=args.attention, rng=rng)
     pairs = [(C.encode(src_vocab, f), C.encode(tgt_vocab, e, append_eos=True))
              for f, e in pairs_text]
     model.length_prior = LengthPrior.from_pairs(pairs)

@@ -78,9 +78,8 @@ class RecurrentCell:
 
     def _gate(self, g, gate, x, h, activation):
         p = self.params
-        pre = g.add(g.add(g.matmul(g.param(p[f"W_x{gate}"]), x),
-                          g.matmul(g.param(p[f"W_h{gate}"]), h)),
-                    g.param(p[f"b_{gate}"]))
+        pre = g.affine(g.param(p[f"b_{gate}"]), g.param(p[f"W_x{gate}"]), x,
+                       g.param(p[f"W_h{gate}"]), h)
         return activation(pre)
 
     def step(self, g: Graph, x: Node, state: RecurrentState) -> RecurrentState:
@@ -107,10 +106,8 @@ class RecurrentCell:
         r = self._gate(g, "r", x, h_prev, g.sigmoid)
         z = self._gate(g, "z", x, h_prev, g.sigmoid)
         p = self.params
-        pre = g.add(g.add(g.matmul(g.param(p["W_xh"]), x),
-                          g.matmul(g.param(p["W_hh"]), g.cmult(r, h_prev))),
-                    g.param(p["b_h"]))
-        h_tilde = g.tanh(pre)
+        h_tilde = g.tanh(g.affine(g.param(p["b_h"]), g.param(p["W_xh"]), x,
+                                  g.param(p["W_hh"]), g.cmult(r, h_prev)))
         delta = g.add(h_tilde, g.scale(h_prev, -1.0))
         h = g.add(h_prev, g.cmult(z, delta))
         return RecurrentState(h=h, batch=state.batch)
@@ -201,9 +198,9 @@ class FFNNLM:
         (oldest word first), each list holding one id per batch column."""
         blocks = [g.lookup_column(g.param(self.M), ids) for ids in context_cols]
         m = g.concat_rows(*blocks) if len(blocks) > 1 else blocks[0]
-        pre = g.add(g.matmul(g.param(self.W_mh), m), g.param(self.b_h))
+        pre = g.affine(g.param(self.b_h), g.param(self.W_mh), m)
         h = g.tanh(pre) if self.nonlinearity == "tanh" else g.relu(pre)
-        return g.add(g.matmul(g.param(self.W_hs), h), g.param(self.b_s))
+        return g.affine(g.param(self.b_s), g.param(self.W_hs), h)
 
     def batch_loss(self, g: Graph, batch: MiniBatch) -> Node:
         """Masked total NLL over every position of every column."""
@@ -282,7 +279,7 @@ class RNNLM:
         for t in range(T):
             x = g.lookup_column(g.param(self.M), [int(i) for i in prev[t]])
             out, states = self.rnn.step(g, x, states)
-            s = g.add(g.matmul(g.param(self.W_hs), out), g.param(self.b_s))
+            s = g.affine(g.param(self.b_s), g.param(self.W_hs), out)
             losses = g.pick_neg_log_softmax(s, [int(i) for i in batch.token_matrix[t]])
             masked_rows.append(g.cmult(losses, g.input(batch.mask[t].reshape(1, -1))))
         total = g.concat_cols(*masked_rows) if len(masked_rows) > 1 else masked_rows[0]
@@ -307,7 +304,7 @@ class RNNLM:
                   for h, c in state]
         x = g.lookup_column(g.param(self.M), prev_id)
         out, states = self.rnn.step(g, x, states)
-        p = g.softmax(g.add(g.matmul(g.param(self.W_hs), out), g.param(self.b_s)))
+        p = g.softmax(g.affine(g.param(self.b_s), g.param(self.W_hs), out))
         g.forward()
         new_state = [(st.h.value.copy(), None if st.c is None else st.c.value.copy())
                      for st in states]
@@ -389,8 +386,8 @@ class ToyMLP:
         return [self.W_xh, self.b_h, self.w_hy, self.b_y]
 
     def _output(self, g: Graph, x) -> Node:
-        h = g.tanh(g.add(g.matmul(g.param(self.W_xh), g.input(x)), g.param(self.b_h)))
-        return g.add(g.matmul(g.param(self.w_hy), h), g.param(self.b_y))
+        h = g.tanh(g.affine(g.param(self.b_h), g.param(self.W_xh), g.input(x)))
+        return g.affine(g.param(self.b_y), g.param(self.w_hy), h)
 
     def predict(self, x) -> float:
         g = Graph()

@@ -175,10 +175,10 @@ class EncDecModel:
         elif self.bridge == "concat":
             h0 = g.concat_rows(final_bwd, final_fwd)
         else:
-            pre = g.matmul(g.param(self.W_bridge_fwd), final_fwd)
+            terms = [g.param(self.W_bridge_fwd), final_fwd]
             if final_bwd is not None:
-                pre = g.add(pre, g.matmul(g.param(self.W_bridge_bwd), final_bwd))
-            h0 = g.tanh(g.add(pre, g.param(self.b_bridge)))
+                terms += [g.param(self.W_bridge_bwd), final_bwd]
+            h0 = g.tanh(g.affine(g.param(self.b_bridge), *terms))
 
         zeros = np.zeros((self.dec_hidden, 1))
         init = []
@@ -212,21 +212,6 @@ class EncDecModel:
                     g.matmul(g.param(self.W_a1_src), H))
         return g.transpose(g.matmul(g.transpose(g.param(self.w_a2)), g.tanh(pre)))
 
-    def attention_scores_per_column(self, g: Graph, H_cols, h_dec: Node) -> Node:
-        """Reference one-column-at-a-time scoring used to validate the batched
-        form; concatenates |F| scalar scores."""
-        scores = []
-        for col in H_cols:
-            if self.attention == "dot":
-                scores.append(g.sum(g.cmult(col, h_dec)))
-            elif self.attention == "bilinear":
-                scores.append(g.sum(g.cmult(col, g.matmul(g.param(self.W_a), h_dec))))
-            else:
-                pre = g.add(g.matmul(g.param(self.W_a1_dec), h_dec),
-                            g.matmul(g.param(self.W_a1_src), col))
-                scores.append(g.sum(g.cmult(g.param(self.w_a2), g.tanh(pre))))
-        return g.concat_rows(*scores) if len(scores) > 1 else scores[0]
-
     # ---- decoding ----------------------------------------------------------
 
     def _step_nodes(self, g: Graph, H: Node | None, prev_id: int, states,
@@ -239,10 +224,10 @@ class EncDecModel:
         if self.attention != "none":
             alpha = g.softmax(self._attention_scores(g, H, out))
             new_context = g.matmul(H, alpha)
-            s = g.add(g.matmul(g.param(self.W_hs), g.concat_rows(out, new_context)),
-                      g.param(self.b_s))
+            s = g.affine(g.param(self.b_s), g.param(self.W_hs),
+                         g.concat_rows(out, new_context))
             return s, states, new_context, alpha
-        s = g.add(g.matmul(g.param(self.W_hs), out), g.param(self.b_s))
+        s = g.affine(g.param(self.b_s), g.param(self.W_hs), out)
         return s, states, None, None
 
     def start(self, source_ids) -> EncDecState:

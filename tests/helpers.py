@@ -1,7 +1,9 @@
 """Shared test oracles: central finite differences against analytic gradients,
-brute-force and sort-everything references for search."""
+per-column attention scoring, and brute-force and sort-everything references
+for search."""
 
 import math
+import zlib
 
 import numpy as np
 
@@ -79,6 +81,7 @@ OP_GRADCHECK_CASES = {
     "transpose": lambda g, ps: g.transpose(g.param(ps[0])),
     "lookup_column": lambda g, ps: g.lookup_column(g.param(ps[0]), [1, 0, 1]),
     "scale": lambda g, ps: g.scale(g.param(ps[0]), 1.7),
+    "affine": lambda g, ps: g.affine(*[g.param(p) for p in ps]),
 }
 
 
@@ -96,6 +99,8 @@ def op_gradcheck_shapes(name, rng):
         return [(n, m), (n, k)]
     if name == "lookup_column":
         return [(n, 3)]
+    if name == "affine":    # bias broadcast across m >= 2 columns, two terms
+        return [(n, 1), (n, k), (k, m), (n, m), (m, m)]
     return [(n, m)]
 
 
@@ -103,7 +108,7 @@ def run_op_gradcheck(name, trials=50):
     """Worst analytic-vs-finite-difference error over random instances of one op."""
     from seqbench.autograd import Graph
 
-    rng = np.random.default_rng(abs(hash(name)) % (2**32))
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     worst = 0.0
     for _ in range(trials):
         shapes = op_gradcheck_shapes(name, rng)
@@ -120,6 +125,23 @@ def run_op_gradcheck(name, trials=50):
 
         worst = max(worst, max_gradient_error(build, params))
     return worst
+
+
+def attention_scores_per_column(model, g, H_cols, h_dec):
+    """Reference one-column-at-a-time attention scoring for ``model``, against
+    which its batched ``_attention_scores`` is checked; concatenates |F|
+    scalar scores."""
+    scores = []
+    for col in H_cols:
+        if model.attention == "dot":
+            scores.append(g.sum(g.cmult(col, h_dec)))
+        elif model.attention == "bilinear":
+            scores.append(g.sum(g.cmult(col, g.matmul(g.param(model.W_a), h_dec))))
+        else:
+            pre = g.add(g.matmul(g.param(model.W_a1_dec), h_dec),
+                        g.matmul(g.param(model.W_a1_src), col))
+            scores.append(g.sum(g.cmult(g.param(model.w_a2), g.tanh(pre))))
+    return g.concat_rows(*scores) if len(scores) > 1 else scores[0]
 
 
 EOS_ID = 1   # mirrors the package-wide reserved id

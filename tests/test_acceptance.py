@@ -5,6 +5,7 @@ pytest reports the failures)."""
 
 import math
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ def test_criterion_03_gradient_suites():
     # every recurrent cell, unrolled three steps
     worst_cell = 0.0
     for kind in CELL_KINDS:
-        rngc = np.random.default_rng(abs(hash(kind)) % 2**32)
+        rngc = np.random.default_rng(zlib.crc32(kind.encode()))
         for _ in range(3):
             isz, hsz = int(rngc.integers(1, 4)), int(rngc.integers(1, 6))
             cell = RecurrentCell(kind, isz, hsz, rngc)

@@ -5,9 +5,16 @@ import weakref
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
 from helpers import (OP_GRADCHECK_CASES, max_gradient_error, random_params,
                      run_op_gradcheck)
-from seqbench.autograd import Graph, GraphError, Parameter, softmax
+from seqbench import corpus as C
+from seqbench.autograd import (FINITE_PRESERVING_OPS, Graph, GraphError,
+                               NonFiniteError, Parameter, softmax)
+from seqbench.nnet import RNNLM
 
 
 def test_forward_affine():
@@ -115,7 +122,7 @@ def test_gradient_accumulation_shared_parameter():
     g.backward()
     assert w.grad[0, 0] == pytest.approx(5.0)
 
-    # same function with the parameter registered as two graph nodes
+    # same function with g.param called at each use
     w2 = Parameter("w", [[1.5]])
     g2 = Graph()
     y2 = g2.add(g2.matmul(g2.param(w2), g2.input(x)),
@@ -203,3 +210,201 @@ def test_graph_freed_without_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_param_is_one_node_per_graph():
+    w = Parameter("w", [[1.0, 2.0]])
+    g = Graph()
+    assert g.param(w) is g.param(w)
+    assert sum(node.op == "parameter" for node in g.nodes) == 1
+    assert Graph().param(w) is not g.param(w)
+
+
+def test_loss_node_may_be_a_parameter():
+    p = Parameter("p", [[0.5]])
+    p.grad[...] = 2.0           # gradients add to what the parameter holds
+    g = Graph()
+    g.param(p)
+    assert g.forward()[0, 0] == 0.5
+    g.backward()
+    assert p.grad[0, 0] == 3.0
+
+
+def test_constant_branches_get_no_gradient():
+    w = Parameter("w", [[0.5, -1.0]])
+    g = Graph()
+    x = g.input([1.0, 2.0])
+    mask = g.tanh(g.input([0.3]))
+    y = g.matmul(g.param(w), x)
+    g.sum(g.cmult(y, mask))
+    g.forward()
+    g.backward()
+    assert x.grad is None and mask.grad is None
+    assert np.array_equal(w.grad, (np.tanh(0.3) * np.array([[1.0, 2.0]])))
+
+
+def _affine_pair(rng, bias_cols, terms, cols, shared_weight):
+    n, k = (int(i) for i in rng.integers(1, 5, size=2))
+    bias = Parameter("b", rng.normal(size=(n, bias_cols)))
+    weight = Parameter("W", rng.normal(size=(n, k)))
+    pairs = []
+    for t in range(terms):
+        if not shared_weight:
+            k = int(rng.integers(1, 5))
+            weight = Parameter(f"W{t}", rng.normal(size=(n, k)))
+        pairs.append((weight, Parameter(f"x{t}", rng.normal(size=(k, cols)))))
+    return bias, pairs
+
+
+def test_affine_is_bitwise_the_matmul_add_chain():
+    rng = np.random.default_rng(3)
+    for trial in range(60):
+        cols = int(rng.integers(1, 5))
+        # a weight shared by every term receives its contributions in order
+        bias, pairs = _affine_pair(rng, 1 if trial % 2 else cols,
+                                   int(rng.integers(1, 4)), cols, trial % 3 == 0)
+        projection = rng.normal(size=(bias.value.shape[0], cols))
+        params = list({id(p): p for pair in [(bias,)] + pairs for p in pair}.values())
+
+        def run(fused):
+            for p in params:
+                p.zero_grad()
+            g = Graph()
+            # the inputs pass through tanh so their gradients flow through nodes
+            terms = [(g.param(w), g.tanh(g.param(x))) for w, x in pairs]
+            if fused:
+                out = g.affine(g.param(bias), *[n for term in terms for n in term])
+            else:
+                out = g.matmul(*terms[0])
+                for term in terms[1:]:
+                    out = g.add(out, g.matmul(*term))
+                out = g.add(out, g.param(bias))
+            g.sum(g.cmult(out, g.input(projection)))
+            g.forward()
+            g.backward()
+            return out.value.copy(), [p.grad.copy() for p in params]
+
+        fused_value, fused_grads = run(True)
+        chain_value, chain_grads = run(False)
+        assert np.array_equal(fused_value, chain_value)
+        for a, b in zip(fused_grads, chain_grads):
+            assert np.array_equal(a, b)
+
+
+def test_affine_rejects_bad_arity_and_shapes():
+    g = Graph()
+    b = g.input(np.zeros((2, 1)))
+    with pytest.raises(GraphError, match="pairs"):
+        g.affine(b)
+    with pytest.raises(GraphError, match="pairs"):
+        g.affine(b, g.input(np.ones((2, 2))))
+    g.affine(b, g.input(np.ones((2, 3))), g.input(np.ones((2, 1))))
+    with pytest.raises(GraphError, match="affine"):
+        g.forward()
+
+
+class PerUseGraph(Graph):
+    """A graph in which every ``param(target)`` call adds a fresh copy of
+    ``target``: the one-node-per-use layout that memoized parameters replace."""
+
+    def __init__(self, target):
+        super().__init__()
+        self.target = target
+        self.copies = []
+
+    def param(self, parameter):
+        if parameter is not self.target:
+            return super().param(parameter)
+        copy = Parameter(parameter.name, parameter.value)
+        self.copies.append(copy)
+        return super().param(copy)
+
+
+def test_shared_embedding_gradient_matches_per_use_copies_bitwise():
+    # a small vocabulary in a wide batch repeats ids within every time step
+    words = "a b c d".split()
+    rng = np.random.default_rng(7)
+    vocab = C.build_vocab([" ".join(words)])
+    sents = [C.encode(vocab, list(rng.choice(words, size=int(rng.integers(2, 7)))),
+                      append_eos=True) for _ in range(24)]
+    model = RNNLM(vocab, cell="lstm_forget", embed_size=5, hidden_size=6,
+                  rng=np.random.default_rng(8))
+    batch = C.make_batches(sents, 24)[0]
+
+    g = Graph()
+    model.batch_loss(g, batch)
+    shared_loss = g.forward()[0, 0]
+    g.backward()
+    shared = [p.grad.copy() for p in model.parameters()]
+    for p in model.parameters():
+        p.zero_grad()
+
+    per_use = PerUseGraph(model.M)
+    model.batch_loss(per_use, batch)
+    assert per_use.forward()[0, 0] == shared_loss
+    per_use.backward()
+    assert len(per_use.copies) == batch.token_matrix.shape[0]
+    expected = np.zeros_like(model.M.value)
+    for copy in reversed(per_use.copies):     # the order backward reaches them
+        expected += copy.grad
+    assert np.array_equal(shared[0], expected)
+    for p, grad in zip(model.parameters()[1:], shared[1:]):
+        assert np.array_equal(p.grad, grad)
+
+
+# ---- NonFiniteError names the first non-finite node -----------------------------
+
+def test_nan_parameter_is_named_at_its_node():
+    w = Parameter("w", [[1.0, np.nan]])
+    g = Graph()
+    x = g.input([1.0, 2.0])
+    wn = g.param(w)
+    g.tanh(g.matmul(wn, x))
+    with pytest.raises(NonFiniteError, match=rf"node {wn.idx} \(parameter\)"):
+        g.forward()
+
+
+def test_matmul_overflow_is_named_at_the_matmul():
+    g = Graph()
+    y = g.matmul(g.input([[1e200]]), g.input([1e200]))
+    g.tanh(y)
+    with pytest.raises(NonFiniteError, match=rf"node {y.idx} \(matmul\)"):
+        g.forward()
+
+
+def test_infinite_loss_from_finite_scores_is_caught():
+    g = Graph()
+    loss = g.pick_neg_log_softmax(g.input([1e308, -1e308]), 1)
+    g.sum(loss)
+    with pytest.raises(NonFiniteError, match=rf"node {loss.idx} \(pick_neg_log_softmax\)"):
+        g.forward()
+
+
+FINITE_PRESERVING_BUILDERS = {
+    "lookup_column": lambda g, a, b: g.lookup_column(a, [1, 0, 1]),
+    "concat_rows": lambda g, a, b: g.concat_rows(a, b),
+    "concat_cols": lambda g, a, b: g.concat_cols(a, b),
+    "transpose": lambda g, a, b: g.transpose(a),
+    "tanh": lambda g, a, b: g.tanh(a),
+    "sigmoid": lambda g, a, b: g.sigmoid(a),
+    "relu": lambda g, a, b: g.relu(a),
+    "step": lambda g, a, b: g.step(a),
+    "softmax": lambda g, a, b: g.softmax(a),
+}
+
+_EXTREME = st.sampled_from([1e308, -1e308, 800.0, -800.0, 0.0, -0.0])
+_FINITE = st.one_of(_EXTREME, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, (3, 2), elements=_FINITE),
+       hnp.arrays(np.float64, (3, 2), elements=_FINITE))
+def test_unchecked_ops_keep_finite_inputs_finite(a, b):
+    # forward() skips the finite check on exactly these ops
+    assert set(FINITE_PRESERVING_BUILDERS) == FINITE_PRESERVING_OPS
+    for op, build in FINITE_PRESERVING_BUILDERS.items():
+        g = Graph()
+        out = build(g, g.input(a), g.input(b))
+        assert out.op == op
+        g.forward()
+        assert np.isfinite(out.value).all(), op

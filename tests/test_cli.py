@@ -221,18 +221,38 @@ def test_eval_ppl_conditional_needs_source(translation_setup, capsys):
 def test_decode_rejects_non_positive_sizes(translation_setup, toy_corpus, capsys):
     tmp_path, model, inputs = translation_setup
     out = str(tmp_path / "bad.txt")
-    for flags in (["--search", "beam", "--beam-size", "0"],
-                  ["--search", "beam", "--beam-size", "-3"],
-                  ["--search", "greedy", "--max-len", "0"],
-                  ["--search", "beam", "--max-len", "0"],
-                  ["--search", "sample", "--max-len", "-1"]):
+    for flags, message in ((["--search", "beam", "--beam-size", "0"], ">= 1"),
+                           (["--search", "beam", "--beam-size", "-3"], ">= 1"),
+                           (["--search", "greedy", "--max-len", "0"], ">= 1"),
+                           (["--search", "beam", "--max-len", "0"], ">= 1"),
+                           (["--search", "sample", "--max-len", "-1"], ">= 1"),
+                           (["--search", "beam", "--nbest", "-1"], ">= 0")):
         assert main(["translate", "--model", model, "--input", inputs,
                      "--output", out] + flags) == 1
-        assert "must be >= 1" in capsys.readouterr().err
+        assert f"must be {message}" in capsys.readouterr().err
     lm_dir, train = toy_corpus
     lm = str(lm_dir / "lm.bin")
     assert main(["train-ngram", "--train", train, "--model", lm]) == 0
-    assert main(["sample", "--model", lm, "--max-len", "0"]) == 1
+    for flags in (["--max-len", "0"], ["--count", "-2"], ["--count", "0"]):
+        assert main(["sample", "--model", lm] + flags) == 1
+        assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_training_rejects_bad_model_flags(toy_corpus, capsys):
+    tmp_path, train = toy_corpus
+    model = str(tmp_path / "bad.bin")
+    # dot attention scores need the decoder as wide as the source encoding,
+    # which the default bidirectional encoder and tanh bridge do not give
+    assert main(["train-encdec", "--train-src", train, "--train-tgt", train,
+                 "--model", model, "--attention", "dot", "--embed", "4",
+                 "--hidden", "4", "--epochs", "1"]) == 1
+    assert "dot attention" in capsys.readouterr().err
+    assert main(["train-rnnlm", "--train", train, "--model", model,
+                 "--batch-size", "0", "--epochs", "1"]) == 1
+    assert "must be >= 1" in capsys.readouterr().err
+    assert main(["train-rnnlm", "--train", train, "--model", model,
+                 "--layers", "0", "--epochs", "1"]) == 1
+    assert "at least one layer" in capsys.readouterr().err
 
 
 def test_translate_rejects_language_models(toy_corpus, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import max_gradient_error
+from helpers import attention_scores_per_column, max_gradient_error
 from seqbench import corpus as C
 from seqbench.autograd import Graph
 from seqbench.nnet import RNNLM
@@ -132,7 +132,7 @@ def test_batched_attention_equals_per_column(kind):
     g = Graph()
     batched = model._attention_scores(g, g.input(H_value), g.input(h_value))
     cols = [g.input(H_value[:, j:j + 1]) for j in range(4)]
-    single = model.attention_scores_per_column(g, cols, g.input(h_value))
+    single = attention_scores_per_column(model, g, cols, g.input(h_value))
     g.forward()
     assert np.abs(batched.value - single.value).max() < 1e-12
 
