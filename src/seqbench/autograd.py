@@ -359,24 +359,27 @@ _FORWARD = {
 
 # ---- backward rules: (node, its gradient) -> contributions to its parents ---------
 
-def _give(node, contribution, owned=True):
+def _give(node, contribution, fresh=False):
     """Add one gradient contribution into ``node``'s slot, creating the slot
     on the first one.
 
-    An ``owned`` contribution is a fresh array nothing else refers to; it
-    becomes the slot when it has the layout of ``node.value``. Otherwise the
-    slot starts as zeros shaped and laid out like the value. Either way every
-    slot has the layout a zero-filled one would have, so the BLAS calls and
-    reductions later applied to it round exactly alike. (Adopting skips a
-    ``0.0 + contribution`` that could only turn -0.0 into +0.0, a difference
-    that vanishes once added into a ``Parameter.grad``.)
+    A ``fresh`` contribution is a new array that nothing else refers to; it
+    becomes the slot when it has the shape and layout of ``node.value``.
+    Otherwise the slot starts as zeros shaped and laid out like the value.
+    Either way every slot has the layout a zero-filled one would have, so the
+    BLAS calls and reductions later applied to it round exactly alike.
+    (Adopting skips a ``0.0 + contribution`` that could only turn -0.0 into
+    +0.0, a difference that vanishes once added into a ``Parameter.grad``.)
+    Views of ``g`` and ``g`` itself must not be marked fresh: two slots would
+    share memory.
     """
     if not node.needs_grad:
         return
     slot = node.grad
     if slot is not None:
         slot += contribution
-    elif owned and contribution.strides == node.value.strides:
+    elif (fresh and contribution.shape == node.value.shape
+          and contribution.strides == node.value.strides):
         node.grad = contribution
     else:
         node.grad = slot = np.zeros_like(node.value)
@@ -393,12 +396,9 @@ def _back_lookup_column(node, g):
     if len(set(idx)) == len(idx):
         matrix.grad[:, idx] += g
         return
-    if matrix.param is None:
-        np.add.at(matrix.grad, (slice(None), idx), g)
-        return
-    # A parameter's slot already holds the other uses' gradients: sum the
-    # repeated ids' columns in a small block first and add the block once,
-    # so each column rounds as it would with a node of its own per use.
+    # The slot may already hold other uses' gradients: sum the repeated ids'
+    # columns in a small block first and add the block once, so each column
+    # rounds as it would with a node of its own per use.
     unique, inverse = np.unique(idx, return_inverse=True)
     block = np.zeros((g.shape[0], len(unique)))
     np.add.at(block, (slice(None), inverse), g)
@@ -408,17 +408,17 @@ def _back_lookup_column(node, g):
 def _back_matmul(node, g):
     a, b = node.parents
     if a.needs_grad:
-        _give(a, g @ b.value.T)
+        _give(a, g @ b.value.T, fresh=True)
     if b.needs_grad:
-        _give(b, a.value.T @ g)
+        _give(b, a.value.T @ g, fresh=True)
 
 
 def _back_add(node, g):
     for p in node.parents:
         if p.value.shape == g.shape:
-            _give(p, g, owned=False)
+            _give(p, g)
         else:   # broadcast (n,1) across columns
-            _give(p, g.sum(axis=1, keepdims=True))
+            _give(p, g.sum(axis=1, keepdims=True), fresh=True)
 
 
 def _back_affine(node, g):
@@ -427,9 +427,9 @@ def _back_affine(node, g):
     parents = node.parents
     bias = parents[0]
     if bias.value.shape == g.shape:
-        _give(bias, g, owned=False)
+        _give(bias, g)
     else:
-        _give(bias, g.sum(axis=1, keepdims=True))
+        _give(bias, g.sum(axis=1, keepdims=True), fresh=True)
     g_col = None
     for k in range(len(parents) - 2, 0, -2):
         w, x = parents[k], parents[k + 1]
@@ -439,30 +439,30 @@ def _back_affine(node, g):
                 g_col = g.sum(axis=1, keepdims=True)
             g_term = g_col
         if w.needs_grad:
-            _give(w, g_term @ x.value.T)
+            _give(w, g_term @ x.value.T, fresh=True)
         if x.needs_grad:
-            _give(x, w.value.T @ g_term)
+            _give(x, w.value.T @ g_term, fresh=True)
 
 
 def _back_cmult(node, g):
     a, b = node.parents
     if a.needs_grad:
-        _give(a, g * b.value)
+        _give(a, g * b.value, fresh=True)
     if b.needs_grad:
-        _give(b, g * a.value)
+        _give(b, g * a.value, fresh=True)
 
 
 def _back_concat_rows(node, g):
     offset = 0
     for p, rows in zip(node.parents, node.aux):
-        _give(p, g[offset:offset + rows, :], owned=False)
+        _give(p, g[offset:offset + rows, :])
         offset += rows
 
 
 def _back_concat_cols(node, g):
     offset = 0
     for p, cols in zip(node.parents, node.aux):
-        _give(p, g[:, offset:offset + cols], owned=False)
+        _give(p, g[:, offset:offset + cols])
         offset += cols
 
 
@@ -473,7 +473,7 @@ def _back_step(node, g):
 def _back_softmax(node, g):
     p = node.value
     inner = (g * p).sum(axis=0, keepdims=True)
-    _give(node.parents[0], p * (g - inner))
+    _give(node.parents[0], p * (g - inner), fresh=True)
 
 
 def _back_pick_neg_log_softmax(node, g):
@@ -481,14 +481,14 @@ def _back_pick_neg_log_softmax(node, g):
     targets = node.aux["targets"]
     ds = p * g            # g has shape (1, cols), broadcasts over rows
     ds[targets, np.arange(len(targets))] -= g[0]
-    _give(node.parents[0], ds)
+    _give(node.parents[0], ds, fresh=True)
 
 
 def _back_squared_distance(node, g):
     a, b = node.parents
     diff = 2.0 * g[0, 0] * (a.value - b.value)
-    _give(a, diff)
-    _give(b, -diff)
+    _give(a, diff, fresh=True)
+    _give(b, -diff, fresh=True)
 
 
 _BACKWARD = {
@@ -499,17 +499,19 @@ _BACKWARD = {
     "cmult": _back_cmult,
     "concat_rows": _back_concat_rows,
     "concat_cols": _back_concat_cols,
-    "transpose": lambda node, g: _give(node.parents[0], g.T, owned=False),
-    "tanh": lambda node, g: _give(node.parents[0], g * (1.0 - node.value ** 2)),
+    "transpose": lambda node, g: _give(node.parents[0], g.T),
+    "tanh": lambda node, g: _give(node.parents[0], g * (1.0 - node.value ** 2),
+                                  fresh=True),
     "sigmoid": lambda node, g: _give(node.parents[0],
-                                     g * node.value * (1.0 - node.value)),
-    "relu": lambda node, g: _give(node.parents[0], g * (node.parents[0].value > 0.0)),
+                                     g * node.value * (1.0 - node.value), fresh=True),
+    "relu": lambda node, g: _give(node.parents[0], g * (node.parents[0].value > 0.0),
+                                  fresh=True),
     "step": _back_step,
     "softmax": _back_softmax,
     "pick_neg_log_softmax": _back_pick_neg_log_softmax,
     "squared_distance": _back_squared_distance,
-    "sum": lambda node, g: _give(node.parents[0], g[0, 0], owned=False),
-    "scale": lambda node, g: _give(node.parents[0], g * node.aux),
+    "sum": lambda node, g: _give(node.parents[0], g[0, 0]),
+    "scale": lambda node, g: _give(node.parents[0], g * node.aux, fresh=True),
 }
 
 

@@ -80,6 +80,9 @@ OP_GRADCHECK_CASES = {
     "concat_cols": lambda g, ps: g.concat_cols(*[g.param(p) for p in ps]),
     "transpose": lambda g, ps: g.transpose(g.param(ps[0])),
     "lookup_column": lambda g, ps: g.lookup_column(g.param(ps[0]), [1, 0, 1]),
+    # repeated ids into a computed matrix rather than a parameter
+    "lookup_column_computed": lambda g, ps: g.lookup_column(
+        g.tanh(g.param(ps[0])), [1, 0, 1]),
     "scale": lambda g, ps: g.scale(g.param(ps[0]), 1.7),
     "affine": lambda g, ps: g.affine(*[g.param(p) for p in ps]),
 }
@@ -97,7 +100,7 @@ def op_gradcheck_shapes(name, rng):
         return [(n, m), (k, m)]
     if name == "concat_cols":
         return [(n, m), (n, k)]
-    if name == "lookup_column":
+    if name.startswith("lookup_column"):
         return [(n, 3)]
     if name == "affine":    # bias broadcast across m >= 2 columns, two terms
         return [(n, 1), (n, k), (k, m), (n, m), (m, m)]

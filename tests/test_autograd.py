@@ -243,6 +243,23 @@ def test_constant_branches_get_no_gradient():
     assert np.array_equal(w.grad, (np.tanh(0.3) * np.array([[1.0, 2.0]])))
 
 
+def test_add_parents_get_separate_gradient_slots():
+    # both parents of the inner add receive the same gradient array first; y
+    # then receives more through t, which must not leak into z's gradient
+    rng = np.random.default_rng(3)
+    params = random_params(rng, [(3, 2), (3, 2)])
+    weights = rng.normal(size=(3, 2))
+
+    def build():
+        g = Graph()
+        y, z = g.tanh(g.param(params[0])), g.tanh(g.param(params[1]))
+        t = g.tanh(y)
+        g.sum(g.cmult(g.add(g.add(y, z), t), g.input(weights)))
+        return g
+
+    assert max_gradient_error(build, params) < 1e-6
+
+
 def _affine_pair(rng, bias_cols, terms, cols, shared_weight):
     n, k = (int(i) for i in rng.integers(1, 5, size=2))
     bias = Parameter("b", rng.normal(size=(n, bias_cols)))
