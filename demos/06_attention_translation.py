@@ -52,9 +52,10 @@ prev = BOS_ID
 rows = []
 out_words = []
 for _ in range(len(f) + 1):
-    p, state, alpha = model.step(state, prev)
-    prev = int(np.argmax(p))
-    rows.append(alpha)
+    P, states, alphas = model.step([state], [prev])
+    state = states[0]
+    prev = int(np.argmax(P[:, 0]))
+    rows.append(alphas[:, 0])
     out_words.append(vocab.token_of(prev))
     if prev == EOS_ID:
         break

@@ -24,10 +24,11 @@ class TableModel:
     def start(self, source_ids=None):
         return None
 
-    def step(self, state, prev_id):
-        prefix = () if state is None else state + (prev_id,)
-        p = self.table.get(prefix, np.array([0.0, 1.0, 0.0]))
-        return p, prefix, None
+    def step(self, states, prev_ids):
+        prefixes = [() if state is None else state + (prev,)
+                    for state, prev in zip(states, prev_ids)]
+        P = np.array([self.table.get(prefix, [0.0, 1.0, 0.0]) for prefix in prefixes]).T
+        return P, prefixes, None
 
     def words(self, tokens):
         return " ".join(self.names[t] for t in tokens)

@@ -113,7 +113,8 @@ class Graph:
 
     def lookup_column(self, matrix: Node, index) -> Node:
         """Select column(s) of a matrix; ``index`` is an int or sequence of ints."""
-        idx = [int(index)] if np.isscalar(index) else [int(i) for i in index]
+        idx = ([int(index)] if isinstance(index, (int, np.integer))
+               else [int(i) for i in index])
         return self._add("lookup_column", [matrix], aux=idx)
 
     def matmul(self, a: Node, b: Node) -> Node:
@@ -158,8 +159,17 @@ class Graph:
     def step(self, a: Node) -> Node:
         return self._add("step", [a])
 
+    def reshape(self, a: Node, rows: int, cols: int) -> Node:
+        """The entries of ``a`` in column-major order, refilled into a
+        ``rows`` x ``cols`` matrix column by column."""
+        return self._add("reshape", [a], aux=(int(rows), int(cols)))
+
     def softmax(self, a: Node) -> Node:
-        """Column-wise softmax: every column of the result sums to one."""
+        """Column-wise softmax: every column of the result sums to one.
+
+        Each column is reduced as one contiguous block, so a column rounds
+        exactly as it would in a one-column softmax.
+        """
         return self._add("softmax", [a])
 
     def pick_neg_log_softmax(self, scores: Node, target) -> Node:
@@ -236,8 +246,8 @@ class Graph:
 # Ops whose value is finite whenever their inputs are; forward() skips their
 # finite check, so the first non-finite value is still caught at its source.
 FINITE_PRESERVING_OPS = frozenset({
-    "lookup_column", "concat_rows", "concat_cols", "transpose", "tanh",
-    "sigmoid", "relu", "step", "softmax"})
+    "lookup_column", "concat_rows", "concat_cols", "transpose", "reshape",
+    "tanh", "sigmoid", "relu", "step", "softmax"})
 
 
 def _broadcastable(a, b):
@@ -311,6 +321,14 @@ def _fwd_concat_cols(node):
     return np.concatenate(vals, axis=1)
 
 
+def _fwd_reshape(node):
+    v = node.parents[0].value
+    rows, cols = node.aux
+    if v.size != rows * cols:
+        raise GraphError(f"node {node.idx} reshape: {v.shape} into ({rows}, {cols})")
+    return v.reshape((rows, cols), order="F")
+
+
 def _fwd_pick_neg_log_softmax(node):
     s = node.parents[0].value
     targets = node.aux["targets"]
@@ -320,12 +338,13 @@ def _fwd_pick_neg_log_softmax(node):
             f"for {s.shape[1]} columns")
     if np.any(np.isnan(s)):
         raise GraphError(f"node {node.idx}: NaN scores")
-    p = _softmax_cols(s)
-    node.aux["softmax"] = p
-    cols = np.arange(s.shape[1])
+    # one max shift, exp and column sum serve both the softmax kept for
+    # backward and the log partition function
     shifted = s - s.max(axis=0, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=0))
-    losses = logz - shifted[targets, cols]
+    e = np.exp(shifted)
+    z = e.sum(axis=0, keepdims=True)
+    node.aux["softmax"] = e / z
+    losses = np.log(z[0]) - shifted[targets, np.arange(s.shape[1])]
     return losses.reshape(1, -1)
 
 
@@ -345,11 +364,12 @@ _FORWARD = {
     "concat_rows": _fwd_concat_rows,
     "concat_cols": _fwd_concat_cols,
     "transpose": lambda node: node.parents[0].value.T.copy(),
+    "reshape": _fwd_reshape,
     "tanh": lambda node: np.tanh(node.parents[0].value),
     "sigmoid": lambda node: 1.0 / (1.0 + np.exp(-node.parents[0].value)),
     "relu": lambda node: np.maximum(node.parents[0].value, 0.0),
     "step": lambda node: np.where(node.parents[0].value > 0.0, 1.0, -1.0),
-    "softmax": lambda node: _softmax_cols(node.parents[0].value),
+    "softmax": lambda node: _softmax_cols(np.asfortranarray(node.parents[0].value)),
     "pick_neg_log_softmax": _fwd_pick_neg_log_softmax,
     "squared_distance": _fwd_squared_distance,
     "sum": lambda node: np.array([[node.parents[0].value.sum()]]),
@@ -500,6 +520,8 @@ _BACKWARD = {
     "concat_rows": _back_concat_rows,
     "concat_cols": _back_concat_cols,
     "transpose": lambda node, g: _give(node.parents[0], g.T),
+    "reshape": lambda node, g: _give(node.parents[0],
+                                     g.reshape(node.parents[0].value.shape, order="F")),
     "tanh": lambda node, g: _give(node.parents[0], g * (1.0 - node.value ** 2),
                                   fresh=True),
     "sigmoid": lambda node, g: _give(node.parents[0],

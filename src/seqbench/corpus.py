@@ -8,6 +8,7 @@ models when they pad contexts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,17 @@ class Vocabulary:
 
     def __contains__(self, token: str) -> bool:
         return token in self.index
+
+
+def unknown_factor(vocab: Vocabulary, ids) -> tuple[int, float]:
+    """(count, log factor) of the unknown ids in ``ids``.
+
+    Each unknown token stands for some word outside the vocabulary and pays
+    the uniform 1/v_all probability of that word; the log factor sums those
+    logs.
+    """
+    unk_count = sum(1 for i in ids if i == UNK_ID)
+    return unk_count, -unk_count * math.log(vocab.v_all)
 
 
 def build_vocab(lines, policy: str = "keep_all", min_count: int = 2,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import softmax
-from .corpus import BOS_ID, UNK_ID, Vocabulary, encode
+from .corpus import BOS_ID, UNK_ID, Vocabulary, encode, unknown_factor
 from .optim import TrainingDivergence
 
 TEMPLATES = ("prev_word", "prev2_words", "suffix_k", "bag_of_words")
@@ -198,24 +198,26 @@ class LogLinearLM:
 
     def score_sentence(self, tokens):
         ids = encode(self.vocab, tokens, append_eos=True)
-        logp, unk_count = 0.0, 0
+        logp = 0.0
         history: list[int] = []
         for tok in ids:
             logp += math.log(self.next_distribution(history)[tok])
-            if tok == UNK_ID:
-                unk_count += 1
-                logp -= math.log(self.vocab.v_all)
             history.append(tok)
-        return logp, len(ids), unk_count, -unk_count * math.log(self.vocab.v_all)
+        unk_count, unk_logp = unknown_factor(self.vocab, ids)
+        return logp + unk_logp, len(ids), unk_count, unk_logp
 
     def start(self, source_ids=None):
         if source_ids is not None:
             raise ValueError("log-linear LM is unconditional")
         return ()
 
-    def step(self, state, prev_id: int):
-        history = state + (prev_id,) if prev_id != BOS_ID else state
-        p = self.next_distribution(history).copy()
-        p[UNK_ID] += p[BOS_ID]
-        p[BOS_ID] = 0.0
-        return p, history, None
+    def step(self, states, prev_ids):
+        histories, columns = [], []
+        for state, prev in zip(states, prev_ids):
+            history = state + (prev,) if prev != BOS_ID else state
+            p = self.next_distribution(history).copy()
+            p[UNK_ID] += p[BOS_ID]
+            p[BOS_ID] = 0.0
+            histories.append(history)
+            columns.append(p)
+        return np.array(columns).T, histories, None

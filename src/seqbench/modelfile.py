@@ -102,7 +102,14 @@ def read_modelfile(path) -> ModelFile:
         blob = open(path, "rb").read()
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
-    r = _Reader(blob, path)
+    try:
+        return _parse(_Reader(blob, path))
+    except ValueError as exc:   # undecodable strings, bad vocabularies or tensor ranks
+        raise DataError(f"{path}: malformed model file ({exc})") from exc
+
+
+def _parse(r: _Reader) -> ModelFile:
+    path = r.path
     if r.take(4) != MAGIC:
         raise DataError(f"{path}: not a model file (bad magic)")
     version = r.u32()
@@ -145,11 +152,17 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """Read a model file back into its model; any malformed file raises DataError."""
     mf = read_modelfile(path)
     unpacker = _UNPACKERS.get(mf.kind)
     if unpacker is None:
         raise DataError(f"{path}: unknown model kind {mf.kind!r}")
-    return unpacker(mf)
+    try:
+        return unpacker(mf)
+    except KeyError as exc:
+        raise DataError(f"{path}: model file lacks entry {exc}") from exc
+    except ValueError as exc:   # hyperparameters the model rejects
+        raise DataError(f"{path}: model file has invalid settings ({exc})") from exc
 
 
 def _pack(model) -> ModelFile:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BOS_ID, UNK_ID, Vocabulary
+from .corpus import BOS_ID, UNK_ID, Vocabulary, unknown_factor
 
 
 @dataclass
@@ -171,10 +171,8 @@ class NGramLM:
         """
         from . import corpus as C
         ids = C.encode(self.vocab, tokens, append_eos=True)
-        logp = self.sentence_log_prob(ids)
-        unk_count = sum(1 for i in ids if i == UNK_ID)
-        unk_logp = -unk_count * math.log(self.vocab.v_all)
-        return logp, len(ids), unk_count, unk_logp
+        unk_count, unk_logp = unknown_factor(self.vocab, ids)
+        return self.sentence_log_prob(ids), len(ids), unk_count, unk_logp
 
     # Generation support: a distribution over the vocabulary for sampling and
     # search. Probability mass belonging to words outside the vocabulary (the
@@ -185,10 +183,14 @@ class NGramLM:
             raise ValueError("n-gram LM is unconditional")
         return ()
 
-    def step(self, state, prev_id: int):
-        context = state + (prev_id,) if prev_id != BOS_ID else state
-        p = np.array([interp_prob(self.table, self.weights, self.vocab, context, e)
-                      for e in range(len(self.vocab))])
-        p[UNK_ID] += 1.0 - p.sum() + p[BOS_ID]
-        p[BOS_ID] = 0.0
-        return p, context, None
+    def step(self, states, prev_ids):
+        contexts, columns = [], []
+        for state, prev in zip(states, prev_ids):
+            context = state + (prev,) if prev != BOS_ID else state
+            p = np.array([interp_prob(self.table, self.weights, self.vocab, context, e)
+                          for e in range(len(self.vocab))])
+            p[UNK_ID] += 1.0 - p.sum() + p[BOS_ID]
+            p[BOS_ID] = 0.0
+            contexts.append(context)
+            columns.append(p)
+        return np.array(columns).T, contexts, None

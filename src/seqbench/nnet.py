@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Graph, Node, NonFiniteError, Parameter
-from .corpus import BOS_ID, UNK_ID, MiniBatch, Vocabulary, encode, make_batches
+from .corpus import (BOS_ID, MiniBatch, Vocabulary, encode, make_batches,
+                     unknown_factor)
 from .optim import EpochTracker, Optimizer, TrainingDivergence
 
 CELL_KINDS = ("rnn", "lstm", "lstm_forget", "gru")
@@ -157,6 +158,28 @@ class StackedRNN:
         return inp, new_states
 
 
+def input_columns(g: Graph, arrays) -> Node:
+    """One graph input holding the (n, 1) ``arrays`` side by side."""
+    return g.input(arrays[0] if len(arrays) == 1 else np.hstack(arrays))
+
+
+def stack_layer_states(g: Graph, states) -> list[RecurrentState]:
+    """Graph inputs holding B states' per-layer (h, c) columns side by side."""
+    return [RecurrentState(h=input_columns(g, [h for h, _ in layer]),
+                           c=None if layer[0][1] is None else
+                           input_columns(g, [c for _, c in layer]),
+                           batch=len(states))
+            for layer in zip(*states)]
+
+
+def split_layer_states(layers: list[RecurrentState]) -> list[list]:
+    """Evaluated B-column layer states as B per-column lists of (h, c) arrays."""
+    return [[(st.h.value[:, b:b + 1].copy(),
+              None if st.c is None else st.c.value[:, b:b + 1].copy())
+             for st in layers]
+            for b in range(layers[0].batch)]
+
+
 def _prev_token_rows(batch: MiniBatch) -> np.ndarray:
     """Ids fed at each step: sentence-start first, then the shifted tokens."""
     prev = np.empty_like(batch.token_matrix)
@@ -224,26 +247,18 @@ class FFNNLM:
         loss = self.batch_loss(g, make_batches([list(ids)], 1)[0])
         return float(g.forward()[0, 0])
 
-    def lm_step(self, context):
-        """Distribution over the vocabulary for one BOS-padded context."""
-        context = list(context)[-(self.n - 1):]
-        while len(context) < self.n - 1:
-            context = [BOS_ID] + context
-        g = Graph()
-        s = self._scores(g, [[c] for c in context])
-        p = g.softmax(s)
-        g.forward()
-        return p.value[:, 0]
-
-    # predictor protocol: state is the rolling context window
+    # predictor protocol: a state is the rolling window of the n-1 previous ids
     def start(self, source_ids=None):
         if source_ids is not None:
             raise ValueError("language model is unconditional")
         return (BOS_ID,) * (self.n - 1)
 
-    def step(self, state, prev_id: int):
-        window = tuple(state[1:]) + (prev_id,)
-        return self.lm_step(window), window, None
+    def step(self, states, prev_ids):
+        windows = [tuple(state[1:]) + (prev,) for state, prev in zip(states, prev_ids)]
+        g = Graph()
+        P = g.softmax(self._scores(g, [list(slot) for slot in zip(*windows)]))
+        g.forward()
+        return P.value, windows, None
 
     def score_sentence(self, tokens):
         return _score_with_unknown_factor(self, tokens)
@@ -290,7 +305,7 @@ class RNNLM:
         loss = self.batch_loss(g, make_batches([list(ids)], 1)[0])
         return float(g.forward()[0, 0])
 
-    # predictor protocol: state is a list of per-layer (h, c) arrays
+    # predictor protocol: a state is a list of per-layer (h, c) columns
     def start(self, source_ids=None):
         if source_ids is not None:
             raise ValueError("language model is unconditional")
@@ -298,21 +313,14 @@ class RNNLM:
                  np.zeros((self.hidden_size, 1)) if cell.has_cell else None)
                 for cell in self.rnn.cells]
 
-    def step(self, state, prev_id: int):
+    def step(self, states, prev_ids):
         g = Graph()
-        states = [RecurrentState(h=g.input(h), c=None if c is None else g.input(c))
-                  for h, c in state]
-        x = g.lookup_column(g.param(self.M), prev_id)
-        out, states = self.rnn.step(g, x, states)
-        p = g.softmax(g.affine(g.param(self.b_s), g.param(self.W_hs), out))
+        layers = stack_layer_states(g, states)
+        x = g.lookup_column(g.param(self.M), prev_ids)
+        out, layers = self.rnn.step(g, x, layers)
+        P = g.softmax(g.affine(g.param(self.b_s), g.param(self.W_hs), out))
         g.forward()
-        new_state = [(st.h.value.copy(), None if st.c is None else st.c.value.copy())
-                     for st in states]
-        return p.value[:, 0], new_state, None
-
-    def lm_step(self, state, prev_id: int):
-        p, new_state, _ = self.step(state, prev_id)
-        return p, new_state
+        return P.value, split_layer_states(layers), None
 
     def score_sentence(self, tokens):
         return _score_with_unknown_factor(self, tokens)
@@ -323,8 +331,7 @@ def _score_with_unknown_factor(model, tokens):
     the unknown symbol and additionally pay the uniform 1/v_all factor."""
     ids = encode(model.vocab, tokens, append_eos=True)
     logp = -model.sentence_nll(ids)
-    unk_count = sum(1 for i in ids if i == UNK_ID)
-    unk_logp = -unk_count * math.log(model.vocab.v_all)
+    unk_count, unk_logp = unknown_factor(model.vocab, ids)
     return logp + unk_logp, len(ids), unk_count, unk_logp
 
 

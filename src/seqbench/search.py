@@ -3,10 +3,18 @@
 All three run over any model exposing the decode protocol:
 
     state = model.start(source_ids_or_None)
-    p, state, alpha = model.step(state, previous_token_id)
+    P, new_states, alphas = model.step(states, prev_ids)
 
-where ``p`` is the next-token distribution over the model's target vocabulary
-and ``alpha`` is the attention vector when the model has one (else None).
+``step`` extends B hypotheses of one source in one call: ``states`` holds
+their B states and ``prev_ids`` the B tokens they emitted last (the start
+symbol at first). Column b of the V x B matrix ``P`` is hypothesis b's
+next-token distribution over the target vocabulary, ``new_states[b]`` its
+state after the step, and column b of the |F| x B ``alphas`` its attention
+over the source words (``alphas`` is None when the model has no attention).
+A state is one hypothesis' own object, never changed by later steps, so
+hypotheses that share a parent share its new state. Beam search makes one
+call per time step for every live hypothesis; greedy search and sampling
+call it with B=1.
 
 Hypothesis scores are accumulated natural-log probabilities. Ties anywhere
 break toward the lexicographically smallest token sequence (hence the lowest
@@ -83,8 +91,10 @@ def default_max_len(source_ids) -> int:
     return 100 if source_ids is None else 2 * len(source_ids) + 10
 
 
-def _trace_entry(alpha) -> int:
-    return -1 if alpha is None else int(np.argmax(alpha))
+def _trace_entries(alphas, count: int) -> list[int]:
+    """Most-attended source position of each of ``count`` columns (-1 without
+    attention)."""
+    return [-1] * count if alphas is None else np.argmax(alphas, axis=0).tolist()
 
 
 def _decode(model, source_ids, max_len, choose) -> Hypothesis:
@@ -97,11 +107,12 @@ def _decode(model, source_ids, max_len, choose) -> Hypothesis:
     hyp = Hypothesis(tokens=[], logprob=0.0, attention_trace=[])
     prev = BOS_ID
     for _ in range(max_len):
-        p, state, alpha = model.step(state, prev)
+        P, states, alphas = model.step([state], [prev])
+        p, state = P[:, 0], states[0]
         tok = choose(p)
         hyp.tokens.append(tok)
         hyp.logprob += math.log(p[tok])
-        hyp.attention_trace.append(_trace_entry(alpha))
+        hyp.attention_trace.append(_trace_entries(alphas, 1)[0])
         if tok == EOS_ID:
             hyp.finished = True
             break
@@ -188,23 +199,21 @@ def beam_search(model, source_ids=None, beam_size: int = 4,
     active = [start]
     completed: list[Hypothesis] = []
     for _ in range(max_len):
-        rows, steps = [], []
-        for hyp in active:
-            prev = hyp.tokens[-1] if hyp.tokens else BOS_ID
-            p, new_state, alpha = model.step(hyp.state, prev)
-            with np.errstate(divide="ignore"):
-                rows.append(hyp.logprob + np.log(p))
-            steps.append((new_state, _trace_entry(alpha)))
-        scores = np.vstack(rows)
+        P, states, alphas = model.step(
+            [hyp.state for hyp in active],
+            [hyp.tokens[-1] if hyp.tokens else BOS_ID for hyp in active])
+        with np.errstate(divide="ignore"):
+            logp = np.log(P)
+        scores = logp.T + np.array([[hyp.logprob] for hyp in active])
+        traces = _trace_entries(alphas, len(active))
         prefixes = [tuple(hyp.tokens) for hyp in active]
         parents = active
         active = []
         for row, tok in _best_candidates(scores, prefixes, beam_size):
             parent = parents[row]
-            state, trace_tail = steps[row]
             child = Hypothesis(tokens=parent.tokens + [tok], logprob=scores[row, tok],
-                               state=state, finished=tok == EOS_ID,
-                               attention_trace=parent.attention_trace + [trace_tail])
+                               state=states[row], finished=tok == EOS_ID,
+                               attention_trace=parent.attention_trace + [traces[row]])
             (completed if child.finished else active).append(child)
         if len(completed) >= beam_size or not active:
             break

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Graph, Node, NonFiniteError, Parameter
-from .corpus import BOS_ID, UNK_ID, Vocabulary, encode
-from .nnet import RecurrentState, StackedRNN, embedding_init, glorot
+from .corpus import BOS_ID, Vocabulary, encode, unknown_factor
+from .nnet import (RecurrentState, StackedRNN, embedding_init, glorot,
+                   input_columns, split_layer_states, stack_layer_states)
 from .optim import EpochTracker, Optimizer, TrainingDivergence
 
 ENCODER_DIRECTIONS = ("forward", "reverse", "bidirectional")
@@ -35,11 +36,12 @@ class SourceEncoding:
     H: np.ndarray                       # (encoding_dim, |F|)
     init_layers: list                   # [(h, c or None), ...] per decoder layer
     source_ids: list[int]
+    src_proj: np.ndarray | None = None  # W_a1_src·H for MLP attention, else None
 
 
 @dataclass
 class EncDecState:
-    """One decode session's mutable half: layer states and fed-back context."""
+    """One hypothesis' decoder state: layer states and fed-back context."""
 
     encoding: SourceEncoding
     layers: list
@@ -65,6 +67,9 @@ class EncDecModel:
             raise ValueError(f"unknown bridge kind {bridge!r}")
         if bridge == "concat" and encoder != "bidirectional":
             raise ValueError("concat bridge requires a bidirectional encoder")
+        if bridge == "copy" and encoder == "bidirectional":
+            raise ValueError("copy bridge requires a one-direction encoder; "
+                             "use the concat or tanh bridge with a bidirectional one")
 
         rng = rng or np.random.default_rng(0)
         self.src_vocab = src_vocab
@@ -189,40 +194,66 @@ class EncDecModel:
         return H, init
 
     def encode(self, source_ids) -> SourceEncoding:
-        """Run the encoder and freeze the per-word encodings as numbers."""
+        """Run the encoder and freeze the per-word encodings as numbers.
+
+        MLP attention's source half ``W_a1_src·H`` is the same at every
+        decode step, so it is computed here once.
+        """
         g = Graph()
         H, init = self._encode_nodes(g, source_ids)
+        proj = (g.matmul(g.param(self.W_a1_src), H) if self.attention == "mlp"
+                else None)
         g.forward()
         layers = [(st.h.value.copy(), None if st.c is None else st.c.value.copy())
                   for st in init]
         return SourceEncoding(H=H.value.copy(), init_layers=layers,
-                              source_ids=list(source_ids))
+                              source_ids=list(source_ids),
+                              src_proj=None if proj is None else proj.value.copy())
 
     # ---- attention ---------------------------------------------------------
 
-    def _attention_scores(self, g: Graph, H: Node, h_dec: Node) -> Node:
-        """Score every source column against the decoder state, batched over
-        the whole encoding matrix; result is one column of |F| scores."""
+    def _attention_scores(self, g: Graph, H: Node, h_dec: Node,
+                          src_proj: np.ndarray | None = None, batch: int = 1) -> Node:
+        """Score every source column against each of the ``batch`` decoder
+        states in the columns of ``h_dec``; the result is |F| x ``batch``.
+
+        MLP attention takes its source half ``W_a1_src·H`` from ``src_proj``
+        when given (decode graphs); the training graph, with one column,
+        builds the product itself.
+        """
         if self.attention == "dot":
             return g.matmul(g.transpose(H), h_dec)
         if self.attention == "bilinear":
             return g.matmul(g.transpose(H),
                             g.matmul(g.param(self.W_a), h_dec))
-        pre = g.add(g.matmul(g.param(self.W_a1_dec), h_dec),
-                    g.matmul(g.param(self.W_a1_src), H))
-        return g.transpose(g.matmul(g.transpose(g.param(self.w_a2)), g.tanh(pre)))
+        dec = g.matmul(g.param(self.W_a1_dec), h_dec)
+        if src_proj is None:
+            src = g.matmul(g.param(self.W_a1_src), H)
+        elif batch == 1:    # the decoder column broadcasts over the source words
+            src = g.input(src_proj)
+        else:       # column b * |F| + j pairs decoder state b with source word j
+            n_src = src_proj.shape[1]
+            dec = g.lookup_column(dec, [b for b in range(batch) for _ in range(n_src)])
+            src = g.input(np.concatenate([src_proj] * batch, axis=1))
+        scores = g.matmul(g.transpose(g.param(self.w_a2)), g.tanh(g.add(dec, src)))
+        if batch == 1:
+            return g.transpose(scores)
+        return g.reshape(scores, src_proj.shape[1], batch)
 
     # ---- decoding ----------------------------------------------------------
 
-    def _step_nodes(self, g: Graph, H: Node | None, prev_id: int, states,
-                    context: Node | None):
-        """One decoder step; returns (score node, new states, context, alpha)."""
-        x = g.lookup_column(g.param(self.M_e), prev_id)
+    def _step_nodes(self, g: Graph, H: Node | None, prev_ids, states,
+                    context: Node | None, src_proj: np.ndarray | None = None):
+        """One decoder step for the B columns of ``states``, fed ``prev_ids``
+        (an id, or a list of B ids); returns (score node, new states,
+        context, alpha)."""
+        x = g.lookup_column(g.param(self.M_e), prev_ids)
         if self.attention != "none":
             x = g.concat_rows(x, context)
         out, states = self.dec.step(g, x, states)
         if self.attention != "none":
-            alpha = g.softmax(self._attention_scores(g, H, out))
+            alpha = g.softmax(self._attention_scores(g, H, out, src_proj,
+                                                     states[0].batch))
             new_context = g.matmul(H, alpha)
             s = g.affine(g.param(self.b_s), g.param(self.W_hs),
                          g.concat_rows(out, new_context))
@@ -238,36 +269,25 @@ class EncDecModel:
         return EncDecState(encoding=encoding, layers=encoding.init_layers,
                            context=context)
 
-    def step(self, state: EncDecState, prev_id: int):
-        """Predictor protocol: returns (p over target vocab, new state, alpha)."""
+    def step(self, states, prev_ids):
+        """Predictor protocol: one decoder call for the hypotheses ``states``,
+        which all decode the same source; see :mod:`seqbench.search`."""
+        encoding = states[0].encoding
         g = Graph()
-        H = g.input(state.encoding.H) if self.attention != "none" else None
-        layer_nodes = [RecurrentState(h=g.input(h),
-                                      c=None if c is None else g.input(c))
-                       for h, c in state.layers]
-        context = g.input(state.context) if state.context is not None else None
+        layers = stack_layer_states(g, [st.layers for st in states])
+        H = context = None
+        if self.attention != "none":
+            H = g.input(encoding.H)
+            context = input_columns(g, [st.context for st in states])
         s, new_layers, new_context, alpha = self._step_nodes(
-            g, H, prev_id, layer_nodes, context)
-        p = g.softmax(s)
+            g, H, prev_ids, layers, context, encoding.src_proj)
+        P = g.softmax(s)
         g.forward()
-        new_state = EncDecState(
-            encoding=state.encoding,
-            layers=[(st.h.value.copy(), None if st.c is None else st.c.value.copy())
-                    for st in new_layers],
-            context=None if new_context is None else new_context.value.copy())
-        alpha_value = None if alpha is None else alpha.value[:, 0].copy()
-        return p.value[:, 0], new_state, alpha_value
-
-    def decode_step(self, encoding: SourceEncoding, prev_id: int, state, context):
-        """Single exposed decode step over a frozen encoding.
-
-        ``state``/``context`` are the numpy layer states and previous context
-        vector (pass ``encoding.init_layers`` and zeros at t=1). Returns
-        (p, new_state, new_context, alpha).
-        """
-        wrapped = EncDecState(encoding=encoding, layers=state, context=context)
-        p, new, alpha = self.step(wrapped, prev_id)
-        return p, new.layers, new.context, alpha
+        contexts = [None if new_context is None else new_context.value[:, b:b + 1].copy()
+                    for b in range(len(states))]
+        new_states = [EncDecState(encoding=encoding, layers=cols, context=ctx)
+                      for cols, ctx in zip(split_layer_states(new_layers), contexts)]
+        return P.value, new_states, None if alpha is None else alpha.value
 
     # ---- training / scoring -------------------------------------------------
 
@@ -296,8 +316,7 @@ class EncDecModel:
         f = encode(self.src_vocab, src_tokens)
         e = encode(self.tgt_vocab, tgt_tokens, append_eos=True)
         logp = -self.sentence_loss(f, e)
-        unk_count = sum(1 for i in e if i == UNK_ID)
-        unk_logp = -unk_count * math.log(self.tgt_vocab.v_all)
+        unk_count, unk_logp = unknown_factor(self.tgt_vocab, e)
         return logp + unk_logp, len(e), unk_count, unk_logp
 
     @property
@@ -328,36 +347,31 @@ class Ensemble:
     def start(self, source_ids=None):
         return tuple(m.start(source_ids) for m in self.models)
 
-    def step(self, state, prev_id: int):
-        total = None
-        new_states = []
-        alpha = None
-        for model, st in zip(self.models, state):
-            p, new, a = model.step(st, prev_id)
-            total = p if total is None else total + p
-            new_states.append(new)
-            if alpha is None and a is not None:
-                alpha = a       # unknown replacement follows the first member
-        return total / len(self.models), tuple(new_states), alpha
+    def step(self, states, prev_ids):
+        """One call per member with all B columns; a state holds one state
+        per member."""
+        total = alphas = None
+        member_states = []
+        for m, model in enumerate(self.models):
+            P, new, a = model.step([st[m] for st in states], prev_ids)
+            total = P if total is None else total + P
+            member_states.append(new)
+            if alphas is None:
+                alphas = a      # unknown replacement follows the first member
+        return total / len(self.models), list(zip(*member_states)), alphas
 
     def score_pair(self, src_tokens, tgt_tokens):
         f = encode(self.models[0].src_vocab, src_tokens)
         e = encode(self.vocab, tgt_tokens, append_eos=True)
-        state = self.start(f)
+        states = [self.start(f)]
         logp = 0.0
         prev = BOS_ID
         for target in e:
-            p, state, _ = self.step(state, prev)
-            logp += math.log(p[target])
+            P, states, _ = self.step(states, [prev])
+            logp += math.log(P[target, 0])
             prev = target
-        unk_count = sum(1 for i in e if i == UNK_ID)
-        unk_logp = -unk_count * math.log(self.vocab.v_all)
+        unk_count, unk_logp = unknown_factor(self.vocab, e)
         return logp + unk_logp, len(e), unk_count, unk_logp
-
-
-def ensemble_predict(models, state, prev_id: int):
-    """One averaged prediction step; see :class:`Ensemble` for state handling."""
-    return Ensemble(models).step(state, prev_id)
 
 
 def train_encdec(model: EncDecModel, pairs, optimizer: Optimizer, epochs: int,

@@ -1,6 +1,6 @@
 """Shared test oracles: central finite differences against analytic gradients,
-per-column attention scoring, and brute-force and sort-everything references
-for search."""
+the two-pass pick_neg_log_softmax formula, per-column attention scoring, and
+brute-force and sort-everything references for search."""
 
 import math
 import zlib
@@ -9,7 +9,7 @@ import numpy as np
 
 from seqbench.autograd import Parameter
 from seqbench.corpus import BOS_ID
-from seqbench.search import Hypothesis, _rescore, _trace_entry, default_max_len
+from seqbench.search import Hypothesis, _rescore, _trace_entries, default_max_len
 
 
 def rel_error(a: float, b: float, floor: float = 1e-3) -> float:
@@ -79,6 +79,8 @@ OP_GRADCHECK_CASES = {
     "concat_rows": lambda g, ps: g.concat_rows(*[g.param(p) for p in ps]),
     "concat_cols": lambda g, ps: g.concat_cols(*[g.param(p) for p in ps]),
     "transpose": lambda g, ps: g.transpose(g.param(ps[0])),
+    # (n, m) refilled column-major as (m, n)
+    "reshape": lambda g, ps: g.reshape(g.param(ps[0]), *ps[0].value.shape[::-1]),
     "lookup_column": lambda g, ps: g.lookup_column(g.param(ps[0]), [1, 0, 1]),
     # repeated ids into a computed matrix rather than a parameter
     "lookup_column_computed": lambda g, ps: g.lookup_column(
@@ -130,6 +132,18 @@ def run_op_gradcheck(name, trials=50):
     return worst
 
 
+def two_pass_pick_neg_log_softmax(s, targets):
+    """(losses, softmax) of ``pick_neg_log_softmax`` computed the long way:
+    the softmax first, then the log partition function from a second max
+    shift, exp and column sum."""
+    shifted = s - s.max(axis=0, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=0, keepdims=True)
+    shifted = s - s.max(axis=0, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=0))
+    return (logz - shifted[targets, np.arange(s.shape[1])]).reshape(1, -1), p
+
+
 def attention_scores_per_column(model, g, H_cols, h_dec):
     """Reference one-column-at-a-time attention scoring for ``model``, against
     which its batched ``_attention_scores`` is checked; concatenates |F|
@@ -167,10 +181,11 @@ class TableModel:
     def start(self, source_ids=None):
         return None     # no tokens consumed yet; step() ignores the start symbol
 
-    def step(self, state, prev_id):
-        prefix = () if state is None else state + (prev_id,)
-        p = self.table.get(prefix, self._eos_only)
-        return p.copy(), prefix, None
+    def step(self, states, prev_ids):
+        prefixes = [() if state is None else state + (prev,)
+                    for state, prev in zip(states, prev_ids)]
+        P = np.array([self.table.get(prefix, self._eos_only) for prefix in prefixes]).T
+        return P, prefixes, None
 
 
 def random_table_model(rng, vocab_size=3, max_len=4, min_eos=0.0):
@@ -201,7 +216,8 @@ def enumerate_sequences(model, max_len):
     def walk(prefix, state, logprob):
         if len(prefix) >= max_len:
             return
-        p, new_state, _ = model.step(state, prefix[-1] if prefix else 0)
+        P, new_states, _ = model.step([state], [prefix[-1] if prefix else 0])
+        p, new_state = P[:, 0], new_states[0]
         for tok in range(len(p)):
             if p[tok] <= 0.0:
                 continue
@@ -245,8 +261,9 @@ def reference_beam_search(model, source_ids=None, beam_size=4, max_len=None,
                           length_mode="none", length_prior=None):
     """Beam search that builds and sorts every (hypothesis, token) candidate.
 
-    The reference for ``search.beam_search``'s candidate selection: the same
-    search, with the whole candidate list sorted by the documented key.
+    The reference for ``search.beam_search``: the same search, with one
+    single-column ``step`` per hypothesis and the whole candidate list sorted
+    by the documented key.
     """
     if max_len is None:
         max_len = default_max_len(source_ids)
@@ -259,10 +276,11 @@ def reference_beam_search(model, source_ids=None, beam_size=4, max_len=None,
         candidates = []
         for hyp in active:
             prev = hyp.tokens[-1] if hyp.tokens else BOS_ID
-            p, new_state, alpha = model.step(hyp.state, prev)
+            P, new_states, alphas = model.step([hyp.state], [prev])
+            p, new_state = P[:, 0], new_states[0]
             with np.errstate(divide="ignore"):
                 logp = np.log(p)
-            trace_tail = _trace_entry(alpha)
+            trace_tail = _trace_entries(alphas, 1)[0]
             for tok in range(len(p)):
                 if logp[tok] == -math.inf:
                     continue

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import (OP_GRADCHECK_CASES, max_gradient_error, random_params,
-                     run_op_gradcheck)
+                     run_op_gradcheck, two_pass_pick_neg_log_softmax)
 from seqbench import corpus as C
 from seqbench.autograd import (FINITE_PRESERVING_OPS, Graph, GraphError,
                                NonFiniteError, Parameter, softmax)
@@ -42,6 +42,29 @@ def test_pick_neg_log_softmax_value():
     s = g.input([0.0, 0.0])
     loss = g.pick_neg_log_softmax(s, 0)
     assert g.forward()[0, 0] == pytest.approx(math.log(2), abs=1e-15)
+
+
+@pytest.mark.parametrize("cols", [1, 6])
+def test_pick_neg_log_softmax_matches_two_pass_formula_bitwise(cols):
+    rng = np.random.default_rng(cols)
+    s = rng.normal(scale=4.0, size=(500, cols))       # C-ordered when cols > 1
+    targets = rng.integers(0, 500, size=cols)
+    g = Graph()
+    loss = g.pick_neg_log_softmax(g.input(s), targets)
+    g.forward()
+    want_loss, want_softmax = two_pass_pick_neg_log_softmax(s, targets)
+    assert np.array_equal(loss.value, want_loss)
+    assert np.array_equal(loss.aux["softmax"], want_softmax)
+
+
+def test_softmax_columns_round_as_one_column_softmax():
+    s = np.random.default_rng(4).normal(scale=5.0, size=(5000, 5))   # C-ordered
+    g = Graph()
+    batched = g.softmax(g.input(s))
+    single = [g.softmax(g.input(s[:, b:b + 1].copy())) for b in range(5)]
+    g.forward()
+    for b, node in enumerate(single):
+        assert np.array_equal(batched.value[:, b], node.value[:, 0])
 
 
 def test_tanh_gradient_endpoints():
@@ -402,6 +425,7 @@ FINITE_PRESERVING_BUILDERS = {
     "concat_rows": lambda g, a, b: g.concat_rows(a, b),
     "concat_cols": lambda g, a, b: g.concat_cols(a, b),
     "transpose": lambda g, a, b: g.transpose(a),
+    "reshape": lambda g, a, b: g.reshape(a, 2, 3),
     "tanh": lambda g, a, b: g.tanh(a),
     "sigmoid": lambda g, a, b: g.sigmoid(a),
     "relu": lambda g, a, b: g.relu(a),

@@ -151,6 +151,16 @@ def test_translate_beam_one_equals_greedy(translation_setup):
     assert open(out_greedy, "rb").read() == open(out_beam, "rb").read()
 
 
+def test_translate_corrupt_model_is_data_error(translation_setup, capsys):
+    tmp_path, model, inputs = translation_setup
+    blob = bytearray(open(model, "rb").read())
+    blob[12] ^= 0xFF            # first byte of the kind string: no longer UTF-8
+    corrupt = tmp_path / "corrupt.bin"
+    corrupt.write_bytes(bytes(blob))
+    assert main(["translate", "--model", str(corrupt), "--input", inputs]) == 2
+    assert "corrupt.bin" in capsys.readouterr().err
+
+
 def test_translate_nbest_format(translation_setup):
     tmp_path, model, inputs = translation_setup
     out = str(tmp_path / "nbest.txt")
@@ -247,6 +257,12 @@ def test_training_rejects_bad_model_flags(toy_corpus, capsys):
                  "--model", model, "--attention", "dot", "--embed", "4",
                  "--hidden", "4", "--epochs", "1"]) == 1
     assert "dot attention" in capsys.readouterr().err
+    # the copy bridge hands the decoder one direction's final state, which
+    # cannot fill a decoder sized to the bidirectional encoding
+    assert main(["train-encdec", "--train-src", train, "--train-tgt", train,
+                 "--model", model, "--bridge", "copy", "--embed", "4",
+                 "--hidden", "4", "--epochs", "1"]) == 1
+    assert "copy bridge" in capsys.readouterr().err
     assert main(["train-rnnlm", "--train", train, "--model", model,
                  "--batch-size", "0", "--epochs", "1"]) == 1
     assert "must be >= 1" in capsys.readouterr().err

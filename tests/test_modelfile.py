@@ -131,3 +131,26 @@ def test_encdec_variants_roundtrip(tmp_path, direction, attention):
     loaded = load_model(path)
     pair = (["x", "z", "y"], ["c", "a"])
     assert loaded.score_pair(*pair) == model.score_pair(*pair)
+
+
+def test_every_truncation_and_byte_flip_loads_or_raises_data_error(tmp_path):
+    # a small encoder-decoder file: vocabularies, string hparams, tensors and
+    # a length prior; every damaged copy must load or raise DataError
+    src = C.build_vocab(["w x"])
+    tgt = C.build_vocab(["p q"])
+    model = EncDecModel(src, tgt, embed_size=1, hidden_size=1, encoder="forward",
+                        attention="mlp", cell="rnn", rng=np.random.default_rng(0))
+    model.length_prior = LengthPrior.from_pairs([([3], [4, C.EOS_ID])])
+    path = tmp_path / "small.bin"
+    save_model(model, path)
+    blob = path.read_bytes()
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(C.DataError):
+            load_model(path)
+    for i in range(len(blob)):
+        path.write_bytes(blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:])
+        try:
+            load_model(path)
+        except C.DataError:
+            pass

@@ -177,18 +177,23 @@ def test_zero_parameter_lms_are_uniform():
         for p in model.parameters():
             p.value[...] = 0.0
     v = len(vocab)
-    assert np.abs(ff.lm_step([3, 4]) - 1 / v).max() < 1e-12
-    p, _, _ = rnn.step(rnn.start(), C.BOS_ID)
-    assert np.abs(p - 1 / v).max() < 1e-12
+    P_ff, _, _ = ff.step([(C.BOS_ID, 3)], [4])
+    assert np.abs(P_ff[:, 0] - 1 / v).max() < 1e-12
+    P, _, _ = rnn.step([rnn.start()], [C.BOS_ID])
+    assert np.abs(P[:, 0] - 1 / v).max() < 1e-12
 
 
 def test_ffnnlm_context_window():
     vocab = small_vocab()
     model = FFNNLM(vocab, n=3, embed_size=4, hidden_size=5,
                    rng=np.random.default_rng(3))
-    base = model.lm_step([9 % len(vocab), 3, 4])
-    outside = model.lm_step([5, 3, 4])       # differs only 3 words back
-    inside = model.lm_step([5, 3, 5])        # differs at the previous word
+    def next_distribution(context):
+        P, _, _ = model.step([tuple(context[:-1])], [context[-1]])
+        return P[:, 0]
+
+    base = next_distribution([9 % len(vocab), 3, 4])
+    outside = next_distribution([5, 3, 4])       # differs only 3 words back
+    inside = next_distribution([5, 3, 5])        # differs at the previous word
     assert np.array_equal(base, outside)
     assert not np.array_equal(base, inside)
 
@@ -257,10 +262,9 @@ def test_rnnlm_learns_alternation():
     opt = Adam(model.parameters(), lr=0.05, clip_norm=5.0)
     train_lm(model, [line] * 4, opt, epochs=40, batch_size=4,
              rng=np.random.default_rng(2))
-    state = model.start()
-    p, state, _ = model.step(state, C.BOS_ID)
-    p, state, _ = model.step(state, a)
-    assert p[b] > 0.9
+    P, states, _ = model.step([model.start()], [C.BOS_ID])
+    P, states, _ = model.step(states, [a])
+    assert P[b, 0] > 0.9
 
 
 def test_toy_mlp_trains_to_sign_accuracy():

@@ -1,0 +1,189 @@
+"""The batched predictor protocol.
+
+Column b of one B-column ``step`` must equal a one-column ``step`` on
+hypothesis b alone, for every model, and beam search built on the batched
+call must agree with the reference that steps one hypothesis at a time.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from helpers import random_table_model, reference_beam_search
+from seqbench import corpus as C
+from seqbench.loglinear import LogLinearLM
+from seqbench.ngram import NGramLM
+from seqbench.nnet import CELL_KINDS, FFNNLM, RNNLM
+from seqbench.search import beam_search, greedy
+from seqbench.seq2seq import (ATTENTION_KINDS, BRIDGE_KINDS, ENCODER_DIRECTIONS,
+                              EncDecModel, EncDecState, Ensemble)
+
+SRC = C.build_vocab(["w x y z"])
+TGT = C.build_vocab(["p q r s t"])
+LINES = ["a b c d", "b c a", "c a a d", "a b"]
+LM_VOCAB = C.build_vocab(LINES)
+SOURCE = [3, 5, 4, 6]
+
+NEURAL_TOL = 1e-12      # a B-column matmul may round differently from a one-column one
+
+
+def assert_close(batched, single, tol):
+    assert batched.shape == single.shape
+    if tol == 0:
+        assert np.array_equal(batched, single)
+    else:
+        assert np.abs(batched - single).max() <= tol
+
+
+def assert_same_state(batched, single, tol):
+    if isinstance(single, EncDecState):
+        assert batched.encoding is single.encoding
+        assert_same_state(batched.layers, single.layers, tol)
+        assert_same_state(batched.context, single.context, tol)
+    elif isinstance(single, np.ndarray):
+        assert_close(batched, single, tol)
+    elif isinstance(single, (list, tuple)):
+        assert type(batched) is type(single) and len(batched) == len(single)
+        for b, s in zip(batched, single):
+            assert_same_state(b, s, tol)
+    else:
+        assert batched == single
+
+
+def distinct_states(model, source_ids, count):
+    """The start state and ``count - 1`` states reached by different prefixes."""
+    start = model.start(source_ids)
+    states = [start]
+    words = len(model.vocab) - 3
+    for b in range(count - 1):
+        state = start
+        for tok in (C.BOS_ID, 3 + b % words, 3 + (2 * b + 1) % words):
+            _, (state,), _ = model.step([state], [tok])
+        states.append(state)
+    return states
+
+
+def check_batched_step(model, source_ids, tol, max_batch=5):
+    """For B = 1..max_batch: P, alphas and every new state of one B-column
+    step equal, column by column, those of B one-column steps."""
+    states = distinct_states(model, source_ids, max_batch)
+    words = len(model.vocab) - 3
+    prev_ids = [3 + (3 * b) % words for b in range(max_batch)]
+    prev_ids[0] = C.BOS_ID
+    for batch in range(1, max_batch + 1):
+        P, new_states, alphas = model.step(states[:batch], prev_ids[:batch])
+        assert P.shape == (len(model.vocab), batch)
+        assert len(new_states) == batch
+        for b in range(batch):
+            P1, new1, alphas1 = model.step([states[b]], [prev_ids[b]])
+            assert_close(P[:, b], P1[:, 0], tol)
+            assert (alphas is None) == (alphas1 is None)
+            if alphas is not None:
+                assert alphas.shape[1] == batch
+                assert_close(alphas[:, b], alphas1[:, 0], tol)
+            assert_same_state(new_states[b], new1[0], tol)
+
+
+def encdec(seed=7, **kwargs):
+    settings = dict(embed_size=3, hidden_size=4, rng=np.random.default_rng(seed))
+    settings.update(kwargs)
+    return EncDecModel(SRC, TGT, **settings)
+
+
+@pytest.mark.parametrize("encoder,bridge,attention,cell,layers", itertools.product(
+    ENCODER_DIRECTIONS, BRIDGE_KINDS, ATTENTION_KINDS, CELL_KINDS, (1, 2)))
+def test_every_encdec_configuration_is_rejected_or_trains_and_decodes(
+        encoder, bridge, attention, cell, layers):
+    kwargs = dict(encoder=encoder, bridge=bridge, attention=attention, cell=cell,
+                  layers=layers)
+    if bridge == "copy" and encoder == "bidirectional":
+        with pytest.raises(ValueError, match="copy bridge"):
+            encdec(**kwargs)
+        return
+    try:
+        model = encdec(**kwargs)
+    except ValueError:
+        return
+    target = [4, 6, 3, C.EOS_ID]
+    g = model.loss_graph(SOURCE, target)
+    loss = g.forward()[0, 0]
+    g.backward()
+    assert np.isfinite(loss) and loss > 0
+    assert any(np.any(p.grad != 0) for p in model.parameters())
+
+    # the decode path (hoisted attention projection, batched columns) scores
+    # the target as the training graph does
+    states, prev, total = [model.start(SOURCE)], C.BOS_ID, 0.0
+    for tok in target:
+        P, states, _ = model.step(states, [prev])
+        total -= np.log(P[tok, 0])
+        prev = tok
+    assert total == pytest.approx(loss, rel=1e-9)
+    check_batched_step(model, SOURCE, NEURAL_TOL)
+
+
+@pytest.mark.parametrize("cell,layers", itertools.product(CELL_KINDS, (1, 2)))
+def test_rnnlm_batched_step(cell, layers):
+    model = RNNLM(LM_VOCAB, cell=cell, embed_size=3, hidden_size=5, layers=layers,
+                  rng=np.random.default_rng(8))
+    check_batched_step(model, None, NEURAL_TOL)
+
+
+def test_ffnnlm_batched_step():
+    model = FFNNLM(LM_VOCAB, n=3, embed_size=3, hidden_size=5,
+                   rng=np.random.default_rng(9))
+    check_batched_step(model, None, NEURAL_TOL)
+
+
+def test_ensemble_batched_step():
+    members = [encdec(seed=10, attention="none", encoder="forward"),
+               encdec(seed=11, attention="mlp"),
+               encdec(seed=12, attention="bilinear", layers=2)]
+    check_batched_step(Ensemble(members), SOURCE, NEURAL_TOL)
+
+
+def test_count_and_feature_lms_batched_step_exact():
+    loglinear = LogLinearLM(LM_VOCAB, "prev2_words")
+    loglinear.train_sgd(LINES, lr=0.3, epochs=2, rng=np.random.default_rng(13))
+    for model in (NGramLM.train(LINES, n=3, alphas=0.2, vocab=LM_VOCAB), loglinear):
+        check_batched_step(model, None, 0)
+
+
+def test_table_model_batched_step_exact():
+    model = random_table_model(np.random.default_rng(14), vocab_size=len(LM_VOCAB),
+                               max_len=4)
+    model.vocab = LM_VOCAB
+    check_batched_step(model, None, 0)
+
+
+@pytest.mark.parametrize("kind", ["encdec", "rnnlm"])
+def test_neural_beam_search_matches_one_column_reference(kind):
+    if kind == "encdec":
+        model, source = encdec(seed=15, embed_size=4, hidden_size=6), SOURCE
+    else:
+        model, source = RNNLM(LM_VOCAB, embed_size=4, hidden_size=6,
+                              rng=np.random.default_rng(16)), None
+    model.b_s.value[C.EOS_ID] += 1.5        # let some hypotheses finish
+    for beam_size in range(1, 6):
+        fast = beam_search(model, source, beam_size=beam_size, max_len=6)
+        ref = reference_beam_search(model, source, beam_size=beam_size, max_len=6)
+        assert [h.tokens for h in fast] == [h.tokens for h in ref]
+        for f, r in zip(fast, ref):
+            assert f.logprob == pytest.approx(r.logprob, rel=NEURAL_TOL, abs=0)
+            assert (f.finished, f.truncated) == (r.finished, r.truncated)
+            assert f.attention_trace == r.attention_trace
+
+
+@pytest.mark.parametrize("kind", ["encdec", "rnnlm"])
+def test_neural_beam_one_equals_greedy_bitwise(kind):
+    for seed in range(4):
+        if kind == "encdec":
+            model, source = encdec(seed=20 + seed), SOURCE
+        else:
+            model, source = RNNLM(LM_VOCAB, rng=np.random.default_rng(20 + seed)), None
+        model.b_s.value[C.EOS_ID] += 1.0
+        g = greedy(model, source, max_len=8)
+        b = beam_search(model, source, beam_size=1, max_len=8)[0]
+        assert (g.tokens, g.logprob, g.attention_trace) == (b.tokens, b.logprob,
+                                                             b.attention_trace)

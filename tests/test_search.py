@@ -131,7 +131,8 @@ def test_extension_never_raises_score():
         state = TOY.start()
         prev = C.BOS_ID
         for tok in hyp.tokens:
-            p, state, _ = TOY.step(state, prev)
+            P, states, _ = TOY.step([state], [prev])
+            p, state = P[:, 0], states[0]
             running += math.log(p[tok])
             assert running <= 1e-12
             prev = tok
@@ -202,7 +203,8 @@ def test_sample_logprob_consistent():
     state = TOY.start()
     prev = C.BOS_ID
     for tok in hyp.tokens:
-        p, state, _ = TOY.step(state, prev)
+        P, states, _ = TOY.step([state], [prev])
+        p, state = P[:, 0], states[0]
         total += math.log(p[tok])
         prev = tok
     assert hyp.logprob == pytest.approx(total, abs=1e-12)

@@ -74,8 +74,8 @@ def test_concat_bridge_requires_bidirectional():
 
 def test_attention_weights_normalized():
     model = tiny_model(seed=6)
-    state = model.start([3, 4, 5, 6])
-    p, state, alpha = model.step(state, C.BOS_ID)
+    P, _, alphas = model.step([model.start([3, 4, 5, 6])], [C.BOS_ID])
+    p, alpha = P[:, 0], alphas[:, 0]
     assert alpha.shape == (4,)
     assert np.all(alpha >= 0) and np.all(alpha <= 1)
     assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
@@ -86,7 +86,8 @@ def test_equal_scores_give_uniform_attention_and_mean_context():
     model = tiny_model(seed=7, attention="mlp")
     model.w_a2.value[...] = 0.0               # every score becomes zero
     state = model.start([3, 4, 5])
-    _, new_state, alpha = model.step(state, C.BOS_ID)
+    _, new_states, alphas = model.step([state], [C.BOS_ID])
+    new_state, alpha = new_states[0], alphas[:, 0]
     assert np.allclose(alpha, 1 / 3, atol=1e-12)
     expected_context = state.encoding.H.mean(axis=1, keepdims=True)
     assert np.allclose(new_state.context, expected_context, atol=1e-12)
@@ -140,9 +141,8 @@ def test_batched_attention_equals_per_column(kind):
 def test_sentence_loss_single_eos_target():
     model = tiny_model(seed=11)
     f = [3, 4]
-    state = model.start(f)
-    p, _, _ = model.step(state, C.BOS_ID)
-    want = -math.log(p[C.EOS_ID])
+    P, _, _ = model.step([model.start(f)], [C.BOS_ID])
+    want = -math.log(P[C.EOS_ID, 0])
     assert model.sentence_loss(f, [C.EOS_ID]) == pytest.approx(want, abs=1e-12)
 
 
@@ -153,8 +153,9 @@ def test_sentence_loss_matches_decode_trace():
     state = model.start(f)
     prev, total = C.BOS_ID, 0.0
     for target in e:
-        p, state, _ = model.step(state, prev)
-        total += -math.log(p[target])
+        P, states, _ = model.step([state], [prev])
+        state = states[0]
+        total += -math.log(P[target, 0])
         prev = target
     assert model.sentence_loss(f, e) == pytest.approx(total, abs=1e-12)
 
@@ -220,17 +221,17 @@ class FixedModel:
     def start(self, source_ids=None):
         return 0
 
-    def step(self, state, prev_id):
-        return self.p.copy(), state, None
+    def step(self, states, prev_ids):
+        return np.tile(self.p[:, None], (1, len(states))), list(states), None
 
 
 def test_ensemble_identical_members_match_single():
     model = tiny_model(seed=17)
     ens = Ensemble([model, model, model])
     f = [3, 4]
-    p_single, _, _ = model.step(model.start(f), C.BOS_ID)
-    p_ens, _, _ = ens.step(ens.start(f), C.BOS_ID)
-    assert np.abs(p_single - p_ens).max() < 1e-12
+    p_single, _, _ = model.step([model.start(f)], [C.BOS_ID])
+    p_ens, _, _ = ens.step([ens.start(f)], [C.BOS_ID])
+    assert np.abs(p_single[:, 0] - p_ens[:, 0]).max() < 1e-12
 
 
 def test_ensemble_averages_distributions():
@@ -238,7 +239,8 @@ def test_ensemble_averages_distributions():
     m1 = FixedModel([1.0, 0.0, 0.0, 0.0, 0.0], vocab)
     m2 = FixedModel([0.0, 1.0, 0.0, 0.0, 0.0], vocab)
     ens = Ensemble([m1, m2])
-    p, _, _ = ens.step(ens.start(), C.BOS_ID)
+    P, _, _ = ens.step([ens.start()], [C.BOS_ID])
+    p = P[:, 0]
     assert p[0] == 0.5 and p[1] == 0.5
 
 
@@ -246,8 +248,8 @@ def test_ensemble_of_uniform_is_uniform():
     vocab = C.build_vocab(["u v"])
     uniform = np.full(5, 0.2)
     ens = Ensemble([FixedModel(uniform, vocab) for _ in range(3)])
-    p, _, _ = ens.step(ens.start(), C.BOS_ID)
-    assert np.allclose(p, 0.2, atol=1e-15)
+    P, _, _ = ens.step([ens.start()], [C.BOS_ID])
+    assert np.allclose(P[:, 0], 0.2, atol=1e-15)
 
 
 def test_ensemble_vocabulary_mismatch():
