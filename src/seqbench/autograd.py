@@ -15,6 +15,17 @@ so every use adds straight into the parameter's accumulator. Other nodes get a
 gradient slot when their first contribution arrives, and nodes that reach no
 parameter (inputs, masks, zero states and everything computed only from them)
 never get one.
+
+A NaN or Inf is reported as :class:`NonFiniteError` at the node where it first
+appears. Computed nodes are checked as they are evaluated, except the ops in
+``FINITE_PRESERVING_OPS``. A ``parameter`` node asks its :class:`Parameter`,
+which scans its value once and remembers a finite result until
+:meth:`Parameter.changed` is called, so a graph over an unchanged model scans
+no parameter. The library's writers call ``changed()`` after they write:
+``Optimizer.step``, ``EpochTracker.restore_best``, the model-file loader and
+``nnet.train_toy_mlp``. Code outside the library that writes
+``Parameter.value`` in place after the parameter has been used in a graph must
+call ``changed()`` too, or a later NaN or Inf in it goes unreported.
 """
 
 from __future__ import annotations
@@ -41,9 +52,24 @@ class Parameter:
         self.name = name
         self.value = as_col(value).copy()
         self.grad = np.zeros_like(self.value)
+        self._known_finite = False
 
     def zero_grad(self):
         self.grad[...] = 0.0
+
+    def is_finite(self) -> bool:
+        """True when every entry of ``value`` is finite.
+
+        The value is scanned only until a scan finds it finite; that result is
+        kept until :meth:`changed` is called.
+        """
+        if not self._known_finite:
+            self._known_finite = bool(np.isfinite(self.value).all())
+        return self._known_finite
+
+    def changed(self):
+        """Forget the finiteness result; call after writing ``value`` in place."""
+        self._known_finite = False
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"
@@ -193,7 +219,10 @@ class Graph:
 
         Raises :class:`NonFiniteError` naming the first node whose value is
         not finite. Ops in ``FINITE_PRESERVING_OPS`` cannot turn finite inputs
-        into a non-finite value, so only the other nodes are checked.
+        into a non-finite value, so they are not checked. A ``parameter`` node
+        takes :meth:`Parameter.is_finite`, which scans the value only the first
+        time after a :meth:`Parameter.changed`; whoever writes a parameter's
+        value in place after it has been in a graph must call ``changed()``.
         """
         nodes = self.nodes
         if not nodes:
@@ -207,7 +236,13 @@ class Graph:
                     if compute is None:
                         raise GraphError(f"unknown op {op!r}")
                     node.value = compute(node)
-                if op not in FINITE_PRESERVING_OPS and not np.isfinite(node.value).all():
+                if op == "parameter":
+                    finite = node.param.is_finite()
+                elif op in FINITE_PRESERVING_OPS:
+                    continue
+                else:
+                    finite = np.isfinite(node.value).all()
+                if not finite:
                     raise NonFiniteError(f"non-finite value at node {i} ({op})")
         self._next_unevaluated = len(nodes)
         return nodes[-1].value

@@ -152,13 +152,19 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Read a model file back into its model; any malformed file raises DataError."""
+    """Read a model file back into its model; any malformed file, or one whose
+    tensors hold NaN or Inf, raises DataError."""
     mf = read_modelfile(path)
     unpacker = _UNPACKERS.get(mf.kind)
     if unpacker is None:
         raise DataError(f"{path}: unknown model kind {mf.kind!r}")
+    for name, tensor in mf.tensors.items():
+        if not np.isfinite(tensor).all():
+            raise DataError(f"{path}: tensor {name!r} holds NaN or Inf")
     try:
         return unpacker(mf)
+    except DataError as exc:    # a tensor the model rejects
+        raise DataError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise DataError(f"{path}: model file lacks entry {exc}") from exc
     except ValueError as exc:   # hyperparameters the model rejects
@@ -209,6 +215,8 @@ def _pack(model) -> ModelFile:
 
 
 def _restore_params(model, tensors):
+    """Copy each parameter's tensor into the model; ``load_model`` adds the
+    file's path to the ``DataError`` raised for a missing or misshapen one."""
     for p in model.parameters():
         if p.name not in tensors:
             raise DataError(f"model file is missing tensor {p.name!r}")
@@ -216,6 +224,7 @@ def _restore_params(model, tensors):
             raise DataError(f"tensor {p.name!r} has shape {tensors[p.name].shape}, "
                             f"expected {p.value.shape}")
         p.value[...] = tensors[p.name]
+        p.changed()
 
 
 def _unpack_ngram(mf: ModelFile):

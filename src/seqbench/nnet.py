@@ -430,6 +430,7 @@ def train_toy_mlp(data, hidden_size: int = 20, lr: float = 0.1,
                 g.backward()
                 for p in model.parameters():
                     p.value -= lr * p.grad
+                    p.changed()
                     p.zero_grad()
         losses.append(epoch_loss)
         if all(math.copysign(1, model.predict(x)) == y for x, y in data):

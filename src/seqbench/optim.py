@@ -54,6 +54,8 @@ class Optimizer:
                 raise TrainingDivergence("gradient norm is not finite")
             clip_gradients(grads, self.clip_norm, norm)
         self._update()
+        for p in self.params:
+            p.changed()
 
     def zero_grad(self):
         for p in self.params:
@@ -162,3 +164,4 @@ class EpochTracker:
         if self.best_snapshot is not None:
             for p, snap in zip(self.optimizer.params, self.best_snapshot):
                 p.value[...] = snap
+                p.changed()

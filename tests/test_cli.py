@@ -1,11 +1,13 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from seqbench import corpus as C
 from seqbench.cli import main
-from seqbench.modelfile import load_model, save_model
+from seqbench.modelfile import (load_model, read_modelfile, save_model,
+                                write_modelfile)
 from seqbench.nnet import RNNLM
 
 
@@ -159,6 +161,39 @@ def test_translate_corrupt_model_is_data_error(translation_setup, capsys):
     corrupt.write_bytes(bytes(blob))
     assert main(["translate", "--model", str(corrupt), "--input", inputs]) == 2
     assert "corrupt.bin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_translate_non_finite_model_is_data_error(translation_setup, capsys, bad):
+    tmp_path, model, inputs = translation_setup
+    blob = bytearray(open(model, "rb").read())
+    # name, rank 2 and two dims precede the first W_hs payload entry
+    at = blob.index(struct.pack("<I", 4) + b"W_hs") + 8 + 4 + 8
+    blob[at:at + 8] = struct.pack("<d", bad)
+    broken = tmp_path / "non_finite.bin"
+    broken.write_bytes(bytes(blob))
+    assert main(["translate", "--model", str(broken), "--input", inputs]) == 2
+    err = capsys.readouterr().err
+    assert "non_finite.bin" in err and "W_hs" in err
+    assert main(["ensemble-translate", "--models", f"{model},{broken}",
+                 "--input", inputs]) == 2
+    assert "non_finite.bin" in capsys.readouterr().err
+
+
+def test_ensemble_translate_names_the_bad_model(translation_setup, capsys):
+    tmp_path, model, inputs = translation_setup
+    for problem in ("missing tensor", "has shape"):
+        mf = read_modelfile(model)
+        if problem == "missing tensor":
+            del mf.tensors["W_hs"]
+        else:
+            mf.tensors["b_s"] = mf.tensors["b_s"][:-1]
+        bad = str(tmp_path / "bad.bin")
+        write_modelfile(mf, bad)
+        assert main(["ensemble-translate", "--models", f"{model},{bad}",
+                     "--input", inputs]) == 2
+        err = capsys.readouterr().err
+        assert "bad.bin" in err and problem in err
 
 
 def test_translate_nbest_format(translation_setup):

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqbench import corpus as C
 
@@ -122,3 +126,50 @@ def test_sorting_is_stable():
     batches = C.make_batches(sents, batch_size=3, sort_by_length=True)
     cols = batches[0].token_matrix
     assert cols[0, 0] == 3 and cols[0, 1] == 4
+
+
+# ---- properties -----------------------------------------------------------------
+
+_LINES = st.lists(st.lists(st.sampled_from("abcdef"), max_size=6).map(" ".join),
+                  min_size=1, max_size=8).filter(lambda ls: any(l.split() for l in ls))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LINES, st.sampled_from(["keep_all", "replace_singletons", "min_count"]),
+       st.integers(1, 4))
+def test_vocab_keeps_reserved_ids_and_maps_unknown_words_to_unk(lines, policy, min_count):
+    vocab = C.build_vocab(lines, policy=policy, min_count=min_count)
+    assert vocab.tokens[:3] == [C.BOS, C.EOS, C.UNK]
+    counts = Counter(tok for line in lines for tok in line.split())
+    threshold = {"keep_all": 1, "replace_singletons": 2, "min_count": min_count}[policy]
+    for line in lines + ["x a y"]:              # x and y are never in the corpus
+        ids = C.encode(vocab, line, append_eos=True)
+        assert ids[-1] == C.EOS_ID
+        for tok, i in zip(line.split(), ids):
+            if counts[tok] >= threshold:
+                assert i >= 3 and vocab.token_of(i) == tok
+            else:
+                assert i == C.UNK_ID
+
+
+_SENTENCES = st.lists(
+    st.lists(st.integers(3, 9), max_size=7).map(lambda ids: ids + [C.EOS_ID]),
+    min_size=1, max_size=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SENTENCES, st.integers(1, 8), st.booleans())
+def test_make_batches_places_every_sentence_once(sentences, batch_size, sort):
+    placed = []
+    for batch in C.make_batches(sentences, batch_size, sort_by_length=sort):
+        assert 1 <= batch.size <= batch_size
+        for j in range(batch.size):
+            column = batch.token_matrix[:, j].tolist()
+            length = column.index(C.EOS_ID) + 1      # only the last real token is EOS
+            assert batch.true_lengths[j] == length
+            assert batch.mask[:, j].sum() == length
+            assert batch.mask[:length, j].all()
+            assert column[length:] == [C.EOS_ID] * (len(column) - length)
+            placed.append(column[:length])
+    assert sorted(placed) == sorted(sentences)
+    assert placed == (sorted(sentences, key=len) if sort else sentences)

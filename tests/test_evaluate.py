@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqbench.corpus import DataError
 from seqbench.evaluate import EvalReport, bleu, evaluate_ll
@@ -114,6 +116,19 @@ def test_bleu_bounds_random_pairs():
         report = bleu(hyp, ref)
         assert 0.0 <= report.bleu <= 1.0
         assert bleu(hyp, hyp).bleu == 1.0
+
+
+_LINE = st.lists(st.sampled_from("abcde"), max_size=8).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 4))
+def test_bleu_lies_in_unit_interval_and_is_one_on_identical_corpora(data, max_n):
+    hyps = data.draw(st.lists(_LINE, min_size=1, max_size=6)
+                     .filter(lambda lines: any(l.split() for l in lines)))
+    refs = data.draw(st.lists(_LINE, min_size=len(hyps), max_size=len(hyps)))
+    assert 0.0 <= bleu(hyps, refs, max_n=max_n).bleu <= 1.0
+    assert bleu(hyps, hyps, max_n=max_n).bleu == 1.0
 
 
 def test_bleu_errors():

@@ -96,6 +96,22 @@ def test_rnnlm_roundtrip(tmp_path):
     assert scoring_fingerprint(loaded) == scoring_fingerprint(model)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_tensor_is_rejected_naming_the_file(tmp_path, bad):
+    vocab = C.build_vocab(LINES)
+    loglinear = LogLinearLM(vocab, "prev_word")
+    ff = FFNNLM(vocab, n=3, embed_size=2, hidden_size=3)
+    rnn = RNNLM(vocab, cell="lstm", embed_size=2, hidden_size=3)
+    for model, name, bias in ((loglinear, "b", loglinear.b), (ff, "b_s", ff.b_s.value),
+                              (rnn, "b_s", rnn.b_s.value)):
+        bias[-1, 0] = bad
+        path = tmp_path / f"{type(model).__name__}.bin"
+        save_model(model, path)
+        message = rf"{path.name}: tensor '{name}' holds NaN or Inf"
+        with pytest.raises(C.DataError, match=message):
+            load_model(path)
+
+
 def test_encdec_roundtrip_with_prior(tmp_path):
     src = C.build_vocab(["x y z"])
     tgt = C.build_vocab(LINES)

@@ -10,7 +10,7 @@ from seqbench.autograd import Graph, Parameter
 from seqbench.nnet import (CELL_KINDS, FFNNLM, RNNLM, RecurrentCell,
                            RecurrentState, StackedRNN, TOY_EQUALITY_DATA,
                            train_lm, train_toy_mlp)
-from seqbench.optim import Adam
+from seqbench.optim import Adam, TrainingDivergence
 
 
 def zeroed_cell(kind, input_size=1, hidden_size=1):
@@ -286,6 +286,15 @@ def test_toy_mlp_zero_init_fails_random_init_succeeds():
                              max_epochs=1000, seed=7)
     assert all(math.copysign(1, model.predict(x)) == y
                for x, y in TOY_EQUALITY_DATA)
+
+
+def test_toy_mlp_overflowing_update_is_named_at_its_parameter_node():
+    # lr=1e308 overflows a weight to infinity in the first updates; the next
+    # example's graph must report it at that weight's node, not downstream
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergence) as info:
+            train_toy_mlp(TOY_EQUALITY_DATA, hidden_size=3, lr=1e308, seed=0)
+    assert "(parameter)" in str(info.value.__cause__)
 
 
 def test_toy_mlp_zero_lr_constant_loss():

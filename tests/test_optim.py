@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqbench.autograd import Parameter
+from seqbench.autograd import Graph, NonFiniteError, Parameter
 from seqbench.optim import (SGD, Adam, AdaGrad, EpochTracker, Momentum,
                             TrainingDivergence, clip_gradients, global_norm,
                             make_optimizer)
@@ -127,3 +127,38 @@ def test_epoch_tracker_decay_and_restore():
     assert opt.lr == pytest.approx(0.2)
     tracker.restore_best()
     assert p.value[0, 0] == 1.0
+
+
+def assert_named_at_parameter_node(p):
+    """The next graph over ``p`` reports its non-finite value at its node."""
+    g = Graph()
+    node = g.param(p)
+    g.tanh(node)        # tanh(-inf) is finite: only the parameter check can fire
+    with pytest.raises(NonFiniteError, match=rf"node {node.idx} \(parameter\)"):
+        g.forward()
+
+
+@pytest.mark.parametrize("make", [SGD, Momentum, AdaGrad, Adam])
+def test_step_that_overflows_a_weight_is_caught_by_the_next_graph(make):
+    p = Parameter("w", [-1e308, 1.0])
+    g = Graph()
+    g.tanh(g.param(p))
+    g.forward()                              # p is now known to be finite
+    p.grad[...] = [[1.0], [0.0]]
+    with np.errstate(over="ignore"):
+        make([p], lr=1e308).step()           # every rule's first update is ~ -1e308
+    assert p.value[0, 0] == -np.inf and p.value[1, 0] == 1.0
+    assert_named_at_parameter_node(p)
+
+
+def test_restore_best_of_a_non_finite_snapshot_is_caught_by_the_next_graph():
+    p = Parameter("p", [np.nan])
+    tracker = EpochTracker(SGD([p], lr=0.1))
+    tracker.report(-1.0)                     # the snapshot holds the NaN
+    p.value[...] = 0.0
+    p.changed()
+    g = Graph()
+    g.tanh(g.param(p))
+    g.forward()
+    tracker.restore_best()
+    assert_named_at_parameter_node(p)

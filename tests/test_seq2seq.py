@@ -9,6 +9,7 @@ from seqbench.autograd import Graph
 from seqbench.nnet import RNNLM
 from seqbench.seq2seq import EncDecModel, Ensemble, train_encdec
 from seqbench.optim import Adam
+from seqbench.search import greedy
 
 
 def vocabs():
@@ -271,3 +272,25 @@ def test_training_reduces_loss():
     train_encdec(model, pairs, opt, epochs=10, rng=np.random.default_rng(19))
     after = sum(model.sentence_loss(f, e) for f, e in pairs)
     assert after < before
+
+
+def test_greedy_decode_scans_each_parameter_once(monkeypatch):
+    # an unchanged model's parameters are checked for finiteness once in
+    # total, not once per decode-step graph
+    model = tiny_model()
+    model.b_s.value[C.EOS_ID, 0] = -30.0       # never stop early
+    names = {id(p.value): p.name for p in model.parameters()}
+    scans = []
+    isfinite = np.isfinite
+
+    def spy(x, *args, **kwargs):
+        if id(x) in names:
+            scans.append(names[id(x)])
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", spy)
+    assert len(greedy(model, [3, 4, 5], max_len=6).tokens) == 6
+    assert sorted(scans) == sorted(names.values())
+    scans.clear()
+    greedy(model, [3, 4, 5], max_len=6)
+    assert scans == []
