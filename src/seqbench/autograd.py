@@ -9,6 +9,11 @@ order, and two dynamic programs run over the node list:
 * ``backward()`` seeds the final scalar node with gradient one and sends each
   node's gradient to its parents in reverse insertion order.
 
+Besides elementwise, matrix and loss ops, two ops serve the recurrent cells:
+``lstm`` is a whole LSTM cell over stacked gate pre-activations, returning
+``[h; c]``, and ``rows`` takes a block of rows (the ``h`` or ``c`` half of it,
+or one GRU gate).
+
 A :class:`Parameter` enters a graph once, as one ``parameter`` node however
 often it is used, and that node's gradient slot is ``Parameter.grad`` itself,
 so every use adds straight into the parameter's accumulator. Other nodes get a
@@ -51,7 +56,8 @@ class Parameter:
     def __init__(self, name: str, value):
         self.name = name
         self.value = as_col(value).copy()
-        self.grad = np.zeros_like(self.value)
+        # calloc-backed: large accumulators are not written until first used
+        self.grad = np.zeros(self.value.shape)
         self._known_finite = False
 
     def zero_grad(self):
@@ -173,6 +179,22 @@ class Graph:
     def transpose(self, a: Node) -> Node:
         return self._add("transpose", [a])
 
+    def rows(self, a: Node, start: int, stop: int) -> Node:
+        """Rows ``start:stop`` of ``a``."""
+        return self._add("rows", [a], aux=(int(start), int(stop)))
+
+    def lstm(self, pre: Node, c_prev: Node, forget: bool = True) -> Node:
+        """One fused LSTM cell step; the value is ``[h; c]`` (2n x B).
+
+        ``pre`` holds the gate pre-activations as n-row blocks, u, i, f, o
+        (u, i, o when ``forget`` is false), for the n x B memory cell
+        ``c_prev``. With u = tanh, the other gates sigmoid:
+        c = i*u + f*c_prev (i*u + c_prev without a forget gate) and
+        h = o*tanh(c), rounded exactly as separate ``tanh``, ``sigmoid``,
+        ``cmult`` and ``add`` nodes would round them.
+        """
+        return self._add("lstm", [pre, c_prev], aux={"forget": bool(forget)})
+
     def tanh(self, a: Node) -> Node:
         return self._add("tanh", [a])
 
@@ -282,7 +304,7 @@ class Graph:
 # finite check, so the first non-finite value is still caught at its source.
 FINITE_PRESERVING_OPS = frozenset({
     "lookup_column", "concat_rows", "concat_cols", "transpose", "reshape",
-    "tanh", "sigmoid", "relu", "step", "softmax"})
+    "rows", "tanh", "sigmoid", "relu", "step", "softmax"})
 
 
 def _broadcastable(a, b):
@@ -364,6 +386,41 @@ def _fwd_reshape(node):
     return v.reshape((rows, cols), order="F")
 
 
+def _fwd_rows(node):
+    v = node.parents[0].value
+    start, stop = node.aux
+    if not 0 <= start < stop <= v.shape[0]:
+        raise GraphError(f"node {node.idx} rows: {start}:{stop} of {v.shape}")
+    return v[start:stop]
+
+
+def _sigmoid(x, out=None):
+    """``1 / (1 + exp(-x))``, into ``out`` when given."""
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
+def _fwd_lstm(node):
+    pre, c_prev = node.parents[0].value, node.parents[1].value
+    n = c_prev.shape[0]
+    forget = node.aux["forget"]
+    if pre.shape != ((4 if forget else 3) * n, c_prev.shape[1]):
+        raise GraphError(f"node {node.idx} lstm: gates {pre.shape} for cell {c_prev.shape}")
+    act = np.empty_like(pre)
+    u, i, o = act[:n], act[n:2 * n], act[-n:]
+    np.tanh(pre[:n], out=u)
+    _sigmoid(pre[n:], out=act[n:])
+    out = np.empty((2 * n, pre.shape[1]))
+    c = np.multiply(i, u, out=out[n:])
+    c += act[2 * n:3 * n] * c_prev if forget else c_prev
+    tanh_c = np.tanh(c)
+    np.multiply(o, tanh_c, out=out[:n])
+    node.aux["act"], node.aux["tanh_c"] = act, tanh_c
+    return out
+
+
 def _fwd_pick_neg_log_softmax(node):
     s = node.parents[0].value
     targets = node.aux["targets"]
@@ -400,8 +457,10 @@ _FORWARD = {
     "concat_cols": _fwd_concat_cols,
     "transpose": lambda node: node.parents[0].value.T.copy(),
     "reshape": _fwd_reshape,
+    "rows": _fwd_rows,
+    "lstm": _fwd_lstm,
     "tanh": lambda node: np.tanh(node.parents[0].value),
-    "sigmoid": lambda node: 1.0 / (1.0 + np.exp(-node.parents[0].value)),
+    "sigmoid": lambda node: _sigmoid(node.parents[0].value),
     "relu": lambda node: np.maximum(node.parents[0].value, 0.0),
     "step": lambda node: np.where(node.parents[0].value > 0.0, 1.0, -1.0),
     "softmax": lambda node: _softmax_cols(np.asfortranarray(node.parents[0].value)),
@@ -521,6 +580,40 @@ def _back_concat_cols(node, g):
         offset += cols
 
 
+def _back_rows(node, g):
+    a = node.parents[0]
+    if not a.needs_grad:
+        return
+    if a.grad is None:
+        a.grad = np.zeros_like(a.value)
+    start, stop = node.aux
+    a.grad[start:stop] += g
+
+
+def _back_lstm(node, g):
+    pre, c_prev = node.parents
+    act, tanh_c = node.aux["act"], node.aux["tanh_c"]
+    n = tanh_c.shape[0]
+    u, i, o = act[:n], act[n:2 * n], act[-n:]
+    g_h = g[:n]
+    # the memory cell's gradient: its own (from the next step) plus h's
+    d_c = g[n:] + (g_h * o) * (1.0 - tanh_c ** 2)
+    d_pre = np.empty_like(act)
+    np.multiply(d_c, i, out=d_pre[:n])
+    d_pre[:n] *= 1.0 - u ** 2
+    np.multiply(d_c, u, out=d_pre[n:2 * n])
+    if node.aux["forget"]:
+        np.multiply(d_c, c_prev.value, out=d_pre[2 * n:3 * n])
+    np.multiply(g_h, tanh_c, out=d_pre[-n:])
+    sig = act[n:]
+    d_pre[n:] *= sig
+    d_pre[n:] *= 1.0 - sig
+    _give(pre, d_pre, fresh=True)
+    if c_prev.needs_grad:
+        _give(c_prev, d_c * act[2 * n:3 * n] if node.aux["forget"] else d_c,
+              fresh=True)
+
+
 def _back_step(node, g):
     raise GraphError("step has no usable derivative; use tanh or relu")
 
@@ -557,6 +650,8 @@ _BACKWARD = {
     "transpose": lambda node, g: _give(node.parents[0], g.T),
     "reshape": lambda node, g: _give(node.parents[0],
                                      g.reshape(node.parents[0].value.shape, order="F")),
+    "rows": _back_rows,
+    "lstm": _back_lstm,
     "tanh": lambda node, g: _give(node.parents[0], g * (1.0 - node.value ** 2),
                                   fresh=True),
     "sigmoid": lambda node, g: _give(node.parents[0],

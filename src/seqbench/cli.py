@@ -431,7 +431,19 @@ def cmd_translate(args, rng) -> int:
 
 
 def cmd_ensemble_translate(args, rng) -> int:
-    models = [load_model(path) for path in args.models.split(",")]
+    paths = args.models.split(",")
+    models = [load_model(path) for path in paths]
+    for path, model in zip(paths, models):
+        if not isinstance(model, EncDecModel):
+            raise DataError(f"{path}: ensemble member is a language model "
+                            f"({model.kind}); every member must be an encoder-decoder")
+    first = models[0]
+    for path, model in zip(paths[1:], models[1:]):
+        for side, vocab, first_vocab in (("source", model.src_vocab, first.src_vocab),
+                                         ("target", model.tgt_vocab, first.tgt_vocab)):
+            if vocab.tokens != first_vocab.tokens:
+                raise DataError(f"{path}: {side} vocabulary differs from {paths[0]}'s; "
+                                f"ensemble members must share it")
     return _decode_corpus(Ensemble(models), args, rng)
 
 

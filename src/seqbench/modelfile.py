@@ -11,6 +11,10 @@ Layout (all integers little-endian):
 
 Strings are a u32 byte length plus UTF-8 bytes. Tensor payloads are row-major
 float64, so a save/load round trip reproduces parameters bit for bit.
+
+Recurrent cells are stored one tensor per gate (``rnn.l0.W_xu``,
+``rnn.l0.b_f``, ...): a cell's stacked gate parameters are split into their
+gate row blocks on save and filled back from them on load.
 """
 
 from __future__ import annotations
@@ -196,7 +200,7 @@ def _pack(model) -> ModelFile:
             hparams.update(cell=model.rnn.kind, layers=len(model.rnn.cells),
                            residual=int(model.rnn.residual))
         return ModelFile(kind=model.kind, vocabs=[model.vocab], hparams=hparams,
-                         tensors={p.name: p.value for p in model.parameters()})
+                         tensors=_tensor_views(model))
     if isinstance(model, EncDecModel):
         hparams = {"embed_size": model.embed_size, "hidden_size": model.hidden_size,
                    "dec_hidden": model.dec_hidden, "layers": model.layers,
@@ -204,7 +208,7 @@ def _pack(model) -> ModelFile:
                    "attention": model.attention, "cell": model.cell}
         if model.attention == "mlp":
             hparams["attn_hidden"] = model.W_a1_dec.value.shape[0]
-        tensors = {p.name: p.value for p in model.parameters()}
+        tensors = _tensor_views(model)
         prior = getattr(model, "length_prior", None)
         if prior is not None:
             rows = [(e, f, c) for (e, f), c in sorted(prior.pair_counts.items())]
@@ -214,16 +218,43 @@ def _pack(model) -> ModelFile:
     raise TypeError(f"cannot persist model of type {type(model).__name__}")
 
 
-def _restore_params(model, tensors):
-    """Copy each parameter's tensor into the model; ``load_model`` adds the
-    file's path to the ``DataError`` raised for a missing or misshapen one."""
+def _tensor_views(model) -> dict:
+    """Name -> array of every tensor the model's file holds, in file order:
+    each parameter, except that a recurrent cell's parameters appear as the
+    per-gate views of :meth:`RecurrentCell.gate`, gate by gate."""
+    from .nnet import RNNLM
+    from .seq2seq import EncDecModel
+
+    stacks = ([model.rnn] if isinstance(model, RNNLM) else
+              [model.enc_fwd, model.enc_bwd, model.dec] if isinstance(model, EncDecModel)
+              else [])
+    cells = {id(cell.parameters()[0]): cell
+             for stack in stacks if stack is not None for cell in stack.cells}
+    in_cells = {id(p) for cell in cells.values() for p in cell.parameters()}
+    views = {}
     for p in model.parameters():
-        if p.name not in tensors:
-            raise DataError(f"model file is missing tensor {p.name!r}")
-        if tensors[p.name].shape != p.value.shape:
-            raise DataError(f"tensor {p.name!r} has shape {tensors[p.name].shape}, "
-                            f"expected {p.value.shape}")
-        p.value[...] = tensors[p.name]
+        cell = cells.get(id(p))
+        if cell is not None:
+            for gate in cell.gates:
+                views.update((f"{cell.name}.{key}", view)
+                             for key, view in cell.gate(gate).items())
+        elif id(p) not in in_cells:
+            views[p.name] = p.value
+    return views
+
+
+def _restore_params(model, tensors):
+    """Copy each of the model's file tensors into the model; ``load_model``
+    adds the file's path to the ``DataError`` raised for a missing or
+    misshapen one."""
+    for name, view in _tensor_views(model).items():
+        if name not in tensors:
+            raise DataError(f"model file is missing tensor {name!r}")
+        if tensors[name].shape != view.shape:
+            raise DataError(f"tensor {name!r} has shape {tensors[name].shape}, "
+                            f"expected {view.shape}")
+        view[...] = tensors[name]
+    for p in model.parameters():
         p.changed()
 
 

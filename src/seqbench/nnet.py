@@ -19,6 +19,9 @@ from .corpus import (BOS_ID, MiniBatch, Vocabulary, encode, make_batches,
 from .optim import EpochTracker, Optimizer, TrainingDivergence
 
 CELL_KINDS = ("rnn", "lstm", "lstm_forget", "gru")
+# each kind's gates in the order their weights are drawn and stacked
+GATES = {"rnn": ("h",), "lstm": ("u", "i", "o"), "lstm_forget": ("u", "i", "f", "o"),
+         "gru": ("r", "z", "h")}
 
 
 def glorot(rng, rows, cols) -> np.ndarray:
@@ -40,7 +43,16 @@ class RecurrentState:
 
 
 class RecurrentCell:
-    """One recurrent layer; ``step`` appends one time step to a graph."""
+    """One recurrent layer; ``step`` appends one time step to a graph.
+
+    The LSTM kinds keep every gate's weights stacked in three parameters,
+    ``W_x``, ``W_h`` and ``b``, whose n-row blocks are the gates in ``gates``
+    order, so a step is one ``affine`` for all gates and one ``lstm`` node.
+    The GRU stacks its r and z gates the same way and keeps its candidate's
+    ``W_xh``, ``W_hh`` and ``b_h`` apart, because the candidate reads
+    r*h_prev; the vanilla RNN has only those three. :meth:`gate` views one
+    gate's rows under the per-gate names model files use.
+    """
 
     def __init__(self, kind: str, input_size: int, hidden_size: int, rng,
                  name: str = "cell"):
@@ -51,22 +63,49 @@ class RecurrentCell:
         self.hidden_size = hidden_size
         self.name = name
         self.params: dict[str, Parameter] = {}
-        gates = {"rnn": ["h"], "lstm": ["u", "i", "o"],
-                 "lstm_forget": ["u", "i", "f", "o"],
-                 "gru": ["r", "z", "h"]}[kind]
-        for gate in gates:
-            self._new(f"W_x{gate}", glorot(rng, hidden_size, input_size))
-            self._new(f"W_h{gate}", glorot(rng, hidden_size, hidden_size))
-            bias = np.zeros((hidden_size, 1))
-            if kind == "lstm_forget" and gate == "f":
-                bias[...] = 1.0      # start with the forget gate open
-            self._new(f"b_{gate}", bias)
+        self.gates = GATES[kind]
+        # the RNN's and GRU's last gate, the candidate h, keeps tensors of its own
+        self.stacked = self.gates[:-1] if kind in ("rnn", "gru") else self.gates
+        # drawn gate by gate, W_x then W_h, whatever the layout
+        drawn = {gate: (glorot(rng, hidden_size, input_size),
+                        glorot(rng, hidden_size, hidden_size))
+                 for gate in self.gates}
+        if self.stacked:
+            self._new("W_x", np.vstack([drawn[gate][0] for gate in self.stacked]))
+            self._new("W_h", np.vstack([drawn[gate][1] for gate in self.stacked]))
+            self._new("b", np.zeros((len(self.stacked) * hidden_size, 1)))
+        for gate in self.gates[len(self.stacked):]:
+            self._new(f"W_x{gate}", drawn[gate][0])
+            self._new(f"W_h{gate}", drawn[gate][1])
+            self._new(f"b_{gate}", np.zeros((hidden_size, 1)))
+        if kind == "lstm_forget":
+            self.gate("f")["b_f"][...] = 1.0      # start with the forget gate open
 
     def _new(self, key, value):
         self.params[key] = Parameter(f"{self.name}.{key}", value)
 
     def parameters(self):
         return list(self.params.values())
+
+    def gate(self, gate: str) -> dict[str, np.ndarray]:
+        """Views of one gate's rows of the weights and bias, keyed
+        ``W_x<gate>``, ``W_h<gate>`` and ``b_<gate>``.
+
+        Writes through the views write the parameters; after the parameters
+        have been in a graph, follow such a write with their ``changed()``.
+        """
+        if gate not in self.gates:
+            raise ValueError(f"{self.kind} cell has no gate {gate!r}")
+        p = self.params
+        if gate in self.stacked:
+            start = self.stacked.index(gate) * self.hidden_size
+            rows = slice(start, start + self.hidden_size)
+            tensors = p["W_x"], p["W_h"], p["b"]
+        else:
+            rows = slice(None)
+            tensors = p[f"W_x{gate}"], p[f"W_h{gate}"], p[f"b_{gate}"]
+        return {key: t.value[rows] for key, t in
+                zip((f"W_x{gate}", f"W_h{gate}", f"b_{gate}"), tensors)}
 
     @property
     def has_cell(self) -> bool:
@@ -77,38 +116,28 @@ class RecurrentCell:
         c = g.input(zeros) if self.has_cell else None
         return RecurrentState(h=g.input(zeros), c=c, batch=batch)
 
-    def _gate(self, g, gate, x, h, activation):
-        p = self.params
-        pre = g.affine(g.param(p[f"b_{gate}"]), g.param(p[f"W_x{gate}"]), x,
-                       g.param(p[f"W_h{gate}"]), h)
-        return activation(pre)
+    def _affine(self, g, keys, x, h):
+        w_x, w_h, b = (g.param(self.params[key]) for key in keys)
+        return g.affine(b, w_x, x, w_h, h)
 
     def step(self, g: Graph, x: Node, state: RecurrentState) -> RecurrentState:
         if self.has_cell and state.c is None:
             raise ValueError(f"{self.kind} cell requires a memory-cell state")
-        h_prev = state.h
+        h_prev, n = state.h, self.hidden_size
         if self.kind == "rnn":
-            h = self._gate(g, "h", x, h_prev, g.tanh)
+            h = g.tanh(self._affine(g, ("W_xh", "W_hh", "b_h"), x, h_prev))
             return RecurrentState(h=h, batch=state.batch)
-        if self.kind in ("lstm", "lstm_forget"):
-            u = self._gate(g, "u", x, h_prev, g.tanh)
-            i = self._gate(g, "i", x, h_prev, g.sigmoid)
-            o = self._gate(g, "o", x, h_prev, g.sigmoid)
-            gated_update = g.cmult(i, u)
-            if self.kind == "lstm_forget":
-                f = self._gate(g, "f", x, h_prev, g.sigmoid)
-                c = g.add(gated_update, g.cmult(f, state.c))
-            else:
-                c = g.add(gated_update, state.c)
-            h = g.cmult(o, g.tanh(c))
-            return RecurrentState(h=h, c=c, batch=state.batch)
+        pre = self._affine(g, ("W_x", "W_h", "b"), x, h_prev)
+        if self.has_cell:
+            hc = g.lstm(pre, state.c, forget=self.kind == "lstm_forget")
+            return RecurrentState(h=g.rows(hc, 0, n), c=g.rows(hc, n, 2 * n),
+                                  batch=state.batch)
         # gru: candidate state mixed in by the update gate,
         # h = h_prev + z * (h_tilde - h_prev)
-        r = self._gate(g, "r", x, h_prev, g.sigmoid)
-        z = self._gate(g, "z", x, h_prev, g.sigmoid)
-        p = self.params
-        h_tilde = g.tanh(g.affine(g.param(p["b_h"]), g.param(p["W_xh"]), x,
-                                  g.param(p["W_hh"]), g.cmult(r, h_prev)))
+        rz = g.sigmoid(pre)
+        r, z = g.rows(rz, 0, n), g.rows(rz, n, 2 * n)
+        h_tilde = g.tanh(self._affine(g, ("W_xh", "W_hh", "b_h"), x,
+                                      g.cmult(r, h_prev)))
         delta = g.add(h_tilde, g.scale(h_prev, -1.0))
         h = g.add(h_prev, g.cmult(z, delta))
         return RecurrentState(h=h, batch=state.batch)

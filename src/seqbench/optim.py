@@ -77,7 +77,7 @@ class Momentum(Optimizer):
     def __init__(self, params, lr: float, momentum: float = 0.9, clip_norm=None):
         super().__init__(params, lr, clip_norm)
         self.momentum = momentum
-        self.velocity = [np.zeros_like(p.value) for p in self.params]
+        self.velocity = [np.zeros(p.value.shape) for p in self.params]
 
     def _update(self):
         for p, v in zip(self.params, self.velocity):
@@ -92,7 +92,7 @@ class AdaGrad(Optimizer):
     def __init__(self, params, lr: float, eps: float = 1e-8, clip_norm=None):
         super().__init__(params, lr, clip_norm)
         self.eps = eps
-        self.accum = [np.zeros_like(p.value) for p in self.params]
+        self.accum = [np.zeros(p.value.shape) for p in self.params]
 
     def _update(self):
         for p, acc in zip(self.params, self.accum):
@@ -110,8 +110,8 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.m = [np.zeros(p.value.shape) for p in self.params]
+        self.v = [np.zeros(p.value.shape) for p in self.params]
 
     def _update(self):
         self.t += 1

@@ -1,14 +1,18 @@
 """Shared test oracles: central finite differences against analytic gradients,
-the two-pass pick_neg_log_softmax formula, per-column attention scoring, and
-brute-force and sort-everything references for search."""
+the two-pass pick_neg_log_softmax formula, per-column attention scoring, the
+per-gate recurrent cell, and brute-force and sort-everything references for
+search."""
 
+import copy
 import math
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 
 from seqbench.autograd import Parameter
 from seqbench.corpus import BOS_ID
+from seqbench.nnet import RecurrentState
 from seqbench.search import Hypothesis, _rescore, _trace_entries, default_max_len
 
 
@@ -87,7 +91,25 @@ OP_GRADCHECK_CASES = {
         g.tanh(g.param(ps[0])), [1, 0, 1]),
     "scale": lambda g, ps: g.scale(g.param(ps[0]), 1.7),
     "affine": lambda g, ps: g.affine(*[g.param(p) for p in ps]),
+    "lstm": lambda g, ps: padding_masked(g, g.lstm(g.param(ps[0]), g.param(ps[1]))),
+    "lstm_no_forget": lambda g, ps: padding_masked(
+        g, g.lstm(g.param(ps[0]), g.param(ps[1]), forget=False)),
+    "rows": lambda g, ps: padding_masked(g, overlapping_rows(g, g.tanh(g.param(ps[0])))),
 }
+
+
+def overlapping_rows(g, node):
+    """Rows 0:2 plus rows 1:3 of ``node``: two slices add into its gradient."""
+    return g.add(g.rows(node, 0, 2), g.rows(node, 1, 3))
+
+
+def padding_masked(g, node):
+    """``node`` times a mask that zeroes its last column, as a padded
+    position of a minibatch is masked; evaluates the graph so far."""
+    g.forward()
+    mask = np.ones(node.value.shape)
+    mask[:, -1] = 0.0
+    return g.cmult(node, g.input(mask))
 
 
 def op_gradcheck_shapes(name, rng):
@@ -106,6 +128,10 @@ def op_gradcheck_shapes(name, rng):
         return [(n, 3)]
     if name == "affine":    # bias broadcast across m >= 2 columns, two terms
         return [(n, 1), (n, k), (k, m), (n, m), (m, m)]
+    if name.startswith("lstm"):     # stacked gates and the memory cell, m columns
+        return [((3 if name.endswith("no_forget") else 4) * n, m), (n, m)]
+    if name == "rows":
+        return [(n + 3, m)]
     return [(n, m)]
 
 
@@ -130,6 +156,116 @@ def run_op_gradcheck(name, trials=50):
 
         worst = max(worst, max_gradient_error(build, params))
     return worst
+
+
+class PerGateCell:
+    """Reference recurrent cell: every gate its own ``affine`` and
+    activation, the cell state built from ``cmult`` and ``add`` nodes.
+
+    Holds copies of a :class:`~seqbench.nnet.RecurrentCell`'s values as one
+    parameter per gate tensor, named as in model files.
+    """
+
+    def __init__(self, cell):
+        self.kind = cell.kind
+        self.hidden_size = cell.hidden_size
+        self.gates = cell.gates
+        self.name = cell.name
+        self.params = {key: Parameter(f"{cell.name}.{key}", view)
+                       for gate in cell.gates for key, view in cell.gate(gate).items()}
+
+    def parameters(self):
+        return list(self.params.values())
+
+    @property
+    def has_cell(self) -> bool:
+        return self.kind in ("lstm", "lstm_forget")
+
+    def initial_state(self, g, batch=1):
+        zeros = np.zeros((self.hidden_size, batch))
+        c = g.input(zeros) if self.has_cell else None
+        return RecurrentState(h=g.input(zeros), c=c, batch=batch)
+
+    def _gate(self, g, gate, x, h, activation):
+        p = self.params
+        pre = g.affine(g.param(p[f"b_{gate}"]), g.param(p[f"W_x{gate}"]), x,
+                       g.param(p[f"W_h{gate}"]), h)
+        return activation(pre)
+
+    def step(self, g, x, state):
+        h_prev = state.h
+        if self.kind == "rnn":
+            h = self._gate(g, "h", x, h_prev, g.tanh)
+            return RecurrentState(h=h, batch=state.batch)
+        if self.has_cell:
+            u = self._gate(g, "u", x, h_prev, g.tanh)
+            i = self._gate(g, "i", x, h_prev, g.sigmoid)
+            o = self._gate(g, "o", x, h_prev, g.sigmoid)
+            gated_update = g.cmult(i, u)
+            if self.kind == "lstm_forget":
+                f = self._gate(g, "f", x, h_prev, g.sigmoid)
+                c = g.add(gated_update, g.cmult(f, state.c))
+            else:
+                c = g.add(gated_update, state.c)
+            h = g.cmult(o, g.tanh(c))
+            return RecurrentState(h=h, c=c, batch=state.batch)
+        r = self._gate(g, "r", x, h_prev, g.sigmoid)
+        z = self._gate(g, "z", x, h_prev, g.sigmoid)
+        p = self.params
+        h_tilde = g.tanh(g.affine(g.param(p["b_h"]), g.param(p["W_xh"]), x,
+                                  g.param(p["W_hh"]), g.cmult(r, h_prev)))
+        delta = g.add(h_tilde, g.scale(h_prev, -1.0))
+        h = g.add(h_prev, g.cmult(z, delta))
+        return RecurrentState(h=h, batch=state.batch)
+
+
+def per_gate_model(model, stacks):
+    """A deep copy of ``model`` whose recurrent cells, in the attributes
+    named by ``stacks``, are :class:`PerGateCell` references."""
+    ref = copy.deepcopy(model)
+    for attr in stacks:
+        stack = getattr(ref, attr)
+        if stack is not None:
+            stack.cells = [PerGateCell(cell) for cell in stack.cells]
+    return ref
+
+
+def per_gate_gradients(model, stacks) -> dict:
+    """Name -> gradient of every tensor of ``model``, each recurrent cell's
+    gradients split per gate and named as in model files."""
+    cells = [cell for attr in stacks if getattr(model, attr) is not None
+             for cell in getattr(model, attr).cells]
+    in_cells = {id(p) for cell in cells for p in cell.parameters()}
+    grads = {p.name: p.grad for p in model.parameters() if id(p) not in in_cells}
+    for cell in cells:
+        if isinstance(cell, PerGateCell):
+            grads.update((f"{cell.name}.{key}", p.grad) for key, p in cell.params.items())
+            continue
+        twin = copy.copy(cell)      # whose gate() views the gradients
+        twin.params = {key: SimpleNamespace(value=p.grad) for key, p in cell.params.items()}
+        grads.update((f"{cell.name}.{key}", view)
+                     for gate in cell.gates for key, view in twin.gate(gate).items())
+    return grads
+
+
+def assert_matches_per_gate_reference(model, stacks, loss_graph):
+    """``loss_graph(model)``'s loss equals that of the per-gate reference
+    model bit for bit, and every gradient tensor agrees to 1e-12 of its
+    largest entry."""
+    ref = per_gate_model(model, stacks)
+    losses, grads = [], []
+    for m in (model, ref):
+        for p in m.parameters():
+            p.zero_grad()
+        g = loss_graph(m)
+        losses.append(g.forward()[0, 0])
+        g.backward()
+        grads.append(per_gate_gradients(m, stacks))
+    assert losses[0] == losses[1]
+    assert grads[0].keys() == grads[1].keys()
+    for name, expected in grads[1].items():
+        gap = np.abs(grads[0][name] - expected).max()
+        assert gap <= 1e-12 * np.abs(expected).max(), name
 
 
 def two_pass_pick_neg_log_softmax(s, targets):

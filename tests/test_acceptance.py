@@ -224,9 +224,10 @@ def test_criterion_04_lstm_memory_path():
     rng = np.random.default_rng(11)
     hidden, T = 4, 20
     cell = RecurrentCell("lstm", hidden, hidden, rng)
-    for p in cell.parameters():
-        p.value[...] = rng.uniform(-0.5, 0.5, size=p.value.shape)
-    cell.params["b_i"].value[...] = -100.0        # input gate driven shut
+    for gate in cell.gates:
+        for view in cell.gate(gate).values():
+            view[...] = rng.uniform(-0.5, 0.5, size=view.shape)
+    cell.gate("i")["b_i"][...] = -100.0           # input gate driven shut
     c0 = Parameter("c0", rng.normal(size=(hidden, 1)))
     xs = [rng.uniform(-0.5, 0.5, size=(hidden, 1)) for _ in range(T)]
     g = Graph()

@@ -426,6 +426,7 @@ FINITE_PRESERVING_BUILDERS = {
     "concat_cols": lambda g, a, b: g.concat_cols(a, b),
     "transpose": lambda g, a, b: g.transpose(a),
     "reshape": lambda g, a, b: g.reshape(a, 2, 3),
+    "rows": lambda g, a, b: g.rows(a, 1, 3),
     "tanh": lambda g, a, b: g.tanh(a),
     "sigmoid": lambda g, a, b: g.sigmoid(a),
     "relu": lambda g, a, b: g.relu(a),

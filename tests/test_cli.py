@@ -196,6 +196,38 @@ def test_ensemble_translate_names_the_bad_model(translation_setup, capsys):
         assert "bad.bin" in err and problem in err
 
 
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_ensemble_translate_rejects_other_vocabulary(translation_setup, capsys, side):
+    tmp_path, model, inputs = translation_setup
+    # the same sentences with other words on one side
+    same, changed = ("tgt.txt", "src.txt") if side == "source" else ("src.txt", "tgt.txt")
+    other_text = write(tmp_path / f"other_{side}.txt",
+                       (tmp_path / changed).read_text(encoding="utf-8").upper())
+    same_text = str(tmp_path / same)
+    src, tgt = (other_text, same_text) if side == "source" else (same_text, other_text)
+    other = str(tmp_path / f"other_{side}.bin")
+    assert main(["train-encdec", "--train-src", src, "--train-tgt", tgt,
+                 "--model", other, "--epochs", "1", "--embed", "4",
+                 "--hidden", "4", "--unk-policy", "keep_all"]) == 0
+    capsys.readouterr()
+    assert main(["ensemble-translate", "--models", f"{model},{other}",
+                 "--input", inputs]) == 2
+    err = capsys.readouterr().err
+    assert f"other_{side}.bin" in err and "copy.bin" in err
+    assert f"{side} vocabulary" in err
+
+
+def test_ensemble_translate_rejects_language_model_member(translation_setup, capsys):
+    tmp_path, model, inputs = translation_setup
+    lm = RNNLM(load_model(model).tgt_vocab, embed_size=2, hidden_size=4)
+    lm_path = str(tmp_path / "member_lm.bin")
+    save_model(lm, lm_path)
+    assert main(["ensemble-translate", "--models", f"{model},{lm_path}",
+                 "--input", inputs]) == 2
+    err = capsys.readouterr().err
+    assert "member_lm.bin" in err and "language model" in err
+
+
 def test_translate_nbest_format(translation_setup):
     tmp_path, model, inputs = translation_setup
     out = str(tmp_path / "nbest.txt")

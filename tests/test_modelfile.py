@@ -3,13 +3,14 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import per_gate_model
 from seqbench import corpus as C
 from seqbench.loglinear import LogLinearLM
 from seqbench.modelfile import (ModelFile, load_model, read_modelfile,
                                 save_model, write_modelfile)
 from seqbench.ngram import NGramLM
-from seqbench.nnet import FFNNLM, RNNLM
-from seqbench.search import LengthPrior
+from seqbench.nnet import CELL_KINDS, FFNNLM, RNNLM
+from seqbench.search import LengthPrior, beam_search, greedy
 from seqbench.seq2seq import EncDecModel
 
 LINES = ["a b c", "b c a", "c a a", "a b"]
@@ -149,24 +150,55 @@ def test_encdec_variants_roundtrip(tmp_path, direction, attention):
     assert loaded.score_pair(*pair) == model.score_pair(*pair)
 
 
+@pytest.mark.parametrize("cell", CELL_KINDS)
+def test_per_gate_file_loads_bit_for_bit(tmp_path, cell):
+    # a file holding one tensor per parameter of per-gate cells, the layout
+    # files had before the gates were stacked, and the one save still writes
+    src = C.build_vocab(["x y z"])
+    tgt = C.build_vocab(LINES)
+    model = EncDecModel(src, tgt, embed_size=4, hidden_size=8, cell=cell,
+                        rng=np.random.default_rng(5))
+    reference = per_gate_model(model, ("enc_fwd", "enc_bwd", "dec"))
+    path = tmp_path / "stacked.bin"
+    save_model(model, path)
+    mf = read_modelfile(path)
+    mf.tensors = {p.name: p.value for p in reference.parameters()}
+    per_gate = tmp_path / "per_gate.bin"
+    write_modelfile(mf, per_gate)
+    assert per_gate.read_bytes() == path.read_bytes()
+
+    loaded = load_model(per_gate)
+    for p, q in zip(model.parameters(), loaded.parameters()):
+        assert p.name == q.name and p.value.tobytes() == q.value.tobytes()
+
+    def decodes(decoder):
+        g = greedy(decoder, [3, 5, 4], max_len=6)
+        b = beam_search(decoder, [3, 5, 4], beam_size=3, max_len=6)[0]
+        return g.tokens, g.logprob, b.tokens, b.logprob
+
+    assert decodes(loaded) == decodes(model) == decodes(reference)
+
+
 def test_every_truncation_and_byte_flip_loads_or_raises_data_error(tmp_path):
-    # a small encoder-decoder file: vocabularies, string hparams, tensors and
-    # a length prior; every damaged copy must load or raise DataError
+    # small encoder-decoder files: vocabularies, string hparams, tensors
+    # (per-gate ones split from stacked cells too) and a length prior; every
+    # damaged copy must load or raise DataError
     src = C.build_vocab(["w x"])
     tgt = C.build_vocab(["p q"])
-    model = EncDecModel(src, tgt, embed_size=1, hidden_size=1, encoder="forward",
-                        attention="mlp", cell="rnn", rng=np.random.default_rng(0))
-    model.length_prior = LengthPrior.from_pairs([([3], [4, C.EOS_ID])])
-    path = tmp_path / "small.bin"
-    save_model(model, path)
-    blob = path.read_bytes()
-    for n in range(len(blob)):
-        path.write_bytes(blob[:n])
-        with pytest.raises(C.DataError):
-            load_model(path)
-    for i in range(len(blob)):
-        path.write_bytes(blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:])
-        try:
-            load_model(path)
-        except C.DataError:
-            pass
+    for cell in ("rnn", "lstm_forget", "gru"):
+        model = EncDecModel(src, tgt, embed_size=1, hidden_size=1, encoder="forward",
+                            attention="mlp", cell=cell, rng=np.random.default_rng(0))
+        model.length_prior = LengthPrior.from_pairs([([3], [4, C.EOS_ID])])
+        path = tmp_path / f"small_{cell}.bin"
+        save_model(model, path)
+        blob = path.read_bytes()
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(C.DataError):
+                load_model(path)
+        for i in range(len(blob)):
+            path.write_bytes(blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:])
+            try:
+                load_model(path)
+            except C.DataError:
+                pass

@@ -4,9 +4,10 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import max_gradient_error
+from helpers import (assert_matches_per_gate_reference, max_gradient_error,
+                     per_gate_model)
 from seqbench import corpus as C
-from seqbench.autograd import Graph, Parameter
+from seqbench.autograd import Graph, NonFiniteError, Parameter
 from seqbench.nnet import (CELL_KINDS, FFNNLM, RNNLM, RecurrentCell,
                            RecurrentState, StackedRNN, TOY_EQUALITY_DATA,
                            train_lm, train_toy_mlp)
@@ -43,7 +44,7 @@ def test_lstm_zero_weights_hand_values():
 def test_gru_closed_update_gate_keeps_state():
     rng = np.random.default_rng(4)
     cell = RecurrentCell("gru", 2, 3, rng)
-    cell.params["b_z"].value[...] = -100.0       # z ~ 0: keep previous state
+    cell.gate("z")["b_z"][...] = -100.0          # z ~ 0: keep previous state
     h_prev = rng.normal(size=(3, 1))
     new = run_one_step(cell, rng.normal(size=(2, 1)), h=h_prev)
     assert np.abs(new.h.value - h_prev).max() < 1e-9
@@ -52,7 +53,7 @@ def test_gru_closed_update_gate_keeps_state():
 def test_forget_gate_saturated_open():
     rng = np.random.default_rng(5)
     cell = RecurrentCell("lstm_forget", 2, 3, rng)
-    cell.params["b_f"].value[...] = 100.0        # f ~ 1: cell passes through
+    cell.gate("f")["b_f"][...] = 100.0           # f ~ 1: cell passes through
     x = rng.normal(size=(2, 1))
     c_prev = rng.normal(size=(3, 1))
 
@@ -60,14 +61,15 @@ def test_forget_gate_saturated_open():
     state = RecurrentState(h=g.input(np.zeros((3, 1))), c=g.input(c_prev))
     new = cell.step(g, g.input(x), state)
     g.forward()
-    i = 1 / (1 + np.exp(-(cell.params["W_xi"].value @ x + cell.params["b_i"].value)))
-    u = np.tanh(cell.params["W_xu"].value @ x + cell.params["b_u"].value)
+    gi, gu = cell.gate("i"), cell.gate("u")
+    i = 1 / (1 + np.exp(-(gi["W_xi"] @ x + gi["b_i"])))
+    u = np.tanh(gu["W_xu"] @ x + gu["b_u"])
     assert np.abs(new.c.value - (i * u + c_prev)).max() < 1e-9
 
 
 def test_forget_bias_initialized_open():
     cell = RecurrentCell("lstm_forget", 2, 3, np.random.default_rng(0))
-    assert (cell.params["b_f"].value == 1.0).all()
+    assert (cell.gate("f")["b_f"] == 1.0).all()
 
 
 def test_lstm_requires_cell_state():
@@ -106,9 +108,10 @@ def test_cell_gradients_three_step_unroll(kind):
 
 def lstm_no_forget_with_closed_input_gate(rng, hidden):
     cell = RecurrentCell("lstm", hidden, hidden, rng)
-    for key, p in cell.params.items():
-        p.value[...] = rng.uniform(-0.5, 0.5, size=p.value.shape)
-    cell.params["b_i"].value[...] = -100.0
+    for gate in cell.gates:
+        for view in cell.gate(gate).values():
+            view[...] = rng.uniform(-0.5, 0.5, size=view.shape)
+    cell.gate("i")["b_i"][...] = -100.0
     return cell
 
 
@@ -301,3 +304,67 @@ def test_toy_mlp_zero_lr_constant_loss():
     _, losses = train_toy_mlp(TOY_EQUALITY_DATA, hidden_size=8, lr=0.0,
                               max_epochs=5, seed=3)
     assert len(set(losses)) == 1
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_stacked_rnnlm_matches_per_gate_reference(kind, layers, residual, batch):
+    # hidden sizes that are multiples of 4: see test_stacked_gates_round_alike_at_odd_sizes
+    vocab = small_vocab()
+    rng = np.random.default_rng(zlib.crc32(f"{kind}{layers}{residual}{batch}".encode()))
+    model = RNNLM(vocab, cell=kind, embed_size=8, hidden_size=8, layers=layers,
+                  residual=residual, rng=rng)
+    for p in model.parameters():      # biases away from zero too
+        p.value += rng.uniform(-0.3, 0.3, size=p.value.shape)
+    sents = [[int(i) for i in rng.integers(3, len(vocab), size=rng.integers(1, 8))]
+             + [C.EOS_ID] for _ in range(batch)]
+    minibatch = C.make_batches(sents, batch)[0]
+
+    def loss_graph(m):
+        g = Graph()
+        m.batch_loss(g, minibatch)
+        return g
+
+    assert_matches_per_gate_reference(model, ("rnn",), loss_graph)
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_stacked_gates_round_alike_at_odd_sizes(kind):
+    # The BLAS may tile a stacked product's rows differently from one gate's
+    # product when the hidden size is not a multiple of its row block (4 on
+    # OpenBLAS's Haswell kernel); the gates' pre-activations, and so the
+    # losses, may then differ in their last bits.
+    vocab = small_vocab()
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
+    model = RNNLM(vocab, cell=kind, embed_size=17, hidden_size=5, rng=rng)
+    ref = per_gate_model(model, ("rnn",))
+    ids = [3, 4, 5, 6, 7, C.EOS_ID]
+    assert model.sentence_nll(ids) == pytest.approx(ref.sentence_nll(ids), rel=1e-13)
+
+
+def test_lstm_step_adds_four_computed_nodes():
+    cell = RecurrentCell("lstm_forget", 3, 4, np.random.default_rng(0))
+    g = Graph()
+    state = cell.initial_state(g, batch=2)
+    x = g.input(np.ones((3, 2)))
+    before = len(g.nodes)
+    state = cell.step(g, x, state)
+    added = g.nodes[before:]
+    assert sum(node.op == "parameter" for node in added) == 3
+    assert [node.op for node in added if node.op != "parameter"] == [
+        "affine", "lstm", "rows", "rows"]
+    before = len(g.nodes)
+    cell.step(g, state.h, state)        # parameters already in the graph
+    assert len(g.nodes) - before == 4
+
+
+def test_nan_in_stacked_bias_is_named_at_its_parameter_node():
+    cell = RecurrentCell("lstm_forget", 2, 3, np.random.default_rng(0))
+    cell.gate("f")["b_f"][1, 0] = np.nan
+    g = Graph()
+    cell.step(g, g.input(np.ones((2, 1))), cell.initial_state(g))
+    bias = g.param(cell.params["b"])
+    with pytest.raises(NonFiniteError, match=rf"node {bias.idx} \(parameter\)"):
+        g.forward()

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import attention_scores_per_column, max_gradient_error
+from helpers import (assert_matches_per_gate_reference,
+                     attention_scores_per_column, max_gradient_error)
 from seqbench import corpus as C
 from seqbench.autograd import Graph
-from seqbench.nnet import RNNLM
+from seqbench.nnet import CELL_KINDS, RNNLM
 from seqbench.seq2seq import EncDecModel, Ensemble, train_encdec
 from seqbench.optim import Adam
 from seqbench.search import greedy
@@ -294,3 +295,35 @@ def test_greedy_decode_scans_each_parameter_once(monkeypatch):
     scans.clear()
     greedy(model, [3, 4, 5], max_len=6)
     assert scans == []
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_stacked_encdec_matches_per_gate_reference(kind):
+    model = tiny_model(seed=3, embed_size=8, hidden_size=8, cell=kind)
+    rng = np.random.default_rng(4)
+    for p in model.parameters():
+        p.value += rng.uniform(-0.3, 0.3, size=p.value.shape)
+    assert_matches_per_gate_reference(
+        model, ("enc_fwd", "enc_bwd", "dec"),
+        lambda m: m.loss_graph([3, 4, 5, 3], [4, 6, C.EOS_ID]))
+
+
+def test_copy_task_graph_sizes(monkeypatch):
+    # the copy-task configuration of the benchmark: V=12, H=24, MLP attention
+    vocab = C.build_vocab([" ".join(f"s{i}" for i in range(9))])
+    model = EncDecModel(vocab, vocab, embed_size=16, hidden_size=24,
+                        encoder="bidirectional", bridge="tanh", attention="mlp",
+                        rng=np.random.default_rng(0))
+    sizes = []
+    forward = Graph.forward
+
+    def spy(g):
+        sizes.append((len(g.nodes), sum(node.op == "parameter" for node in g.nodes)))
+        return forward(g)
+
+    state = model.start([3, 4, 5, 6, 7])
+    monkeypatch.setattr(Graph, "forward", spy)
+    model.step([state], [C.BOS_ID])
+    nodes, param_nodes = sizes[0]
+    assert nodes <= 30 and param_nodes <= 8
+    assert len(model.loss_graph([3, 4, 5, 6, 7], [3, 4, 5, 6, 7, C.EOS_ID]).nodes) <= 193
