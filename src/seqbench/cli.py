@@ -52,6 +52,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -77,15 +84,15 @@ def build_parser() -> Parser:
         p.add_argument("--metrics", help="per-epoch metrics file "
                                          "(default: MODEL.metrics)")
         p.add_argument("--epochs", type=int, default=5)
-        p.add_argument("--lr", type=float, default=0.1)
+        p.add_argument("--lr", type=positive_float, default=0.1)
 
     def neural_flags(p):
-        p.add_argument("--embed", type=int, default=64)
-        p.add_argument("--hidden", type=int, default=128)
+        p.add_argument("--embed", type=positive_int, default=64)
+        p.add_argument("--hidden", type=positive_int, default=128)
         p.add_argument("--optimizer", choices=["sgd", "momentum", "adagrad", "adam"],
                        default="adam")
         p.add_argument("--batch-size", type=positive_int, default=8)
-        p.add_argument("--clip-norm", type=float, default=5.0)
+        p.add_argument("--clip-norm", type=positive_float, default=5.0)
         p.add_argument("--unk-policy",
                        choices=["keep_all", "replace_singletons", "min_count"],
                        default="replace_singletons")
@@ -135,14 +142,14 @@ def build_parser() -> Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--metrics")
     p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.001)
+    p.add_argument("--lr", type=positive_float, default=0.001)
     neural_flags(p)
     p.add_argument("--attention", choices=["none", "dot", "bilinear", "mlp"],
                    default="mlp")
     p.add_argument("--encoder", choices=["forward", "reverse", "bidir"],
                    default="bidir")
     p.add_argument("--bridge", choices=["copy", "concat", "tanh"])
-    p.add_argument("--dec-hidden", type=int)
+    p.add_argument("--dec-hidden", type=positive_int)
     p.add_argument("--layers", type=int, default=1)
 
     p = cmd("eval-ppl", help="likelihood / perplexity report")
@@ -240,10 +247,6 @@ class MetricsLog:
         self.fh.close()
 
 
-def _counted_words(sentences) -> int:
-    return sum(len(s) for s in sentences)
-
-
 def _write_lines(lines, path):
     if path is None:
         for line in lines:
@@ -279,7 +282,7 @@ def cmd_train_ngram(args, rng) -> int:
 
 def _metrics(args, dev_sentences):
     path = args.metrics or f"{args.model}.metrics"
-    return MetricsLog(path, _counted_words(dev_sentences))
+    return MetricsLog(path, sum(len(s) for s in dev_sentences))
 
 
 def cmd_train_loglinear(args, rng) -> int:
@@ -359,9 +362,7 @@ def cmd_train_encdec(args, rng) -> int:
                      for f, e in C.read_parallel(args.dev_src, args.dev_tgt)]
     opt = make_optimizer(args.optimizer, model.parameters(), lr=args.lr,
                          clip_norm=args.clip_norm)
-    dev_words = _counted_words([e for _, e in (dev_pairs or pairs)])
-    path = args.metrics or f"{args.model}.metrics"
-    log = MetricsLog(path, dev_words)
+    log = _metrics(args, [e for _, e in (dev_pairs or pairs)])
     try:
         train_encdec(model, pairs, opt, epochs=args.epochs,
                      dev_pairs=dev_pairs, rng=rng, log=log)

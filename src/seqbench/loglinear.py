@@ -2,8 +2,9 @@
 
 Scores are a sparse affine map s = W x + b over context features, turned into
 probabilities by a max-shifted softmax. Training is per-example stochastic
-gradient descent with shuffling, halve-on-plateau learning-rate decay, and
-best-on-dev early stopping; the gradients are the hand-derived
+gradient descent over :func:`optim.fit`, which shuffles, halves the rate after
+a worse epoch and keeps the best epoch's weights; the gradients are the
+hand-derived
 
     dl/db     = p - onehot(target)
     dl/dW[:,j] = x_j * (p - onehot(target))
@@ -15,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .autograd import softmax
 from .corpus import BOS_ID, UNK_ID, Vocabulary, encode, unknown_factor
-from .optim import TrainingDivergence
+from .optim import EpochTracker, TrainingDivergence, fit
 
 TEMPLATES = ("prev_word", "prev2_words", "suffix_k", "bag_of_words")
 
@@ -108,9 +110,9 @@ def loss_and_grad(W, b, x: FeatureVector, target: int):
     ``x`` have zero gradient and are omitted.
     """
     p = softmax(score(W, b, x))[:, 0]
-    loss = -math.log(p[target])
-    if not math.isfinite(loss):
+    if not p[target] > 0.0:     # NaN, or underflow to 0
         raise TrainingDivergence("log-linear loss is not finite")
+    loss = -math.log(p[target])
     grad_b = p.copy()
     grad_b[target] -= 1.0
     grad_cols = [(j, value * grad_b) for j, value in x.active]
@@ -122,13 +124,11 @@ class LogLinearLM:
 
     kind = "loglinear"
 
-    def __init__(self, vocab: Vocabulary, template: str, suffix_len: int = 3,
-                 W: np.ndarray | None = None, b: np.ndarray | None = None):
+    def __init__(self, vocab: Vocabulary, template: str, suffix_len: int = 3):
         self.vocab = vocab
         self.template = FeatureTemplate(template, vocab, suffix_len)
-        v = len(vocab)
-        self.W = np.zeros((v, self.template.dim)) if W is None else W
-        self.b = np.zeros((v, 1)) if b is None else b
+        self.W = np.zeros((len(vocab), self.template.dim))
+        self.b = np.zeros((len(vocab), 1))
 
     @property
     def n(self) -> int:
@@ -149,46 +149,31 @@ class LogLinearLM:
         total = 0.0
         for x, target in self._instances(lines):
             p = softmax(score(self.W, self.b, x))[:, 0]
-            total += math.log(p[target])
+            total += math.log(p[target]) if p[target] > 0.0 else -math.inf
         return total
 
     def train_sgd(self, train_lines, dev_lines=None, lr: float = 0.1,
                   epochs: int = 5, shuffle: bool = True, decay: bool = True,
-                  early_stop: bool = True, rng=None, log=None):
-        """Per-example SGD; returns the per-epoch dev log-likelihood history.
+                  rng=None, log=None):
+        """Per-example SGD over :func:`optim.fit`, which returns the per-epoch
+        scores. The rate may be 0, and ``W`` and ``b`` are updated in place."""
+        sgd = SimpleNamespace(lr=lr, params=[self.W, self.b])
 
-        The parameters left on the model are the best-dev snapshot when a dev
-        set is given, otherwise the final-epoch parameters.
-        """
-        rng = rng or np.random.default_rng(0)
-        instances = self._instances(train_lines)
-        history = []
-        best_ll, best = -np.inf, None
-        for epoch in range(1, epochs + 1):
-            if shuffle:
-                order = rng.permutation(len(instances))
-            else:
-                order = range(len(instances))
+        def train_epoch(instances):
             train_loss = 0.0
-            for i in order:
-                x, target = instances[i]
+            for x, target in instances:
                 loss, grad_b, grad_cols = loss_and_grad(self.W, self.b, x, target)
                 train_loss += loss
-                self.b[:, 0] -= lr * grad_b
+                self.b[:, 0] -= sgd.lr * grad_b
                 for j, col in grad_cols:
-                    self.W[:, j] -= lr * col
-            dev_ll = (self.corpus_log_likelihood(dev_lines)
-                      if dev_lines is not None else -train_loss)
-            history.append(dev_ll)
-            if log is not None:
-                log(epoch, train_loss, dev_ll)
-            if dev_ll > best_ll:
-                best_ll, best = dev_ll, (self.W.copy(), self.b.copy())
-            elif decay:
-                lr /= 2.0
-        if early_stop and best is not None:
-            self.W, self.b = best
-        return history
+                    self.W[:, j] -= sgd.lr * col
+            return train_loss
+
+        dev_ll = (None if dev_lines is None else
+                  lambda: self.corpus_log_likelihood(dev_lines))
+        return fit(self._instances(train_lines), train_epoch,
+                   EpochTracker(sgd, decay), epochs, dev_ll, rng=rng,
+                   shuffle=shuffle, log=log)
 
     # ---- evaluation / generation protocol ----------------------------------
 

@@ -248,14 +248,19 @@ def _restore_params(model, tensors):
     adds the file's path to the ``DataError`` raised for a missing or
     misshapen one."""
     for name, view in _tensor_views(model).items():
-        if name not in tensors:
-            raise DataError(f"model file is missing tensor {name!r}")
-        if tensors[name].shape != view.shape:
-            raise DataError(f"tensor {name!r} has shape {tensors[name].shape}, "
-                            f"expected {view.shape}")
-        view[...] = tensors[name]
+        view[...] = _tensor(tensors, name, view.shape)
     for p in model.parameters():
         p.changed()
+
+
+def _tensor(tensors, name, shape) -> np.ndarray:
+    """The file's tensor ``name``, which must have ``shape``."""
+    if name not in tensors:
+        raise DataError(f"model file is missing tensor {name!r}")
+    if tensors[name].shape != shape:
+        raise DataError(f"tensor {name!r} has shape {tensors[name].shape}, "
+                        f"expected {shape}")
+    return tensors[name]
 
 
 def _unpack_ngram(mf: ModelFile):
@@ -274,9 +279,11 @@ def _unpack_ngram(mf: ModelFile):
 def _unpack_loglinear(mf: ModelFile):
     from .loglinear import LogLinearLM
 
-    return LogLinearLM(mf.vocabs[0], mf.hparams["template"],
-                       suffix_len=int(mf.hparams["suffix_len"]),
-                       W=mf.tensors["W"].copy(), b=mf.tensors["b"].copy())
+    model = LogLinearLM(mf.vocabs[0], mf.hparams["template"],
+                        suffix_len=int(mf.hparams["suffix_len"]))
+    model.W = _tensor(mf.tensors, "W", model.W.shape).copy()
+    model.b = _tensor(mf.tensors, "b", model.b.shape).copy()
+    return model
 
 
 def _unpack_ffnnlm(mf: ModelFile):

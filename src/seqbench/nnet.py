@@ -16,7 +16,7 @@ import numpy as np
 from .autograd import Graph, Node, NonFiniteError, Parameter
 from .corpus import (BOS_ID, MiniBatch, Vocabulary, encode, make_batches,
                      unknown_factor)
-from .optim import EpochTracker, Optimizer, TrainingDivergence
+from .optim import EpochTracker, Optimizer, TrainingDivergence, fit
 
 CELL_KINDS = ("rnn", "lstm", "lstm_forget", "gru")
 # each kind's gates in the order their weights are drawn and stacked
@@ -367,43 +367,25 @@ def _score_with_unknown_factor(model, tokens):
 def train_lm(model, train_sentences, optimizer: Optimizer, epochs: int,
              dev_sentences=None, batch_size: int = 8, rng=None, log=None,
              shuffle: bool = True) -> list[float]:
-    """Minibatched LM training with dev-driven decay and early stopping.
+    """Minibatched LM training over :func:`optim.fit`; returns its per-epoch
+    dev log-likelihoods (negated training NLL when no dev set is given)."""
 
-    Returns the per-epoch dev log-likelihood history (training NLL is used
-    when no dev set is given). Raises TrainingDivergence on non-finite loss.
-    """
-    rng = rng or np.random.default_rng(0)
-    sentences = [list(s) for s in train_sentences]
-    tracker = EpochTracker(optimizer)
-    history = []
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(sentences)) if shuffle else range(len(sentences))
-        shuffled = [sentences[i] for i in order]
+    def train_epoch(sentences):
         train_loss = 0.0
-        for batch in make_batches(shuffled, batch_size):
+        for batch in make_batches(sentences, batch_size):
             g = Graph()
             model.batch_loss(g, batch)
-            try:
-                value = float(g.forward()[0, 0])
-            except NonFiniteError as exc:
-                raise TrainingDivergence(str(exc)) from exc
-            train_loss += value
+            train_loss += float(g.forward()[0, 0])
             g.backward()
             optimizer.step()
             optimizer.zero_grad()
-        if dev_sentences is not None:
-            try:
-                dev_ll = -sum(model.sentence_nll(s) for s in dev_sentences)
-            except NonFiniteError as exc:
-                raise TrainingDivergence(str(exc)) from exc
-        else:
-            dev_ll = -train_loss
-        history.append(dev_ll)
-        if log is not None:
-            log(epoch, train_loss, dev_ll)
-        tracker.report(dev_ll)
-    tracker.restore_best()
-    return history
+        return train_loss
+
+    dev_ll = (None if dev_sentences is None else
+              lambda: -sum(model.sentence_nll(s) for s in dev_sentences))
+    return fit([list(s) for s in train_sentences], train_epoch,
+               EpochTracker(optimizer), epochs, dev_ll, rng=rng, shuffle=shuffle,
+               log=log)
 
 
 class ToyMLP:

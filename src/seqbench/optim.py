@@ -1,10 +1,11 @@
-"""Gradient-based parameter update rules: SGD, momentum, AdaGrad, Adam."""
+"""Gradient-based parameter update rules (SGD, momentum, AdaGrad, Adam) and the
+epoch loop every trainer shares."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Parameter
+from .autograd import NonFiniteError, Parameter
 
 
 class TrainingDivergence(Exception):
@@ -135,14 +136,14 @@ def make_optimizer(kind: str, params, lr: float, clip_norm=None) -> Optimizer:
 
 
 class EpochTracker:
-    """Early stopping and learning-rate decay driven by dev log-likelihood.
+    """Best-epoch snapshot and halve-on-plateau learning-rate decay.
 
-    Remembers the best-scoring parameter snapshot; when an epoch fails to
-    improve, the learning rate is halved. ``restore_best`` copies the best
-    snapshot back into the live parameters.
+    ``optimizer`` is any object with an ``lr``, halved (with ``decay``) after
+    an epoch no better than the best, and ``params``, Parameters or bare
+    arrays snapshotted at the best epoch and written back by ``restore_best``.
     """
 
-    def __init__(self, optimizer: Optimizer, decay: bool = True):
+    def __init__(self, optimizer, decay: bool = True):
         self.optimizer = optimizer
         self.decay = decay
         self.best_ll = -np.inf
@@ -154,7 +155,7 @@ class EpochTracker:
             raise TrainingDivergence(f"dev log-likelihood is {dev_ll}")
         if dev_ll > self.best_ll:
             self.best_ll = dev_ll
-            self.best_snapshot = [p.value.copy() for p in self.optimizer.params]
+            self.best_snapshot = [_array(p).copy() for p in self.optimizer.params]
             return True
         if self.decay:
             self.optimizer.lr /= 2.0
@@ -163,5 +164,40 @@ class EpochTracker:
     def restore_best(self):
         if self.best_snapshot is not None:
             for p, snap in zip(self.optimizer.params, self.best_snapshot):
-                p.value[...] = snap
-                p.changed()
+                _array(p)[...] = snap
+                if isinstance(p, Parameter):
+                    p.changed()
+
+
+def _array(p) -> np.ndarray:
+    return p.value if isinstance(p, Parameter) else p
+
+
+def fit(items, train_epoch, tracker: EpochTracker, epochs: int, dev_ll=None,
+        rng=None, shuffle: bool = True, log=None) -> list[float]:
+    """The epoch loop of every trainer; returns the per-epoch scores.
+
+    ``train_epoch`` trains on the ``items``, shuffled by ``rng`` unless
+    ``shuffle`` is off, and returns their summed loss. An epoch scores
+    ``dev_ll()``, or its negated training loss when ``dev_ll`` is None; it is
+    passed to ``log(epoch, train_loss, score)`` and to ``tracker``, which halves
+    the rate after a worse epoch. Training ends on the best-scoring epoch's
+    parameters: the best on dev, or the lowest training loss without a dev
+    set. A NaN or Inf in a graph, or a non-finite score, raises
+    TrainingDivergence.
+    """
+    rng = rng or np.random.default_rng(0)
+    history = []
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(len(items)) if shuffle else range(len(items))
+        try:
+            train_loss = train_epoch([items[i] for i in order])
+            score = -train_loss if dev_ll is None else dev_ll()
+        except NonFiniteError as exc:
+            raise TrainingDivergence(str(exc)) from exc
+        history.append(score)
+        if log is not None:
+            log(epoch, train_loss, score)
+        tracker.report(score)
+    tracker.restore_best()
+    return history

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Graph, Node, NonFiniteError, Parameter
+from .autograd import Graph, Node, Parameter
 from .corpus import BOS_ID, Vocabulary, encode, unknown_factor
 from .nnet import (RecurrentState, StackedRNN, embedding_init, glorot,
                    input_columns, split_layer_states, stack_layer_states)
-from .optim import EpochTracker, Optimizer, TrainingDivergence
+from .optim import EpochTracker, Optimizer, fit
 
 ENCODER_DIRECTIONS = ("forward", "reverse", "bidirectional")
 BRIDGE_KINDS = ("copy", "concat", "tanh")
@@ -327,17 +327,22 @@ class EncDecModel:
 class Ensemble:
     """Average the per-step distributions of several decoders.
 
-    Every member threads its own state; all members must share one target
-    vocabulary.
+    Every member threads its own state; all members must share one source
+    and one target vocabulary: the source is encoded, and the averaged
+    distribution read, with the first member's vocabularies.
     """
 
     def __init__(self, models):
         if not models:
             raise ValueError("empty ensemble")
-        first = models[0].vocab
+        first = models[0]
+        # a language-model member has no source vocabulary: read as None
+        source = lambda m: getattr(getattr(m, "src_vocab", None), "tokens", None)
         for m in models[1:]:
-            if m.vocab.tokens != first.tokens:
+            if m.vocab.tokens != first.vocab.tokens:
                 raise ValueError("ensemble members must share the target vocabulary")
+            if source(m) != source(first):
+                raise ValueError("ensemble members must share the source vocabulary")
         self.models = list(models)
 
     @property
@@ -376,39 +381,21 @@ class Ensemble:
 
 def train_encdec(model: EncDecModel, pairs, optimizer: Optimizer, epochs: int,
                  dev_pairs=None, rng=None, log=None, shuffle: bool = True):
-    """Per-sentence training over (source_ids, target_ids) pairs.
+    """Per-sentence training over (source_ids, target_ids) pairs with
+    :func:`optim.fit`; returns its per-epoch dev log-likelihoods."""
 
-    Returns per-epoch dev log-likelihood history; parameters end at the
-    best-dev snapshot when a dev set is supplied.
-    """
-    rng = rng or np.random.default_rng(0)
-    pairs = [(list(f), list(e)) for f, e in pairs]
-    tracker = EpochTracker(optimizer)
-    history = []
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(pairs)) if shuffle else range(len(pairs))
+    def train_epoch(ordered):
         train_loss = 0.0
-        for i in order:
-            f, e = pairs[i]
+        for f, e in ordered:
             g = model.loss_graph(f, e)
-            try:
-                value = float(g.forward()[0, 0])
-            except NonFiniteError as exc:
-                raise TrainingDivergence(str(exc)) from exc
-            train_loss += value
+            train_loss += float(g.forward()[0, 0])
             g.backward()
             optimizer.step()
             optimizer.zero_grad()
-        if dev_pairs is not None:
-            try:
-                dev_ll = -sum(model.sentence_loss(f, e) for f, e in dev_pairs)
-            except NonFiniteError as exc:
-                raise TrainingDivergence(str(exc)) from exc
-        else:
-            dev_ll = -train_loss
-        history.append(dev_ll)
-        if log is not None:
-            log(epoch, train_loss, dev_ll)
-        tracker.report(dev_ll)
-    tracker.restore_best()
-    return history
+        return train_loss
+
+    dev_ll = (None if dev_pairs is None else
+              lambda: -sum(model.sentence_loss(f, e) for f, e in dev_pairs))
+    return fit([(list(f), list(e)) for f, e in pairs], train_epoch,
+               EpochTracker(optimizer), epochs, dev_ll, rng=rng, shuffle=shuffle,
+               log=log)

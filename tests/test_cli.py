@@ -336,6 +336,21 @@ def test_training_rejects_bad_model_flags(toy_corpus, capsys):
     assert main(["train-rnnlm", "--train", train, "--model", model,
                  "--layers", "0", "--epochs", "1"]) == 1
     assert "at least one layer" in capsys.readouterr().err
+    # sizes and rates are checked as flags are parsed, before any file is written
+    for command, flags in (("train-rnnlm", ["--lr", "0"]),
+                           ("train-rnnlm", ["--clip-norm", "0"]),
+                           ("train-rnnlm", ["--hidden", "0"]),
+                           ("train-ffnnlm", ["--embed", "0"]),
+                           ("train-loglinear", ["--lr", "-1"]),
+                           ("train-encdec", ["--dec-hidden", "0"]),
+                           ("train-encdec", ["--lr", "nan"])):
+        inputs = (["--train-src", train, "--train-tgt", train]
+                  if command == "train-encdec" else ["--train", train])
+        assert main([command, *inputs, "--model", model, "--epochs", "1", *flags]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and flags[0] in err
+        assert not (tmp_path / "bad.bin.metrics").exists()
+        assert not (tmp_path / "bad.bin").exists()
 
 
 def test_translate_rejects_language_models(toy_corpus, capsys):
@@ -390,5 +405,15 @@ def test_divergence_exit_code(tmp_path, capsys):
                  "--epochs", "10", "--lr", "1e60", "--optimizer", "sgd",
                  "--clip-norm", "1e300", "--embed", "4", "--hidden", "4",
                  "--nonlinearity", "relu"])
+    assert code == 3
+    assert "diverged" in capsys.readouterr().err
+
+
+def test_loglinear_divergence_exit_code(tmp_path, capsys):
+    # a rate this large drives a target's probability to 0, whose log
+    # cannot be taken
+    train = write(tmp_path / "t.txt", "a b c\nb c a\nc a b\na a b\n")
+    code = main(["train-loglinear", "--train", train, "--model",
+                 str(tmp_path / "d.bin"), "--lr", "1e308"])
     assert code == 3
     assert "diverged" in capsys.readouterr().err

@@ -169,7 +169,7 @@ def test_sgd_zero_learning_rate_is_identity():
     model = LogLinearLM(vocab, "prev2_words")
     model.W[...] = 0.25
     before_W, before_b = model.W.copy(), model.b.copy()
-    model.train_sgd(TINY_CORPUS, lr=0.0, epochs=1, early_stop=False)
+    model.train_sgd(TINY_CORPUS, lr=0.0, epochs=1)
     assert np.array_equal(model.W, before_W)
     assert np.array_equal(model.b, before_b)
 
@@ -188,21 +188,10 @@ def test_sgd_deterministic_without_shuffle():
     runs = []
     for _ in range(2):
         model = LogLinearLM(vocab, "prev_word")
-        model.train_sgd(TINY_CORPUS, lr=0.05, epochs=3, shuffle=False,
-                        early_stop=False)
+        model.train_sgd(TINY_CORPUS, lr=0.05, epochs=3, shuffle=False)
         runs.append((model.W.copy(), model.b.copy()))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
-
-
-def test_early_stopping_returns_best_dev_snapshot():
-    vocab = C.build_vocab(TINY_CORPUS)
-    model = LogLinearLM(vocab, "prev2_words")
-    dev = ["the cat sat", "a dog ran"]
-    history = model.train_sgd(TINY_CORPUS, dev_lines=dev, lr=0.5, epochs=8,
-                              rng=np.random.default_rng(0))
-    final_ll = model.corpus_log_likelihood(dev)
-    assert final_ll == pytest.approx(max(history), abs=1e-9)
 
 
 def test_score_sentence_counts_unknowns():

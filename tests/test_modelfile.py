@@ -72,6 +72,21 @@ def test_loglinear_roundtrip(tmp_path):
     assert scoring_fingerprint(loaded) == scoring_fingerprint(model)
 
 
+@pytest.mark.parametrize("name", ["W", "b"])
+def test_misshapen_loglinear_tensor_is_rejected_naming_the_file(tmp_path, name):
+    vocab = C.build_vocab(LINES)
+    path = tmp_path / "ll.bin"
+    save_model(LogLinearLM(vocab, "prev_word"), path)
+    mf = read_modelfile(path)
+    expected = mf.tensors[name].shape
+    mf.tensors[name] = mf.tensors[name][:-1]
+    write_modelfile(mf, path)
+    message = (rf"ll\.bin: tensor '{name}' has shape \({expected[0] - 1}, "
+               rf"{expected[1]}\), expected \({expected[0]}, {expected[1]}\)")
+    with pytest.raises(C.DataError, match=message):
+        load_model(path)
+
+
 def test_ffnnlm_roundtrip(tmp_path):
     vocab = C.build_vocab(LINES)
     model = FFNNLM(vocab, n=3, embed_size=4, hidden_size=5,

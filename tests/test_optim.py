@@ -1,10 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from seqbench import corpus as C
 from seqbench.autograd import Graph, NonFiniteError, Parameter
+from seqbench.loglinear import LogLinearLM
+from seqbench.nnet import RNNLM, train_lm
 from seqbench.optim import (SGD, Adam, AdaGrad, EpochTracker, Momentum,
                             TrainingDivergence, clip_gradients, global_norm,
                             make_optimizer)
+from seqbench.seq2seq import EncDecModel, train_encdec
 
 
 def param_with_grad(value, grad):
@@ -162,3 +168,99 @@ def test_restore_best_of_a_non_finite_snapshot_is_caught_by_the_next_graph():
     g.forward()
     tracker.restore_best()
     assert_named_at_parameter_node(p)
+
+
+def test_epoch_tracker_over_bare_arrays_and_a_rate_of_zero():
+    w = np.array([[1.0, 2.0]])
+    sgd = SimpleNamespace(lr=0.0, params=[w])
+    tracker = EpochTracker(sgd)
+    assert tracker.report(-3.0)
+    w[...] = 7.0
+    assert not tracker.report(-4.0)
+    assert sgd.lr == 0.0
+    tracker.restore_best()
+    assert w.tolist() == [[1.0, 2.0]]
+
+
+LINES = ["the cat sat", "a dog ran", "the bird sang", "a bird flew", "the cat slept",
+         "a dog slept"]
+DEV = ["the cat ran", "a bird sat"]
+# (trainer, with a dev set) -> learning rate and seed whose best epoch is not the last
+BEST_BEFORE_LAST = {
+    ("train_sgd", True): (0.5, 1), ("train_sgd", False): (3.0, 2),
+    ("train_lm", True): (2.0, 1), ("train_lm", False): (4.0, 0),
+    ("train_encdec", True): (2.0, 0), ("train_encdec", False): (4.0, 0),
+}
+
+
+def loglinear_trainer(lr, seed, with_dev):
+    model = LogLinearLM(C.build_vocab(LINES), "prev2_words")
+    train = lambda log: model.train_sgd(LINES, dev_lines=DEV if with_dev else None, lr=lr,
+                                        epochs=6, rng=np.random.default_rng(seed), log=log)
+    return lambda: [model.W, model.b], train, lambda: model.corpus_log_likelihood(DEV)
+
+
+def rnnlm_trainer(lr, seed, with_dev):
+    vocab = C.build_vocab(LINES)
+    model = RNNLM(vocab, embed_size=4, hidden_size=4, rng=np.random.default_rng(seed))
+    sents, dev = ([C.encode(vocab, line, append_eos=True) for line in lines]
+                  for lines in (LINES, DEV))
+    opt = make_optimizer("sgd", model.parameters(), lr=lr, clip_norm=5.0)
+    train = lambda log: train_lm(model, sents, opt, epochs=6,
+                                 dev_sentences=dev if with_dev else None, batch_size=2,
+                                 rng=np.random.default_rng(seed), log=log)
+    return (lambda: [p.value for p in model.parameters()], train,
+            lambda: -sum(model.sentence_nll(s) for s in dev))
+
+
+def encdec_trainer(lr, seed, with_dev):
+    vocab = C.build_vocab(LINES)
+    model = EncDecModel(vocab, vocab, embed_size=4, hidden_size=4, attention="dot",
+                        encoder="forward", rng=np.random.default_rng(seed))
+    pairs, dev = ([(C.encode(vocab, line), C.encode(vocab, line, append_eos=True))
+                   for line in lines] for lines in (LINES, DEV))
+    opt = make_optimizer("sgd", model.parameters(), lr=lr, clip_norm=5.0)
+    train = lambda log: train_encdec(model, pairs, opt, epochs=6,
+                                     dev_pairs=dev if with_dev else None,
+                                     rng=np.random.default_rng(seed), log=log)
+    return (lambda: [p.value for p in model.parameters()], train,
+            lambda: -sum(model.sentence_loss(f, e) for f, e in dev))
+
+
+TRAINERS = {"train_sgd": loglinear_trainer, "train_lm": rnnlm_trainer,
+            "train_encdec": encdec_trainer}
+
+
+def train_with_epoch_snapshots(trainer, with_dev):
+    """Train six epochs; returns the history, each epoch's training loss and
+    parameter values as ``fit`` logged them, the final values and the model's
+    dev log-likelihood."""
+    arrays, train, dev_ll = TRAINERS[trainer](*BEST_BEFORE_LAST[trainer, with_dev], with_dev)
+    losses, snapshots = [], []
+
+    def log(epoch, train_loss, score):
+        losses.append(train_loss)
+        snapshots.append([a.copy() for a in arrays()])
+
+    history = train(log)
+    return history, losses, snapshots, arrays(), dev_ll()
+
+
+def assert_kept_epoch(best, snapshots, final):
+    assert best < len(snapshots) - 1        # the rule is exercised: a later epoch was worse
+    for value, snap in zip(final, snapshots[best], strict=True):
+        assert np.array_equal(value, snap)
+
+
+@pytest.mark.parametrize("trainer", TRAINERS)
+def test_early_stopping_returns_best_dev_snapshot(trainer):
+    history, _, snapshots, final, dev_ll = train_with_epoch_snapshots(trainer, True)
+    assert dev_ll == max(history)
+    assert_kept_epoch(int(np.argmax(history)), snapshots, final)
+
+
+@pytest.mark.parametrize("trainer", TRAINERS)
+def test_without_dev_set_the_lowest_training_loss_epoch_is_kept(trainer):
+    history, losses, snapshots, final, _ = train_with_epoch_snapshots(trainer, False)
+    assert history == [-loss for loss in losses]
+    assert_kept_epoch(int(np.argmin(losses)), snapshots, final)

@@ -261,6 +261,16 @@ def test_ensemble_vocabulary_mismatch():
         Ensemble([FixedModel(np.ones(5) / 5, v1), FixedModel(np.ones(5) / 5, v2)])
 
 
+def test_ensemble_source_vocabulary_mismatch():
+    src, tgt = vocabs()
+    other_src = C.build_vocab(["s t"])
+    members = [EncDecModel(v, tgt, embed_size=2, hidden_size=2, attention="none",
+                           rng=np.random.default_rng(0)) for v in (src, other_src)]
+    with pytest.raises(ValueError, match="source vocabulary"):
+        Ensemble(members)
+    Ensemble([members[0], members[0]])
+
+
 def test_training_reduces_loss():
     src, tgt = vocabs()
     rng = np.random.default_rng(18)
