@@ -431,13 +431,15 @@ def _fwd_pick_neg_log_softmax(node):
     if np.any(np.isnan(s)):
         raise GraphError(f"node {node.idx}: NaN scores")
     # one max shift, exp and column sum serve both the softmax kept for
-    # backward and the log partition function
+    # backward and the log partition function; the shifted scores become the
+    # softmax in place, so a wide score matrix is copied once
     shifted = s - s.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
+    picked = shifted[targets, np.arange(s.shape[1])]
+    e = np.exp(shifted, out=shifted)
     z = e.sum(axis=0, keepdims=True)
-    node.aux["softmax"] = e / z
-    losses = np.log(z[0]) - shifted[targets, np.arange(s.shape[1])]
-    return losses.reshape(1, -1)
+    e /= z
+    node.aux["softmax"] = e
+    return (np.log(z[0]) - picked).reshape(1, -1)
 
 
 def _fwd_squared_distance(node):

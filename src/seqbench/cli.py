@@ -86,12 +86,12 @@ def build_parser() -> Parser:
         p.add_argument("--epochs", type=int, default=5)
         p.add_argument("--lr", type=positive_float, default=0.1)
 
-    def neural_flags(p):
+    def neural_flags(p, batch_help="sentences per training minibatch"):
         p.add_argument("--embed", type=positive_int, default=64)
         p.add_argument("--hidden", type=positive_int, default=128)
         p.add_argument("--optimizer", choices=["sgd", "momentum", "adagrad", "adam"],
                        default="adam")
-        p.add_argument("--batch-size", type=positive_int, default=8)
+        p.add_argument("--batch-size", type=positive_int, default=8, help=batch_help)
         p.add_argument("--clip-norm", type=positive_float, default=5.0)
         p.add_argument("--unk-policy",
                        choices=["keep_all", "replace_singletons", "min_count"],
@@ -143,7 +143,8 @@ def build_parser() -> Parser:
     p.add_argument("--metrics")
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--lr", type=positive_float, default=0.001)
-    neural_flags(p)
+    neural_flags(p, batch_help="accepted and ignored: the encoder-decoder trains "
+                               "one sentence at a time")
     p.add_argument("--attention", choices=["none", "dot", "bilinear", "mlp"],
                    default="mlp")
     p.add_argument("--encoder", choices=["forward", "reverse", "bidir"],

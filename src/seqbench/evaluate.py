@@ -54,8 +54,12 @@ def evaluate_ll(model, data) -> EvalReport:
         unk_count += unks
         unk_logp += unk_ll
     per_word = total / words
+    try:
+        perplexity = math.exp(-per_word)
+    except OverflowError:       # a per-word NLL beyond about 709.78
+        perplexity = math.inf
     return EvalReport(total_log_likelihood=total, word_count=words,
-                      per_word_ll=per_word, perplexity=math.exp(-per_word),
+                      per_word_ll=per_word, perplexity=perplexity,
                       unk_count=unk_count, unk_log_portion=unk_logp)
 
 

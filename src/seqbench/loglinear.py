@@ -186,7 +186,8 @@ class LogLinearLM:
         logp = 0.0
         history: list[int] = []
         for tok in ids:
-            logp += math.log(self.next_distribution(history)[tok])
+            p = self.next_distribution(history)[tok]
+            logp += math.log(p) if p > 0.0 else -math.inf     # underflowed to 0
             history.append(tok)
         unk_count, unk_logp = unknown_factor(self.vocab, ids)
         return logp + unk_logp, len(ids), unk_count, unk_logp

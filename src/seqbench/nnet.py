@@ -316,18 +316,27 @@ class RNNLM:
         return [self.M] + self.rnn.parameters() + [self.W_hs, self.b_s]
 
     def batch_loss(self, g: Graph, batch: MiniBatch) -> Node:
+        """Masked total NLL over every position of every column.
+
+        The step loop only collects each position's top hidden state; after
+        it, one ``affine`` scores all T·B positions as the columns of one
+        matrix, t-major (column t·B + b, the order of
+        ``token_matrix.reshape(-1)``), one ``pick_neg_log_softmax`` takes
+        every target's loss and one ``cmult`` applies the mask.
+        """
         T, B = batch.token_matrix.shape
         prev = _prev_token_rows(batch)
         states = self.rnn.initial_states(g, batch=B)
-        masked_rows = []
+        outputs = []
         for t in range(T):
             x = g.lookup_column(g.param(self.M), [int(i) for i in prev[t]])
             out, states = self.rnn.step(g, x, states)
-            s = g.affine(g.param(self.b_s), g.param(self.W_hs), out)
-            losses = g.pick_neg_log_softmax(s, [int(i) for i in batch.token_matrix[t]])
-            masked_rows.append(g.cmult(losses, g.input(batch.mask[t].reshape(1, -1))))
-        total = g.concat_cols(*masked_rows) if len(masked_rows) > 1 else masked_rows[0]
-        return g.sum(total)
+            outputs.append(out)
+        X = g.concat_cols(*outputs) if T > 1 else outputs[0]
+        s = g.affine(g.param(self.b_s), g.param(self.W_hs), X)
+        losses = g.pick_neg_log_softmax(s, [int(i) for i in batch.token_matrix.reshape(-1)])
+        masked = g.cmult(losses, g.input(batch.mask.reshape(1, -1)))
+        return g.sum(masked)
 
     def sentence_nll(self, ids) -> float:
         g = Graph()

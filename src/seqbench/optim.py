@@ -115,15 +115,29 @@ class Adam(Optimizer):
         self.v = [np.zeros(p.value.shape) for p in self.params]
 
     def _update(self):
+        """``value -= lr * m_hat / (sqrt(v_hat) + eps)``, rounded exactly as
+        that expression, but through two scratch buffers sized for the
+        largest parameter instead of full-size temporaries. The buffers live
+        for one call: an optimizer outlives its training run."""
         self.t += 1
+        c1, c2 = 1 - self.beta1 ** self.t, 1 - self.beta2 ** self.t
+        size = max((p.value.size for p in self.params), default=0)
+        buf_a, buf_b = np.empty(size), np.empty(size)
         for p, m, v in zip(self.params, self.m, self.v):
+            a = buf_a[:m.size].reshape(m.shape)
+            b = buf_b[:m.size].reshape(m.shape)
             m *= self.beta1
-            m += (1 - self.beta1) * p.grad
+            m += np.multiply(1 - self.beta1, p.grad, out=a)
             v *= self.beta2
-            v += (1 - self.beta2) * p.grad ** 2
-            m_hat = m / (1 - self.beta1 ** self.t)
-            v_hat = v / (1 - self.beta2 ** self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.square(p.grad, out=a)
+            v += np.multiply(1 - self.beta2, a, out=a)
+            np.divide(m, c1, out=a)             # m_hat
+            np.divide(v, c2, out=b)             # v_hat
+            a *= self.lr
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p.value -= a
 
 
 OPTIMIZERS = {"sgd": SGD, "momentum": Momentum, "adagrad": AdaGrad, "adam": Adam}

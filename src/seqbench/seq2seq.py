@@ -201,8 +201,7 @@ class EncDecModel:
         """
         g = Graph()
         H, init = self._encode_nodes(g, source_ids)
-        proj = (g.matmul(g.param(self.W_a1_src), H) if self.attention == "mlp"
-                else None)
+        proj = self._source_projection(g, H)
         g.forward()
         layers = [(st.h.value.copy(), None if st.c is None else st.c.value.copy())
                   for st in init]
@@ -212,14 +211,24 @@ class EncDecModel:
 
     # ---- attention ---------------------------------------------------------
 
+    def _source_projection(self, g: Graph, H: Node) -> Node | None:
+        """MLP attention's source half ``W_a1_src·H``, the same at every
+        decoder step; None for the other kinds."""
+        if self.attention != "mlp":
+            return None
+        return g.matmul(g.param(self.W_a1_src), H)
+
     def _attention_scores(self, g: Graph, H: Node, h_dec: Node,
-                          src_proj: np.ndarray | None = None, batch: int = 1) -> Node:
+                          src: Node | None = None, batch: int = 1) -> Node:
         """Score every source column against each of the ``batch`` decoder
         states in the columns of ``h_dec``; the result is |F| x ``batch``.
 
-        MLP attention takes its source half ``W_a1_src·H`` from ``src_proj``
-        when given (decode graphs); the training graph, with one column,
-        builds the product itself.
+        MLP attention takes its source half ``W_a1_src·H`` from the caller as
+        the node ``src``, built once per graph: :meth:`_source_projection` in
+        training graphs, an input holding the frozen projection once per
+        decoder column (|K| x |F|·``batch``) in decode graphs. The other
+        kinds ignore it. With ``batch`` > 1, ``H`` must be an input, as it is
+        in decode graphs.
         """
         if self.attention == "dot":
             return g.matmul(g.transpose(H), h_dec)
@@ -227,39 +236,37 @@ class EncDecModel:
             return g.matmul(g.transpose(H),
                             g.matmul(g.param(self.W_a), h_dec))
         dec = g.matmul(g.param(self.W_a1_dec), h_dec)
-        if src_proj is None:
-            src = g.matmul(g.param(self.W_a1_src), H)
-        elif batch == 1:    # the decoder column broadcasts over the source words
-            src = g.input(src_proj)
-        else:       # column b * |F| + j pairs decoder state b with source word j
-            n_src = src_proj.shape[1]
+        if batch > 1:   # column b * |F| + j pairs decoder state b with source word j
+            n_src = H.value.shape[1]
             dec = g.lookup_column(dec, [b for b in range(batch) for _ in range(n_src)])
-            src = g.input(np.concatenate([src_proj] * batch, axis=1))
+        # with one decoder column, it broadcasts over the source words
         scores = g.matmul(g.transpose(g.param(self.w_a2)), g.tanh(g.add(dec, src)))
         if batch == 1:
             return g.transpose(scores)
-        return g.reshape(scores, src_proj.shape[1], batch)
+        return g.reshape(scores, n_src, batch)
 
     # ---- decoding ----------------------------------------------------------
 
+    def _scores(self, g: Graph, x: Node) -> Node:
+        """The output layer: next-word scores for every column of ``x``."""
+        return g.affine(g.param(self.b_s), g.param(self.W_hs), x)
+
     def _step_nodes(self, g: Graph, H: Node | None, prev_ids, states,
-                    context: Node | None, src_proj: np.ndarray | None = None):
+                    context: Node | None, src: Node | None = None):
         """One decoder step for the B columns of ``states``, fed ``prev_ids``
-        (an id, or a list of B ids); returns (score node, new states,
-        context, alpha)."""
+        (an id, or a list of B ids); returns (output-layer input, new states,
+        context, alpha). The output-layer input is ``[h; context]`` with
+        attention and ``h`` without; :meth:`_scores` turns it into scores.
+        ``src`` is MLP attention's source projection."""
         x = g.lookup_column(g.param(self.M_e), prev_ids)
         if self.attention != "none":
             x = g.concat_rows(x, context)
         out, states = self.dec.step(g, x, states)
-        if self.attention != "none":
-            alpha = g.softmax(self._attention_scores(g, H, out, src_proj,
-                                                     states[0].batch))
-            new_context = g.matmul(H, alpha)
-            s = g.affine(g.param(self.b_s), g.param(self.W_hs),
-                         g.concat_rows(out, new_context))
-            return s, states, new_context, alpha
-        s = g.affine(g.param(self.b_s), g.param(self.W_hs), out)
-        return s, states, None, None
+        if self.attention == "none":
+            return out, states, None, None
+        alpha = g.softmax(self._attention_scores(g, H, out, src, states[0].batch))
+        new_context = g.matmul(H, alpha)
+        return g.concat_rows(out, new_context), states, new_context, alpha
 
     def start(self, source_ids) -> EncDecState:
         if source_ids is None:
@@ -275,13 +282,15 @@ class EncDecModel:
         encoding = states[0].encoding
         g = Graph()
         layers = stack_layer_states(g, [st.layers for st in states])
-        H = context = None
+        H = context = src = None
         if self.attention != "none":
             H = g.input(encoding.H)
             context = input_columns(g, [st.context for st in states])
-        s, new_layers, new_context, alpha = self._step_nodes(
-            g, H, prev_ids, layers, context, encoding.src_proj)
-        P = g.softmax(s)
+        if encoding.src_proj is not None:
+            src = input_columns(g, [encoding.src_proj] * len(states))
+        x, new_layers, new_context, alpha = self._step_nodes(
+            g, H, prev_ids, layers, context, src)
+        P = g.softmax(self._scores(g, x))
         g.forward()
         contexts = [None if new_context is None else new_context.value[:, b:b + 1].copy()
                     for b in range(len(states))]
@@ -292,19 +301,26 @@ class EncDecModel:
     # ---- training / scoring -------------------------------------------------
 
     def loss_graph(self, source_ids, target_ids) -> Graph:
-        """Unrolled NLL graph of an EOS-terminated target given the source."""
+        """Unrolled NLL graph of an EOS-terminated target given the source.
+
+        The decoder loop only collects each position's output-layer input;
+        after it, one ``affine`` scores all T positions as the columns of one
+        matrix and one ``pick_neg_log_softmax`` takes every target's loss, so
+        backward forms ``W_hs``'s gradient in one product.
+        """
         g = Graph()
         H, states = self._encode_nodes(g, source_ids)
         context = (g.input(np.zeros((self.src_dim, 1)))
                    if self.attention != "none" else None)
-        losses = []
+        src = self._source_projection(g, H)
+        inputs = []
         prev = BOS_ID
         for target in target_ids:
-            s, states, context, _ = self._step_nodes(g, H, prev, states, context)
-            losses.append(g.pick_neg_log_softmax(s, target))
+            x, states, context, _ = self._step_nodes(g, H, prev, states, context, src)
+            inputs.append(x)
             prev = target
-        total = g.concat_cols(*losses) if len(losses) > 1 else losses[0]
-        g.sum(total)
+        X = g.concat_cols(*inputs) if len(inputs) > 1 else inputs[0]
+        g.sum(g.pick_neg_log_softmax(self._scores(g, X), target_ids))
         return g
 
     def sentence_loss(self, source_ids, target_ids) -> float:

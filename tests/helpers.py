@@ -1,7 +1,7 @@
 """Shared test oracles: central finite differences against analytic gradients,
 the two-pass pick_neg_log_softmax formula, per-column attention scoring, the
-per-gate recurrent cell, and brute-force and sort-everything references for
-search."""
+per-gate recurrent cell, the per-position output layer, and brute-force and
+sort-everything references for search."""
 
 import copy
 import math
@@ -10,9 +10,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from seqbench.autograd import Parameter
+from seqbench.autograd import Graph, Parameter
 from seqbench.corpus import BOS_ID
-from seqbench.nnet import RecurrentState
+from seqbench.nnet import RecurrentState, _prev_token_rows
 from seqbench.search import Hypothesis, _rescore, _trace_entries, default_max_len
 
 
@@ -137,8 +137,6 @@ def op_gradcheck_shapes(name, rng):
 
 def run_op_gradcheck(name, trials=50):
     """Worst analytic-vs-finite-difference error over random instances of one op."""
-    from seqbench.autograd import Graph
-
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     worst = 0.0
     for _ in range(trials):
@@ -266,6 +264,68 @@ def assert_matches_per_gate_reference(model, stacks, loss_graph):
     for name, expected in grads[1].items():
         gap = np.abs(grads[0][name] - expected).max()
         assert gap <= 1e-12 * np.abs(expected).max(), name
+
+
+def per_position_loss_graph(model, source_ids, target_ids):
+    """Reference encoder-decoder loss graph: every target position gets its
+    own output-layer ``affine`` and ``pick_neg_log_softmax``, and MLP
+    attention its own ``W_a1_src·H`` product, inside the decoder loop."""
+    g = Graph()
+    H, states = model._encode_nodes(g, source_ids)
+    context = (g.input(np.zeros((model.src_dim, 1)))
+               if model.attention != "none" else None)
+    losses, prev = [], BOS_ID
+    for target in target_ids:
+        src = model._source_projection(g, H)
+        x, states, context, _ = model._step_nodes(g, H, prev, states, context, src)
+        losses.append(g.pick_neg_log_softmax(model._scores(g, x), target))
+        prev = target
+    g.sum(g.concat_cols(*losses) if len(losses) > 1 else losses[0])
+    return g
+
+
+def per_position_batch_loss(model, batch):
+    """Reference RNNLM minibatch loss graph: every time step gets its own
+    output-layer ``affine``, ``pick_neg_log_softmax`` and mask ``cmult``."""
+    g = Graph()
+    T, B = batch.token_matrix.shape
+    prev = _prev_token_rows(batch)
+    states = model.rnn.initial_states(g, batch=B)
+    masked_rows = []
+    for t in range(T):
+        x = g.lookup_column(g.param(model.M), [int(i) for i in prev[t]])
+        out, states = model.rnn.step(g, x, states)
+        s = g.affine(g.param(model.b_s), g.param(model.W_hs), out)
+        losses = g.pick_neg_log_softmax(s, [int(i) for i in batch.token_matrix[t]])
+        masked_rows.append(g.cmult(losses, g.input(batch.mask[t].reshape(1, -1))))
+    g.sum(g.concat_cols(*masked_rows) if len(masked_rows) > 1 else masked_rows[0])
+    return g
+
+
+def assert_matches_per_position_reference(model, loss_graph, reference_graph):
+    """``loss_graph()`` has one output layer, and its loss equals that of
+    ``reference_graph()`` to 1e-12 relative; every gradient tensor agrees to
+    1e-10 of its largest entry."""
+    results = []
+    for build in (loss_graph, reference_graph):
+        for p in model.parameters():
+            p.zero_grad()
+        g = build()
+        loss = g.forward()[0, 0]
+        g.backward()
+        results.append((g, loss, [p.grad.copy() for p in model.parameters()]))
+    (g, loss, grads), (_, ref_loss, ref_grads) = results
+    assert output_layer_ops(g, model) == (1, 1)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for p, grad, expected in zip(model.parameters(), grads, ref_grads):
+        assert np.abs(grad - expected).max() <= 1e-10 * np.abs(expected).max(), p.name
+
+
+def output_layer_ops(g, model):
+    """(``W_hs`` affines, ``pick_neg_log_softmax`` nodes) in graph ``g``."""
+    return (sum(node.op == "affine" and any(q.param is model.W_hs for q in node.parents)
+                for node in g.nodes),
+            sum(node.op == "pick_neg_log_softmax" for node in g.nodes))
 
 
 def two_pass_pick_neg_log_softmax(s, targets):

@@ -417,3 +417,20 @@ def test_loglinear_divergence_exit_code(tmp_path, capsys):
                  str(tmp_path / "d.bin"), "--lr", "1e308"])
     assert code == 3
     assert "diverged" in capsys.readouterr().err
+
+
+def test_eval_ppl_of_a_loglinear_model_whose_probability_underflows(tmp_path, capsys):
+    # with one word's W row at 1e4 every other word's probability underflows
+    # to 0: the corpus scores -inf and the perplexity is infinite
+    train = write(tmp_path / "t.txt", "a b c\nb c a\n")
+    model = str(tmp_path / "ll.bin")
+    assert main(["train-loglinear", "--train", train, "--model", model,
+                 "--epochs", "1"]) == 0
+    mf = read_modelfile(model)
+    mf.tensors["W"][load_model(model).vocab.id_of("c"), :] = 1e4
+    write_modelfile(mf, model)
+    capsys.readouterr()
+    assert main(["eval-ppl", "--model", model, "--data", train]) == 0
+    report = read_report(capsys)
+    assert float(report["total_log_likelihood"]) == -math.inf
+    assert float(report["perplexity"]) == math.inf

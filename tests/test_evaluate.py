@@ -63,6 +63,13 @@ def test_perplexity_consistency():
         report.total_log_likelihood / report.word_count, rel=1e-12)
 
 
+def test_perplexity_beyond_float_range_is_infinite():
+    # a per-word log-likelihood below about -709.78 overflows exp
+    for logp in (-2000.0, -math.inf):
+        report = evaluate_ll(CannedModel({("a",): (logp, 2, 0, 0.0)}), [["a"]])
+        assert report.perplexity == math.inf
+
+
 def test_empty_data_rejected():
     with pytest.raises(DataError):
         evaluate_ll(UniformModel(4), [])

@@ -4,8 +4,9 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import (assert_matches_per_gate_reference, max_gradient_error,
-                     per_gate_model)
+from helpers import (assert_matches_per_gate_reference,
+                     assert_matches_per_position_reference, max_gradient_error,
+                     per_gate_model, per_position_batch_loss)
 from seqbench import corpus as C
 from seqbench.autograd import Graph, NonFiniteError, Parameter
 from seqbench.nnet import (CELL_KINDS, FFNNLM, RNNLM, RecurrentCell,
@@ -225,6 +226,30 @@ def test_batched_loss_ffnnlm_matches_per_sentence():
     g = Graph()
     model.batch_loss(g, batch)
     assert g.forward()[0, 0] == pytest.approx(separate, abs=1e-8)
+
+
+@pytest.mark.parametrize("vocab_size", [12, 2000])
+def test_batch_loss_matches_per_position_output_layer(vocab_size):
+    # B=16 with mixed lengths: padded positions are scored and masked out;
+    # at V=2,000 one gemm and T smaller ones may round differently
+    vocab = C.build_vocab([" ".join(f"w{i}" for i in range(vocab_size - 3))])
+    rng = np.random.default_rng(vocab_size)
+    model = RNNLM(vocab, cell="lstm_forget", embed_size=5, hidden_size=8, layers=2,
+                  rng=rng)
+    for p in model.parameters():
+        p.value += rng.uniform(-0.3, 0.3, size=p.value.shape)
+    sents = [[int(i) for i in rng.integers(3, len(vocab), size=rng.integers(1, 9))]
+             + [C.EOS_ID] for _ in range(16)]
+    batch = C.make_batches(sents, 16)[0]
+    assert batch.mask.min() == 0.0 and len(set(batch.true_lengths)) > 2
+
+    def loss_graph():
+        g = Graph()
+        model.batch_loss(g, batch)
+        return g
+
+    assert_matches_per_position_reference(
+        model, loss_graph, lambda: per_position_batch_loss(model, batch))
 
 
 def test_all_padding_column_contributes_zero():

@@ -50,6 +50,39 @@ def test_adam_bias_corrected_trajectory():
     assert p.value[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
+def test_adam_steps_equal_the_textbook_formula_bitwise():
+    # several clipped steps over tensors of different sizes: the scratch
+    # buffers must round exactly as the full-size expression
+    rng = np.random.default_rng(21)
+    shapes = [(5, 3), (7, 1), (1, 4), (2, 2)]
+    values = [rng.normal(size=shape) for shape in shapes]
+    params = [Parameter(f"p{i}", v) for i, v in enumerate(values)]
+    opt = Adam(params, lr=0.003, clip_norm=2.0)
+    ref = [v.copy() for v in values]
+    m = [np.zeros(shape) for shape in shapes]
+    v = [np.zeros(shape) for shape in shapes]
+    clipped_steps = 0
+    for t in range(1, 7):
+        grads = [rng.normal(scale=3.0 if t % 2 else 0.1, size=shape) for shape in shapes]
+        for p, g in zip(params, grads):
+            p.grad[...] = g
+        opt.step()
+        opt.zero_grad()
+        clipped_steps += global_norm(grads) > 2.0
+        clip_gradients(grads, 2.0)
+        for x, mi, vi, g in zip(ref, m, v, grads):
+            mi *= 0.9
+            mi += (1 - 0.9) * g
+            vi *= 0.999
+            vi += (1 - 0.999) * g ** 2
+            m_hat = mi / (1 - 0.9 ** t)
+            v_hat = vi / (1 - 0.999 ** t)
+            x -= 0.003 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        for p, x in zip(params, ref):
+            assert np.array_equal(p.value, x)
+    assert 0 < clipped_steps < 6
+
+
 def test_zero_gradient_leaves_parameters_unchanged():
     for cls in (SGD, Momentum, AdaGrad):
         p = param_with_grad([3.0, -1.0], [0.0, 0.0])

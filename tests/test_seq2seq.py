@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from helpers import (assert_matches_per_gate_reference,
-                     attention_scores_per_column, max_gradient_error)
+                     assert_matches_per_position_reference,
+                     attention_scores_per_column, max_gradient_error,
+                     per_position_loss_graph)
 from seqbench import corpus as C
 from seqbench.autograd import Graph
 from seqbench.nnet import CELL_KINDS, RNNLM
-from seqbench.seq2seq import EncDecModel, Ensemble, train_encdec
+from seqbench.seq2seq import ATTENTION_KINDS, EncDecModel, Ensemble, train_encdec
 from seqbench.optim import Adam
 from seqbench.search import greedy
 
@@ -133,7 +135,9 @@ def test_batched_attention_equals_per_column(kind):
     h_value = rng.normal(size=(model.dec_hidden, 1))
 
     g = Graph()
-    batched = model._attention_scores(g, g.input(H_value), g.input(h_value))
+    H = g.input(H_value)
+    batched = model._attention_scores(g, H, g.input(h_value),
+                                      model._source_projection(g, H))
     cols = [g.input(H_value[:, j:j + 1]) for j in range(4)]
     single = attention_scores_per_column(model, g, cols, g.input(h_value))
     g.forward()
@@ -318,6 +322,36 @@ def test_stacked_encdec_matches_per_gate_reference(kind):
         lambda m: m.loss_graph([3, 4, 5, 3], [4, 6, C.EOS_ID]))
 
 
+@pytest.mark.parametrize("attention", ATTENTION_KINDS)
+@pytest.mark.parametrize("encoder, bridge", [
+    ("forward", "copy"), ("forward", "tanh"), ("reverse", "copy"), ("reverse", "tanh"),
+    ("bidirectional", "concat"), ("bidirectional", "tanh")])
+def test_loss_graph_matches_per_position_output_layer(encoder, bridge, attention):
+    # one output layer over all target positions against one per position
+    src_dim = 8 if encoder == "bidirectional" else 4
+    model = tiny_model(seed=20, encoder=encoder, bridge=bridge, attention=attention,
+                       dec_hidden=src_dim if attention == "dot" else None)
+    rng = np.random.default_rng(21)
+    for p in model.parameters():
+        p.value += rng.uniform(-0.5, 0.5, size=p.value.shape)
+    f, e = [3, 4, 5, 3], [4, 6, 5, 3, C.EOS_ID]
+    assert_matches_per_position_reference(
+        model, lambda: model.loss_graph(f, e),
+        lambda: per_position_loss_graph(model, f, e))
+
+
+def test_wide_vocabulary_loss_graph_matches_per_position_output_layer():
+    # at V=2,000 one gemm and T gemv calls may round differently
+    src = C.build_vocab(["w x y z"])
+    tgt = C.build_vocab([" ".join(f"t{i}" for i in range(2000))])
+    model = EncDecModel(src, tgt, embed_size=6, hidden_size=8, attention="mlp",
+                        rng=np.random.default_rng(22))
+    f, e = [3, 4, 5, 6, 3], [17, 1999, 4, 800, 256, 3, C.EOS_ID]
+    assert_matches_per_position_reference(
+        model, lambda: model.loss_graph(f, e),
+        lambda: per_position_loss_graph(model, f, e))
+
+
 def test_copy_task_graph_sizes(monkeypatch):
     # the copy-task configuration of the benchmark: V=12, H=24, MLP attention
     vocab = C.build_vocab([" ".join(f"s{i}" for i in range(9))])
@@ -336,4 +370,4 @@ def test_copy_task_graph_sizes(monkeypatch):
     model.step([state], [C.BOS_ID])
     nodes, param_nodes = sizes[0]
     assert nodes <= 30 and param_nodes <= 8
-    assert len(model.loss_graph([3, 4, 5, 6, 7], [3, 4, 5, 6, 7, C.EOS_ID]).nodes) <= 193
+    assert len(model.loss_graph([3, 4, 5, 6, 7], [3, 4, 5, 6, 7, C.EOS_ID]).nodes) <= 178
