@@ -1,13 +1,21 @@
-"""Reverse-mode automatic differentiation over explicit computation graphs.
+"""Reverse-mode automatic differentiation over explicit computation graphs,
+and an eager evaluator for work that needs no gradient.
 
 Values are dense float64 numpy arrays of rank 2; column vectors have shape
-(n, 1). A :class:`Graph` is built per training example (or per decode step),
-nodes are appended in construction order, which is already a topological
-order, and two dynamic programs run over the node list:
+(n, 1). A :class:`Graph` is built per training example or minibatch: nodes
+are appended in construction order, which is already a topological order,
+and two dynamic programs run over the node list:
 
 * ``forward()`` evaluates unevaluated nodes in insertion order;
 * ``backward()`` seeds the final scalar node with gradient one and sends each
   node's gradient to its parents in reverse insertion order.
+
+Decoding, scoring and prediction need no gradient, so they run through
+:class:`Eager` instead. It has the graph's op constructors, but each call
+computes its op's value at once and returns it as a plain array: no node is
+created and nothing is kept. Both evaluate every op with the same array
+kernel, so a value is bitwise the same either way, and model code written
+against the constructors serves training and inference alike.
 
 Besides elementwise, matrix and loss ops, two ops serve the recurrent cells:
 ``lstm`` is a whole LSTM cell over stacked gate pre-activations, returning
@@ -21,19 +29,21 @@ gradient slot when their first contribution arrives, and nodes that reach no
 parameter (inputs, masks, zero states and everything computed only from them)
 never get one.
 
-A NaN or Inf is reported as :class:`NonFiniteError` at the node where it first
-appears. Computed nodes are checked as they are evaluated, except the ops in
-``FINITE_PRESERVING_OPS``. A ``parameter`` node asks its :class:`Parameter`,
-which scans its value once and remembers a finite result until
-:meth:`Parameter.changed` is called, so a graph over an unchanged model scans
-no parameter. The library's writers call ``changed()`` after they write:
-``Optimizer.step``, ``EpochTracker.restore_best``, the model-file loader and
-``nnet.train_toy_mlp``. Code outside the library that writes
-``Parameter.value`` in place after the parameter has been used in a graph must
-call ``changed()`` too, or a later NaN or Inf in it goes unreported.
+A NaN or Inf is reported as :class:`NonFiniteError` at the node, or eager op,
+where it first appears. Computed values are checked as they are evaluated,
+except those of the ops in ``FINITE_PRESERVING_OPS``. A parameter is checked
+by its :class:`Parameter`, which scans its value once and remembers a finite
+result until :meth:`Parameter.changed` is called, so evaluating an unchanged
+model scans no parameter. The library's writers call ``changed()`` after they
+write: ``Optimizer.step``, ``EpochTracker.restore_best``, the model-file
+loader and ``nnet.train_toy_mlp``. Code outside the library that writes
+``Parameter.value`` in place after the parameter has been evaluated must call
+``changed()`` too, or a later NaN or Inf in it goes unreported.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -145,9 +155,7 @@ class Graph:
 
     def lookup_column(self, matrix: Node, index) -> Node:
         """Select column(s) of a matrix; ``index`` is an int or sequence of ints."""
-        idx = ([int(index)] if isinstance(index, (int, np.integer))
-               else [int(i) for i in index])
-        return self._add("lookup_column", [matrix], aux=idx)
+        return self._add("lookup_column", [matrix], aux=_column_ids(index))
 
     def matmul(self, a: Node, b: Node) -> Node:
         return self._add("matmul", [a, b])
@@ -163,8 +171,7 @@ class Graph:
         same floating-point results; ``bias`` and any (n,1) product broadcast
         across columns as in :meth:`add`.
         """
-        if not terms or len(terms) % 2:
-            raise GraphError("affine needs one or more (weight, input) pairs")
+        _check_affine_terms(terms)
         return self._add("affine", [bias, *terms])
 
     def cmult(self, a: Node, b: Node) -> Node:
@@ -222,8 +229,8 @@ class Graph:
 
     def pick_neg_log_softmax(self, scores: Node, target) -> Node:
         """Fused -log softmax(scores)[target]; one target id per column."""
-        tgt = [int(target)] if np.isscalar(target) else [int(t) for t in target]
-        return self._add("pick_neg_log_softmax", [scores], aux={"targets": tgt})
+        return self._add("pick_neg_log_softmax", [scores],
+                         aux={"targets": _column_ids(target)})
 
     def squared_distance(self, a: Node, b: Node) -> Node:
         return self._add("squared_distance", [a, b])
@@ -257,13 +264,16 @@ class Graph:
                     compute = _FORWARD.get(op)
                     if compute is None:
                         raise GraphError(f"unknown op {op!r}")
-                    node.value = compute(node)
+                    try:
+                        node.value = compute(node)
+                    except GraphError as exc:
+                        raise GraphError(f"node {i} {exc}") from None
                 if op == "parameter":
                     finite = node.param.is_finite()
                 elif op in FINITE_PRESERVING_OPS:
                     continue
                 else:
-                    finite = np.isfinite(node.value).all()
+                    finite = _all_finite(node.value)
                 if not finite:
                     raise NonFiniteError(f"non-finite value at node {i} ({op})")
         self._next_unevaluated = len(nodes)
@@ -300,97 +310,222 @@ class Graph:
                 _BACKWARD[node.op](node, g)
 
 
-# Ops whose value is finite whenever their inputs are; forward() skips their
-# finite check, so the first non-finite value is still caught at its source.
+class Eager:
+    """Forward-only evaluation through :class:`Graph`'s op constructors.
+
+    Each constructor computes its op's value at once, with the kernel
+    ``Graph.forward`` uses, and returns it as a plain array; no node is
+    created and nothing is kept. Model code that builds training graphs thus
+    decodes and scores without recording one, and gets the same values bit
+    for bit. Values are checked as ``Graph.forward`` checks them, so a NaN or
+    Inf raises :class:`NonFiniteError` at the same first op: a parameter asks
+    :meth:`Parameter.is_finite`, and every op outside
+    ``FINITE_PRESERVING_OPS`` (inputs included) is scanned.
+
+    Evaluate inside ``with Eager() as e:``; there, as in ``Graph.forward``,
+    floating-point overflow raises no warning and is reported as
+    :class:`NonFiniteError` instead.
+    """
+
+    __slots__ = ("_errstate",)
+
+    def __enter__(self):
+        self._errstate = np.errstate(over="ignore")
+        self._errstate.__enter__()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._errstate.__exit__(*exc_info)
+
+    def input(self, values) -> np.ndarray:
+        return _checked(as_col(values), "input")
+
+    def param(self, parameter: Parameter) -> np.ndarray:
+        # the cached verdict first: a decoder step asks for every weight
+        if parameter._known_finite or parameter.is_finite():
+            return parameter.value
+        raise NonFiniteError(f"non-finite value in {parameter.name!r} (parameter)")
+
+    def lookup_column(self, matrix, index) -> np.ndarray:
+        return _lookup_column(matrix, _column_ids(index))
+
+    def matmul(self, a, b) -> np.ndarray:
+        return _checked(_matmul(a, b), "matmul")
+
+    def add(self, a, b) -> np.ndarray:
+        return _checked(_add(a, b), "add")
+
+    def affine(self, bias, *terms) -> np.ndarray:
+        _check_affine_terms(terms)
+        return _checked(_affine((bias, *terms)), "affine")
+
+    def cmult(self, a, b) -> np.ndarray:
+        return _checked(_cmult(a, b), "cmult")
+
+    def concat_rows(self, *parts) -> np.ndarray:
+        return _concat_rows(parts)
+
+    def concat_cols(self, *parts) -> np.ndarray:
+        return _concat_cols(parts)
+
+    def transpose(self, a) -> np.ndarray:
+        return _transpose(a)
+
+    def rows(self, a, start: int, stop: int) -> np.ndarray:
+        return _rows(a, int(start), int(stop))
+
+    def lstm(self, pre, c_prev, forget: bool = True) -> np.ndarray:
+        return _checked(_lstm(pre, c_prev, bool(forget)), "lstm")
+
+    def tanh(self, a) -> np.ndarray:
+        return np.tanh(a)
+
+    def sigmoid(self, a) -> np.ndarray:
+        return _sigmoid(a)
+
+    def relu(self, a) -> np.ndarray:
+        return _relu(a)
+
+    def step(self, a) -> np.ndarray:
+        return _step(a)
+
+    def reshape(self, a, rows: int, cols: int) -> np.ndarray:
+        return _reshape(a, int(rows), int(cols))
+
+    def softmax(self, a) -> np.ndarray:
+        return _softmax(a)
+
+    def pick_neg_log_softmax(self, scores, target) -> np.ndarray:
+        return _checked(_pick_neg_log_softmax(scores, _column_ids(target)),
+                        "pick_neg_log_softmax")
+
+    def squared_distance(self, a, b) -> np.ndarray:
+        return _checked(_squared_distance(a, b), "squared_distance")
+
+    def sum(self, a) -> np.ndarray:
+        return _checked(_sum(a), "sum")
+
+    def scale(self, a, k: float) -> np.ndarray:
+        return _checked(_scale(a, float(k)), "scale")
+
+
+# What model code builds with, and what its op constructors return.
+Evaluator = Graph | Eager
+Value = Node | np.ndarray
+
+
+# Ops whose value is finite whenever their inputs are; neither evaluator checks
+# them, so the first non-finite value is still caught at its source.
 FINITE_PRESERVING_OPS = frozenset({
     "lookup_column", "concat_rows", "concat_cols", "transpose", "reshape",
     "rows", "tanh", "sigmoid", "relu", "step", "softmax"})
+
+
+def _all_finite(value) -> bool:
+    """True when every entry of ``value`` is finite.
+
+    A finite sum of squares proves it in one BLAS call; only when that sum is
+    not finite (a non-finite entry, or squares beyond the float range) are
+    the entries tested one by one.
+    """
+    return math.isfinite(np.vdot(value, value)) or bool(np.isfinite(value).all())
+
+
+def _checked(value, op) -> np.ndarray:
+    if _all_finite(value):
+        return value
+    raise NonFiniteError(f"non-finite value at an eager op ({op})")
+
+
+def _column_ids(index) -> list[int]:
+    """One id, or a sequence of ids, as a list of ints."""
+    if isinstance(index, (int, np.integer)):
+        return [int(index)]
+    return [int(i) for i in index]
+
+
+def _check_affine_terms(terms):
+    if not terms or len(terms) % 2:
+        raise GraphError("affine needs one or more (weight, input) pairs")
 
 
 def _broadcastable(a, b):
     return (a.shape[0] == b.shape[0]) and (a.shape[1] == 1 or b.shape[1] == 1)
 
 
-# ---- forward rules: node -> value ------------------------------------------------
+# ---- kernels: input values (and op settings) -> value ---------------------------
+# The one numeric rule per op; Graph.forward reaches them through _FORWARD,
+# Eager calls them directly. A kernel's GraphError names its op; Graph.forward
+# adds the node.
 
-def _fwd_lookup_column(node):
-    return node.parents[0].value[:, node.aux]
+def _lookup_column(matrix, idx):
+    return matrix[:, idx]
 
 
-def _fwd_matmul(node):
-    a, b = node.parents[0].value, node.parents[1].value
+def _matmul(a, b):
     if a.shape[1] != b.shape[0]:
-        raise GraphError(f"node {node.idx} matmul: {a.shape} x {b.shape} mismatch")
+        raise GraphError(f"matmul: {a.shape} x {b.shape} mismatch")
     return a @ b
 
 
-def _fwd_add(node):
-    a, b = node.parents[0].value, node.parents[1].value
+def _add(a, b):
     if a.shape != b.shape and not _broadcastable(a, b):
-        raise GraphError(f"node {node.idx} add: {a.shape} + {b.shape} mismatch")
+        raise GraphError(f"add: {a.shape} + {b.shape} mismatch")
     return a + b
 
 
-def _fwd_affine(node):
-    parents = node.parents
+def _affine(values):
+    """``values`` is ``bias, W1, x1, W2, x2, ...``."""
     out = None
-    for k in range(1, len(parents), 2):
-        w, x = parents[k].value, parents[k + 1].value
+    for k in range(1, len(values), 2):
+        w, x = values[k], values[k + 1]
         if w.shape[1] != x.shape[0]:
-            raise GraphError(f"node {node.idx} affine: term {k // 2} "
-                             f"{w.shape} x {x.shape} mismatch")
-        out = _sum_into(node, out, w @ x)
-    return _sum_into(node, out, parents[0].value)
+            raise GraphError(f"affine: term {k // 2} {w.shape} x {x.shape} mismatch")
+        out = w @ x if out is None else _sum_into(out, w @ x)
+    return _sum_into(out, values[0])
 
 
-def _sum_into(node, total, term):
+def _sum_into(total, term):
     """``total + term`` with ``add``'s broadcasting, in place when shapes agree."""
-    if total is None:
-        return term
     if total.shape == term.shape:
         total += term
         return total
     if not _broadcastable(total, term):
-        raise GraphError(f"node {node.idx} affine: {total.shape} + {term.shape} mismatch")
+        raise GraphError(f"affine: {total.shape} + {term.shape} mismatch")
     return total + term
 
 
-def _fwd_cmult(node):
-    a, b = node.parents[0].value, node.parents[1].value
+def _cmult(a, b):
     if a.shape != b.shape:
-        raise GraphError(f"node {node.idx} cmult: {a.shape} * {b.shape} mismatch")
+        raise GraphError(f"cmult: {a.shape} * {b.shape} mismatch")
     return a * b
 
 
-def _fwd_concat_rows(node):
-    vals = [p.value for p in node.parents]
-    if len({v.shape[1] for v in vals}) != 1:
-        raise GraphError(f"node {node.idx} concat_rows: column counts differ")
-    node.aux = [v.shape[0] for v in vals]
-    return np.concatenate(vals, axis=0)
+def _concat_rows(parts):
+    if len({v.shape[1] for v in parts}) != 1:
+        raise GraphError("concat_rows: column counts differ")
+    return np.concatenate(parts, axis=0)
 
 
-def _fwd_concat_cols(node):
-    vals = [p.value for p in node.parents]
-    if len({v.shape[0] for v in vals}) != 1:
-        raise GraphError(f"node {node.idx} concat_cols: row counts differ")
-    node.aux = [v.shape[1] for v in vals]
-    return np.concatenate(vals, axis=1)
+def _concat_cols(parts):
+    if len({v.shape[0] for v in parts}) != 1:
+        raise GraphError("concat_cols: row counts differ")
+    return np.concatenate(parts, axis=1)
 
 
-def _fwd_reshape(node):
-    v = node.parents[0].value
-    rows, cols = node.aux
+def _transpose(a):
+    return a.T.copy()
+
+
+def _reshape(v, rows, cols):
     if v.size != rows * cols:
-        raise GraphError(f"node {node.idx} reshape: {v.shape} into ({rows}, {cols})")
+        raise GraphError(f"reshape: {v.shape} into ({rows}, {cols})")
     return v.reshape((rows, cols), order="F")
 
 
-def _fwd_rows(node):
-    v = node.parents[0].value
-    start, stop = node.aux
+def _rows(v, start, stop):
     if not 0 <= start < stop <= v.shape[0]:
-        raise GraphError(f"node {node.idx} rows: {start}:{stop} of {v.shape}")
+        raise GraphError(f"rows: {start}:{stop} of {v.shape}")
     return v[start:stop]
 
 
@@ -402,12 +537,12 @@ def _sigmoid(x, out=None):
     return np.divide(1.0, out, out=out)
 
 
-def _fwd_lstm(node):
-    pre, c_prev = node.parents[0].value, node.parents[1].value
+def _lstm(pre, c_prev, forget, saved=None):
+    """``[h; c]`` of one cell step; keeps the gate activations and tanh(c)
+    for backward in ``saved`` when given."""
     n = c_prev.shape[0]
-    forget = node.aux["forget"]
     if pre.shape != ((4 if forget else 3) * n, c_prev.shape[1]):
-        raise GraphError(f"node {node.idx} lstm: gates {pre.shape} for cell {c_prev.shape}")
+        raise GraphError(f"lstm: gates {pre.shape} for cell {c_prev.shape}")
     act = np.empty_like(pre)
     u, i, o = act[:n], act[n:2 * n], act[-n:]
     np.tanh(pre[:n], out=u)
@@ -417,19 +552,31 @@ def _fwd_lstm(node):
     c += act[2 * n:3 * n] * c_prev if forget else c_prev
     tanh_c = np.tanh(c)
     np.multiply(o, tanh_c, out=out[:n])
-    node.aux["act"], node.aux["tanh_c"] = act, tanh_c
+    if saved is not None:
+        saved["act"], saved["tanh_c"] = act, tanh_c
     return out
 
 
-def _fwd_pick_neg_log_softmax(node):
-    s = node.parents[0].value
-    targets = node.aux["targets"]
+def _relu(a):
+    return np.maximum(a, 0.0)
+
+
+def _step(a):
+    return np.where(a > 0.0, 1.0, -1.0)
+
+
+def _softmax(a):
+    return _softmax_cols(np.asfortranarray(a))
+
+
+def _pick_neg_log_softmax(s, targets, saved=None):
+    """The losses as one row; keeps the softmax for backward in ``saved``
+    when given."""
     if len(targets) != s.shape[1]:
-        raise GraphError(
-            f"node {node.idx} pick_neg_log_softmax: {len(targets)} targets "
-            f"for {s.shape[1]} columns")
-    if np.any(np.isnan(s)):
-        raise GraphError(f"node {node.idx}: NaN scores")
+        raise GraphError(f"pick_neg_log_softmax: {len(targets)} targets "
+                         f"for {s.shape[1]} columns")
+    if np.isnan(s).any():
+        raise GraphError("pick_neg_log_softmax: NaN scores")
     # one max shift, exp and column sum serve both the softmax kept for
     # backward and the log partition function; the shifted scores become the
     # softmax in place, so a wide score matrix is copied once
@@ -437,39 +584,52 @@ def _fwd_pick_neg_log_softmax(node):
     picked = shifted[targets, np.arange(s.shape[1])]
     e = np.exp(shifted, out=shifted)
     z = e.sum(axis=0, keepdims=True)
-    e /= z
-    node.aux["softmax"] = e
+    if saved is not None:
+        e /= z
+        saved["softmax"] = e
     return (np.log(z[0]) - picked).reshape(1, -1)
 
 
-def _fwd_squared_distance(node):
-    a, b = node.parents[0].value, node.parents[1].value
+def _squared_distance(a, b):
     if a.shape != b.shape:
-        raise GraphError(f"node {node.idx} squared_distance: shape mismatch")
+        raise GraphError("squared_distance: shape mismatch")
     return np.array([[np.sum((a - b) ** 2)]])
 
 
+def _sum(a):
+    return np.array([[a.sum()]])
+
+
+def _scale(a, k):
+    return a * k
+
+
+# ---- forward rules: node -> value, through the kernels ---------------------------
+
 _FORWARD = {
-    "lookup_column": _fwd_lookup_column,
-    "matmul": _fwd_matmul,
-    "add": _fwd_add,
-    "affine": _fwd_affine,
-    "cmult": _fwd_cmult,
-    "concat_rows": _fwd_concat_rows,
-    "concat_cols": _fwd_concat_cols,
-    "transpose": lambda node: node.parents[0].value.T.copy(),
-    "reshape": _fwd_reshape,
-    "rows": _fwd_rows,
-    "lstm": _fwd_lstm,
+    "lookup_column": lambda node: _lookup_column(node.parents[0].value, node.aux),
+    "matmul": lambda node: _matmul(node.parents[0].value, node.parents[1].value),
+    "add": lambda node: _add(node.parents[0].value, node.parents[1].value),
+    "affine": lambda node: _affine([p.value for p in node.parents]),
+    "cmult": lambda node: _cmult(node.parents[0].value, node.parents[1].value),
+    "concat_rows": lambda node: _concat_rows([p.value for p in node.parents]),
+    "concat_cols": lambda node: _concat_cols([p.value for p in node.parents]),
+    "transpose": lambda node: _transpose(node.parents[0].value),
+    "reshape": lambda node: _reshape(node.parents[0].value, *node.aux),
+    "rows": lambda node: _rows(node.parents[0].value, *node.aux),
+    "lstm": lambda node: _lstm(node.parents[0].value, node.parents[1].value,
+                               node.aux["forget"], node.aux),
     "tanh": lambda node: np.tanh(node.parents[0].value),
     "sigmoid": lambda node: _sigmoid(node.parents[0].value),
-    "relu": lambda node: np.maximum(node.parents[0].value, 0.0),
-    "step": lambda node: np.where(node.parents[0].value > 0.0, 1.0, -1.0),
-    "softmax": lambda node: _softmax_cols(np.asfortranarray(node.parents[0].value)),
-    "pick_neg_log_softmax": _fwd_pick_neg_log_softmax,
-    "squared_distance": _fwd_squared_distance,
-    "sum": lambda node: np.array([[node.parents[0].value.sum()]]),
-    "scale": lambda node: node.parents[0].value * node.aux,
+    "relu": lambda node: _relu(node.parents[0].value),
+    "step": lambda node: _step(node.parents[0].value),
+    "softmax": lambda node: _softmax(node.parents[0].value),
+    "pick_neg_log_softmax": lambda node: _pick_neg_log_softmax(
+        node.parents[0].value, node.aux["targets"], node.aux),
+    "squared_distance": lambda node: _squared_distance(node.parents[0].value,
+                                                       node.parents[1].value),
+    "sum": lambda node: _sum(node.parents[0].value),
+    "scale": lambda node: _scale(node.parents[0].value, node.aux),
 }
 
 
@@ -570,14 +730,16 @@ def _back_cmult(node, g):
 
 def _back_concat_rows(node, g):
     offset = 0
-    for p, rows in zip(node.parents, node.aux):
+    for p in node.parents:
+        rows = p.value.shape[0]
         _give(p, g[offset:offset + rows, :])
         offset += rows
 
 
 def _back_concat_cols(node, g):
     offset = 0
-    for p, cols in zip(node.parents, node.aux):
+    for p in node.parents:
+        cols = p.value.shape[1]
         _give(p, g[:, offset:offset + cols])
         offset += cols
 
@@ -670,11 +832,12 @@ _BACKWARD = {
 
 
 def _softmax_cols(s: np.ndarray) -> np.ndarray:
-    if np.any(np.isnan(s)):
+    if np.isnan(s).any():
         raise GraphError("NaN input to softmax")
-    shifted = s - s.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    e = s - s.max(axis=0, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=0, keepdims=True)
+    return e
 
 
 def softmax(values) -> np.ndarray:

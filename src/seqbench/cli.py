@@ -16,10 +16,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import corpus as C
+from .autograd import NonFiniteError
 from .corpus import DataError
 from .evaluate import bleu as corpus_bleu
 from .evaluate import evaluate_ll
@@ -66,6 +68,20 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def alpha_list(text: str) -> list[float]:
+    """Comma-separated held-out masses, each in [0, 1]."""
+    values = []
+    for part in text.split(","):
+        try:
+            value = float(part)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {part!r}") from None
+        if not 0.0 <= value <= 1.0:
+            raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
+        values.append(value)
+    return values
+
+
 def build_parser() -> Parser:
     parser = Parser(prog="seqbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -83,7 +99,7 @@ def build_parser() -> Parser:
         p.add_argument("--model", required=True, help="output model path")
         p.add_argument("--metrics", help="per-epoch metrics file "
                                          "(default: MODEL.metrics)")
-        p.add_argument("--epochs", type=int, default=5)
+        p.add_argument("--epochs", type=positive_int, default=5)
         p.add_argument("--lr", type=positive_float, default=0.1)
 
     def neural_flags(p, batch_help="sentences per training minibatch"):
@@ -97,15 +113,15 @@ def build_parser() -> Parser:
                        choices=["keep_all", "replace_singletons", "min_count"],
                        default="replace_singletons")
         p.add_argument("--min-count", type=int, default=2)
-        p.add_argument("--v-all", type=int, default=C.DEFAULT_V_ALL)
+        p.add_argument("--v-all", type=positive_int, default=C.DEFAULT_V_ALL)
 
     p = cmd("train-ngram", help="count-based interpolated n-gram LM")
     p.add_argument("--train", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--alpha", default="0.1",
-                   help="held-out mass, one value or comma list per order")
-    p.add_argument("--v-all", type=int, default=C.DEFAULT_V_ALL)
+    p.add_argument("--order", type=positive_int, default=3)
+    p.add_argument("--alpha", type=alpha_list, default=[0.1],
+                   help="held-out mass in [0, 1], one value or comma list per order")
+    p.add_argument("--v-all", type=positive_int, default=C.DEFAULT_V_ALL)
 
     p = cmd("train-loglinear", help="feature-based LM with SGD")
     train_flags(p)
@@ -118,7 +134,7 @@ def build_parser() -> Parser:
                    choices=["keep_all", "replace_singletons", "min_count"],
                    default="replace_singletons")
     p.add_argument("--min-count", type=int, default=2)
-    p.add_argument("--v-all", type=int, default=C.DEFAULT_V_ALL)
+    p.add_argument("--v-all", type=positive_int, default=C.DEFAULT_V_ALL)
 
     p = cmd("train-ffnnlm", help="feed-forward n-gram neural LM")
     train_flags(p)
@@ -141,7 +157,7 @@ def build_parser() -> Parser:
     p.add_argument("--dev-tgt")
     p.add_argument("--model", required=True)
     p.add_argument("--metrics")
-    p.add_argument("--epochs", type=int, default=5)
+    p.add_argument("--epochs", type=positive_int, default=5)
     p.add_argument("--lr", type=positive_float, default=0.001)
     neural_flags(p, batch_help="accepted and ignored: the encoder-decoder trains "
                                "one sentence at a time")
@@ -227,8 +243,11 @@ def _new_model(cls, *args, **kwargs):
 
 
 def _build_vocab_from(path, policy, min_count, v_all):
-    return C.build_vocab(C.read_token_lines(path), policy=policy,
-                         min_count=min_count, v_all=v_all)
+    try:
+        return C.build_vocab(C.read_token_lines(path), policy=policy,
+                             min_count=min_count, v_all=v_all)
+    except ValueError as exc:       # --v-all not above the vocabulary size
+        raise UsageError(f"--v-all {v_all}: {exc} of {path}") from exc
 
 
 class MetricsLog:
@@ -246,6 +265,17 @@ class MetricsLog:
 
     def close(self):
         self.fh.close()
+
+
+@contextmanager
+def _reported_as_data_error(model_path):
+    """Report a NaN or Inf that a loaded model's finite values produce (an
+    overflow) as a data error naming the model file."""
+    try:
+        yield
+    except NonFiniteError as exc:
+        raise DataError(f"{model_path}: the model's values overflow to a "
+                        f"non-finite number ({exc})") from exc
 
 
 def _write_lines(lines, path):
@@ -270,7 +300,7 @@ def run(argv) -> int:
 
 def cmd_train_ngram(args, rng) -> int:
     lines = C.read_token_lines(args.train)
-    alphas = [float(a) for a in str(args.alpha).split(",")]
+    alphas = args.alpha
     if len(alphas) == 1:
         alphas = alphas * args.order
     if len(alphas) != args.order:
@@ -382,7 +412,8 @@ def cmd_eval_ppl(args, rng) -> int:
         data = [(f.split(), e.split()) for f, e in pairs]
     else:
         data = [line.split() for line in C.read_token_lines(args.data)]
-    report = evaluate_ll(model, data)
+    with _reported_as_data_error(args.model):
+        report = evaluate_ll(model, data)
     _write_lines(report.lines(), args.out)
     return 0
 
@@ -429,7 +460,9 @@ def _decode_corpus(model, args, rng) -> int:
 
 
 def cmd_translate(args, rng) -> int:
-    return _decode_corpus(load_model(args.model), args, rng)
+    model = load_model(args.model)
+    with _reported_as_data_error(args.model):
+        return _decode_corpus(model, args, rng)
 
 
 def cmd_ensemble_translate(args, rng) -> int:
@@ -446,7 +479,8 @@ def cmd_ensemble_translate(args, rng) -> int:
             if vocab.tokens != first_vocab.tokens:
                 raise DataError(f"{path}: {side} vocabulary differs from {paths[0]}'s; "
                                 f"ensemble members must share it")
-    return _decode_corpus(Ensemble(models), args, rng)
+    with _reported_as_data_error(args.models):
+        return _decode_corpus(Ensemble(models), args, rng)
 
 
 def cmd_sample(args, rng) -> int:
@@ -455,9 +489,10 @@ def cmd_sample(args, rng) -> int:
         raise UsageError("sample draws from unconditional language models; "
                          "use translate --search sample for conditional ones")
     out = []
-    for _ in range(args.count):
-        hyp = sample(model, rng=rng, max_len=args.max_len)
-        out.append(" ".join(hyp.surface(model.vocab)))
+    with _reported_as_data_error(args.model):
+        for _ in range(args.count):
+            hyp = sample(model, rng=rng, max_len=args.max_len)
+            out.append(" ".join(hyp.surface(model.vocab)))
     _write_lines(out, args.output)
     return 0
 

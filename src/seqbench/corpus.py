@@ -118,6 +118,8 @@ def build_vocab(lines, policy: str = "keep_all", min_count: int = 2,
             continue
         if counts[tok] >= threshold:
             vocab.add(tok)
+    if v_all <= len(vocab):
+        raise ValueError(f"v_all must exceed the vocabulary size ({len(vocab)})")
     return vocab
 
 

@@ -4,6 +4,10 @@ Contains the recurrent cells (vanilla RNN, LSTM with and without a forget
 gate, GRU), stacking with optional residual connections, a feed-forward
 n-gram LM, a recurrent LM with masked minibatch training, and the two-input
 toy MLP for the equal/unequal function.
+
+Every builder method takes an evaluator ``g``: a :class:`~.autograd.Graph`
+when training needs gradients, an :class:`~.autograd.Eager` for decoding,
+scoring and prediction, which then hands back plain arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Graph, Node, NonFiniteError, Parameter
+from .autograd import Eager, Evaluator, Graph, NonFiniteError, Parameter, Value
 from .corpus import (BOS_ID, MiniBatch, Vocabulary, encode, make_batches,
                      unknown_factor)
 from .optim import EpochTracker, Optimizer, TrainingDivergence, fit
@@ -35,10 +39,11 @@ def embedding_init(rng, rows, cols) -> np.ndarray:
 
 @dataclass
 class RecurrentState:
-    """Hidden state (and memory cell for LSTM kinds) as graph nodes."""
+    """Hidden state (and memory cell for LSTM kinds) as graph nodes, or as
+    arrays under :class:`~.autograd.Eager`."""
 
-    h: Node
-    c: Node | None = None
+    h: Value
+    c: Value | None = None
     batch: int = 1
 
 
@@ -111,7 +116,7 @@ class RecurrentCell:
     def has_cell(self) -> bool:
         return self.kind in ("lstm", "lstm_forget")
 
-    def initial_state(self, g: Graph, batch: int = 1) -> RecurrentState:
+    def initial_state(self, g: Evaluator, batch: int = 1) -> RecurrentState:
         zeros = np.zeros((self.hidden_size, batch))
         c = g.input(zeros) if self.has_cell else None
         return RecurrentState(h=g.input(zeros), c=c, batch=batch)
@@ -120,7 +125,7 @@ class RecurrentCell:
         w_x, w_h, b = (g.param(self.params[key]) for key in keys)
         return g.affine(b, w_x, x, w_h, h)
 
-    def step(self, g: Graph, x: Node, state: RecurrentState) -> RecurrentState:
+    def step(self, g: Evaluator, x: Value, state: RecurrentState) -> RecurrentState:
         if self.has_cell and state.c is None:
             raise ValueError(f"{self.kind} cell requires a memory-cell state")
         h_prev, n = state.h, self.hidden_size
@@ -171,10 +176,10 @@ class StackedRNN:
     def parameters(self):
         return [p for cell in self.cells for p in cell.parameters()]
 
-    def initial_states(self, g: Graph, batch: int = 1) -> list[RecurrentState]:
+    def initial_states(self, g: Evaluator, batch: int = 1) -> list[RecurrentState]:
         return [cell.initial_state(g, batch) for cell in self.cells]
 
-    def step(self, g: Graph, x: Node, states: list[RecurrentState]):
+    def step(self, g: Evaluator, x: Value, states: list[RecurrentState]):
         """Returns (top-layer output node, new per-layer states)."""
         new_states = []
         inp = x
@@ -187,13 +192,13 @@ class StackedRNN:
         return inp, new_states
 
 
-def input_columns(g: Graph, arrays) -> Node:
-    """One graph input holding the (n, 1) ``arrays`` side by side."""
+def input_columns(g: Evaluator, arrays) -> Value:
+    """One input holding the (n, 1) ``arrays`` side by side."""
     return g.input(arrays[0] if len(arrays) == 1 else np.hstack(arrays))
 
 
-def stack_layer_states(g: Graph, states) -> list[RecurrentState]:
-    """Graph inputs holding B states' per-layer (h, c) columns side by side."""
+def stack_layer_states(g: Evaluator, states) -> list[RecurrentState]:
+    """Inputs holding B states' per-layer (h, c) columns side by side."""
     return [RecurrentState(h=input_columns(g, [h for h, _ in layer]),
                            c=None if layer[0][1] is None else
                            input_columns(g, [c for _, c in layer]),
@@ -202,9 +207,9 @@ def stack_layer_states(g: Graph, states) -> list[RecurrentState]:
 
 
 def split_layer_states(layers: list[RecurrentState]) -> list[list]:
-    """Evaluated B-column layer states as B per-column lists of (h, c) arrays."""
-    return [[(st.h.value[:, b:b + 1].copy(),
-              None if st.c is None else st.c.value[:, b:b + 1].copy())
+    """Eagerly evaluated B-column layer states as B per-column lists of
+    (h, c) arrays."""
+    return [[(st.h[:, b:b + 1].copy(), None if st.c is None else st.c[:, b:b + 1].copy())
              for st in layers]
             for b in range(layers[0].batch)]
 
@@ -245,7 +250,7 @@ class FFNNLM:
     def parameters(self):
         return [self.M, self.W_mh, self.b_h, self.W_hs, self.b_s]
 
-    def _scores(self, g: Graph, context_cols: list[list[int]]) -> Node:
+    def _scores(self, g: Evaluator, context_cols: list[list[int]]) -> Value:
         """Score columns for a batch of contexts, one list per slot
         (oldest word first), each list holding one id per batch column."""
         blocks = [g.lookup_column(g.param(self.M), ids) for ids in context_cols]
@@ -254,7 +259,7 @@ class FFNNLM:
         h = g.tanh(pre) if self.nonlinearity == "tanh" else g.relu(pre)
         return g.affine(g.param(self.b_s), g.param(self.W_hs), h)
 
-    def batch_loss(self, g: Graph, batch: MiniBatch) -> Node:
+    def batch_loss(self, g: Evaluator, batch: MiniBatch) -> Value:
         """Masked total NLL over every position of every column."""
         T, B = batch.token_matrix.shape
         prev = _prev_token_rows(batch)
@@ -272,9 +277,8 @@ class FFNNLM:
         return g.sum(masked)
 
     def sentence_nll(self, ids) -> float:
-        g = Graph()
-        loss = self.batch_loss(g, make_batches([list(ids)], 1)[0])
-        return float(g.forward()[0, 0])
+        with Eager() as e:
+            return float(self.batch_loss(e, make_batches([list(ids)], 1)[0])[0, 0])
 
     # predictor protocol: a state is the rolling window of the n-1 previous ids
     def start(self, source_ids=None):
@@ -284,10 +288,9 @@ class FFNNLM:
 
     def step(self, states, prev_ids):
         windows = [tuple(state[1:]) + (prev,) for state, prev in zip(states, prev_ids)]
-        g = Graph()
-        P = g.softmax(self._scores(g, [list(slot) for slot in zip(*windows)]))
-        g.forward()
-        return P.value, windows, None
+        with Eager() as e:
+            P = e.softmax(self._scores(e, [list(slot) for slot in zip(*windows)]))
+        return P, windows, None
 
     def score_sentence(self, tokens):
         return _score_with_unknown_factor(self, tokens)
@@ -315,7 +318,7 @@ class RNNLM:
     def parameters(self):
         return [self.M] + self.rnn.parameters() + [self.W_hs, self.b_s]
 
-    def batch_loss(self, g: Graph, batch: MiniBatch) -> Node:
+    def batch_loss(self, g: Evaluator, batch: MiniBatch) -> Value:
         """Masked total NLL over every position of every column.
 
         The step loop only collects each position's top hidden state; after
@@ -339,9 +342,8 @@ class RNNLM:
         return g.sum(masked)
 
     def sentence_nll(self, ids) -> float:
-        g = Graph()
-        loss = self.batch_loss(g, make_batches([list(ids)], 1)[0])
-        return float(g.forward()[0, 0])
+        with Eager() as e:
+            return float(self.batch_loss(e, make_batches([list(ids)], 1)[0])[0, 0])
 
     # predictor protocol: a state is a list of per-layer (h, c) columns
     def start(self, source_ids=None):
@@ -352,13 +354,12 @@ class RNNLM:
                 for cell in self.rnn.cells]
 
     def step(self, states, prev_ids):
-        g = Graph()
-        layers = stack_layer_states(g, states)
-        x = g.lookup_column(g.param(self.M), prev_ids)
-        out, layers = self.rnn.step(g, x, layers)
-        P = g.softmax(g.affine(g.param(self.b_s), g.param(self.W_hs), out))
-        g.forward()
-        return P.value, split_layer_states(layers), None
+        with Eager() as e:
+            layers = stack_layer_states(e, states)
+            x = e.lookup_column(e.param(self.M), prev_ids)
+            out, layers = self.rnn.step(e, x, layers)
+            P = e.softmax(e.affine(e.param(self.b_s), e.param(self.W_hs), out))
+        return P, split_layer_states(layers), None
 
     def score_sentence(self, tokens):
         return _score_with_unknown_factor(self, tokens)
@@ -412,14 +413,13 @@ class ToyMLP:
     def parameters(self):
         return [self.W_xh, self.b_h, self.w_hy, self.b_y]
 
-    def _output(self, g: Graph, x) -> Node:
+    def _output(self, g: Evaluator, x) -> Value:
         h = g.tanh(g.affine(g.param(self.b_h), g.param(self.W_xh), g.input(x)))
         return g.affine(g.param(self.b_y), g.param(self.w_hy), h)
 
     def predict(self, x) -> float:
-        g = Graph()
-        y = self._output(g, x)
-        return float(g.forward()[0, 0])
+        with Eager() as e:
+            return float(self._output(e, x)[0, 0])
 
 
 def train_toy_mlp(data, hidden_size: int = 20, lr: float = 0.1,

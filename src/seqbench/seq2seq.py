@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Graph, Node, Parameter
+from .autograd import Eager, Evaluator, Graph, Parameter, Value
 from .corpus import BOS_ID, Vocabulary, encode, unknown_factor
 from .nnet import (RecurrentState, StackedRNN, embedding_init, glorot,
                    input_columns, split_layer_states, stack_layer_states)
@@ -144,10 +144,10 @@ class EncDecModel:
 
     # ---- encoding ----------------------------------------------------------
 
-    def _run_direction(self, g: Graph, stack: StackedRNN, ids, reverse: bool):
+    def _run_direction(self, g: Evaluator, stack: StackedRNN, ids, reverse: bool):
         """Top-layer outputs per word position plus the stack's final states."""
         states = stack.initial_states(g)
-        outputs: list[Node | None] = [None] * len(ids)
+        outputs: list[Value | None] = [None] * len(ids)
         order = range(len(ids) - 1, -1, -1) if reverse else range(len(ids))
         for t in order:
             x = g.lookup_column(g.param(self.M_f), ids[t])
@@ -155,7 +155,7 @@ class EncDecModel:
             outputs[t] = out
         return outputs, states
 
-    def _encode_nodes(self, g: Graph, source_ids):
+    def _encode_nodes(self, g: Evaluator, source_ids):
         """Build encoder nodes; returns (H node, decoder initial layer states)."""
         ids = list(source_ids)
         if not ids:
@@ -194,41 +194,37 @@ class EncDecModel:
         return H, init
 
     def encode(self, source_ids) -> SourceEncoding:
-        """Run the encoder and freeze the per-word encodings as numbers.
+        """Run the encoder eagerly and keep the per-word encodings.
 
         MLP attention's source half ``W_a1_src·H`` is the same at every
         decode step, so it is computed here once.
         """
-        g = Graph()
-        H, init = self._encode_nodes(g, source_ids)
-        proj = self._source_projection(g, H)
-        g.forward()
-        layers = [(st.h.value.copy(), None if st.c is None else st.c.value.copy())
-                  for st in init]
-        return SourceEncoding(H=H.value.copy(), init_layers=layers,
-                              source_ids=list(source_ids),
-                              src_proj=None if proj is None else proj.value.copy())
+        with Eager() as e:
+            H, init = self._encode_nodes(e, source_ids)
+            proj = self._source_projection(e, H)
+        return SourceEncoding(H=H, init_layers=[(st.h, st.c) for st in init],
+                              source_ids=list(source_ids), src_proj=proj)
 
     # ---- attention ---------------------------------------------------------
 
-    def _source_projection(self, g: Graph, H: Node) -> Node | None:
+    def _source_projection(self, g: Evaluator, H: Value) -> Value | None:
         """MLP attention's source half ``W_a1_src·H``, the same at every
         decoder step; None for the other kinds."""
         if self.attention != "mlp":
             return None
         return g.matmul(g.param(self.W_a1_src), H)
 
-    def _attention_scores(self, g: Graph, H: Node, h_dec: Node,
-                          src: Node | None = None, batch: int = 1) -> Node:
+    def _attention_scores(self, g: Evaluator, H: Value, h_dec: Value,
+                          src: Value | None = None, batch: int = 1) -> Value:
         """Score every source column against each of the ``batch`` decoder
         states in the columns of ``h_dec``; the result is |F| x ``batch``.
 
         MLP attention takes its source half ``W_a1_src·H`` from the caller as
-        the node ``src``, built once per graph: :meth:`_source_projection` in
-        training graphs, an input holding the frozen projection once per
-        decoder column (|K| x |F|·``batch``) in decode graphs. The other
+        ``src``, built once per evaluation: :meth:`_source_projection` in
+        training graphs, an input holding the encoding's projection once per
+        decoder column (|K| x |F|·``batch``) in decoder steps. The other
         kinds ignore it. With ``batch`` > 1, ``H`` must be an input, as it is
-        in decode graphs.
+        in decoder steps.
         """
         if self.attention == "dot":
             return g.matmul(g.transpose(H), h_dec)
@@ -237,7 +233,7 @@ class EncDecModel:
                             g.matmul(g.param(self.W_a), h_dec))
         dec = g.matmul(g.param(self.W_a1_dec), h_dec)
         if batch > 1:   # column b * |F| + j pairs decoder state b with source word j
-            n_src = H.value.shape[1]
+            n_src = H.shape[1]
             dec = g.lookup_column(dec, [b for b in range(batch) for _ in range(n_src)])
         # with one decoder column, it broadcasts over the source words
         scores = g.matmul(g.transpose(g.param(self.w_a2)), g.tanh(g.add(dec, src)))
@@ -247,12 +243,12 @@ class EncDecModel:
 
     # ---- decoding ----------------------------------------------------------
 
-    def _scores(self, g: Graph, x: Node) -> Node:
+    def _scores(self, g: Evaluator, x: Value) -> Value:
         """The output layer: next-word scores for every column of ``x``."""
         return g.affine(g.param(self.b_s), g.param(self.W_hs), x)
 
-    def _step_nodes(self, g: Graph, H: Node | None, prev_ids, states,
-                    context: Node | None, src: Node | None = None):
+    def _step_nodes(self, g: Evaluator, H: Value | None, prev_ids, states,
+                    context: Value | None, src: Value | None = None):
         """One decoder step for the B columns of ``states``, fed ``prev_ids``
         (an id, or a list of B ids); returns (output-layer input, new states,
         context, alpha). The output-layer input is ``[h; context]`` with
@@ -280,35 +276,39 @@ class EncDecModel:
         """Predictor protocol: one decoder call for the hypotheses ``states``,
         which all decode the same source; see :mod:`seqbench.search`."""
         encoding = states[0].encoding
-        g = Graph()
-        layers = stack_layer_states(g, [st.layers for st in states])
-        H = context = src = None
-        if self.attention != "none":
-            H = g.input(encoding.H)
-            context = input_columns(g, [st.context for st in states])
-        if encoding.src_proj is not None:
-            src = input_columns(g, [encoding.src_proj] * len(states))
-        x, new_layers, new_context, alpha = self._step_nodes(
-            g, H, prev_ids, layers, context, src)
-        P = g.softmax(self._scores(g, x))
-        g.forward()
-        contexts = [None if new_context is None else new_context.value[:, b:b + 1].copy()
+        with Eager() as e:
+            layers = stack_layer_states(e, [st.layers for st in states])
+            H = context = src = None
+            if self.attention != "none":
+                H = e.input(encoding.H)
+                context = input_columns(e, [st.context for st in states])
+            if encoding.src_proj is not None:
+                src = input_columns(e, [encoding.src_proj] * len(states))
+            x, new_layers, new_context, alpha = self._step_nodes(
+                e, H, prev_ids, layers, context, src)
+            P = e.softmax(self._scores(e, x))
+        contexts = [None if new_context is None else new_context[:, b:b + 1].copy()
                     for b in range(len(states))]
         new_states = [EncDecState(encoding=encoding, layers=cols, context=ctx)
                       for cols, ctx in zip(split_layer_states(new_layers), contexts)]
-        return P.value, new_states, None if alpha is None else alpha.value
+        return P, new_states, alpha
 
     # ---- training / scoring -------------------------------------------------
 
     def loss_graph(self, source_ids, target_ids) -> Graph:
-        """Unrolled NLL graph of an EOS-terminated target given the source.
+        """Unrolled NLL graph of an EOS-terminated target given the source."""
+        g = Graph()
+        self._loss(g, source_ids, target_ids)
+        return g
+
+    def _loss(self, g: Evaluator, source_ids, target_ids) -> Value:
+        """The NLL of an EOS-terminated target given the source.
 
         The decoder loop only collects each position's output-layer input;
         after it, one ``affine`` scores all T positions as the columns of one
         matrix and one ``pick_neg_log_softmax`` takes every target's loss, so
         backward forms ``W_hs``'s gradient in one product.
         """
-        g = Graph()
         H, states = self._encode_nodes(g, source_ids)
         context = (g.input(np.zeros((self.src_dim, 1)))
                    if self.attention != "none" else None)
@@ -320,12 +320,11 @@ class EncDecModel:
             inputs.append(x)
             prev = target
         X = g.concat_cols(*inputs) if len(inputs) > 1 else inputs[0]
-        g.sum(g.pick_neg_log_softmax(self._scores(g, X), target_ids))
-        return g
+        return g.sum(g.pick_neg_log_softmax(self._scores(g, X), target_ids))
 
     def sentence_loss(self, source_ids, target_ids) -> float:
-        g = self.loss_graph(source_ids, target_ids)
-        return float(g.forward()[0, 0])
+        with Eager() as e:
+            return float(self._loss(e, source_ids, target_ids)[0, 0])
 
     def score_pair(self, src_tokens, tgt_tokens):
         """(log-prob, word count, unk count, unk log portion) for surface pairs."""

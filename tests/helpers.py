@@ -1,7 +1,8 @@
 """Shared test oracles: central finite differences against analytic gradients,
 the two-pass pick_neg_log_softmax formula, per-column attention scoring, the
-per-gate recurrent cell, the per-position output layer, and brute-force and
-sort-everything references for search."""
+per-gate recurrent cell, the per-position output layer, graph-built
+references for the eager evaluator, and brute-force and sort-everything
+references for search."""
 
 import copy
 import math
@@ -11,8 +12,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from seqbench.autograd import Graph, Parameter
-from seqbench.corpus import BOS_ID
-from seqbench.nnet import RecurrentState, _prev_token_rows
+from seqbench.corpus import BOS_ID, make_batches
+from seqbench.nnet import (RecurrentState, _prev_token_rows, input_columns,
+                           stack_layer_states)
 from seqbench.search import Hypothesis, _rescore, _trace_entries, default_max_len
 
 
@@ -91,10 +93,13 @@ OP_GRADCHECK_CASES = {
         g.tanh(g.param(ps[0])), [1, 0, 1]),
     "scale": lambda g, ps: g.scale(g.param(ps[0]), 1.7),
     "affine": lambda g, ps: g.affine(*[g.param(p) for p in ps]),
-    "lstm": lambda g, ps: padding_masked(g, g.lstm(g.param(ps[0]), g.param(ps[1]))),
+    "lstm": lambda g, ps: padding_masked(g, g.lstm(g.param(ps[0]), g.param(ps[1])),
+                                         (2 * ps[1].value.shape[0], ps[1].value.shape[1])),
     "lstm_no_forget": lambda g, ps: padding_masked(
-        g, g.lstm(g.param(ps[0]), g.param(ps[1]), forget=False)),
-    "rows": lambda g, ps: padding_masked(g, overlapping_rows(g, g.tanh(g.param(ps[0])))),
+        g, g.lstm(g.param(ps[0]), g.param(ps[1]), forget=False),
+        (2 * ps[1].value.shape[0], ps[1].value.shape[1])),
+    "rows": lambda g, ps: padding_masked(g, overlapping_rows(g, g.tanh(g.param(ps[0]))),
+                                         (2, ps[0].value.shape[1])),
 }
 
 
@@ -103,11 +108,10 @@ def overlapping_rows(g, node):
     return g.add(g.rows(node, 0, 2), g.rows(node, 1, 3))
 
 
-def padding_masked(g, node):
-    """``node`` times a mask that zeroes its last column, as a padded
-    position of a minibatch is masked; evaluates the graph so far."""
-    g.forward()
-    mask = np.ones(node.value.shape)
+def padding_masked(g, node, shape):
+    """``node``, of ``shape``, times a mask that zeroes its last column, as a
+    padded position of a minibatch is masked."""
+    mask = np.ones(shape)
     mask[:, -1] = 0.0
     return g.cmult(node, g.input(mask))
 
@@ -355,6 +359,77 @@ def attention_scores_per_column(model, g, H_cols, h_dec):
                         g.matmul(g.param(model.W_a1_src), col))
             scores.append(g.sum(g.cmult(g.param(model.w_a2), g.tanh(pre))))
     return g.concat_rows(*scores) if len(scores) > 1 else scores[0]
+
+
+def graph_encode(model, source_ids):
+    """``EncDecModel.encode`` through a :class:`Graph`: (H, the decoder's
+    initial (h, c) per layer, MLP attention's source projection or None)."""
+    g = Graph()
+    H, init = model._encode_nodes(g, source_ids)
+    proj = model._source_projection(g, H)
+    g.forward()
+    return (H.value, [(st.h.value, None if st.c is None else st.c.value) for st in init],
+            None if proj is None else proj.value)
+
+
+def graph_layer_columns(layers):
+    """A graph's evaluated B-column layer states as B per-column lists of (h, c)."""
+    return [[(st.h.value[:, b:b + 1], None if st.c is None else st.c.value[:, b:b + 1])
+             for st in layers]
+            for b in range(layers[0].batch)]
+
+
+def graph_encdec_step(model, states, prev_ids):
+    """``EncDecModel.step`` through a :class:`Graph`: (P, per-column layer
+    states, the new context columns or None, alpha or None)."""
+    encoding = states[0].encoding
+    g = Graph()
+    layers = stack_layer_states(g, [st.layers for st in states])
+    H = context = src = None
+    if model.attention != "none":
+        H = g.input(encoding.H)
+        context = input_columns(g, [st.context for st in states])
+    if encoding.src_proj is not None:
+        src = input_columns(g, [encoding.src_proj] * len(states))
+    x, new_layers, new_context, alpha = model._step_nodes(g, H, prev_ids, layers,
+                                                          context, src)
+    P = g.softmax(model._scores(g, x))
+    g.forward()
+    return (P.value, graph_layer_columns(new_layers),
+            None if new_context is None else new_context.value,
+            None if alpha is None else alpha.value)
+
+
+def graph_rnnlm_step(model, states, prev_ids):
+    """``RNNLM.step`` through a :class:`Graph`: (P, per-column layer states)."""
+    g = Graph()
+    layers = stack_layer_states(g, states)
+    x = g.lookup_column(g.param(model.M), prev_ids)
+    out, layers = model.rnn.step(g, x, layers)
+    P = g.softmax(g.affine(g.param(model.b_s), g.param(model.W_hs), out))
+    g.forward()
+    return P.value, graph_layer_columns(layers)
+
+
+def graph_ffnnlm_step(model, states, prev_ids):
+    """``FFNNLM.step``'s distribution through a :class:`Graph`."""
+    windows = [tuple(state[1:]) + (prev,) for state, prev in zip(states, prev_ids)]
+    g = Graph()
+    g.softmax(model._scores(g, [list(slot) for slot in zip(*windows)]))
+    return g.forward()
+
+
+def graph_sentence_nll(model, ids):
+    """An LM's ``sentence_nll`` through a :class:`Graph`."""
+    g = Graph()
+    model.batch_loss(g, make_batches([list(ids)], 1)[0])
+    return g.forward()[0, 0]
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bit-identical entries (so -0.0 differs from 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 EOS_ID = 1   # mirrors the package-wide reserved id

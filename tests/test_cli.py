@@ -434,3 +434,83 @@ def test_eval_ppl_of_a_loglinear_model_whose_probability_underflows(tmp_path, ca
     report = read_report(capsys)
     assert float(report["total_log_likelihood"]) == -math.inf
     assert float(report["perplexity"]) == math.inf
+
+
+def overflowing_copy(model_path, tmp_path, names):
+    """A copy of the model file whose tensors ``names`` (prefixes) hold 1e308:
+    finite values whose products overflow."""
+    mf = read_modelfile(model_path)
+    hit = [name for name in mf.tensors if name.startswith(names)]
+    assert hit
+    for name in hit:
+        mf.tensors[name] = np.full(mf.tensors[name].shape, 1e308)
+    path = str(tmp_path / "overflow.bin")
+    write_modelfile(mf, path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["translate", "ensemble-translate", "eval-ppl"])
+def test_overflow_in_a_conditional_model_is_data_error(translation_setup, capsys,
+                                                       command):
+    tmp_path, model, inputs = translation_setup
+    broken = overflowing_copy(model, tmp_path, ("M_f", "enc_fwd.l0.W_x"))
+    args = {"translate": ["--model", broken, "--input", inputs],
+            "ensemble-translate": ["--models", f"{model},{broken}", "--input", inputs],
+            "eval-ppl": ["--model", broken, "--data", inputs, "--source", inputs]}
+    assert main([command, *args[command]]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "overflow.bin" in err and "overflow" in err
+
+
+def test_overflow_in_a_sampled_language_model_is_data_error(tmp_path, capsys):
+    vocab = C.build_vocab(["a b c"])
+    model = str(tmp_path / "lm.bin")
+    save_model(RNNLM(vocab, cell="lstm", embed_size=3, hidden_size=4), model)
+    broken = overflowing_copy(model, tmp_path, ("M", "rnn.l0.W_x"))
+    assert main(["sample", "--model", broken, "--count", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "overflow.bin" in err
+
+
+@pytest.mark.parametrize("flags", [["--order", "0"], ["--alpha", "x"],
+                                   ["--alpha", "2.0"], ["--alpha", "0.1,-0.5,0.2"]])
+def test_train_ngram_rejects_bad_order_and_alpha(toy_corpus, capsys, flags):
+    tmp_path, train = toy_corpus
+    model = tmp_path / "bad.bin"
+    assert main(["train-ngram", "--train", train, "--model", str(model), *flags]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and flags[0] in err
+    assert not model.exists()
+
+
+def training_inputs(command, train):
+    return (["--train-src", train, "--train-tgt", train] if command == "train-encdec"
+            else ["--train", train])
+
+
+@pytest.mark.parametrize("command", ["train-ngram", "train-loglinear", "train-ffnnlm",
+                                     "train-rnnlm", "train-encdec"])
+@pytest.mark.parametrize("v_all", ["5", "4", "0"])
+def test_v_all_not_above_the_vocabulary_size_is_usage_error(toy_corpus, capsys,
+                                                            command, v_all):
+    tmp_path, train = toy_corpus           # a, b and the three reserved symbols
+    model = tmp_path / "bad.bin"
+    policy = [] if command == "train-ngram" else ["--unk-policy", "keep_all"]
+    assert main([command, *training_inputs(command, train), "--model", str(model),
+                 "--v-all", v_all, *policy]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--v-all" in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("command", ["train-loglinear", "train-ffnnlm", "train-rnnlm",
+                                     "train-encdec"])
+@pytest.mark.parametrize("epochs", ["0", "-1"])
+def test_training_rejects_non_positive_epochs(toy_corpus, capsys, command, epochs):
+    tmp_path, train = toy_corpus
+    model = tmp_path / "bad.bin"
+    assert main([command, *training_inputs(command, train), "--model", str(model),
+                 "--epochs", epochs]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--epochs" in err and "must be >= 1" in err
+    assert not model.exists()

@@ -45,6 +45,10 @@ def test_vocabulary_invariants_enforced():
         C.Vocabulary(tokens=["a", C.EOS, C.UNK])
     with pytest.raises(ValueError, match="v_all"):
         C.Vocabulary(tokens=[C.BOS, C.EOS, C.UNK, "a"], v_all=4)
+    # the tokens a corpus adds count too, not only the reserved three
+    with pytest.raises(ValueError, match="v_all"):
+        C.build_vocab(["a b c"], v_all=6)
+    assert len(C.build_vocab(["a b c"], v_all=7)) == 6
 
 
 def test_encode_oov_and_eos():
