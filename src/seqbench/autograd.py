@@ -11,11 +11,17 @@ and two dynamic programs run over the node list:
   node's gradient to its parents in reverse insertion order.
 
 Decoding, scoring and prediction need no gradient, so they run through
-:class:`Eager` instead. It has the graph's op constructors, but each call
-computes its op's value at once and returns it as a plain array: no node is
-created and nothing is kept. Both evaluate every op with the same array
-kernel, so a value is bitwise the same either way, and model code written
-against the constructors serves training and inference alike.
+:class:`Eager` instead, which computes each op's value at once and returns it
+as a plain array: no node is created and nothing is kept.
+
+Both evaluators share one op surface, :class:`Ops`. Each op constructor names
+its kernel (a function from input values and settings to the value), its
+parents and its settings, and hands them to the evaluator's ``_op``: a graph
+appends a node that ``forward()`` later runs through the kernel, the eager
+evaluator calls the kernel there and then. A value is thus bitwise the same
+either way, and model code written against the constructors serves training
+and inference alike. Adding an op means one kernel, one constructor on
+:class:`Ops` and one rule in ``_BACKWARD``.
 
 Besides elementwise, matrix and loss ops, two ops serve the recurrent cells:
 ``lstm`` is a whole LSTM cell over stacked gate pre-activations, returning
@@ -31,10 +37,11 @@ never get one.
 
 A NaN or Inf is reported as :class:`NonFiniteError` at the node, or eager op,
 where it first appears. Computed values are checked as they are evaluated,
-except those of the ops in ``FINITE_PRESERVING_OPS``. A parameter is checked
-by its :class:`Parameter`, which scans its value once and remembers a finite
-result until :meth:`Parameter.changed` is called, so evaluating an unchanged
-model scans no parameter. The library's writers call ``changed()`` after they
+except those of the ops in ``FINITE_PRESERVING_OPS``, the one check policy of
+both evaluators. A parameter is checked by its :class:`Parameter`, which
+scans its value once and remembers a finite result until
+:meth:`Parameter.changed` is called, so evaluating an unchanged model scans
+no parameter. The library's writers call ``changed()`` after they
 write: ``Optimizer.step``, ``EpochTracker.restore_best``, the model-file
 loader and ``nnet.train_toy_mlp``. Code outside the library that writes
 ``Parameter.value`` in place after the parameter has been evaluated must call
@@ -44,6 +51,7 @@ loader and ``nnet.train_toy_mlp``. Code outside the library that writes
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 import numpy as np
 
@@ -100,16 +108,20 @@ class NonFiniteError(GraphError):
 
 
 class Node:
-    __slots__ = ("idx", "op", "parents", "value", "grad", "aux", "param",
-                 "needs_grad")
+    """One value of a graph: an input, a parameter, or ``kernel`` applied to
+    the parents' values followed by ``settings``."""
 
-    def __init__(self, idx, op, parents, aux=None, param=None):
+    __slots__ = ("idx", "op", "kernel", "parents", "settings", "value", "grad",
+                 "param", "needs_grad")
+
+    def __init__(self, idx, op, kernel, parents, settings=(), param=None):
         self.idx = idx
         self.op = op
+        self.kernel = kernel
         self.parents = parents
+        self.settings = settings
         self.value = None
         self.grad = None
-        self.aux = aux
         self.param = param
         # True when some parameter lies upstream, so a gradient is worth sending
         self.needs_grad = param is not None
@@ -123,7 +135,109 @@ class Node:
         return None if self.value is None else self.value.shape
 
 
-class Graph:
+class Ops:
+    """The computed ops, defined once for :class:`Graph` and :class:`Eager`.
+
+    Each constructor hands ``self._op(op name, kernel, parents, *settings)``
+    to its evaluator, which returns a node or a value.
+    """
+
+    __slots__ = ()
+
+    def lookup_column(self, matrix, index):
+        """Select column(s) of a matrix; ``index`` is an int or sequence of ints."""
+        return self._op("lookup_column", _lookup_column, (matrix,), _column_ids(index))
+
+    def matmul(self, a, b):
+        return self._op("matmul", _matmul, (a, b))
+
+    def add(self, a, b):
+        """Elementwise sum; a (n,1) operand broadcasts across (n, m)."""
+        return self._op("add", _add, (a, b))
+
+    def affine(self, bias, *terms):
+        """``((W1 @ x1 + W2 @ x2) + ...) + bias`` for ``terms = W1, x1, W2, x2, ...``.
+
+        One op in place of the equivalent ``matmul``/``add`` chain, with the
+        same floating-point results; ``bias`` and any (n,1) product broadcast
+        across columns as in :meth:`add`.
+        """
+        if not terms or len(terms) % 2:
+            raise GraphError("affine needs one or more (weight, input) pairs")
+        return self._op("affine", _affine, (bias, *terms))
+
+    def cmult(self, a, b):
+        return self._op("cmult", _cmult, (a, b))
+
+    def concat_rows(self, *parts):
+        return self._op("concat_rows", _concat_rows, parts)
+
+    def concat_cols(self, *parts):
+        return self._op("concat_cols", _concat_cols, parts)
+
+    def transpose(self, a):
+        return self._op("transpose", _transpose, (a,))
+
+    def rows(self, a, start: int, stop: int):
+        """Rows ``start:stop`` of ``a``."""
+        return self._op("rows", _rows, (a,), int(start), int(stop))
+
+    def lstm(self, pre, c_prev, forget: bool = True):
+        """One fused LSTM cell step; the value is ``[h; c]`` (2n x B).
+
+        ``pre`` holds the gate pre-activations as n-row blocks, u, i, f, o
+        (u, i, o when ``forget`` is false), for the n x B memory cell
+        ``c_prev``. With u = tanh, the other gates sigmoid:
+        c = i*u + f*c_prev (i*u + c_prev without a forget gate) and
+        h = o*tanh(c), rounded exactly as separate ``tanh``, ``sigmoid``,
+        ``cmult`` and ``add`` ops would round them.
+        """
+        return self._op("lstm", _lstm, (pre, c_prev), bool(forget), self._saved())
+
+    def tanh(self, a):
+        return self._op("tanh", np.tanh, (a,))
+
+    def sigmoid(self, a):
+        return self._op("sigmoid", _sigmoid, (a,))
+
+    def relu(self, a):
+        return self._op("relu", _relu, (a,))
+
+    def step(self, a):
+        return self._op("step", _step, (a,))
+
+    def reshape(self, a, rows: int, cols: int):
+        """The entries of ``a`` in column-major order, refilled into a
+        ``rows`` x ``cols`` matrix column by column."""
+        return self._op("reshape", _reshape, (a,), int(rows), int(cols))
+
+    def softmax(self, a):
+        """Column-wise softmax: every column of the result sums to one.
+
+        Each column is reduced as one contiguous block, so a column rounds
+        exactly as it would in a one-column softmax.
+        """
+        return self._op("softmax", _softmax, (a,))
+
+    def pick_neg_log_softmax(self, scores, target):
+        """Fused -log softmax(scores)[target]; one target id per column."""
+        return self._op("pick_neg_log_softmax", _pick_neg_log_softmax, (scores,),
+                        _column_ids(target), self._saved())
+
+    def squared_distance(self, a, b):
+        return self._op("squared_distance", _squared_distance, (a, b))
+
+    def sum(self, a):
+        return self._op("sum", _sum, (a,))
+
+    def scale(self, a, k: float):
+        return self._op("scale", _scale, (a,), float(k))
+
+
+_value = attrgetter("value")
+
+
+class Graph(Ops):
     """Append-only DAG of value nodes; create one per example or minibatch."""
 
     def __init__(self):
@@ -132,15 +246,17 @@ class Graph:
         self._next_unevaluated = 0
         self._backward_done = False
 
-    def _add(self, op, parents, aux=None, param=None) -> Node:
-        node = Node(len(self.nodes), op, parents, aux=aux, param=param)
+    def _op(self, op, kernel, parents, *settings) -> Node:
+        node = Node(len(self.nodes), op, kernel, parents, settings)
         self.nodes.append(node)
         return node
 
-    # ---- node constructors -------------------------------------------------
+    def _saved(self) -> dict:
+        """Where a node's kernel keeps what backward needs."""
+        return {}
 
     def input(self, values) -> Node:
-        node = self._add("input", [])
+        node = self._op("input", None, ())
         node.value = as_col(values)
         return node
 
@@ -148,100 +264,11 @@ class Graph:
         """The graph's one node for ``parameter``, added on first use."""
         node = self._params.get(id(parameter))
         if node is None:
-            node = self._add("parameter", [], param=parameter)
+            node = Node(len(self.nodes), "parameter", None, (), param=parameter)
             node.value = parameter.value
+            self.nodes.append(node)
             self._params[id(parameter)] = node
         return node
-
-    def lookup_column(self, matrix: Node, index) -> Node:
-        """Select column(s) of a matrix; ``index`` is an int or sequence of ints."""
-        return self._add("lookup_column", [matrix], aux=_column_ids(index))
-
-    def matmul(self, a: Node, b: Node) -> Node:
-        return self._add("matmul", [a, b])
-
-    def add(self, a: Node, b: Node) -> Node:
-        """Elementwise sum; a (n,1) operand broadcasts across (n, m)."""
-        return self._add("add", [a, b])
-
-    def affine(self, bias: Node, *terms: Node) -> Node:
-        """``((W1 @ x1 + W2 @ x2) + ...) + bias`` for ``terms = W1, x1, W2, x2, ...``.
-
-        One node in place of the equivalent ``matmul``/``add`` chain, with the
-        same floating-point results; ``bias`` and any (n,1) product broadcast
-        across columns as in :meth:`add`.
-        """
-        _check_affine_terms(terms)
-        return self._add("affine", [bias, *terms])
-
-    def cmult(self, a: Node, b: Node) -> Node:
-        return self._add("cmult", [a, b])
-
-    def concat_rows(self, *parts: Node) -> Node:
-        return self._add("concat_rows", list(parts))
-
-    def concat_cols(self, *parts: Node) -> Node:
-        return self._add("concat_cols", list(parts))
-
-    def transpose(self, a: Node) -> Node:
-        return self._add("transpose", [a])
-
-    def rows(self, a: Node, start: int, stop: int) -> Node:
-        """Rows ``start:stop`` of ``a``."""
-        return self._add("rows", [a], aux=(int(start), int(stop)))
-
-    def lstm(self, pre: Node, c_prev: Node, forget: bool = True) -> Node:
-        """One fused LSTM cell step; the value is ``[h; c]`` (2n x B).
-
-        ``pre`` holds the gate pre-activations as n-row blocks, u, i, f, o
-        (u, i, o when ``forget`` is false), for the n x B memory cell
-        ``c_prev``. With u = tanh, the other gates sigmoid:
-        c = i*u + f*c_prev (i*u + c_prev without a forget gate) and
-        h = o*tanh(c), rounded exactly as separate ``tanh``, ``sigmoid``,
-        ``cmult`` and ``add`` nodes would round them.
-        """
-        return self._add("lstm", [pre, c_prev], aux={"forget": bool(forget)})
-
-    def tanh(self, a: Node) -> Node:
-        return self._add("tanh", [a])
-
-    def sigmoid(self, a: Node) -> Node:
-        return self._add("sigmoid", [a])
-
-    def relu(self, a: Node) -> Node:
-        return self._add("relu", [a])
-
-    def step(self, a: Node) -> Node:
-        return self._add("step", [a])
-
-    def reshape(self, a: Node, rows: int, cols: int) -> Node:
-        """The entries of ``a`` in column-major order, refilled into a
-        ``rows`` x ``cols`` matrix column by column."""
-        return self._add("reshape", [a], aux=(int(rows), int(cols)))
-
-    def softmax(self, a: Node) -> Node:
-        """Column-wise softmax: every column of the result sums to one.
-
-        Each column is reduced as one contiguous block, so a column rounds
-        exactly as it would in a one-column softmax.
-        """
-        return self._add("softmax", [a])
-
-    def pick_neg_log_softmax(self, scores: Node, target) -> Node:
-        """Fused -log softmax(scores)[target]; one target id per column."""
-        return self._add("pick_neg_log_softmax", [scores],
-                         aux={"targets": _column_ids(target)})
-
-    def squared_distance(self, a: Node, b: Node) -> Node:
-        return self._add("squared_distance", [a, b])
-
-    def sum(self, a: Node) -> Node:
-        return self._add("sum", [a])
-
-    def scale(self, a: Node, k: float) -> Node:
-        return self._add("scale", [a], aux=float(k))
-
-    # ---- execution ---------------------------------------------------------
 
     def forward(self) -> np.ndarray:
         """Evaluate all unevaluated nodes in insertion order; return the last value.
@@ -261,11 +288,9 @@ class Graph:
                 node = nodes[i]
                 op = node.op
                 if node.value is None:
-                    compute = _FORWARD.get(op)
-                    if compute is None:
-                        raise GraphError(f"unknown op {op!r}")
                     try:
-                        node.value = compute(node)
+                        node.value = node.kernel(*map(_value, node.parents),
+                                                 *node.settings)
                     except GraphError as exc:
                         raise GraphError(f"node {i} {exc}") from None
                 if op == "parameter":
@@ -310,8 +335,8 @@ class Graph:
                 _BACKWARD[node.op](node, g)
 
 
-class Eager:
-    """Forward-only evaluation through :class:`Graph`'s op constructors.
+class Eager(Ops):
+    """Forward-only evaluation through the :class:`Ops` constructors.
 
     Each constructor computes its op's value at once, with the kernel
     ``Graph.forward`` uses, and returns it as a plain array; no node is
@@ -337,76 +362,24 @@ class Eager:
     def __exit__(self, *exc_info):
         self._errstate.__exit__(*exc_info)
 
+    def _op(self, op, kernel, parents, *settings) -> np.ndarray:
+        # most ops have no settings, and then an empty star-merge costs time
+        value = kernel(*parents, *settings) if settings else kernel(*parents)
+        if op in FINITE_PRESERVING_OPS or _all_finite(value):
+            return value
+        raise NonFiniteError(f"non-finite value at an eager op ({op})")
+
+    def _saved(self) -> None:
+        return None             # nothing is kept for a backward pass
+
     def input(self, values) -> np.ndarray:
-        return _checked(as_col(values), "input")
+        return self._op("input", as_col, (values,))
 
     def param(self, parameter: Parameter) -> np.ndarray:
         # the cached verdict first: a decoder step asks for every weight
         if parameter._known_finite or parameter.is_finite():
             return parameter.value
         raise NonFiniteError(f"non-finite value in {parameter.name!r} (parameter)")
-
-    def lookup_column(self, matrix, index) -> np.ndarray:
-        return _lookup_column(matrix, _column_ids(index))
-
-    def matmul(self, a, b) -> np.ndarray:
-        return _checked(_matmul(a, b), "matmul")
-
-    def add(self, a, b) -> np.ndarray:
-        return _checked(_add(a, b), "add")
-
-    def affine(self, bias, *terms) -> np.ndarray:
-        _check_affine_terms(terms)
-        return _checked(_affine((bias, *terms)), "affine")
-
-    def cmult(self, a, b) -> np.ndarray:
-        return _checked(_cmult(a, b), "cmult")
-
-    def concat_rows(self, *parts) -> np.ndarray:
-        return _concat_rows(parts)
-
-    def concat_cols(self, *parts) -> np.ndarray:
-        return _concat_cols(parts)
-
-    def transpose(self, a) -> np.ndarray:
-        return _transpose(a)
-
-    def rows(self, a, start: int, stop: int) -> np.ndarray:
-        return _rows(a, int(start), int(stop))
-
-    def lstm(self, pre, c_prev, forget: bool = True) -> np.ndarray:
-        return _checked(_lstm(pre, c_prev, bool(forget)), "lstm")
-
-    def tanh(self, a) -> np.ndarray:
-        return np.tanh(a)
-
-    def sigmoid(self, a) -> np.ndarray:
-        return _sigmoid(a)
-
-    def relu(self, a) -> np.ndarray:
-        return _relu(a)
-
-    def step(self, a) -> np.ndarray:
-        return _step(a)
-
-    def reshape(self, a, rows: int, cols: int) -> np.ndarray:
-        return _reshape(a, int(rows), int(cols))
-
-    def softmax(self, a) -> np.ndarray:
-        return _softmax(a)
-
-    def pick_neg_log_softmax(self, scores, target) -> np.ndarray:
-        return _checked(_pick_neg_log_softmax(scores, _column_ids(target)),
-                        "pick_neg_log_softmax")
-
-    def squared_distance(self, a, b) -> np.ndarray:
-        return _checked(_squared_distance(a, b), "squared_distance")
-
-    def sum(self, a) -> np.ndarray:
-        return _checked(_sum(a), "sum")
-
-    def scale(self, a, k: float) -> np.ndarray:
-        return _checked(_scale(a, float(k)), "scale")
 
 
 # What model code builds with, and what its op constructors return.
@@ -431,12 +404,6 @@ def _all_finite(value) -> bool:
     return math.isfinite(np.vdot(value, value)) or bool(np.isfinite(value).all())
 
 
-def _checked(value, op) -> np.ndarray:
-    if _all_finite(value):
-        return value
-    raise NonFiniteError(f"non-finite value at an eager op ({op})")
-
-
 def _column_ids(index) -> list[int]:
     """One id, or a sequence of ids, as a list of ints."""
     if isinstance(index, (int, np.integer)):
@@ -444,19 +411,13 @@ def _column_ids(index) -> list[int]:
     return [int(i) for i in index]
 
 
-def _check_affine_terms(terms):
-    if not terms or len(terms) % 2:
-        raise GraphError("affine needs one or more (weight, input) pairs")
-
-
 def _broadcastable(a, b):
     return (a.shape[0] == b.shape[0]) and (a.shape[1] == 1 or b.shape[1] == 1)
 
 
 # ---- kernels: input values (and op settings) -> value ---------------------------
-# The one numeric rule per op; Graph.forward reaches them through _FORWARD,
-# Eager calls them directly. A kernel's GraphError names its op; Graph.forward
-# adds the node.
+# The one numeric rule per op, run by Graph.forward and by Eager._op. A
+# kernel's GraphError names its op; Graph.forward adds the node.
 
 def _lookup_column(matrix, idx):
     return matrix[:, idx]
@@ -474,7 +435,7 @@ def _add(a, b):
     return a + b
 
 
-def _affine(values):
+def _affine(*values):
     """``values`` is ``bias, W1, x1, W2, x2, ...``."""
     out = None
     for k in range(1, len(values), 2):
@@ -501,13 +462,13 @@ def _cmult(a, b):
     return a * b
 
 
-def _concat_rows(parts):
+def _concat_rows(*parts):
     if len({v.shape[1] for v in parts}) != 1:
         raise GraphError("concat_rows: column counts differ")
     return np.concatenate(parts, axis=0)
 
 
-def _concat_cols(parts):
+def _concat_cols(*parts):
     if len({v.shape[0] for v in parts}) != 1:
         raise GraphError("concat_cols: row counts differ")
     return np.concatenate(parts, axis=1)
@@ -604,35 +565,6 @@ def _scale(a, k):
     return a * k
 
 
-# ---- forward rules: node -> value, through the kernels ---------------------------
-
-_FORWARD = {
-    "lookup_column": lambda node: _lookup_column(node.parents[0].value, node.aux),
-    "matmul": lambda node: _matmul(node.parents[0].value, node.parents[1].value),
-    "add": lambda node: _add(node.parents[0].value, node.parents[1].value),
-    "affine": lambda node: _affine([p.value for p in node.parents]),
-    "cmult": lambda node: _cmult(node.parents[0].value, node.parents[1].value),
-    "concat_rows": lambda node: _concat_rows([p.value for p in node.parents]),
-    "concat_cols": lambda node: _concat_cols([p.value for p in node.parents]),
-    "transpose": lambda node: _transpose(node.parents[0].value),
-    "reshape": lambda node: _reshape(node.parents[0].value, *node.aux),
-    "rows": lambda node: _rows(node.parents[0].value, *node.aux),
-    "lstm": lambda node: _lstm(node.parents[0].value, node.parents[1].value,
-                               node.aux["forget"], node.aux),
-    "tanh": lambda node: np.tanh(node.parents[0].value),
-    "sigmoid": lambda node: _sigmoid(node.parents[0].value),
-    "relu": lambda node: _relu(node.parents[0].value),
-    "step": lambda node: _step(node.parents[0].value),
-    "softmax": lambda node: _softmax(node.parents[0].value),
-    "pick_neg_log_softmax": lambda node: _pick_neg_log_softmax(
-        node.parents[0].value, node.aux["targets"], node.aux),
-    "squared_distance": lambda node: _squared_distance(node.parents[0].value,
-                                                       node.parents[1].value),
-    "sum": lambda node: _sum(node.parents[0].value),
-    "scale": lambda node: _scale(node.parents[0].value, node.aux),
-}
-
-
 # ---- backward rules: (node, its gradient) -> contributions to its parents ---------
 
 def _give(node, contribution, fresh=False):
@@ -668,7 +600,7 @@ def _back_lookup_column(node, g):
         return
     if matrix.grad is None:
         matrix.grad = np.zeros_like(matrix.value)
-    idx = node.aux
+    idx = node.settings[0]
     if len(set(idx)) == len(idx):
         matrix.grad[:, idx] += g
         return
@@ -750,13 +682,14 @@ def _back_rows(node, g):
         return
     if a.grad is None:
         a.grad = np.zeros_like(a.value)
-    start, stop = node.aux
+    start, stop = node.settings
     a.grad[start:stop] += g
 
 
 def _back_lstm(node, g):
     pre, c_prev = node.parents
-    act, tanh_c = node.aux["act"], node.aux["tanh_c"]
+    forget, saved = node.settings
+    act, tanh_c = saved["act"], saved["tanh_c"]
     n = tanh_c.shape[0]
     u, i, o = act[:n], act[n:2 * n], act[-n:]
     g_h = g[:n]
@@ -766,7 +699,7 @@ def _back_lstm(node, g):
     np.multiply(d_c, i, out=d_pre[:n])
     d_pre[:n] *= 1.0 - u ** 2
     np.multiply(d_c, u, out=d_pre[n:2 * n])
-    if node.aux["forget"]:
+    if forget:
         np.multiply(d_c, c_prev.value, out=d_pre[2 * n:3 * n])
     np.multiply(g_h, tanh_c, out=d_pre[-n:])
     sig = act[n:]
@@ -774,7 +707,7 @@ def _back_lstm(node, g):
     d_pre[n:] *= 1.0 - sig
     _give(pre, d_pre, fresh=True)
     if c_prev.needs_grad:
-        _give(c_prev, d_c * act[2 * n:3 * n] if node.aux["forget"] else d_c,
+        _give(c_prev, d_c * act[2 * n:3 * n] if forget else d_c,
               fresh=True)
 
 
@@ -789,8 +722,8 @@ def _back_softmax(node, g):
 
 
 def _back_pick_neg_log_softmax(node, g):
-    p = node.aux["softmax"]
-    targets = node.aux["targets"]
+    targets, saved = node.settings
+    p = saved["softmax"]
     ds = p * g            # g has shape (1, cols), broadcasts over rows
     ds[targets, np.arange(len(targets))] -= g[0]
     _give(node.parents[0], ds, fresh=True)
@@ -827,7 +760,7 @@ _BACKWARD = {
     "pick_neg_log_softmax": _back_pick_neg_log_softmax,
     "squared_distance": _back_squared_distance,
     "sum": lambda node, g: _give(node.parents[0], g[0, 0]),
-    "scale": lambda node, g: _give(node.parents[0], g * node.aux, fresh=True),
+    "scale": lambda node, g: _give(node.parents[0], g * node.settings[0], fresh=True),
 }
 
 

@@ -102,6 +102,13 @@ def build_parser() -> Parser:
         p.add_argument("--epochs", type=positive_int, default=5)
         p.add_argument("--lr", type=positive_float, default=0.1)
 
+    def vocab_flags(p):
+        p.add_argument("--unk-policy",
+                       choices=["keep_all", "replace_singletons", "min_count"],
+                       default="replace_singletons")
+        p.add_argument("--min-count", type=positive_int, default=2)
+        p.add_argument("--v-all", type=positive_int, default=C.DEFAULT_V_ALL)
+
     def neural_flags(p, batch_help="sentences per training minibatch"):
         p.add_argument("--embed", type=positive_int, default=64)
         p.add_argument("--hidden", type=positive_int, default=128)
@@ -109,11 +116,7 @@ def build_parser() -> Parser:
                        default="adam")
         p.add_argument("--batch-size", type=positive_int, default=8, help=batch_help)
         p.add_argument("--clip-norm", type=positive_float, default=5.0)
-        p.add_argument("--unk-policy",
-                       choices=["keep_all", "replace_singletons", "min_count"],
-                       default="replace_singletons")
-        p.add_argument("--min-count", type=int, default=2)
-        p.add_argument("--v-all", type=positive_int, default=C.DEFAULT_V_ALL)
+        vocab_flags(p)
 
     p = cmd("train-ngram", help="count-based interpolated n-gram LM")
     p.add_argument("--train", required=True)
@@ -130,11 +133,7 @@ def build_parser() -> Parser:
                    default="prev2_words")
     p.add_argument("--no-shuffle", action="store_true")
     p.add_argument("--no-decay", action="store_true")
-    p.add_argument("--unk-policy",
-                   choices=["keep_all", "replace_singletons", "min_count"],
-                   default="replace_singletons")
-    p.add_argument("--min-count", type=int, default=2)
-    p.add_argument("--v-all", type=positive_int, default=C.DEFAULT_V_ALL)
+    vocab_flags(p)
 
     p = cmd("train-ffnnlm", help="feed-forward n-gram neural LM")
     train_flags(p)

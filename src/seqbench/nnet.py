@@ -222,7 +222,23 @@ def _prev_token_rows(batch: MiniBatch) -> np.ndarray:
     return prev
 
 
-class FFNNLM:
+class NeuralLM:
+    """Scoring shared by the neural LMs, through their ``batch_loss``."""
+
+    def sentence_nll(self, ids) -> float:
+        with Eager() as e:
+            return float(self.batch_loss(e, make_batches([list(ids)], 1)[0])[0, 0])
+
+    def score_sentence(self, tokens):
+        """Out-of-vocabulary tokens are predicted as the unknown symbol and
+        additionally pay the uniform 1/v_all factor."""
+        ids = encode(self.vocab, tokens, append_eos=True)
+        logp = -self.sentence_nll(ids)
+        unk_count, unk_logp = unknown_factor(self.vocab, ids)
+        return logp + unk_logp, len(ids), unk_count, unk_logp
+
+
+class FFNNLM(NeuralLM):
     """Feed-forward n-gram LM: embed the n-1 previous words, concatenate,
     one nonlinear hidden layer, then a softmax over the vocabulary."""
 
@@ -276,10 +292,6 @@ class FFNNLM:
         masked = g.cmult(losses, g.input(batch.mask.reshape(1, -1)))
         return g.sum(masked)
 
-    def sentence_nll(self, ids) -> float:
-        with Eager() as e:
-            return float(self.batch_loss(e, make_batches([list(ids)], 1)[0])[0, 0])
-
     # predictor protocol: a state is the rolling window of the n-1 previous ids
     def start(self, source_ids=None):
         if source_ids is not None:
@@ -292,11 +304,8 @@ class FFNNLM:
             P = e.softmax(self._scores(e, [list(slot) for slot in zip(*windows)]))
         return P, windows, None
 
-    def score_sentence(self, tokens):
-        return _score_with_unknown_factor(self, tokens)
 
-
-class RNNLM:
+class RNNLM(NeuralLM):
     """Recurrent LM: embed the previous word, run the stacked cells, softmax."""
 
     kind = "rnnlm"
@@ -341,10 +350,6 @@ class RNNLM:
         masked = g.cmult(losses, g.input(batch.mask.reshape(1, -1)))
         return g.sum(masked)
 
-    def sentence_nll(self, ids) -> float:
-        with Eager() as e:
-            return float(self.batch_loss(e, make_batches([list(ids)], 1)[0])[0, 0])
-
     # predictor protocol: a state is a list of per-layer (h, c) columns
     def start(self, source_ids=None):
         if source_ids is not None:
@@ -360,18 +365,6 @@ class RNNLM:
             out, layers = self.rnn.step(e, x, layers)
             P = e.softmax(e.affine(e.param(self.b_s), e.param(self.W_hs), out))
         return P, split_layer_states(layers), None
-
-    def score_sentence(self, tokens):
-        return _score_with_unknown_factor(self, tokens)
-
-
-def _score_with_unknown_factor(model, tokens):
-    """Neural-path sentence scoring: out-of-vocabulary tokens are predicted as
-    the unknown symbol and additionally pay the uniform 1/v_all factor."""
-    ids = encode(model.vocab, tokens, append_eos=True)
-    logp = -model.sentence_nll(ids)
-    unk_count, unk_logp = unknown_factor(model.vocab, ids)
-    return logp + unk_logp, len(ids), unk_count, unk_logp
 
 
 def train_lm(model, train_sentences, optimizer: Optimizer, epochs: int,

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import (OP_GRADCHECK_CASES, max_gradient_error, random_params,
-                     run_op_gradcheck, two_pass_pick_neg_log_softmax)
+                     run_op_gradcheck, same_bits, two_pass_pick_neg_log_softmax)
 from seqbench import corpus as C
-from seqbench.autograd import (FINITE_PRESERVING_OPS, Graph, GraphError,
-                               NonFiniteError, Parameter, softmax)
+from seqbench.autograd import (_BACKWARD, FINITE_PRESERVING_OPS, Eager, Graph,
+                               GraphError, NonFiniteError, Ops, Parameter, softmax)
 from seqbench.nnet import RNNLM
 
 
@@ -54,7 +54,7 @@ def test_pick_neg_log_softmax_matches_two_pass_formula_bitwise(cols):
     g.forward()
     want_loss, want_softmax = two_pass_pick_neg_log_softmax(s, targets)
     assert np.array_equal(loss.value, want_loss)
-    assert np.array_equal(loss.aux["softmax"], want_softmax)
+    assert np.array_equal(loss.settings[1]["softmax"], want_softmax)
 
 
 def test_softmax_columns_round_as_one_column_softmax():
@@ -442,7 +442,7 @@ _FINITE = st.one_of(_EXTREME, st.floats(allow_nan=False, allow_infinity=False))
 @given(hnp.arrays(np.float64, (3, 2), elements=_FINITE),
        hnp.arrays(np.float64, (3, 2), elements=_FINITE))
 def test_unchecked_ops_keep_finite_inputs_finite(a, b):
-    # forward() skips the finite check on exactly these ops
+    # neither evaluator checks the values of exactly these ops
     assert set(FINITE_PRESERVING_BUILDERS) == FINITE_PRESERVING_OPS
     for op, build in FINITE_PRESERVING_BUILDERS.items():
         g = Graph()
@@ -450,3 +450,67 @@ def test_unchecked_ops_keep_finite_inputs_finite(a, b):
         assert out.op == op
         g.forward()
         assert np.isfinite(out.value).all(), op
+        with Eager() as e:
+            assert same_bits(build(e, e.input(a), e.input(b)), out.value), op
+
+
+CHECKED_BUILDERS = {
+    "matmul": lambda g, a, b: g.matmul(a, g.transpose(b)),
+    "add": lambda g, a, b: g.add(a, b),
+    "affine": lambda g, a, b: g.affine(a, b, g.transpose(g.rows(b, 0, 2))),
+    "cmult": lambda g, a, b: g.cmult(a, b),
+    "lstm": lambda g, a, b: g.lstm(g.concat_rows(b, b, b, b), a),
+    "pick_neg_log_softmax": lambda g, a, b: g.pick_neg_log_softmax(a, [0, 1]),
+    "squared_distance": lambda g, a, b: g.squared_distance(a, b),
+    "sum": lambda g, a, b: g.sum(a),
+    "scale": lambda g, a, b: g.scale(a, 2.0),
+}
+
+
+def op_constructors() -> set[str]:
+    return {name for name, attr in vars(Ops).items()
+            if callable(attr) and not name.startswith("_")}
+
+
+def test_every_op_is_checked_or_finite_preserving():
+    assert FINITE_PRESERVING_OPS <= op_constructors()
+    assert set(CHECKED_BUILDERS) == op_constructors() - FINITE_PRESERVING_OPS
+
+
+def test_every_op_constructor_has_a_backward_rule():
+    assert op_constructors() == set(_BACKWARD)
+
+
+def non_finite_operands():
+    """``a`` holding an Inf, ``b`` finite, and a graph whose two input nodes
+    hold them, the Inf written after the inputs' own check."""
+    a, b = np.ones((3, 2)), np.full((3, 2), 0.5)
+    a[0, 0] = np.inf
+    g = Graph()
+    na, nb = g.input(np.ones((3, 2))), g.input(b)
+    g.forward()
+    na.value[...] = a
+    return a, b, g, na, nb
+
+
+@pytest.mark.parametrize("op", sorted(CHECKED_BUILDERS))
+def test_checked_ops_name_a_non_finite_value_under_both_evaluators(op):
+    a, b, g, na, nb = non_finite_operands()
+    out = CHECKED_BUILDERS[op](g, na, nb)
+    assert out.op == op
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteError, match=rf"node {out.idx} \({op}\)"):
+            g.forward()
+        with Eager() as e, pytest.raises(NonFiniteError, match=rf"eager op \({op}\)"):
+            CHECKED_BUILDERS[op](e, a, b)
+
+
+@pytest.mark.parametrize("op", sorted(FINITE_PRESERVING_BUILDERS))
+def test_unchecked_ops_pass_a_non_finite_value_under_both_evaluators(op):
+    # the Inf came from a parent, which was checked where it was computed
+    a, b, g, na, nb = non_finite_operands()
+    FINITE_PRESERVING_BUILDERS[op](g, na, nb)
+    with np.errstate(invalid="ignore"):
+        g.forward()
+        with Eager() as e:
+            FINITE_PRESERVING_BUILDERS[op](e, a, b)

@@ -514,3 +514,16 @@ def test_training_rejects_non_positive_epochs(toy_corpus, capsys, command, epoch
     err = capsys.readouterr().err
     assert "usage error" in err and "--epochs" in err and "must be >= 1" in err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("command", ["train-loglinear", "train-ffnnlm", "train-rnnlm",
+                                     "train-encdec"])
+@pytest.mark.parametrize("min_count", ["0", "-5"])
+def test_training_rejects_non_positive_min_count(toy_corpus, capsys, command, min_count):
+    tmp_path, train = toy_corpus
+    model = tmp_path / "bad.bin"
+    assert main([command, *training_inputs(command, train), "--model", str(model),
+                 "--unk-policy", "min_count", "--min-count", min_count]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--min-count" in err and "must be >= 1" in err
+    assert not model.exists()
