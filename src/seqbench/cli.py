@@ -8,7 +8,9 @@ An optional ``--config file`` supplies ``key=value`` defaults (keys are the
 long option names without dashes); explicit command-line flags override it.
 Every stochastic run is driven by a single seeded generator (``--seed``,
 default 42). Training commands append one line per epoch to a metrics file:
-``epoch<TAB>train_loss<TAB>dev_ll<TAB>dev_ppl``.
+``epoch<TAB>train_loss<TAB>dev_ll<TAB>dev_ppl``. Every output file is opened
+after the inputs are read and before any training, scoring or decoding
+starts; one that cannot be opened is a data error naming its path.
 """
 
 from __future__ import annotations
@@ -88,17 +90,17 @@ def build_parser() -> Parser:
 
     def cmd(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.add_argument("--config", help="key=value defaults file")
+        p.add_argument("--config", metavar="FILE", help="key=value defaults file")
         p.add_argument("--seed", type=int, default=42)
         return p
 
     def train_flags(p, dev=True):
-        p.add_argument("--train", required=True, help="training corpus")
+        p.add_argument("--train", metavar="FILE", required=True, help="training corpus")
         if dev:
-            p.add_argument("--dev", help="development corpus")
-        p.add_argument("--model", required=True, help="output model path")
-        p.add_argument("--metrics", help="per-epoch metrics file "
-                                         "(default: MODEL.metrics)")
+            p.add_argument("--dev", metavar="FILE", help="development corpus")
+        p.add_argument("--model", metavar="FILE", required=True, help="output model path")
+        p.add_argument("--metrics", metavar="FILE",
+                       help="per-epoch metrics file (default: MODEL.metrics)")
         p.add_argument("--epochs", type=positive_int, default=5)
         p.add_argument("--lr", type=positive_float, default=0.1)
 
@@ -119,8 +121,8 @@ def build_parser() -> Parser:
         vocab_flags(p)
 
     p = cmd("train-ngram", help="count-based interpolated n-gram LM")
-    p.add_argument("--train", required=True)
-    p.add_argument("--model", required=True)
+    p.add_argument("--train", metavar="FILE", required=True)
+    p.add_argument("--model", metavar="FILE", required=True)
     p.add_argument("--order", type=positive_int, default=3)
     p.add_argument("--alpha", type=alpha_list, default=[0.1],
                    help="held-out mass in [0, 1], one value or comma list per order")
@@ -150,12 +152,12 @@ def build_parser() -> Parser:
     p.add_argument("--residual", action="store_true")
 
     p = cmd("train-encdec", help="encoder-decoder translation model")
-    p.add_argument("--train-src", required=True)
-    p.add_argument("--train-tgt", required=True)
-    p.add_argument("--dev-src")
-    p.add_argument("--dev-tgt")
-    p.add_argument("--model", required=True)
-    p.add_argument("--metrics")
+    p.add_argument("--train-src", metavar="FILE", required=True)
+    p.add_argument("--train-tgt", metavar="FILE", required=True)
+    p.add_argument("--dev-src", metavar="FILE")
+    p.add_argument("--dev-tgt", metavar="FILE")
+    p.add_argument("--model", metavar="FILE", required=True)
+    p.add_argument("--metrics", metavar="FILE")
     p.add_argument("--epochs", type=positive_int, default=5)
     p.add_argument("--lr", type=positive_float, default=0.001)
     neural_flags(p, batch_help="accepted and ignored: the encoder-decoder trains "
@@ -169,20 +171,22 @@ def build_parser() -> Parser:
     p.add_argument("--layers", type=int, default=1)
 
     p = cmd("eval-ppl", help="likelihood / perplexity report")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True, help="target corpus")
-    p.add_argument("--source", help="source corpus for conditional models")
-    p.add_argument("--out", help="write the report here instead of stdout")
+    p.add_argument("--model", metavar="FILE", required=True)
+    p.add_argument("--data", metavar="FILE", required=True, help="target corpus")
+    p.add_argument("--source", metavar="FILE",
+                   help="source corpus for conditional models")
+    p.add_argument("--out", metavar="FILE",
+                   help="write the report here instead of stdout")
 
     for name in ("translate", "ensemble-translate"):
         p = cmd(name, help="decode a source corpus")
         if name == "translate":
-            p.add_argument("--model", required=True)
+            p.add_argument("--model", metavar="FILE", required=True)
         else:
-            p.add_argument("--models", required=True,
+            p.add_argument("--models", metavar="FILE,...", required=True,
                            help="comma-separated model paths")
-        p.add_argument("--input", required=True)
-        p.add_argument("--output", help="default stdout")
+        p.add_argument("--input", metavar="FILE", required=True)
+        p.add_argument("--output", metavar="FILE", help="default stdout")
         p.add_argument("--search", choices=["greedy", "beam", "sample"],
                        default="greedy")
         p.add_argument("--beam-size", type=positive_int, default=4)
@@ -194,14 +198,14 @@ def build_parser() -> Parser:
         p.add_argument("--max-len", type=positive_int)
 
     p = cmd("sample", help="draw random sentences from a language model")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", metavar="FILE", required=True)
     p.add_argument("--count", type=positive_int, default=1)
     p.add_argument("--max-len", type=positive_int, default=100)
-    p.add_argument("--output")
+    p.add_argument("--output", metavar="FILE")
 
     p = cmd("bleu", help="corpus BLEU of hypotheses against references")
-    p.add_argument("--hyp", required=True)
-    p.add_argument("--ref", required=True)
+    p.add_argument("--hyp", metavar="FILE", required=True)
+    p.add_argument("--ref", metavar="FILE", required=True)
 
     return parser
 
@@ -250,8 +254,8 @@ def _build_vocab_from(path, policy, min_count, v_all):
 
 
 class MetricsLog:
-    def __init__(self, path, dev_words):
-        self.fh = open(path, "w", encoding="utf-8")
+    def __init__(self, fh, dev_words):
+        self.fh = fh
         self.dev_words = max(dev_words, 1)
 
     def __call__(self, epoch, train_loss, dev_ll):
@@ -261,9 +265,6 @@ class MetricsLog:
             ppl = math.inf
         self.fh.write(f"{epoch}\t{train_loss!r}\t{dev_ll!r}\t{ppl!r}\n")
         self.fh.flush()
-
-    def close(self):
-        self.fh.close()
 
 
 @contextmanager
@@ -277,13 +278,50 @@ def _reported_as_data_error(model_path):
                         f"non-finite number ({exc})") from exc
 
 
-def _write_lines(lines, path):
+def _open_output(path, mode="w"):
+    """Open an output file; failing to is a data error naming the path."""
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+
+
+@contextmanager
+def _model_output(path):
+    """Open the model file before training; yields ``save(model)``.
+
+    Opened for appending, the file is created without emptying an earlier
+    model, which a run that fails before it saves thus leaves in place.
+    """
+    with _open_output(path, "ab") as fh:
+        def save(model):
+            fh.truncate(0)
+            save_model(model, fh)
+        yield save
+
+
+@contextmanager
+def _training_outputs(args, dev_sentences):
+    """A training command's metrics log and model ``save``, both opened
+    before training starts."""
+    path = args.metrics or f"{args.model}.metrics"
+    with _open_output(path) as fh, _model_output(args.model) as save:
+        yield MetricsLog(fh, sum(len(s) for s in dev_sentences)), save
+
+
+@contextmanager
+def _lines_output(path):
+    """Where a command's lines go: ``path``, opened before the work starts,
+    or stdout."""
     if path is None:
-        for line in lines:
-            print(line)
+        yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(line + "\n" for line in lines))
+        with _open_output(path) as fh:
+            yield fh
+
+
+def _write_lines(lines, out):
+    out.write("".join(line + "\n" for line in lines))
 
 
 def run(argv) -> int:
@@ -305,14 +343,9 @@ def cmd_train_ngram(args, rng) -> int:
     if len(alphas) != args.order:
         raise UsageError("--alpha needs one value or one per order")
     vocab = _build_vocab_from(args.train, "keep_all", 2, args.v_all)
-    model = NGramLM.train(lines, n=args.order, alphas=alphas, vocab=vocab)
-    save_model(model, args.model)
+    with _model_output(args.model) as save:
+        save(NGramLM.train(lines, n=args.order, alphas=alphas, vocab=vocab))
     return 0
-
-
-def _metrics(args, dev_sentences):
-    path = args.metrics or f"{args.model}.metrics"
-    return MetricsLog(path, sum(len(s) for s in dev_sentences))
 
 
 def cmd_train_loglinear(args, rng) -> int:
@@ -323,14 +356,11 @@ def cmd_train_loglinear(args, rng) -> int:
     model = LogLinearLM(vocab, args.template)
     dev_sents = [C.encode(vocab, line, append_eos=True)
                  for line in (dev_lines or train_lines)]
-    log = _metrics(args, dev_sents)
-    try:
+    with _training_outputs(args, dev_sents) as (log, save):
         model.train_sgd(train_lines, dev_lines=dev_lines, lr=args.lr,
                         epochs=args.epochs, shuffle=not args.no_shuffle,
                         decay=not args.no_decay, rng=rng, log=log)
-    finally:
-        log.close()
-    save_model(model, args.model)
+        save(model)
     return 0
 
 
@@ -343,14 +373,11 @@ def _train_neural_lm(args, rng, model):
                  if args.dev else None)
     opt = make_optimizer(args.optimizer, model.parameters(), lr=args.lr,
                          clip_norm=args.clip_norm)
-    log = _metrics(args, dev_sents or train_sents)
-    try:
+    with _training_outputs(args, dev_sents or train_sents) as (log, save):
         train_lm(model, train_sents, opt, epochs=args.epochs,
                  dev_sentences=dev_sents, batch_size=args.batch_size,
                  rng=rng, log=log)
-    finally:
-        log.close()
-    save_model(model, args.model)
+        save(model)
     return 0
 
 
@@ -392,14 +419,18 @@ def cmd_train_encdec(args, rng) -> int:
                      for f, e in C.read_parallel(args.dev_src, args.dev_tgt)]
     opt = make_optimizer(args.optimizer, model.parameters(), lr=args.lr,
                          clip_norm=args.clip_norm)
-    log = _metrics(args, [e for _, e in (dev_pairs or pairs)])
-    try:
+    with _training_outputs(args, [e for _, e in (dev_pairs or pairs)]) as (log, save):
         train_encdec(model, pairs, opt, epochs=args.epochs,
                      dev_pairs=dev_pairs, rng=rng, log=log)
-    finally:
-        log.close()
-    save_model(model, args.model)
+        save(model)
     return 0
+
+
+def _reject_blank_sources(path, lines):
+    """A blank source line leaves the encoder nothing to read: a data error."""
+    for number, line in enumerate(lines, start=1):
+        if not line.split():
+            raise DataError(f"{path}: line {number} is empty")
 
 
 def cmd_eval_ppl(args, rng) -> int:
@@ -408,12 +439,12 @@ def cmd_eval_ppl(args, rng) -> int:
         if not args.source:
             raise UsageError("conditional models need --source")
         pairs = C.read_parallel(args.source, args.data)
+        _reject_blank_sources(args.source, [f for f, _ in pairs])
         data = [(f.split(), e.split()) for f, e in pairs]
     else:
         data = [line.split() for line in C.read_token_lines(args.data)]
-    with _reported_as_data_error(args.model):
-        report = evaluate_ll(model, data)
-    _write_lines(report.lines(), args.out)
+    with _lines_output(args.out) as out, _reported_as_data_error(args.model):
+        _write_lines(evaluate_ll(model, data).lines(), out)
     return 0
 
 
@@ -424,6 +455,7 @@ def _decode_corpus(model, args, rng) -> int:
     src_vocab = (model.src_vocab if isinstance(model, EncDecModel)
                  else model.models[0].src_vocab)
     lines = C.read_token_lines(args.input)
+    _reject_blank_sources(args.input, lines)
     mode = LENGTH_NORM[args.length_norm]
     prior = getattr(model, "length_prior", None)
     if isinstance(model, Ensemble):
@@ -431,30 +463,29 @@ def _decode_corpus(model, args, rng) -> int:
     if mode == "multinomial_prior" and prior is None:
         raise DataError("model file carries no length prior; retrain or use "
                         "--length-norm none/perword")
-    out = []
-    for index, line in enumerate(lines):
-        tokens = line.split()
-        source_ids = C.encode(src_vocab, tokens)
-        if not source_ids:
-            raise DataError(f"{args.input}: line {index + 1} is empty")
-        if args.search == "greedy":
-            hyps = [greedy(model, source_ids, max_len=args.max_len)]
-        elif args.search == "sample":
-            hyps = [sample(model, source_ids, rng=rng, max_len=args.max_len)]
-        else:
-            hyps = beam_search(model, source_ids, beam_size=args.beam_size,
-                               max_len=args.max_len, length_mode=mode,
-                               length_prior=prior)
-        if args.nbest:
-            out.extend(nbest_lines(hyps[:args.nbest], index, model.vocab))
-        else:
-            best = hyps[0]
-            if args.replace_unk:
-                words = replace_unknowns(best, tokens, model.vocab)
+    with _lines_output(args.output) as fh:
+        out = []
+        for index, line in enumerate(lines):
+            tokens = line.split()
+            source_ids = C.encode(src_vocab, tokens)
+            if args.search == "greedy":
+                hyps = [greedy(model, source_ids, max_len=args.max_len)]
+            elif args.search == "sample":
+                hyps = [sample(model, source_ids, rng=rng, max_len=args.max_len)]
             else:
-                words = best.surface(model.vocab)
-            out.append(" ".join(words))
-    _write_lines(out, args.output)
+                hyps = beam_search(model, source_ids, beam_size=args.beam_size,
+                                   max_len=args.max_len, length_mode=mode,
+                                   length_prior=prior)
+            if args.nbest:
+                out.extend(nbest_lines(hyps[:args.nbest], index, model.vocab))
+            else:
+                best = hyps[0]
+                if args.replace_unk:
+                    words = replace_unknowns(best, tokens, model.vocab)
+                else:
+                    words = best.surface(model.vocab)
+                out.append(" ".join(words))
+        _write_lines(out, fh)
     return 0
 
 
@@ -488,17 +519,17 @@ def cmd_sample(args, rng) -> int:
         raise UsageError("sample draws from unconditional language models; "
                          "use translate --search sample for conditional ones")
     out = []
-    with _reported_as_data_error(args.model):
+    with _lines_output(args.output) as fh, _reported_as_data_error(args.model):
         for _ in range(args.count):
             hyp = sample(model, rng=rng, max_len=args.max_len)
             out.append(" ".join(hyp.surface(model.vocab)))
-    _write_lines(out, args.output)
+        _write_lines(out, fh)
     return 0
 
 
 def cmd_bleu(args, rng) -> int:
     report = corpus_bleu(C.read_token_lines(args.hyp), C.read_token_lines(args.ref))
-    _write_lines(report.lines(), None)
+    _write_lines(report.lines(), sys.stdout)
     return 0
 
 

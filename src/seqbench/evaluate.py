@@ -33,13 +33,10 @@ class EvalReport:
         return [header] + [f"{name}\t{getattr(self, name)!r}" for name in self.FIELDS]
 
 
-def evaluate_ll(model, data) -> EvalReport:
-    """Score a corpus with any model exposing ``score_sentence`` (language
-    models, over token lists) or ``score_pair`` (conditional models, over
-    (source, target) token-list pairs)."""
-    data = list(data)
-    if not data:
-        raise DataError("empty evaluation data")
+def _score_items(model, data):
+    """The default corpus hook: (log-prob, word count, unk count, unk log
+    portion) summed over one ``score_sentence`` (token list) or
+    ``score_pair`` ((source, target) pair) call per item, in data order."""
     total = 0.0
     words = 0
     unk_count = 0
@@ -53,6 +50,27 @@ def evaluate_ll(model, data) -> EvalReport:
         words += n
         unk_count += unks
         unk_logp += unk_ll
+    return total, words, unk_count, unk_logp
+
+
+def evaluate_ll(model, data) -> EvalReport:
+    """Score a corpus with any model exposing ``score_sentence`` (language
+    models, over token lists) or ``score_pair`` (conditional models, over
+    (source, target) token-list pairs).
+
+    A model may score the whole corpus at once through a ``score_corpus``
+    method returning the same four sums as :func:`_score_items`. The neural
+    LMs do: they score length-sorted batches of up to
+    :data:`~.nnet.SCORE_BATCH` sentences, so their total may differ from a
+    per-sentence sum in the last bits, while the unknown-word count and log
+    portion are summed per sentence as before.
+    """
+    data = list(data)
+    if not data:
+        raise DataError("empty evaluation data")
+    score_corpus = getattr(model, "score_corpus", None)
+    total, words, unk_count, unk_logp = (
+        _score_items(model, data) if score_corpus is None else score_corpus(data))
     per_word = total / words
     try:
         perplexity = math.exp(-per_word)

@@ -222,20 +222,47 @@ def _prev_token_rows(batch: MiniBatch) -> np.ndarray:
     return prev
 
 
+# sentences per eager batch when a neural LM scores a corpus
+SCORE_BATCH = 32
+
+
 class NeuralLM:
     """Scoring shared by the neural LMs, through their ``batch_loss``."""
 
-    def sentence_nll(self, ids) -> float:
+    def corpus_nll(self, sentences) -> float:
+        """Total NLL of EOS-terminated id sequences: stably length-sorted
+        batches of up to ``SCORE_BATCH``, one eager ``batch_loss`` each.
+
+        Batching changes how each column's products are blocked, so the
+        total may differ from a per-sentence sum in the last bits.
+        """
         with Eager() as e:
-            return float(self.batch_loss(e, make_batches([list(ids)], 1)[0])[0, 0])
+            return sum(float(self.batch_loss(e, batch)[0, 0])
+                       for batch in make_batches(sentences, SCORE_BATCH))
+
+    def sentence_nll(self, ids) -> float:
+        return self.corpus_nll([list(ids)])
 
     def score_sentence(self, tokens):
         """Out-of-vocabulary tokens are predicted as the unknown symbol and
         additionally pay the uniform 1/v_all factor."""
-        ids = encode(self.vocab, tokens, append_eos=True)
-        logp = -self.sentence_nll(ids)
-        unk_count, unk_logp = unknown_factor(self.vocab, ids)
-        return logp + unk_logp, len(ids), unk_count, unk_logp
+        return self.score_corpus([tokens])
+
+    def score_corpus(self, data):
+        """:func:`~.evaluate.evaluate_ll`'s corpus hook: (log-prob, word
+        count, unk count, unk log portion) summed over token lists.
+
+        The model's part comes from :meth:`corpus_nll`; the unknown-word
+        factors are summed per sentence in data order.
+        """
+        sentences = [encode(self.vocab, tokens, append_eos=True) for tokens in data]
+        unk_count, unk_logp = 0, 0.0
+        for ids in sentences:
+            count, logp = unknown_factor(self.vocab, ids)
+            unk_count += count
+            unk_logp += logp
+        return (-self.corpus_nll(sentences) + unk_logp,
+                sum(len(ids) for ids in sentences), unk_count, unk_logp)
 
 
 class FFNNLM(NeuralLM):
@@ -385,7 +412,7 @@ def train_lm(model, train_sentences, optimizer: Optimizer, epochs: int,
         return train_loss
 
     dev_ll = (None if dev_sentences is None else
-              lambda: -sum(model.sentence_nll(s) for s in dev_sentences))
+              lambda: -model.corpus_nll(dev_sentences))
     return fit([list(s) for s in train_sentences], train_epoch,
                EpochTracker(optimizer), epochs, dev_ll, rng=rng, shuffle=shuffle,
                log=log)

@@ -221,10 +221,10 @@ class EncDecModel:
 
         MLP attention takes its source half ``W_a1_src·H`` from the caller as
         ``src``, built once per evaluation: :meth:`_source_projection` in
-        training graphs, an input holding the encoding's projection once per
-        decoder column (|K| x |F|·``batch``) in decoder steps. The other
-        kinds ignore it. With ``batch`` > 1, ``H`` must be an input, as it is
-        in decoder steps.
+        training graphs, the encoding's projection repeated once per decoder
+        column (|K| x |F|·``batch``) in decoder steps. The other kinds ignore
+        it. With ``batch`` > 1, ``H`` must be an array, as it is in decoder
+        steps.
         """
         if self.attention == "dot":
             return g.matmul(g.transpose(H), h_dec)
@@ -276,14 +276,15 @@ class EncDecModel:
         """Predictor protocol: one decoder call for the hypotheses ``states``,
         which all decode the same source; see :mod:`seqbench.search`."""
         encoding = states[0].encoding
+        # encode made H and src_proj through checked ops: they enter as they are
+        H, src = encoding.H, encoding.src_proj
+        if src is not None:
+            src = np.hstack([src] * len(states))
         with Eager() as e:
             layers = stack_layer_states(e, [st.layers for st in states])
-            H = context = src = None
+            context = None
             if self.attention != "none":
-                H = e.input(encoding.H)
                 context = input_columns(e, [st.context for st in states])
-            if encoding.src_proj is not None:
-                src = input_columns(e, [encoding.src_proj] * len(states))
             x, new_layers, new_context, alpha = self._step_nodes(
                 e, H, prev_ids, layers, context, src)
             P = e.softmax(self._scores(e, x))

@@ -1,14 +1,19 @@
+import argparse
 import math
 import struct
 
 import numpy as np
 import pytest
 
+from seqbench import cli
 from seqbench import corpus as C
-from seqbench.cli import main
+from seqbench.cli import build_parser, main
+from seqbench.loglinear import LogLinearLM
 from seqbench.modelfile import (load_model, read_modelfile, save_model,
                                 write_modelfile)
+from seqbench.ngram import NGramLM
 from seqbench.nnet import RNNLM
+from seqbench.seq2seq import EncDecModel
 
 
 def write(path, text):
@@ -295,6 +300,26 @@ def test_eval_ppl_conditional_needs_source(translation_setup, capsys):
     assert float(report["perplexity"]) > 0
 
 
+def test_blank_lines_score_as_a_lone_eos_but_are_no_source(translation_setup, toy_corpus,
+                                                           capsys):
+    tmp_path, model, inputs = translation_setup
+    blank = write(tmp_path / "blank.txt", "d e\n\n")
+    # a blank target line scores its end-of-sentence token alone
+    assert main(["eval-ppl", "--model", model, "--source", inputs,
+                 "--data", write(tmp_path / "tgt3.txt", "d e f\n\nf\n")]) == 0
+    assert read_report(capsys)["word_count"] == "7"
+    lm_dir, train = toy_corpus
+    lm = str(lm_dir / "lm.bin")
+    assert main(["train-ngram", "--train", train, "--model", lm]) == 0
+    assert main(["eval-ppl", "--model", lm, "--data", blank]) == 0
+    assert read_report(capsys)["word_count"] == "4"
+    # a blank source line is a data error naming its line
+    for argv in (["translate", "--model", model, "--input", blank],
+                 ["eval-ppl", "--model", model, "--source", blank, "--data", blank]):
+        assert main(argv) == 2
+        assert f"{blank}: line 2 is empty" in capsys.readouterr().err
+
+
 def test_decode_rejects_non_positive_sizes(translation_setup, toy_corpus, capsys):
     tmp_path, model, inputs = translation_setup
     out = str(tmp_path / "bad.txt")
@@ -407,6 +432,22 @@ def test_divergence_exit_code(tmp_path, capsys):
                  "--nonlinearity", "relu"])
     assert code == 3
     assert "diverged" in capsys.readouterr().err
+
+
+def test_diverged_run_keeps_the_earlier_model(tmp_path, capsys):
+    train = write(tmp_path / "t.txt", "a b c\nc b a\n")
+    model = str(tmp_path / "d.bin")
+    assert main(["train-ngram", "--train", train, "--model", model]) == 0
+    earlier = open(model, "rb").read()
+    assert main(["train-ffnnlm", "--train", train, "--model", model,
+                 "--epochs", "10", "--lr", "1e60", "--optimizer", "sgd",
+                 "--clip-norm", "1e300", "--embed", "4", "--hidden", "4",
+                 "--nonlinearity", "relu"]) == 3
+    assert open(model, "rb").read() == earlier
+    # a run that succeeds replaces the whole file, however long it was
+    assert main(["train-ngram", "--train", train, "--model", model,
+                 "--order", "1"]) == 0
+    assert load_model(model).n == 1
 
 
 def test_loglinear_divergence_exit_code(tmp_path, capsys):
@@ -527,3 +568,74 @@ def test_training_rejects_non_positive_min_count(toy_corpus, capsys, command, mi
     err = capsys.readouterr().err
     assert "usage error" in err and "--min-count" in err and "must be >= 1" in err
     assert not model.exists()
+
+
+# ---- file-valued flags: a path that cannot be opened ------------------------------
+
+def file_flags():
+    """(command, flag) for every flag the parser marks file-valued."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return [(name, flag) for name, p in sub.choices.items() for action in p._actions
+            if (action.metavar or "").startswith("FILE") for flag in action.option_strings]
+
+
+@pytest.fixture(scope="module")
+def valid_invocations(tmp_path_factory):
+    """Per command, flags that run it; only one of them is then made bad."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    corpus = write(tmp / "corpus.txt", "a b\na a\n")
+    lm = str(tmp / "lm.bin")
+    save_model(NGramLM.train(["a b", "a a"], n=2, alphas=0.1,
+                             vocab=C.build_vocab(["a b"])), lm)
+    encdec = str(tmp / "encdec.bin")
+    save_model(EncDecModel(C.build_vocab(["a b"]), C.build_vocab(["a b"]),
+                           embed_size=4, hidden_size=4), encdec)
+    train = ["--train", corpus, "--model", str(tmp / "model.bin")]
+    return {
+        "train-ngram": train,
+        "train-loglinear": train,
+        "train-ffnnlm": train,
+        "train-rnnlm": train,               # the metrics file defaults to MODEL.metrics
+        "train-encdec": ["--train-src", corpus, "--train-tgt", corpus,
+                         "--dev-src", corpus, "--dev-tgt", corpus,
+                         "--model", str(tmp / "encdec-out.bin")],
+        "eval-ppl": ["--model", encdec, "--data", corpus, "--source", corpus],
+        "translate": ["--model", encdec, "--input", corpus],
+        "ensemble-translate": ["--models", encdec, "--input", corpus],
+        "sample": ["--model", lm],
+        "bleu": ["--hyp", corpus, "--ref", corpus],
+    }
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work started before every file was opened")
+
+
+@pytest.mark.parametrize("bad", ["missing directory", "directory"])
+@pytest.mark.parametrize("command, flag", file_flags())
+def test_a_file_that_cannot_be_opened_is_a_data_error_naming_it(
+        command, flag, bad, valid_invocations, tmp_path, monkeypatch, capsys):
+    for name in ("train_lm", "train_encdec", "evaluate_ll", "greedy", "beam_search",
+                 "sample", "corpus_bleu"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(NGramLM, "train", no_work)
+    monkeypatch.setattr(LogLinearLM, "train_sgd", no_work)
+    path = str(tmp_path / "missing" / "file" if bad == "missing directory" else tmp_path)
+    argv = list(valid_invocations[command])
+    if flag in argv:
+        argv[argv.index(flag) + 1] = path
+    else:
+        argv += [flag, path]
+    assert main([command] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and path in err
+    assert "Traceback" not in err
+
+
+def test_every_command_has_file_flags_walked():
+    walked = set(file_flags())
+    assert {("train-ngram", "--model"), ("train-rnnlm", "--model"),
+            ("train-rnnlm", "--metrics"), ("translate", "--output"),
+            ("eval-ppl", "--out"), ("sample", "--output")} <= walked
+    assert {command for command, _ in walked} == set(cli.COMMANDS)

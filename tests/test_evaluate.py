@@ -56,6 +56,25 @@ def test_order_invariance():
     assert fwd == rev
 
 
+class CorpusModel(CannedModel):
+    """Scores the whole corpus in one call, as the neural LMs do."""
+
+    def score_sentence(self, tokens):
+        raise AssertionError("a corpus-level model is not scored per sentence")
+
+    def score_corpus(self, data):
+        return tuple(sum(column) for column in
+                     zip(*(self.scores[tuple(tokens)] for tokens in data)))
+
+
+def test_corpus_hook_replaces_per_sentence_scoring():
+    scores = {("a",): (-1.25, 2, 0, 0.0), ("b", "c"): (-2.5, 3, 1, -16.1)}
+    data = [["a"], ["b", "c"], ["a"]]
+    assert evaluate_ll(CorpusModel(scores), data) == evaluate_ll(CannedModel(scores), data)
+    with pytest.raises(DataError):
+        evaluate_ll(CorpusModel(scores), [])
+
+
 def test_perplexity_consistency():
     report = evaluate_ll(UniformModel(7), [["x", "y"]])
     assert report.perplexity == pytest.approx(math.exp(-report.per_word_ll), rel=1e-12)

@@ -6,10 +6,11 @@ import pytest
 
 from helpers import (assert_matches_per_gate_reference,
                      assert_matches_per_position_reference, max_gradient_error,
-                     per_gate_model, per_position_batch_loss)
+                     per_gate_model, per_position_batch_loss, same_bits)
 from seqbench import corpus as C
-from seqbench.autograd import Graph, NonFiniteError, Parameter
-from seqbench.nnet import (CELL_KINDS, FFNNLM, RNNLM, RecurrentCell,
+from seqbench.autograd import Eager, Graph, NonFiniteError, Parameter
+from seqbench.evaluate import evaluate_ll
+from seqbench.nnet import (CELL_KINDS, FFNNLM, RNNLM, SCORE_BATCH, RecurrentCell,
                            RecurrentState, StackedRNN, TOY_EQUALITY_DATA,
                            train_lm, train_toy_mlp)
 from seqbench.optim import Adam, TrainingDivergence
@@ -393,3 +394,97 @@ def test_nan_in_stacked_bias_is_named_at_its_parameter_node():
     bias = g.param(cell.params["b"])
     with pytest.raises(NonFiniteError, match=rf"node {bias.idx} \(parameter\)"):
         g.forward()
+
+
+# ---- corpus scoring in length-sorted batches ------------------------------------------
+
+SCORING_VOCAB = C.build_vocab([" ".join(f"w{i}" for i in range(20))])
+
+
+def scoring_lms():
+    """Every cell kind with one layer and with two residual layers, and the
+    feed-forward LM with each nonlinearity."""
+    for kind in CELL_KINDS:
+        for layers, residual in ((1, False), (2, True)):
+            yield f"{kind}-{layers}", lambda kind=kind, layers=layers, residual=residual: RNNLM(
+                SCORING_VOCAB, cell=kind, embed_size=6, hidden_size=6, layers=layers,
+                residual=residual, rng=np.random.default_rng(layers))
+    for nonlinearity in ("tanh", "relu"):
+        yield f"ffnnlm-{nonlinearity}", lambda nonlinearity=nonlinearity: FFNNLM(
+            SCORING_VOCAB, n=3, embed_size=4, hidden_size=6, nonlinearity=nonlinearity,
+            rng=np.random.default_rng(3))
+
+
+SCORING_LMS = dict(scoring_lms())
+
+
+def scoring_corpus(count, seed=7):
+    """``count`` token lines of 0 to 29 words (a blank line scores as a lone
+    EOS) in shuffled length order, with out-of-vocabulary words mixed in."""
+    rng = np.random.default_rng(seed)
+    words = SCORING_VOCAB.tokens[3:] + ["zzz", "qq"]
+    return [[words[i] for i in rng.integers(0, len(words), size=n)]
+            for n in rng.permutation(np.arange(count) % 30)]
+
+
+def per_sentence_sums(model, data):
+    """evaluate_ll's four sums from one B=1 ``sentence_nll`` and one
+    ``unknown_factor`` per sentence, in data order."""
+    total, words, unk_count, unk_logp = 0.0, 0, 0, 0.0
+    for tokens in data:
+        ids = C.encode(model.vocab, tokens, append_eos=True)
+        count, logp = C.unknown_factor(model.vocab, ids)
+        total += -model.sentence_nll(ids) + logp
+        words += len(ids)
+        unk_count += count
+        unk_logp += logp
+    return total, words, unk_count, unk_logp
+
+
+@pytest.mark.parametrize("name", SCORING_LMS)
+def test_batched_corpus_score_matches_the_per_sentence_sum(name, monkeypatch):
+    model = SCORING_LMS[name]()
+    data = scoring_corpus(2 * SCORE_BATCH + 6)
+    assert [] in data and max(len(tokens) for tokens in data) == 29
+    batches = []
+    batch_loss = type(model).batch_loss
+    monkeypatch.setattr(type(model), "batch_loss",
+                        lambda self, g, batch: batches.append(batch) or
+                        batch_loss(self, g, batch))
+    report = evaluate_ll(model, data)
+    monkeypatch.undo()
+    # one eager call per batch, over the sentences stably sorted by length
+    assert [batch.size for batch in batches] == [SCORE_BATCH, SCORE_BATCH, 6]
+    assert [length for batch in batches for length in batch.true_lengths] == sorted(
+        len(tokens) + 1 for tokens in data)
+    total, words, unk_count, unk_logp = per_sentence_sums(model, data)
+    assert report.total_log_likelihood == pytest.approx(total, rel=1e-12, abs=0)
+    assert report.word_count == words
+    assert report.unk_count == unk_count > 0
+    assert same_bits(report.unk_log_portion, unk_logp)
+
+
+@pytest.mark.parametrize("name", SCORING_LMS)
+def test_one_sentence_corpus_scores_bitwise_as_one_b1_batch(name):
+    model = SCORING_LMS[name]()
+    for tokens in (["w1", "zzz", "w4"], []):
+        ids = C.encode(model.vocab, tokens, append_eos=True)
+        with Eager() as e:
+            nll = float(model.batch_loss(e, C.make_batches([ids], 1)[0])[0, 0])
+        _, unk_logp = C.unknown_factor(model.vocab, ids)
+        assert same_bits(model.sentence_nll(ids), nll)
+        report = evaluate_ll(model, [tokens])
+        assert same_bits(report.total_log_likelihood, 0.0 + (-nll + unk_logp))
+        assert same_bits(report.unk_log_portion, 0.0 + unk_logp)
+
+
+def test_dev_scores_are_the_batched_corpus_nll():
+    model = SCORING_LMS["lstm_forget-1"]()
+    dev = [C.encode(SCORING_VOCAB, tokens, append_eos=True)
+           for tokens in scoring_corpus(SCORE_BATCH + 3)]
+    expected = []
+    history = train_lm(model, dev[:4], Adam(model.parameters(), lr=0.01), epochs=2,
+                       dev_sentences=dev, rng=np.random.default_rng(0),
+                       log=lambda epoch, loss, dev_ll: expected.append(
+                           -model.corpus_nll(dev)))
+    assert history == expected

@@ -243,7 +243,7 @@ def rnnlm_trainer(lr, seed, with_dev):
                                  dev_sentences=dev if with_dev else None, batch_size=2,
                                  rng=np.random.default_rng(seed), log=log)
     return (lambda: [p.value for p in model.parameters()], train,
-            lambda: -sum(model.sentence_nll(s) for s in dev))
+            lambda: -model.corpus_nll(dev))
 
 
 def encdec_trainer(lr, seed, with_dev):

@@ -8,7 +8,7 @@ from helpers import (assert_matches_per_gate_reference,
                      attention_scores_per_column, max_gradient_error,
                      per_position_loss_graph)
 from seqbench import corpus as C
-from seqbench.autograd import Graph
+from seqbench.autograd import Eager, Graph, NonFiniteError
 from seqbench.nnet import CELL_KINDS, RNNLM
 from seqbench.seq2seq import ATTENTION_KINDS, EncDecModel, Ensemble, train_encdec
 from seqbench.optim import Adam
@@ -352,13 +352,17 @@ def test_wide_vocabulary_loss_graph_matches_per_position_output_layer():
         lambda: per_position_loss_graph(model, f, e))
 
 
-def test_copy_task_graph_sizes(monkeypatch):
-    # the copy-task configuration of the benchmark: V=12, H=24, MLP attention;
-    # encoding and decoder steps are evaluated eagerly and build no graph
+def copy_task_model():
+    # the copy-task configuration of the benchmark: V=12, H=24, MLP attention
     vocab = C.build_vocab([" ".join(f"s{i}" for i in range(9))])
-    model = EncDecModel(vocab, vocab, embed_size=16, hidden_size=24,
-                        encoder="bidirectional", bridge="tanh", attention="mlp",
-                        rng=np.random.default_rng(0))
+    return EncDecModel(vocab, vocab, embed_size=16, hidden_size=24,
+                       encoder="bidirectional", bridge="tanh", attention="mlp",
+                       rng=np.random.default_rng(0))
+
+
+def test_copy_task_graph_sizes(monkeypatch):
+    # encoding and decoder steps are evaluated eagerly and build no graph
+    model = copy_task_model()
     graphs = []
     init = Graph.__init__
 
@@ -371,3 +375,28 @@ def test_copy_task_graph_sizes(monkeypatch):
     model.step([state], [C.BOS_ID])
     assert graphs == []
     assert len(model.loss_graph([3, 4, 5, 6, 7], [3, 4, 5, 6, 7, C.EOS_ID]).nodes) <= 178
+
+
+def test_decoder_steps_take_the_source_encoding_unwrapped(monkeypatch):
+    # encode made H and the MLP source projection through checked ops, so a
+    # step wraps in inputs only the layer states (h, c) and the fed-back
+    # context: 3 inputs per step, where wrapping H and src_proj made 5
+    model = copy_task_model()
+    ops = []
+    op = Eager._op
+    monkeypatch.setattr(Eager, "_op", lambda self, name, *rest: ops.append(name) or
+                        op(self, name, *rest))
+    for states in ([model.start([3, 4, 5, 6, 7])], [model.start([3, 4, 5])] * 4):
+        for prev_ids in ([C.BOS_ID] * len(states), [3, 4, 5, 6][:len(states)]):
+            ops.clear()
+            _, states, _ = model.step(states, prev_ids)
+            assert ops.count("input") == 3
+
+
+def test_non_finite_encoder_weight_still_stops_greedy_decoding():
+    model = copy_task_model()
+    weight = model.enc_bwd.cells[0].params["W_x"]
+    weight.value[0, 0] = np.nan
+    weight.changed()
+    with pytest.raises(NonFiniteError):
+        greedy(model, [3, 4, 5])
