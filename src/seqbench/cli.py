@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -288,16 +289,32 @@ def _open_output(path, mode="w"):
 
 @contextmanager
 def _model_output(path):
-    """Open the model file before training; yields ``save(model)``.
+    """Check before training that the model file can be written; yields
+    ``save(model)``.
 
     Opened for appending, the file is created without emptying an earlier
-    model, which a run that fails before it saves thus leaves in place.
+    model, which a run that fails before it saves thus leaves in place. A
+    file this run created is removed again if the run fails before it saves.
     """
-    with _open_output(path, "ab") as fh:
-        def save(model):
-            fh.truncate(0)
-            save_model(model, fh)
+    created = not os.path.exists(path)
+    _open_output(path, "ab").close()
+    saved = False
+
+    def save(model):
+        nonlocal saved
+        try:
+            save_model(model, path)
+        except OSError as exc:
+            raise DataError(f"{path}: cannot write: "
+                            f"{exc.strerror or exc}") from exc
+        saved = True
+
+    try:
         yield save
+    finally:
+        if created and not saved:
+            with suppress(OSError):
+                os.unlink(path)
 
 
 @contextmanager

@@ -46,7 +46,6 @@ def _pack_str(out, text: str):
 
 
 def write_modelfile(mf: ModelFile, path):
-    """Write ``mf`` to ``path``, a file name or an open binary file."""
     out = []
     out.append(MAGIC)
     out.append(struct.pack("<I", VERSION))
@@ -75,9 +74,6 @@ def write_modelfile(mf: ModelFile, path):
             out.append(struct.pack("<I", len(ids)))
             out.append(struct.pack(f"<{len(ids)}I", *ids))
             out.append(struct.pack("<Q", mf.counts[ids]))
-    if hasattr(path, "write"):
-        path.write(b"".join(out))
-        return
     with open(path, "wb") as fh:
         fh.write(b"".join(out))
 
@@ -156,7 +152,6 @@ def _parse(r: _Reader) -> ModelFile:
 # ---- model <-> file ---------------------------------------------------------
 
 def save_model(model, path):
-    """Write ``model`` to ``path``, a file name or an open binary file."""
     write_modelfile(_pack(model), path)
 
 

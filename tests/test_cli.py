@@ -1,5 +1,6 @@
 import argparse
 import math
+import os
 import struct
 
 import numpy as np
@@ -432,6 +433,7 @@ def test_divergence_exit_code(tmp_path, capsys):
                  "--nonlinearity", "relu"])
     assert code == 3
     assert "diverged" in capsys.readouterr().err
+    assert not os.path.exists(model)
 
 
 def test_diverged_run_keeps_the_earlier_model(tmp_path, capsys):
