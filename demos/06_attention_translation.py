@@ -49,19 +49,18 @@ f, e = test_pairs[0]
 src_words = [vocab.token_of(i) for i in f]
 state = model.start(f)
 prev = BOS_ID
-rows = []
+attention = []
 out_words = []
 for _ in range(len(f) + 1):
-    P, states, alphas = model.step([state], [prev])
-    state = states[0]
+    P, state, alphas = model.step(state, [0], [prev])
     prev = int(np.argmax(P[:, 0]))
-    rows.append(alphas[:, 0])
+    attention.append(alphas[:, 0])
     out_words.append(vocab.token_of(prev))
     if prev == EOS_ID:
         break
 
 print(f"\nattention for '{' '.join(src_words)}' -> '{' '.join(out_words)}':")
 print("          " + "  ".join(f"{w:>4s}" for w in src_words))
-for word, alpha in zip(out_words, rows):
+for word, alpha in zip(out_words, attention):
     cells = "  ".join(f"{a:4.2f}" for a in alpha)
     print(f"  {word:6s}  {cells}")

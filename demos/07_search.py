@@ -22,11 +22,12 @@ class TableModel:
         self.table = {k: np.array(v) for k, v in table.items()}
 
     def start(self, source_ids=None):
-        return None
+        return [None]
 
-    def step(self, states, prev_ids):
-        prefixes = [() if state is None else state + (prev,)
-                    for state, prev in zip(states, prev_ids)]
+    def step(self, state, rows, prev_ids):
+        """A state holds one prefix per column."""
+        prefixes = [() if state[r] is None else state[r] + (prev,)
+                    for r, prev in zip(rows, prev_ids)]
         P = np.array([self.table.get(prefix, [0.0, 1.0, 0.0]) for prefix in prefixes]).T
         return P, prefixes, None
 

@@ -417,7 +417,10 @@ def cmd_train_rnnlm(args, rng) -> int:
 
 
 def cmd_train_encdec(args, rng) -> int:
+    if bool(args.dev_src) != bool(args.dev_tgt):
+        raise UsageError("--dev-src and --dev-tgt go together; give both or neither")
     pairs_text = C.read_parallel(args.train_src, args.train_tgt)
+    _reject_blank_sources(args.train_src, [f for f, _ in pairs_text])
     src_vocab = _build_vocab_from(args.train_src, args.unk_policy,
                                   args.min_count, args.v_all)
     tgt_vocab = _build_vocab_from(args.train_tgt, args.unk_policy,
@@ -431,9 +434,11 @@ def cmd_train_encdec(args, rng) -> int:
              for f, e in pairs_text]
     model.length_prior = LengthPrior.from_pairs(pairs)
     dev_pairs = None
-    if args.dev_src and args.dev_tgt:
+    if args.dev_src:
+        dev_text = C.read_parallel(args.dev_src, args.dev_tgt)
+        _reject_blank_sources(args.dev_src, [f for f, _ in dev_text])
         dev_pairs = [(C.encode(src_vocab, f), C.encode(tgt_vocab, e, append_eos=True))
-                     for f, e in C.read_parallel(args.dev_src, args.dev_tgt)]
+                     for f, e in dev_text]
     opt = make_optimizer(args.optimizer, model.parameters(), lr=args.lr,
                          clip_norm=args.clip_norm)
     with _training_outputs(args, [e for _, e in (dev_pairs or pairs)]) as (log, save):
@@ -469,14 +474,16 @@ def _decode_corpus(model, args, rng) -> int:
     if not isinstance(model, (EncDecModel, Ensemble)):
         raise UsageError("translate needs a conditional model; use sample for "
                          "language models")
-    src_vocab = (model.src_vocab if isinstance(model, EncDecModel)
-                 else model.models[0].src_vocab)
+    # the source vocabulary, the length prior and the attention that
+    # unknown-word replacement follows are an ensemble's first member's
+    lead = model.models[0] if isinstance(model, Ensemble) else model
+    if args.replace_unk and lead.attention == "none":
+        raise UsageError("--replace-unk follows the attention of the model (of "
+                         "an ensemble's first member), which has --attention none")
     lines = C.read_token_lines(args.input)
     _reject_blank_sources(args.input, lines)
     mode = LENGTH_NORM[args.length_norm]
-    prior = getattr(model, "length_prior", None)
-    if isinstance(model, Ensemble):
-        prior = getattr(model.models[0], "length_prior", None)
+    prior = getattr(lead, "length_prior", None)
     if mode == "multinomial_prior" and prior is None:
         raise DataError("model file carries no length prior; retrain or use "
                         "--length-norm none/perword")
@@ -484,7 +491,7 @@ def _decode_corpus(model, args, rng) -> int:
         out = []
         for index, line in enumerate(lines):
             tokens = line.split()
-            source_ids = C.encode(src_vocab, tokens)
+            source_ids = C.encode(lead.src_vocab, tokens)
             if args.search == "greedy":
                 hyps = [greedy(model, source_ids, max_len=args.max_len)]
             elif args.search == "sample":

@@ -195,12 +195,12 @@ class LogLinearLM:
     def start(self, source_ids=None):
         if source_ids is not None:
             raise ValueError("log-linear LM is unconditional")
-        return ()
+        return [()]
 
-    def step(self, states, prev_ids):
+    def step(self, state, rows, prev_ids):
         histories, columns = [], []
-        for state, prev in zip(states, prev_ids):
-            history = state + (prev,) if prev != BOS_ID else state
+        for row, prev in zip(rows, prev_ids):
+            history = state[row] + (prev,) if prev != BOS_ID else state[row]
             p = self.next_distribution(history).copy()
             p[UNK_ID] += p[BOS_ID]
             p[BOS_ID] = 0.0

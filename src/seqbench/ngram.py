@@ -181,12 +181,12 @@ class NGramLM:
     def start(self, source_ids=None):
         if source_ids is not None:
             raise ValueError("n-gram LM is unconditional")
-        return ()
+        return [()]
 
-    def step(self, states, prev_ids):
+    def step(self, state, rows, prev_ids):
         contexts, columns = [], []
-        for state, prev in zip(states, prev_ids):
-            context = state + (prev,) if prev != BOS_ID else state
+        for row, prev in zip(rows, prev_ids):
+            context = state[row] + (prev,) if prev != BOS_ID else state[row]
             p = np.array([interp_prob(self.table, self.weights, self.vocab, context, e)
                           for e in range(len(self.vocab))])
             p[UNK_ID] += 1.0 - p.sum() + p[BOS_ID]

@@ -192,26 +192,18 @@ class StackedRNN:
         return inp, new_states
 
 
-def input_columns(g: Evaluator, arrays) -> Value:
-    """One input holding the (n, 1) ``arrays`` side by side."""
-    return g.input(arrays[0] if len(arrays) == 1 else np.hstack(arrays))
+def gather_layer_states(layers: list[RecurrentState], rows) -> list[RecurrentState]:
+    """The columns ``rows`` of eagerly evaluated layer states, in that order.
 
-
-def stack_layer_states(g: Evaluator, states) -> list[RecurrentState]:
-    """Inputs holding B states' per-layer (h, c) columns side by side."""
-    return [RecurrentState(h=input_columns(g, [h for h, _ in layer]),
-                           c=None if layer[0][1] is None else
-                           input_columns(g, [c for _, c in layer]),
-                           batch=len(states))
-            for layer in zip(*states)]
-
-
-def split_layer_states(layers: list[RecurrentState]) -> list[list]:
-    """Eagerly evaluated B-column layer states as B per-column lists of
-    (h, c) arrays."""
-    return [[(st.h[:, b:b + 1].copy(), None if st.c is None else st.c[:, b:b + 1].copy())
-             for st in layers]
-            for b in range(layers[0].batch)]
+    ``np.take`` returns C-contiguous arrays, the layout the decoder's BLAS
+    products had when hypotheses kept one column each and were stacked with
+    ``np.hstack``; ``x[:, rows]`` would return F-ordered ones, whose products
+    may round differently.
+    """
+    return [RecurrentState(h=np.take(st.h, rows, axis=1),
+                           c=None if st.c is None else np.take(st.c, rows, axis=1),
+                           batch=len(rows))
+            for st in layers]
 
 
 def _prev_token_rows(batch: MiniBatch) -> np.ndarray:
@@ -319,14 +311,15 @@ class FFNNLM(NeuralLM):
         masked = g.cmult(losses, g.input(batch.mask.reshape(1, -1)))
         return g.sum(masked)
 
-    # predictor protocol: a state is the rolling window of the n-1 previous ids
+    # predictor protocol: a state holds one rolling window of the n-1
+    # previous ids per column
     def start(self, source_ids=None):
         if source_ids is not None:
             raise ValueError("language model is unconditional")
-        return (BOS_ID,) * (self.n - 1)
+        return [(BOS_ID,) * (self.n - 1)]
 
-    def step(self, states, prev_ids):
-        windows = [tuple(state[1:]) + (prev,) for state, prev in zip(states, prev_ids)]
+    def step(self, state, rows, prev_ids):
+        windows = [state[r][1:] + (prev,) for r, prev in zip(rows, prev_ids)]
         with Eager() as e:
             P = e.softmax(self._scores(e, [list(slot) for slot in zip(*windows)]))
         return P, windows, None
@@ -377,21 +370,20 @@ class RNNLM(NeuralLM):
         masked = g.cmult(losses, g.input(batch.mask.reshape(1, -1)))
         return g.sum(masked)
 
-    # predictor protocol: a state is a list of per-layer (h, c) columns
+    # predictor protocol: a state is the per-layer states, one column per
+    # hypothesis; they came out of checked ops and enter the next step as they are
     def start(self, source_ids=None):
         if source_ids is not None:
             raise ValueError("language model is unconditional")
-        return [(np.zeros((self.hidden_size, 1)),
-                 np.zeros((self.hidden_size, 1)) if cell.has_cell else None)
-                for cell in self.rnn.cells]
-
-    def step(self, states, prev_ids):
         with Eager() as e:
-            layers = stack_layer_states(e, states)
+            return self.rnn.initial_states(e)
+
+    def step(self, state, rows, prev_ids):
+        with Eager() as e:
             x = e.lookup_column(e.param(self.M), prev_ids)
-            out, layers = self.rnn.step(e, x, layers)
+            out, layers = self.rnn.step(e, x, gather_layer_states(state, rows))
             P = e.softmax(e.affine(e.param(self.b_s), e.param(self.W_hs), out))
-        return P, split_layer_states(layers), None
+        return P, layers, None
 
 
 def train_lm(model, train_sentences, optimizer: Optimizer, epochs: int,

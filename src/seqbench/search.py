@@ -3,18 +3,20 @@
 All three run over any model exposing the decode protocol:
 
     state = model.start(source_ids_or_None)
-    P, new_states, alphas = model.step(states, prev_ids)
+    P, state, alphas = model.step(state, rows, prev_ids)
 
-``step`` extends B hypotheses of one source in one call: ``states`` holds
-their B states and ``prev_ids`` the B tokens they emitted last (the start
-symbol at first). Column b of the V x B matrix ``P`` is hypothesis b's
-next-token distribution over the target vocabulary, ``new_states[b]`` its
-state after the step, and column b of the |F| x B ``alphas`` its attention
-over the source words (``alphas`` is None when the model has no attention).
-A state is one hypothesis' own object, never changed by later steps, so
-hypotheses that share a parent share its new state. Beam search makes one
-call per time step for every live hypothesis; greedy search and sampling
-call it with B=1.
+A state is the model's own object holding B hypotheses of one source, one
+column each; ``start`` returns a one-column state. ``step`` makes B new
+columns in one call: new column b extends column ``rows[b]`` of ``state``
+by the token ``prev_ids[b]`` (the start symbol at first), and rows may
+repeat. Column b of the V x B matrix ``P`` is that hypothesis' next-token
+distribution over the target vocabulary, and column b of the |F| x B
+``alphas`` its attention over the source words (``alphas`` is None when the
+model has no attention). The returned state holds the B new columns; the
+state passed in is left unchanged. Greedy search and sampling step with
+``rows=[0]``. Beam search makes one call per time step, whose rows are the
+parent rows of the surviving unfinished hypotheses, so hypotheses keep no
+state of their own.
 
 Hypothesis scores are accumulated natural-log probabilities. Ties anywhere
 break toward the lexicographically smallest token sequence (hence the lowest
@@ -40,7 +42,6 @@ class Hypothesis:
 
     tokens: list[int]
     logprob: float
-    state: object = None
     finished: bool = False
     truncated: bool = False
     attention_trace: list[int] | None = None
@@ -107,8 +108,8 @@ def _decode(model, source_ids, max_len, choose) -> Hypothesis:
     hyp = Hypothesis(tokens=[], logprob=0.0, attention_trace=[])
     prev = BOS_ID
     for _ in range(max_len):
-        P, states, alphas = model.step([state], [prev])
-        p, state = P[:, 0], states[0]
+        P, state, alphas = model.step(state, [0], [prev])
+        p = P[:, 0]
         tok = choose(p)
         hyp.tokens.append(tok)
         hyp.logprob += math.log(p[tok])
@@ -118,7 +119,6 @@ def _decode(model, source_ids, max_len, choose) -> Hypothesis:
             break
         prev = tok
     hyp.truncated = not hyp.finished
-    hyp.state = state
     return hyp
 
 
@@ -194,27 +194,30 @@ def beam_search(model, source_ids=None, beam_size: int = 4,
         raise ValueError("max_len must be >= 1")
     source_len = None if source_ids is None else len(source_ids)
 
-    start = Hypothesis(tokens=[], logprob=0.0, state=model.start(source_ids),
-                       attention_trace=[])
-    active = [start]
+    state = model.start(source_ids)
+    active = [Hypothesis(tokens=[], logprob=0.0, attention_trace=[])]
+    rows = [0]              # the state column each active hypothesis extends
     completed: list[Hypothesis] = []
     for _ in range(max_len):
-        P, states, alphas = model.step(
-            [hyp.state for hyp in active],
-            [hyp.tokens[-1] if hyp.tokens else BOS_ID for hyp in active])
+        P, state, alphas = model.step(
+            state, rows, [hyp.tokens[-1] if hyp.tokens else BOS_ID for hyp in active])
         with np.errstate(divide="ignore"):
             logp = np.log(P)
         scores = logp.T + np.array([[hyp.logprob] for hyp in active])
         traces = _trace_entries(alphas, len(active))
         prefixes = [tuple(hyp.tokens) for hyp in active]
         parents = active
-        active = []
+        active, rows = [], []
         for row, tok in _best_candidates(scores, prefixes, beam_size):
             parent = parents[row]
             child = Hypothesis(tokens=parent.tokens + [tok], logprob=scores[row, tok],
-                               state=states[row], finished=tok == EOS_ID,
+                               finished=tok == EOS_ID,
                                attention_trace=parent.attention_trace + [traces[row]])
-            (completed if child.finished else active).append(child)
+            if child.finished:
+                completed.append(child)
+            else:
+                active.append(child)
+                rows.append(row)
         if len(completed) >= beam_size or not active:
             break
 

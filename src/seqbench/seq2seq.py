@@ -20,8 +20,8 @@ import numpy as np
 
 from .autograd import Eager, Evaluator, Graph, Parameter, Value
 from .corpus import BOS_ID, Vocabulary, encode, unknown_factor
-from .nnet import (RecurrentState, StackedRNN, embedding_init, glorot,
-                   input_columns, split_layer_states, stack_layer_states)
+from .nnet import (RecurrentState, StackedRNN, embedding_init, gather_layer_states,
+                   glorot)
 from .optim import EpochTracker, Optimizer, fit
 
 ENCODER_DIRECTIONS = ("forward", "reverse", "bidirectional")
@@ -34,18 +34,18 @@ class SourceEncoding:
     """Frozen per-word source encodings plus the decoder's starting state."""
 
     H: np.ndarray                       # (encoding_dim, |F|)
-    init_layers: list                   # [(h, c or None), ...] per decoder layer
+    init_layers: list                   # one-column RecurrentState per decoder layer
     source_ids: list[int]
     src_proj: np.ndarray | None = None  # W_a1_src·H for MLP attention, else None
 
 
 @dataclass
 class EncDecState:
-    """One hypothesis' decoder state: layer states and fed-back context."""
+    """The decoder state of B hypotheses of one source, one column each."""
 
     encoding: SourceEncoding
-    layers: list
-    context: np.ndarray | None
+    layers: list                        # RecurrentState per decoder layer
+    context: np.ndarray | None          # fed-back context; None without attention
 
 
 class EncDecModel:
@@ -202,8 +202,8 @@ class EncDecModel:
         with Eager() as e:
             H, init = self._encode_nodes(e, source_ids)
             proj = self._source_projection(e, H)
-        return SourceEncoding(H=H, init_layers=[(st.h, st.c) for st in init],
-                              source_ids=list(source_ids), src_proj=proj)
+        return SourceEncoding(H=H, init_layers=init, source_ids=list(source_ids),
+                              src_proj=proj)
 
     # ---- attention ---------------------------------------------------------
 
@@ -272,27 +272,21 @@ class EncDecModel:
         return EncDecState(encoding=encoding, layers=encoding.init_layers,
                            context=context)
 
-    def step(self, states, prev_ids):
-        """Predictor protocol: one decoder call for the hypotheses ``states``,
-        which all decode the same source; see :mod:`seqbench.search`."""
-        encoding = states[0].encoding
-        # encode made H and src_proj through checked ops: they enter as they are
+    def step(self, state, rows, prev_ids):
+        """Predictor protocol: one decoder call extending the columns ``rows``
+        of ``state``; see :mod:`seqbench.search`."""
+        encoding = state.encoding
+        # H, src_proj and the state's arrays came out of checked ops: they
+        # enter as they are
         H, src = encoding.H, encoding.src_proj
         if src is not None:
-            src = np.hstack([src] * len(states))
+            src = np.hstack([src] * len(rows))
+        context = None if state.context is None else np.take(state.context, rows, axis=1)
         with Eager() as e:
-            layers = stack_layer_states(e, [st.layers for st in states])
-            context = None
-            if self.attention != "none":
-                context = input_columns(e, [st.context for st in states])
-            x, new_layers, new_context, alpha = self._step_nodes(
-                e, H, prev_ids, layers, context, src)
+            x, layers, context, alpha = self._step_nodes(
+                e, H, prev_ids, gather_layer_states(state.layers, rows), context, src)
             P = e.softmax(self._scores(e, x))
-        contexts = [None if new_context is None else new_context[:, b:b + 1].copy()
-                    for b in range(len(states))]
-        new_states = [EncDecState(encoding=encoding, layers=cols, context=ctx)
-                      for cols, ctx in zip(split_layer_states(new_layers), contexts)]
-        return P, new_states, alpha
+        return P, EncDecState(encoding=encoding, layers=layers, context=context), alpha
 
     # ---- training / scoring -------------------------------------------------
 
@@ -368,27 +362,27 @@ class Ensemble:
     def start(self, source_ids=None):
         return tuple(m.start(source_ids) for m in self.models)
 
-    def step(self, states, prev_ids):
-        """One call per member with all B columns; a state holds one state
+    def step(self, state, rows, prev_ids):
+        """One call per member with all B columns; ``state`` holds one state
         per member."""
         total = alphas = None
         member_states = []
-        for m, model in enumerate(self.models):
-            P, new, a = model.step([st[m] for st in states], prev_ids)
+        for model, member_state in zip(self.models, state):
+            P, new, a = model.step(member_state, rows, prev_ids)
             total = P if total is None else total + P
             member_states.append(new)
             if alphas is None:
                 alphas = a      # unknown replacement follows the first member
-        return total / len(self.models), list(zip(*member_states)), alphas
+        return total / len(self.models), tuple(member_states), alphas
 
     def score_pair(self, src_tokens, tgt_tokens):
         f = encode(self.models[0].src_vocab, src_tokens)
         e = encode(self.vocab, tgt_tokens, append_eos=True)
-        states = [self.start(f)]
+        state = self.start(f)
         logp = 0.0
         prev = BOS_ID
         for target in e:
-            P, states, _ = self.step(states, [prev])
+            P, state, _ = self.step(state, [0], [prev])
             logp += math.log(P[target, 0])
             prev = target
         unk_count, unk_logp = unknown_factor(self.vocab, e)

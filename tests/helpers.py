@@ -13,8 +13,7 @@ import numpy as np
 
 from seqbench.autograd import Graph, Parameter
 from seqbench.corpus import BOS_ID, make_batches
-from seqbench.nnet import (RecurrentState, _prev_token_rows, input_columns,
-                           stack_layer_states)
+from seqbench.nnet import RecurrentState, _prev_token_rows
 from seqbench.search import Hypothesis, _rescore, _trace_entries, default_max_len
 
 
@@ -372,48 +371,61 @@ def graph_encode(model, source_ids):
             None if proj is None else proj.value)
 
 
-def graph_layer_columns(layers):
-    """A graph's evaluated B-column layer states as B per-column lists of (h, c)."""
-    return [[(st.h.value[:, b:b + 1], None if st.c is None else st.c.value[:, b:b + 1])
-             for st in layers]
-            for b in range(layers[0].batch)]
+def graph_columns(g, array, rows):
+    """A graph input holding the columns ``rows`` of ``array``, stacked from
+    one-column copies."""
+    return g.input(np.hstack([array[:, r:r + 1] for r in rows]))
 
 
-def graph_encdec_step(model, states, prev_ids):
-    """``EncDecModel.step`` through a :class:`Graph`: (P, per-column layer
-    states, the new context columns or None, alpha or None)."""
-    encoding = states[0].encoding
+def graph_layer_states(g, layers, rows):
+    """Graph inputs holding the columns ``rows`` of eagerly evaluated layer
+    states."""
+    return [RecurrentState(h=graph_columns(g, st.h, rows),
+                           c=None if st.c is None else graph_columns(g, st.c, rows),
+                           batch=len(rows))
+            for st in layers]
+
+
+def layer_values(layers):
+    """A graph's evaluated layer states as (h, c) arrays per layer."""
+    return [(st.h.value, None if st.c is None else st.c.value) for st in layers]
+
+
+def graph_encdec_step(model, state, rows, prev_ids):
+    """``EncDecModel.step`` through a :class:`Graph`: (P, the new (h, c) per
+    layer, the new context or None, alpha or None)."""
+    encoding = state.encoding
     g = Graph()
-    layers = stack_layer_states(g, [st.layers for st in states])
+    layers = graph_layer_states(g, state.layers, rows)
     H = context = src = None
     if model.attention != "none":
         H = g.input(encoding.H)
-        context = input_columns(g, [st.context for st in states])
+        context = graph_columns(g, state.context, rows)
     if encoding.src_proj is not None:
-        src = input_columns(g, [encoding.src_proj] * len(states))
+        src = g.input(np.hstack([encoding.src_proj] * len(rows)))
     x, new_layers, new_context, alpha = model._step_nodes(g, H, prev_ids, layers,
                                                           context, src)
     P = g.softmax(model._scores(g, x))
     g.forward()
-    return (P.value, graph_layer_columns(new_layers),
+    return (P.value, layer_values(new_layers),
             None if new_context is None else new_context.value,
             None if alpha is None else alpha.value)
 
 
-def graph_rnnlm_step(model, states, prev_ids):
-    """``RNNLM.step`` through a :class:`Graph`: (P, per-column layer states)."""
+def graph_rnnlm_step(model, state, rows, prev_ids):
+    """``RNNLM.step`` through a :class:`Graph`: (P, the new (h, c) per layer)."""
     g = Graph()
-    layers = stack_layer_states(g, states)
+    layers = graph_layer_states(g, state, rows)
     x = g.lookup_column(g.param(model.M), prev_ids)
     out, layers = model.rnn.step(g, x, layers)
     P = g.softmax(g.affine(g.param(model.b_s), g.param(model.W_hs), out))
     g.forward()
-    return P.value, graph_layer_columns(layers)
+    return P.value, layer_values(layers)
 
 
-def graph_ffnnlm_step(model, states, prev_ids):
+def graph_ffnnlm_step(model, state, rows, prev_ids):
     """``FFNNLM.step``'s distribution through a :class:`Graph`."""
-    windows = [tuple(state[1:]) + (prev,) for state, prev in zip(states, prev_ids)]
+    windows = [tuple(state[r][1:]) + (prev,) for r, prev in zip(rows, prev_ids)]
     g = Graph()
     g.softmax(model._scores(g, [list(slot) for slot in zip(*windows)]))
     return g.forward()
@@ -450,11 +462,12 @@ class TableModel:
         self._eos_only[EOS_ID] = 1.0
 
     def start(self, source_ids=None):
-        return None     # no tokens consumed yet; step() ignores the start symbol
+        return [None]   # no tokens consumed yet; step() ignores the start symbol
 
-    def step(self, states, prev_ids):
-        prefixes = [() if state is None else state + (prev,)
-                    for state, prev in zip(states, prev_ids)]
+    def step(self, state, rows, prev_ids):
+        """A state holds one prefix per column."""
+        prefixes = [() if state[r] is None else state[r] + (prev,)
+                    for r, prev in zip(rows, prev_ids)]
         P = np.array([self.table.get(prefix, self._eos_only) for prefix in prefixes]).T
         return P, prefixes, None
 
@@ -487,8 +500,8 @@ def enumerate_sequences(model, max_len):
     def walk(prefix, state, logprob):
         if len(prefix) >= max_len:
             return
-        P, new_states, _ = model.step([state], [prefix[-1] if prefix else 0])
-        p, new_state = P[:, 0], new_states[0]
+        P, new_state, _ = model.step(state, [0], [prefix[-1] if prefix else 0])
+        p = P[:, 0]
         for tok in range(len(p)):
             if p[tok] <= 0.0:
                 continue
@@ -532,23 +545,23 @@ def reference_beam_search(model, source_ids=None, beam_size=4, max_len=None,
                           length_mode="none", length_prior=None):
     """Beam search that builds and sorts every (hypothesis, token) candidate.
 
-    The reference for ``search.beam_search``: the same search, with one
-    single-column ``step`` per hypothesis and the whole candidate list sorted
-    by the documented key.
+    The reference for ``search.beam_search``: the same search, with each
+    hypothesis paired with a one-column state of its own, one single-column
+    ``step`` per hypothesis and the whole candidate list sorted by the
+    documented key.
     """
     if max_len is None:
         max_len = default_max_len(source_ids)
     source_len = None if source_ids is None else len(source_ids)
-    start = Hypothesis(tokens=[], logprob=0.0, state=model.start(source_ids),
-                       attention_trace=[])
-    active = [start]
+    start = Hypothesis(tokens=[], logprob=0.0, attention_trace=[])
+    active = [(start, model.start(source_ids))]
     completed = []
     for _ in range(max_len):
         candidates = []
-        for hyp in active:
+        for hyp, state in active:
             prev = hyp.tokens[-1] if hyp.tokens else BOS_ID
-            P, new_states, alphas = model.step([hyp.state], [prev])
-            p, new_state = P[:, 0], new_states[0]
+            P, new_state, alphas = model.step(state, [0], [prev])
+            p = P[:, 0]
             with np.errstate(divide="ignore"):
                 logp = np.log(p)
             trace_tail = _trace_entries(alphas, 1)[0]
@@ -561,14 +574,17 @@ def reference_beam_search(model, source_ids=None, beam_size=4, max_len=None,
         active = []
         for score, parent, tok, state, trace_tail in candidates[:beam_size]:
             child = Hypothesis(tokens=parent.tokens + [tok], logprob=score,
-                               state=state, finished=tok == EOS_ID,
+                               finished=tok == EOS_ID,
                                attention_trace=parent.attention_trace + [trace_tail])
-            (completed if child.finished else active).append(child)
+            if child.finished:
+                completed.append(child)
+            else:
+                active.append((child, state))
         if len(completed) >= beam_size or not active:
             break
 
     if not completed:
-        best = min(active, key=lambda h: (-h.logprob, tuple(h.tokens)))
+        best = min((hyp for hyp, _ in active), key=lambda h: (-h.logprob, tuple(h.tokens)))
         best.truncated = True
         best.score = _rescore(best, length_mode, length_prior, source_len)
         return [best]

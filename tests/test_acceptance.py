@@ -440,8 +440,8 @@ def test_criterion_11_ensembling(copy_task):
     f = copy_task["held_out"][0][0]
 
     ens_same = Ensemble([model, model, model])
-    p_single, _, _ = model.step([model.start(f)], [C.BOS_ID])
-    p_ens, _, _ = ens_same.step([ens_same.start(f)], [C.BOS_ID])
+    p_single, _, _ = model.step(model.start(f), [0], [C.BOS_ID])
+    p_ens, _, _ = ens_same.step(ens_same.start(f), [0], [C.BOS_ID])
     gap = np.abs(p_single[:, 0] - p_ens[:, 0]).max()
     assert gap < 1e-12
 

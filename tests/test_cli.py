@@ -379,6 +379,51 @@ def test_training_rejects_bad_model_flags(toy_corpus, capsys):
         assert not (tmp_path / "bad.bin").exists()
 
 
+def test_train_encdec_rejects_a_blank_source_line_before_training(toy_corpus, capsys,
+                                                                   monkeypatch):
+    tmp_path, train = toy_corpus
+    blank = write(tmp_path / "blank_src.txt", "a b\n \n")
+    model = tmp_path / "blank.bin"
+    monkeypatch.setattr(cli, "train_encdec", no_work)
+    for flag in ("--train-src", "--dev-src"):
+        files = {"--train-src": train, "--train-tgt": train,
+                 "--dev-src": train, "--dev-tgt": train, flag: blank}
+        argv = [item for pair in files.items() for item in pair]
+        assert main(["train-encdec", *argv, "--model", str(model), "--epochs", "1",
+                     "--embed", "4", "--hidden", "4"]) == 2
+        assert f"data error: {blank}: line 2 is empty" in capsys.readouterr().err
+        assert not model.exists()
+
+
+def test_train_encdec_needs_both_dev_flags_or_neither(toy_corpus, capsys):
+    tmp_path, train = toy_corpus
+    model = tmp_path / "half_dev.bin"
+    for flag in ("--dev-src", "--dev-tgt"):
+        assert main(["train-encdec", "--train-src", train, "--train-tgt", train,
+                     flag, train, "--model", str(model), "--epochs", "1",
+                     "--embed", "4", "--hidden", "4"]) == 1
+        assert "--dev-src and --dev-tgt" in capsys.readouterr().err
+        assert not model.exists()
+
+
+def test_replace_unk_without_attention_is_usage_error(translation_setup, tmp_path,
+                                                      capsys, monkeypatch):
+    _, model, inputs = translation_setup
+    trained = load_model(model)
+    plain = str(tmp_path / "no_attention.bin")
+    save_model(EncDecModel(trained.src_vocab, trained.tgt_vocab, embed_size=4,
+                           hidden_size=4, encoder="forward", attention="none"), plain)
+    monkeypatch.setattr(cli, "greedy", no_work)
+    for argv in (["translate", "--model", plain],
+                 ["ensemble-translate", "--models", f"{plain},{model}"]):
+        assert main(argv + ["--input", inputs, "--replace-unk"]) == 1
+        assert "--attention none" in capsys.readouterr().err
+    # only the first member's attention is followed
+    monkeypatch.undo()
+    assert main(["ensemble-translate", "--models", f"{model},{plain}",
+                 "--input", inputs, "--replace-unk"]) == 0
+
+
 def test_translate_rejects_language_models(toy_corpus, capsys):
     tmp_path, train = toy_corpus
     model = str(tmp_path / "lm2.bin")
@@ -641,3 +686,35 @@ def test_every_command_has_file_flags_walked():
             ("train-rnnlm", "--metrics"), ("translate", "--output"),
             ("eval-ppl", "--out"), ("sample", "--output")} <= walked
     assert {command for command, _ in walked} == set(cli.COMMANDS)
+
+
+# ---- file-valued flags: inputs that are not UTF-8, empty or blank ------------------
+
+def is_output(command, flag):
+    return flag in ("--metrics", "--output", "--out") or (
+        flag == "--model" and command.startswith("train-"))
+
+
+@pytest.mark.parametrize("content", ["invalid UTF-8", "empty", "blank"])
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flag in file_flags()
+                                           if not is_output(command, flag)])
+def test_an_input_file_that_is_not_utf8_empty_or_blank_ends_without_traceback(
+        command, flag, content, valid_invocations, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_bytes({"invalid UTF-8": b"a b\n\xff\xfe a\n", "empty": b"",
+                      "blank": b"\n \t\n"}[content])
+    argv = list(valid_invocations[command])
+    if command in ("train-ffnnlm", "train-rnnlm", "train-encdec"):
+        argv += ["--epochs", "1", "--embed", "4", "--hidden", "4"]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(path)
+    else:
+        argv += [flag, str(path)]
+    code = main([command] + argv)          # a traceback would raise here
+    err = capsys.readouterr().err
+    if content == "invalid UTF-8":
+        assert code == 2 and err.startswith("data error: ") and str(path) in err
+    elif flag == "--config":
+        assert code == 0                    # an empty config file sets nothing
+    else:
+        assert code == 0 or (code == 2 and err.startswith("data error: "))

@@ -146,31 +146,35 @@ def encdec(seed=7, **kwargs):
     return model
 
 
+# (rows, prev_ids) of three decoder steps from the start state: one column,
+# that column repeated, then the three columns reordered
+STEPS = [([0], [C.BOS_ID]), ([0, 0, 0], [4, 5, 6]), ([2, 0, 1], [3, 3, 7])]
+
+
+def assert_same_layers(layers, reference):
+    """Eager layer states equal the graph's (h, c) arrays per layer, bit for bit."""
+    for st, (h_ref, c_ref) in zip(layers, reference, strict=True):
+        assert same_bits(st.h, h_ref)
+        assert st.c is None if c_ref is None else same_bits(st.c, c_ref)
+
+
 def assert_encdec_matches_graph(model, target=(4, 6, 3, C.EOS_ID)):
     encoding = model.encode(SOURCE)
     H, layers, proj = graph_encode(model, SOURCE)
     assert same_bits(encoding.H, H)
     assert encoding.src_proj is None if proj is None else same_bits(encoding.src_proj, proj)
-    for (h, c), (h_ref, c_ref) in zip(encoding.init_layers, layers, strict=True):
-        assert same_bits(h, h_ref)
-        assert c is None if c_ref is None else same_bits(c, c_ref)
+    assert_same_layers(encoding.init_layers, layers)
 
-    start = model.start(SOURCE)
-    states = [start]
-    for prev_ids in ([C.BOS_ID], [4, 5, 6], [3, 3, 7]):
-        if len(states) < len(prev_ids):
-            states = states * len(prev_ids)
-        P_ref, layers_ref, context_ref, alpha_ref = graph_encdec_step(model, states,
+    state = model.start(SOURCE)
+    for rows, prev_ids in STEPS:
+        P_ref, layers_ref, context_ref, alpha_ref = graph_encdec_step(model, state, rows,
                                                                       prev_ids)
-        P, states, alpha = model.step(states, prev_ids)
+        P, state, alpha = model.step(state, rows, prev_ids)
         assert same_bits(P, P_ref)
         assert alpha is None if alpha_ref is None else same_bits(alpha, alpha_ref)
-        for b, state in enumerate(states):
-            for (h, c), (h_ref, c_ref) in zip(state.layers, layers_ref[b], strict=True):
-                assert same_bits(h, h_ref)
-                assert c is None if c_ref is None else same_bits(c, c_ref)
-            assert (state.context is None if context_ref is None
-                    else same_bits(state.context, context_ref[:, b:b + 1]))
+        assert_same_layers(state.layers, layers_ref)
+        assert (state.context is None if context_ref is None
+                else same_bits(state.context, context_ref))
 
     loss = model.sentence_loss(SOURCE, list(target))
     assert same_bits(loss, model.loss_graph(SOURCE, list(target)).forward()[0, 0])
@@ -197,6 +201,21 @@ def test_two_layer_encdec_equals_the_graph_bitwise(attention):
     assert_encdec_matches_graph(encdec(layers=2, attention=attention, dec_hidden=10))
 
 
+def test_copy_task_sized_steps_equal_the_stacked_columns_bitwise():
+    # at H=24, W_h·h over 2 to 4 columns rounds differently when the gathered
+    # h is F-ordered, as x[:, rows] returns it, than when it is C-ordered, as
+    # the stacked one-column copies of the graph reference and np.take give
+    assert_encdec_matches_graph(encdec(embed_size=16, hidden_size=24))
+    model = RNNLM(LM_VOCAB, cell="lstm_forget", embed_size=16, hidden_size=24,
+                  rng=np.random.default_rng(2))
+    state = model.start()
+    for rows, prev_ids in STEPS:
+        P_ref, layers_ref = graph_rnnlm_step(model, state, rows, prev_ids)
+        P, state, _ = model.step(state, rows, prev_ids)
+        assert same_bits(P, P_ref)
+        assert_same_layers(state, layers_ref)
+
+
 def test_one_word_source_equals_the_graph_bitwise():
     for encoder, bridge in ENCODER_BRIDGES:
         model = encdec(encoder=encoder, bridge=bridge, attention="mlp")
@@ -217,17 +236,12 @@ def test_per_gate_reference_decodes_alike_under_both_evaluators(cell):
 def test_rnnlm_eager_step_and_nll_equal_the_graph_bitwise(cell, layers, residual):
     model = RNNLM(LM_VOCAB, cell=cell, embed_size=6, hidden_size=6, layers=layers,
                   residual=residual, rng=np.random.default_rng(2))
-    states = [model.start()]
-    for prev_ids in ([C.BOS_ID], [3, 4, 5], [6, 6, 7]):
-        if len(states) < len(prev_ids):
-            states = states * len(prev_ids)
-        P_ref, layers_ref = graph_rnnlm_step(model, states, prev_ids)
-        P, states, alphas = model.step(states, prev_ids)
+    state = model.start()
+    for (rows, _), prev_ids in zip(STEPS, ([C.BOS_ID], [3, 4, 5], [6, 6, 7])):
+        P_ref, layers_ref = graph_rnnlm_step(model, state, rows, prev_ids)
+        P, state, alphas = model.step(state, rows, prev_ids)
         assert same_bits(P, P_ref) and alphas is None
-        for state, ref in zip(states, layers_ref, strict=True):
-            for (h, c), (h_ref, c_ref) in zip(state, ref, strict=True):
-                assert same_bits(h, h_ref)
-                assert c is None if c_ref is None else same_bits(c, c_ref)
+        assert_same_layers(state, layers_ref)
     ids = [3, 5, 4, 7, C.EOS_ID]
     assert same_bits(model.sentence_nll(ids), graph_sentence_nll(model, ids))
 
@@ -236,11 +250,11 @@ def test_rnnlm_eager_step_and_nll_equal_the_graph_bitwise(cell, layers, residual
 def test_ffnnlm_eager_step_and_nll_equal_the_graph_bitwise(nonlinearity):
     model = FFNNLM(LM_VOCAB, n=3, embed_size=4, hidden_size=5,
                    nonlinearity=nonlinearity, rng=np.random.default_rng(3))
-    states = [model.start(), (3, 4), (5, 6)]
-    prev_ids = [C.BOS_ID, 5, 7]
-    P, windows, _ = model.step(states, prev_ids)
-    assert same_bits(P, graph_ffnnlm_step(model, states, prev_ids))
-    assert windows == [(C.BOS_ID, C.BOS_ID), (4, 5), (6, 7)]
+    state = model.start() + [(3, 4), (5, 6)]
+    rows, prev_ids = [0, 1, 2, 1], [C.BOS_ID, 5, 7, 3]
+    P, windows, _ = model.step(state, rows, prev_ids)
+    assert same_bits(P, graph_ffnnlm_step(model, state, rows, prev_ids))
+    assert windows == [(C.BOS_ID, C.BOS_ID), (4, 5), (6, 7), (4, 3)]
     ids = [3, 5, 4, 7, C.EOS_ID]
     assert same_bits(model.sentence_nll(ids), graph_sentence_nll(model, ids))
 
@@ -248,10 +262,10 @@ def test_ffnnlm_eager_step_and_nll_equal_the_graph_bitwise(nonlinearity):
 def test_ensemble_step_is_the_mean_of_graph_steps_bitwise():
     members = [encdec(seed=s) for s in (1, 2, 3)]
     ensemble = Ensemble(members)
-    states = [ensemble.start(SOURCE)] * 2
-    P, _, alpha = ensemble.step(states, [C.BOS_ID, 4])
-    refs = [graph_encdec_step(m, [st[k] for st in states], [C.BOS_ID, 4])
-            for k, m in enumerate(members)]
+    state = ensemble.start(SOURCE)
+    P, _, alpha = ensemble.step(state, [0, 0], [C.BOS_ID, 4])
+    refs = [graph_encdec_step(m, member_state, [0, 0], [C.BOS_ID, 4])
+            for m, member_state in zip(members, state)]
     assert same_bits(P, (refs[0][0] + refs[1][0] + refs[2][0]) / 3)
     assert same_bits(alpha, refs[0][3])
 

@@ -205,10 +205,10 @@ def test_unknown_partition_consistency():
 def test_generation_distribution_sums_to_one():
     model = NGramLM.train(["a b", "a a"], n=2, alphas=0.5)
     state = model.start()
-    P, states, _ = model.step([state], [C.BOS_ID])
-    p, state = P[:, 0], states[0]
+    P, state, _ = model.step(state, [0], [C.BOS_ID])
+    p = P[:, 0]
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
     assert p[C.BOS_ID] == 0.0
-    P2, _, _ = model.step([state], [model.vocab.id_of("a")])
+    P2, _, _ = model.step(state, [0], [model.vocab.id_of("a")])
     p2 = P2[:, 0]
     assert p2.sum() == pytest.approx(1.0, abs=1e-12)

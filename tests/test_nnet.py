@@ -182,9 +182,9 @@ def test_zero_parameter_lms_are_uniform():
         for p in model.parameters():
             p.value[...] = 0.0
     v = len(vocab)
-    P_ff, _, _ = ff.step([(C.BOS_ID, 3)], [4])
+    P_ff, _, _ = ff.step([(C.BOS_ID, 3)], [0], [4])
     assert np.abs(P_ff[:, 0] - 1 / v).max() < 1e-12
-    P, _, _ = rnn.step([rnn.start()], [C.BOS_ID])
+    P, _, _ = rnn.step(rnn.start(), [0], [C.BOS_ID])
     assert np.abs(P[:, 0] - 1 / v).max() < 1e-12
 
 
@@ -193,7 +193,7 @@ def test_ffnnlm_context_window():
     model = FFNNLM(vocab, n=3, embed_size=4, hidden_size=5,
                    rng=np.random.default_rng(3))
     def next_distribution(context):
-        P, _, _ = model.step([tuple(context[:-1])], [context[-1]])
+        P, _, _ = model.step([tuple(context[:-1])], [0], [context[-1]])
         return P[:, 0]
 
     base = next_distribution([9 % len(vocab), 3, 4])
@@ -291,8 +291,8 @@ def test_rnnlm_learns_alternation():
     opt = Adam(model.parameters(), lr=0.05, clip_norm=5.0)
     train_lm(model, [line] * 4, opt, epochs=40, batch_size=4,
              rng=np.random.default_rng(2))
-    P, states, _ = model.step([model.start()], [C.BOS_ID])
-    P, states, _ = model.step(states, [a])
+    P, state, _ = model.step(model.start(), [0], [C.BOS_ID])
+    P, state, _ = model.step(state, [0], [a])
     assert P[b, 0] > 0.9
 
 

@@ -1,7 +1,7 @@
 """The batched predictor protocol.
 
-Column b of one B-column ``step`` must equal a one-column ``step`` on
-hypothesis b alone, for every model, and beam search built on the batched
+Column b of one B-column ``step`` must equal a one-column ``step`` on row
+``rows[b]`` alone, for every model, and beam search built on the batched
 call must agree with the reference that steps one hypothesis at a time.
 """
 
@@ -14,10 +14,10 @@ from helpers import random_table_model, reference_beam_search
 from seqbench import corpus as C
 from seqbench.loglinear import LogLinearLM
 from seqbench.ngram import NGramLM
-from seqbench.nnet import CELL_KINDS, FFNNLM, RNNLM
+from seqbench.nnet import CELL_KINDS, FFNNLM, RNNLM, RecurrentState
 from seqbench.search import beam_search, greedy
 from seqbench.seq2seq import (ATTENTION_KINDS, BRIDGE_KINDS, ENCODER_DIRECTIONS,
-                              EncDecModel, EncDecState, Ensemble)
+                              EncDecModel, EncDecState, Ensemble, SourceEncoding)
 
 SRC = C.build_vocab(["w x y z"])
 TGT = C.build_vocab(["p q r s t"])
@@ -36,11 +36,35 @@ def assert_close(batched, single, tol):
         assert np.abs(batched - single).max() <= tol
 
 
+def column(state, b):
+    """Column b of a predictor state, as comparable parts."""
+    if isinstance(state, EncDecState):
+        return state.encoding, column(state.layers, b), column(state.context, b)
+    if isinstance(state, tuple):            # an ensemble's member states
+        return tuple(column(member, b) for member in state)
+    if isinstance(state, RecurrentState):
+        return column(state.h, b), column(state.c, b)
+    if isinstance(state, np.ndarray):
+        return state[:, b]
+    if state and isinstance(state[0], RecurrentState):     # layer states
+        return [column(st, b) for st in state]
+    return None if state is None else state[b]      # one entry per column
+
+
+def width(state):
+    """The number of columns of a predictor state."""
+    if isinstance(state, EncDecState):
+        return width(state.layers)
+    if isinstance(state, tuple):
+        return width(state[0])
+    if isinstance(state[0], RecurrentState):
+        return state[0].h.shape[1]
+    return len(state)
+
+
 def assert_same_state(batched, single, tol):
-    if isinstance(single, EncDecState):
-        assert batched.encoding is single.encoding
-        assert_same_state(batched.layers, single.layers, tol)
-        assert_same_state(batched.context, single.context, tol)
+    if isinstance(single, SourceEncoding):
+        assert batched is single
     elif isinstance(single, np.ndarray):
         assert_close(batched, single, tol)
     elif isinstance(single, (list, tuple)):
@@ -51,38 +75,41 @@ def assert_same_state(batched, single, tol):
         assert batched == single
 
 
-def distinct_states(model, source_ids, count):
-    """The start state and ``count - 1`` states reached by different prefixes."""
-    start = model.start(source_ids)
-    states = [start]
+def distinct_columns(model, start, count):
+    """A ``count``-column state whose column b is reached from ``start`` by
+    the prefix BOS, 3 + b, 3 + 2b + 1 (word ids wrapping round)."""
     words = len(model.vocab) - 3
-    for b in range(count - 1):
-        state = start
-        for tok in (C.BOS_ID, 3 + b % words, 3 + (2 * b + 1) % words):
-            _, (state,), _ = model.step([state], [tok])
-        states.append(state)
-    return states
+    _, state, _ = model.step(start, [0] * count, [C.BOS_ID] * count)
+    for prev_ids in ([3 + b % words for b in range(count)],
+                     [3 + (2 * b + 1) % words for b in range(count)]):
+        _, state, _ = model.step(state, list(range(count)), prev_ids)
+    return state
 
 
 def check_batched_step(model, source_ids, tol, max_batch=5):
-    """For B = 1..max_batch: P, alphas and every new state of one B-column
-    step equal, column by column, those of B one-column steps."""
-    states = distinct_states(model, source_ids, max_batch)
+    """For B = 1..max_batch: P, alphas and every new state column of one
+    B-column step equal, column by column, those of B one-column steps on
+    the same rows. The rows repeat and reorder the columns of the start
+    state and of a state with distinct columns."""
+    start = model.start(source_ids)
     words = len(model.vocab) - 3
     prev_ids = [3 + (3 * b) % words for b in range(max_batch)]
     prev_ids[0] = C.BOS_ID
-    for batch in range(1, max_batch + 1):
-        P, new_states, alphas = model.step(states[:batch], prev_ids[:batch])
-        assert P.shape == (len(model.vocab), batch)
-        assert len(new_states) == batch
-        for b in range(batch):
-            P1, new1, alphas1 = model.step([states[b]], [prev_ids[b]])
-            assert_close(P[:, b], P1[:, 0], tol)
-            assert (alphas is None) == (alphas1 is None)
-            if alphas is not None:
-                assert alphas.shape[1] == batch
-                assert_close(alphas[:, b], alphas1[:, 0], tol)
-            assert_same_state(new_states[b], new1[0], tol)
+    for state, all_rows in ((start, [0] * max_batch),
+                            (distinct_columns(model, start, max_batch), [3, 0, 3, 4, 1])):
+        for batch in range(1, max_batch + 1):
+            rows = all_rows[:batch]
+            P, new_state, alphas = model.step(state, rows, prev_ids[:batch])
+            assert P.shape == (len(model.vocab), batch)
+            assert width(new_state) == batch
+            for b in range(batch):
+                P1, new1, alphas1 = model.step(state, [rows[b]], [prev_ids[b]])
+                assert_close(P[:, b], P1[:, 0], tol)
+                assert (alphas is None) == (alphas1 is None)
+                if alphas is not None:
+                    assert alphas.shape[1] == batch
+                    assert_close(alphas[:, b], alphas1[:, 0], tol)
+                assert_same_state(column(new_state, b), column(new1, 0), tol)
 
 
 def encdec(seed=7, **kwargs):
@@ -114,9 +141,9 @@ def test_every_encdec_configuration_is_rejected_or_trains_and_decodes(
 
     # the decode path (hoisted attention projection, batched columns) scores
     # the target as the training graph does
-    states, prev, total = [model.start(SOURCE)], C.BOS_ID, 0.0
+    state, prev, total = model.start(SOURCE), C.BOS_ID, 0.0
     for tok in target:
-        P, states, _ = model.step(states, [prev])
+        P, state, _ = model.step(state, [0], [prev])
         total -= np.log(P[tok, 0])
         prev = tok
     assert total == pytest.approx(loss, rel=1e-9)

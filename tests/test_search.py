@@ -7,6 +7,7 @@ from helpers import (TableModel, brute_force_best, enumerate_sequences,
                      quantized_table_model, random_table_model,
                      reference_beam_search)
 from seqbench import corpus as C
+from seqbench.nnet import RNNLM
 from seqbench.search import (LENGTH_MODES, Hypothesis, LengthPrior,
                              _best_candidates, beam_search, greedy, nbest_lines,
                              replace_unknowns, sample)
@@ -109,6 +110,54 @@ def test_beam_equals_full_sort_reference_with_ties_and_zeros():
                            for f, r in zip(fast, ref))
 
 
+class StepRecorder:
+    """Passes every call on to ``model`` and records each ``step``'s rows,
+    previous ids and distributions."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, []
+
+    def start(self, source_ids=None):
+        return self.model.start(source_ids)
+
+    def step(self, state, rows, prev_ids):
+        P, new_state, alphas = self.model.step(state, rows, prev_ids)
+        self.calls.append((list(rows), list(prev_ids), P))
+        return P, new_state, alphas
+
+
+def test_beam_search_steps_once_per_time_step_on_the_survivors_parent_rows():
+    # replays the selection on the recorded distributions: call t must extend
+    # exactly the unfinished survivors of call t - 1, each from its parent's row
+    rng = np.random.default_rng(31)
+    rnnlm = RNNLM(C.build_vocab(["a b c"]), embed_size=3, hidden_size=4,
+                  rng=np.random.default_rng(32))
+    rnnlm.b_s.value[EOS] += 1.0
+    models = [make(rng, vocab_size=4, max_len=5)
+              for make in (quantized_table_model, random_table_model) * 10] + [rnnlm]
+    for trial, model in enumerate(models):
+        beam_size, max_len = 1 + trial % 4, 5
+        recorder = StepRecorder(model)
+        beam_search(recorder, beam_size=beam_size, max_len=max_len)
+        live, done = [((), 0.0)], 0          # (tokens, logprob) per state column
+        rows, prev_ids = [0], [C.BOS_ID]
+        for t, (call_rows, call_prev, P) in enumerate(recorder.calls):
+            assert (call_rows, call_prev) == (rows, prev_ids)
+            with np.errstate(divide="ignore"):
+                logp = np.log(P)
+            kept = sorted(((logprob + logp[tok, b], tokens + (tok,), b)
+                           for b, (tokens, logprob) in enumerate(live)
+                           for tok in range(P.shape[0]) if P[tok, b] > 0),
+                          key=lambda c: (-c[0], c[1]))[:beam_size]
+            done += sum(tokens[-1] == EOS for _, tokens, _ in kept)
+            survivors = [c for c in kept if c[1][-1] != EOS]
+            live = [(tokens, score) for score, tokens, _ in survivors]
+            rows = [b for _, _, b in survivors]
+            prev_ids = [tokens[-1] for tokens, _ in live]
+            ended = done >= beam_size or not live or t + 1 == max_len
+            assert ended == (t + 1 == len(recorder.calls))
+
+
 def test_best_completion_score_decays_with_length():
     # with EOS mass at least 0.5 everywhere, the best length-k completion
     # can only lose probability as k grows
@@ -131,8 +180,8 @@ def test_extension_never_raises_score():
         state = TOY.start()
         prev = C.BOS_ID
         for tok in hyp.tokens:
-            P, states, _ = TOY.step([state], [prev])
-            p, state = P[:, 0], states[0]
+            P, state, _ = TOY.step(state, [0], [prev])
+            p = P[:, 0]
             running += math.log(p[tok])
             assert running <= 1e-12
             prev = tok
@@ -164,7 +213,7 @@ def test_multinomial_prior_rescoring():
     class Conditional(TableModel):
         def start(self, source_ids=None):
             self.source_len = len(source_ids)
-            return None
+            return [None]
 
     model = Conditional(TOY.table)
     hyps = beam_search(model, source_ids=[9], beam_size=2, max_len=4,
@@ -203,8 +252,8 @@ def test_sample_logprob_consistent():
     state = TOY.start()
     prev = C.BOS_ID
     for tok in hyp.tokens:
-        P, states, _ = TOY.step([state], [prev])
-        p, state = P[:, 0], states[0]
+        P, state, _ = TOY.step(state, [0], [prev])
+        p = P[:, 0]
         total += math.log(p[tok])
         prev = tok
     assert hyp.logprob == pytest.approx(total, abs=1e-12)

@@ -78,7 +78,7 @@ def test_concat_bridge_requires_bidirectional():
 
 def test_attention_weights_normalized():
     model = tiny_model(seed=6)
-    P, _, alphas = model.step([model.start([3, 4, 5, 6])], [C.BOS_ID])
+    P, _, alphas = model.step(model.start([3, 4, 5, 6]), [0], [C.BOS_ID])
     p, alpha = P[:, 0], alphas[:, 0]
     assert alpha.shape == (4,)
     assert np.all(alpha >= 0) and np.all(alpha <= 1)
@@ -90,8 +90,8 @@ def test_equal_scores_give_uniform_attention_and_mean_context():
     model = tiny_model(seed=7, attention="mlp")
     model.w_a2.value[...] = 0.0               # every score becomes zero
     state = model.start([3, 4, 5])
-    _, new_states, alphas = model.step([state], [C.BOS_ID])
-    new_state, alpha = new_states[0], alphas[:, 0]
+    _, new_state, alphas = model.step(state, [0], [C.BOS_ID])
+    alpha = alphas[:, 0]
     assert np.allclose(alpha, 1 / 3, atol=1e-12)
     expected_context = state.encoding.H.mean(axis=1, keepdims=True)
     assert np.allclose(new_state.context, expected_context, atol=1e-12)
@@ -147,7 +147,7 @@ def test_batched_attention_equals_per_column(kind):
 def test_sentence_loss_single_eos_target():
     model = tiny_model(seed=11)
     f = [3, 4]
-    P, _, _ = model.step([model.start(f)], [C.BOS_ID])
+    P, _, _ = model.step(model.start(f), [0], [C.BOS_ID])
     want = -math.log(P[C.EOS_ID, 0])
     assert model.sentence_loss(f, [C.EOS_ID]) == pytest.approx(want, abs=1e-12)
 
@@ -159,8 +159,7 @@ def test_sentence_loss_matches_decode_trace():
     state = model.start(f)
     prev, total = C.BOS_ID, 0.0
     for target in e:
-        P, states, _ = model.step([state], [prev])
-        state = states[0]
+        P, state, _ = model.step(state, [0], [prev])
         total += -math.log(P[target, 0])
         prev = target
     assert model.sentence_loss(f, e) == pytest.approx(total, abs=1e-12)
@@ -225,18 +224,18 @@ class FixedModel:
         self.vocab = vocab
 
     def start(self, source_ids=None):
-        return 0
+        return [0]
 
-    def step(self, states, prev_ids):
-        return np.tile(self.p[:, None], (1, len(states))), list(states), None
+    def step(self, state, rows, prev_ids):
+        return np.tile(self.p[:, None], (1, len(rows))), [state[r] for r in rows], None
 
 
 def test_ensemble_identical_members_match_single():
     model = tiny_model(seed=17)
     ens = Ensemble([model, model, model])
     f = [3, 4]
-    p_single, _, _ = model.step([model.start(f)], [C.BOS_ID])
-    p_ens, _, _ = ens.step([ens.start(f)], [C.BOS_ID])
+    p_single, _, _ = model.step(model.start(f), [0], [C.BOS_ID])
+    p_ens, _, _ = ens.step(ens.start(f), [0], [C.BOS_ID])
     assert np.abs(p_single[:, 0] - p_ens[:, 0]).max() < 1e-12
 
 
@@ -245,7 +244,7 @@ def test_ensemble_averages_distributions():
     m1 = FixedModel([1.0, 0.0, 0.0, 0.0, 0.0], vocab)
     m2 = FixedModel([0.0, 1.0, 0.0, 0.0, 0.0], vocab)
     ens = Ensemble([m1, m2])
-    P, _, _ = ens.step([ens.start()], [C.BOS_ID])
+    P, _, _ = ens.step(ens.start(), [0], [C.BOS_ID])
     p = P[:, 0]
     assert p[0] == 0.5 and p[1] == 0.5
 
@@ -254,7 +253,7 @@ def test_ensemble_of_uniform_is_uniform():
     vocab = C.build_vocab(["u v"])
     uniform = np.full(5, 0.2)
     ens = Ensemble([FixedModel(uniform, vocab) for _ in range(3)])
-    P, _, _ = ens.step([ens.start()], [C.BOS_ID])
+    P, _, _ = ens.step(ens.start(), [0], [C.BOS_ID])
     assert np.allclose(P[:, 0], 0.2, atol=1e-15)
 
 
@@ -372,25 +371,30 @@ def test_copy_task_graph_sizes(monkeypatch):
 
     monkeypatch.setattr(Graph, "__init__", spy)
     state = model.start([3, 4, 5, 6, 7])
-    model.step([state], [C.BOS_ID])
+    model.step(state, [0], [C.BOS_ID])
     assert graphs == []
     assert len(model.loss_graph([3, 4, 5, 6, 7], [3, 4, 5, 6, 7, C.EOS_ID]).nodes) <= 178
 
 
 def test_decoder_steps_take_the_source_encoding_unwrapped(monkeypatch):
-    # encode made H and the MLP source projection through checked ops, so a
-    # step wraps in inputs only the layer states (h, c) and the fed-back
-    # context: 3 inputs per step, where wrapping H and src_proj made 5
-    model = copy_task_model()
+    # encode made H and the MLP source projection, and the previous step the
+    # layer states (h, c) and the fed-back context, through checked ops: a
+    # step gathers its rows from them and wraps none in an input, where
+    # wrapping the layer states and the context made 3 inputs per step
     ops = []
     op = Eager._op
     monkeypatch.setattr(Eager, "_op", lambda self, name, *rest: ops.append(name) or
                         op(self, name, *rest))
-    for states in ([model.start([3, 4, 5, 6, 7])], [model.start([3, 4, 5])] * 4):
-        for prev_ids in ([C.BOS_ID] * len(states), [3, 4, 5, 6][:len(states)]):
+    vocab = C.build_vocab(["p q r s"])
+    rnnlm = RNNLM(vocab, cell="lstm", layers=2, rng=np.random.default_rng(0))
+    for model, source in ((copy_task_model(), [3, 4, 5, 6, 7]),
+                          (copy_task_model(), [3, 4, 5]), (rnnlm, None)):
+        state = model.start(source)
+        for rows, prev_ids in (([0], [C.BOS_ID]), ([0] * 4, [3, 4, 5, 6]),
+                               ([3, 1, 1], [4, 4, 5])):
             ops.clear()
-            _, states, _ = model.step(states, prev_ids)
-            assert ops.count("input") == 3
+            _, state, _ = model.step(state, rows, prev_ids)
+            assert ops and ops.count("input") == 0
 
 
 def test_non_finite_encoder_weight_still_stops_greedy_decoding():
