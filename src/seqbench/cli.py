@@ -250,8 +250,17 @@ def _build_vocab_from(path, policy, min_count, v_all):
     try:
         return C.build_vocab(C.read_token_lines(path), policy=policy,
                              min_count=min_count, v_all=v_all)
+    except DataError as exc:        # a corpus without a word
+        raise DataError(f"{path}: {exc}") from exc
     except ValueError as exc:       # --v-all not above the vocabulary size
         raise UsageError(f"--v-all {v_all}: {exc} of {path}") from exc
+
+
+def _nonempty(lines, what, *paths):
+    """``lines`` read from ``paths``; none at all is a data error naming them."""
+    if not lines:
+        raise DataError(f"{', '.join(paths)}: empty {what}")
+    return lines
 
 
 class MetricsLog:
@@ -367,7 +376,8 @@ def cmd_train_ngram(args, rng) -> int:
 
 def cmd_train_loglinear(args, rng) -> int:
     train_lines = C.read_token_lines(args.train)
-    dev_lines = C.read_token_lines(args.dev) if args.dev else None
+    dev_lines = (_nonempty(C.read_token_lines(args.dev), "development set", args.dev)
+                 if args.dev else None)
     vocab = _build_vocab_from(args.train, args.unk_policy, args.min_count,
                               args.v_all)
     model = LogLinearLM(vocab, args.template)
@@ -385,8 +395,8 @@ def _train_neural_lm(args, rng, model):
     vocab = model.vocab
     train_sents = [C.encode(vocab, line, append_eos=True)
                    for line in C.read_token_lines(args.train)]
-    dev_sents = ([C.encode(vocab, line, append_eos=True)
-                  for line in C.read_token_lines(args.dev)]
+    dev_sents = ([C.encode(vocab, line, append_eos=True) for line in
+                  _nonempty(C.read_token_lines(args.dev), "development set", args.dev)]
                  if args.dev else None)
     opt = make_optimizer(args.optimizer, model.parameters(), lr=args.lr,
                          clip_norm=args.clip_norm)
@@ -435,7 +445,8 @@ def cmd_train_encdec(args, rng) -> int:
     model.length_prior = LengthPrior.from_pairs(pairs)
     dev_pairs = None
     if args.dev_src:
-        dev_text = C.read_parallel(args.dev_src, args.dev_tgt)
+        dev_text = _nonempty(C.read_parallel(args.dev_src, args.dev_tgt),
+                             "development set", args.dev_src, args.dev_tgt)
         _reject_blank_sources(args.dev_src, [f for f, _ in dev_text])
         dev_pairs = [(C.encode(src_vocab, f), C.encode(tgt_vocab, e, append_eos=True))
                      for f, e in dev_text]
@@ -463,8 +474,12 @@ def cmd_eval_ppl(args, rng) -> int:
         pairs = C.read_parallel(args.source, args.data)
         _reject_blank_sources(args.source, [f for f, _ in pairs])
         data = [(f.split(), e.split()) for f, e in pairs]
+    elif args.source:
+        raise UsageError("--source is for conditional models; a language model "
+                         "scores --data alone")
     else:
         data = [line.split() for line in C.read_token_lines(args.data)]
+    _nonempty(data, "evaluation data", args.data)
     with _lines_output(args.out) as out, _reported_as_data_error(args.model):
         _write_lines(evaluate_ll(model, data).lines(), out)
     return 0
@@ -474,8 +489,8 @@ def _decode_corpus(model, args, rng) -> int:
     if not isinstance(model, (EncDecModel, Ensemble)):
         raise UsageError("translate needs a conditional model; use sample for "
                          "language models")
-    # the source vocabulary, the length prior and the attention that
-    # unknown-word replacement follows are an ensemble's first member's
+    # the length prior and the attention that unknown-word replacement
+    # follows are an ensemble's first member's
     lead = model.models[0] if isinstance(model, Ensemble) else model
     if args.replace_unk and lead.attention == "none":
         raise UsageError("--replace-unk follows the attention of the model (of "
@@ -491,7 +506,7 @@ def _decode_corpus(model, args, rng) -> int:
         out = []
         for index, line in enumerate(lines):
             tokens = line.split()
-            source_ids = C.encode(lead.src_vocab, tokens)
+            source_ids = C.encode(model.src_vocab, tokens)
             if args.search == "greedy":
                 hyps = [greedy(model, source_ids, max_len=args.max_len)]
             elif args.search == "sample":
@@ -552,7 +567,11 @@ def cmd_sample(args, rng) -> int:
 
 
 def cmd_bleu(args, rng) -> int:
-    report = corpus_bleu(C.read_token_lines(args.hyp), C.read_token_lines(args.ref))
+    pairs = C.read_parallel(args.hyp, args.ref)
+    try:
+        report = corpus_bleu([h for h, _ in pairs], [r for _, r in pairs])
+    except DataError as exc:        # no hypothesis words
+        raise DataError(f"{args.hyp}: {exc}") from exc
     _write_lines(report.lines(), sys.stdout)
     return 0
 

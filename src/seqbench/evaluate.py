@@ -2,9 +2,18 @@
 
 Word counts include the terminal end-of-sentence token of every sentence,
 matching the probability decomposition the models implement (a sentence of T
-words contributes T+1 scored positions). The unknown-word bookkeeping splits
-the total log likelihood into the part charged by the models proper and the
-part charged by the uniform unknown-word distribution.
+words contributes T+1 scored positions).
+
+Every model scores through one method, ``corpus_nll(items) -> float``: the
+negative log-likelihood it assigns to a list of EOS-terminated target id
+lists, or to (source ids, target ids) pairs for conditional models, with the
+unknown symbol scored as itself. :func:`evaluate_ll` owns the rest: it
+encodes the surface data, calls ``corpus_nll`` once, and charges each unknown
+target token the uniform 1/v_all factor of :func:`~.corpus.unknown_factor`,
+whose log sum the report gives as the unknown log portion. The n-gram,
+log-linear and conditional models add their per-item NLLs in data order; the
+neural LMs score length-sorted batches of up to :data:`~.nnet.SCORE_BATCH`
+sentences, so their total may differ from a per-sentence sum in the last bits.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import DataError
+from .corpus import DataError, encode, unknown_factor
 
 
 @dataclass
@@ -33,44 +42,31 @@ class EvalReport:
         return [header] + [f"{name}\t{getattr(self, name)!r}" for name in self.FIELDS]
 
 
-def _score_items(model, data):
-    """The default corpus hook: (log-prob, word count, unk count, unk log
-    portion) summed over one ``score_sentence`` (token list) or
-    ``score_pair`` ((source, target) pair) call per item, in data order."""
-    total = 0.0
-    words = 0
-    unk_count = 0
-    unk_logp = 0.0
-    for item in data:
-        if isinstance(item, tuple):
-            logp, n, unks, unk_ll = model.score_pair(item[0], item[1])
-        else:
-            logp, n, unks, unk_ll = model.score_sentence(item)
-        total += logp
-        words += n
-        unk_count += unks
-        unk_logp += unk_ll
-    return total, words, unk_count, unk_logp
-
-
 def evaluate_ll(model, data) -> EvalReport:
-    """Score a corpus with any model exposing ``score_sentence`` (language
-    models, over token lists) or ``score_pair`` (conditional models, over
-    (source, target) token-list pairs).
+    """Score a corpus of surface token lists (language models) or of
+    (source, target) token-list pairs (models with a ``src_vocab``).
 
-    A model may score the whole corpus at once through a ``score_corpus``
-    method returning the same four sums as :func:`_score_items`. The neural
-    LMs do: they score length-sorted batches of up to
-    :data:`~.nnet.SCORE_BATCH` sentences, so their total may differ from a
-    per-sentence sum in the last bits, while the unknown-word count and log
-    portion are summed per sentence as before.
+    Targets are encoded with ``model.vocab`` and EOS-terminated, sources
+    with ``model.src_vocab``. The total is ``-corpus_nll`` plus the unknown
+    log portion, which is summed sentence by sentence in data order.
     """
     data = list(data)
     if not data:
         raise DataError("empty evaluation data")
-    score_corpus = getattr(model, "score_corpus", None)
-    total, words, unk_count, unk_logp = (
-        _score_items(model, data) if score_corpus is None else score_corpus(data))
+    src_vocab = getattr(model, "src_vocab", None)
+    if src_vocab is None:
+        items = targets = [encode(model.vocab, tokens, append_eos=True) for tokens in data]
+    else:
+        items = [(encode(src_vocab, f), encode(model.vocab, e, append_eos=True))
+                 for f, e in data]
+        targets = [e for _, e in items]
+    unk_count, unk_logp = 0, 0.0
+    for ids in targets:
+        count, logp = unknown_factor(model.vocab, ids)
+        unk_count += count
+        unk_logp += logp
+    total = -model.corpus_nll(items) + unk_logp
+    words = sum(len(ids) for ids in targets)
     per_word = total / words
     try:
         perplexity = math.exp(-per_word)

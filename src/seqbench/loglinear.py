@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .autograd import softmax
-from .corpus import BOS_ID, UNK_ID, Vocabulary, encode, unknown_factor
+from .corpus import BOS_ID, UNK_ID, Vocabulary, encode
 from .optim import EpochTracker, TrainingDivergence, fit
 
 TEMPLATES = ("prev_word", "prev2_words", "suffix_k", "bag_of_words")
@@ -145,13 +145,6 @@ class LogLinearLM:
                 history.append(tok)
         return out
 
-    def corpus_log_likelihood(self, lines) -> float:
-        total = 0.0
-        for x, target in self._instances(lines):
-            p = softmax(score(self.W, self.b, x))[:, 0]
-            total += math.log(p[target]) if p[target] > 0.0 else -math.inf
-        return total
-
     def train_sgd(self, train_lines, dev_lines=None, lr: float = 0.1,
                   epochs: int = 5, shuffle: bool = True, decay: bool = True,
                   rng=None, log=None):
@@ -169,8 +162,9 @@ class LogLinearLM:
                     self.W[:, j] -= sgd.lr * col
             return train_loss
 
-        dev_ll = (None if dev_lines is None else
-                  lambda: self.corpus_log_likelihood(dev_lines))
+        dev = (None if dev_lines is None else
+               [encode(self.vocab, line, append_eos=True) for line in dev_lines])
+        dev_ll = None if dev is None else lambda: -self.corpus_nll(dev)
         return fit(self._instances(train_lines), train_epoch,
                    EpochTracker(sgd, decay), epochs, dev_ll, rng=rng,
                    shuffle=shuffle, log=log)
@@ -181,16 +175,19 @@ class LogLinearLM:
         x = self.template.featurize(list(history_ids))
         return softmax(score(self.W, self.b, x))[:, 0]
 
-    def score_sentence(self, tokens):
-        ids = encode(self.vocab, tokens, append_eos=True)
+    def score_sentence(self, ids) -> float:
+        """Natural-log probability of an EOS-terminated id sentence; -inf
+        where a probability underflows to 0."""
         logp = 0.0
         history: list[int] = []
         for tok in ids:
             p = self.next_distribution(history)[tok]
-            logp += math.log(p) if p > 0.0 else -math.inf     # underflowed to 0
+            logp += math.log(p) if p > 0.0 else -math.inf
             history.append(tok)
-        unk_count, unk_logp = unknown_factor(self.vocab, ids)
-        return logp + unk_logp, len(ids), unk_count, unk_logp
+        return logp
+
+    def corpus_nll(self, sentences) -> float:
+        return -sum(self.score_sentence(ids) for ids in sentences)
 
     def start(self, source_ids=None):
         if source_ids is not None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BOS_ID, UNK_ID, Vocabulary, unknown_factor
+from .corpus import BOS_ID, UNK_ID, Vocabulary
 
 
 @dataclass
@@ -153,26 +153,22 @@ class NGramLM:
     def token_log_prob(self, context, token: int) -> float:
         return math.log(interp_prob(self.table, self.weights, self.vocab, context, token))
 
-    def sentence_log_prob(self, ids) -> float:
-        """Natural-log probability of an EOS-terminated id sentence."""
+    def score_sentence(self, ids) -> float:
+        """Natural-log probability of an EOS-terminated id sentence.
+
+        The unknown symbol is scored as itself: its interpolated probability
+        with the uniform 1/v_all factor replaced by one, since
+        :func:`~.evaluate.evaluate_ll` charges that factor separately.
+        """
         total = 0.0
         history: list[int] = []
         for tok in ids:
             total += self.token_log_prob(history, tok)
             history.append(tok)
-        return total
+        return total + ids.count(UNK_ID) * math.log(self.vocab.v_all)
 
-    def score_sentence(self, tokens) -> tuple[float, int, int, float]:
-        """Score surface tokens; returns (logp, n_words, unk_count, unk_log_portion).
-
-        Out-of-vocabulary tokens are scored through the unknown symbol, whose
-        probability carries the 1/v_all uniform factor; that factor's log is
-        what accumulates into the unknown portion.
-        """
-        from . import corpus as C
-        ids = C.encode(self.vocab, tokens, append_eos=True)
-        unk_count, unk_logp = unknown_factor(self.vocab, ids)
-        return self.sentence_log_prob(ids), len(ids), unk_count, unk_logp
+    def corpus_nll(self, sentences) -> float:
+        return -sum(self.score_sentence(ids) for ids in sentences)
 
     # Generation support: a distribution over the vocabulary for sampling and
     # search. Probability mass belonging to words outside the vocabulary (the

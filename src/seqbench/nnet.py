@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Eager, Evaluator, Graph, NonFiniteError, Parameter, Value
-from .corpus import (BOS_ID, MiniBatch, Vocabulary, encode, make_batches,
-                     unknown_factor)
+from .corpus import BOS_ID, MiniBatch, Vocabulary, make_batches
 from .optim import EpochTracker, Optimizer, TrainingDivergence, fit
 
 CELL_KINDS = ("rnn", "lstm", "lstm_forget", "gru")
@@ -234,27 +233,6 @@ class NeuralLM:
 
     def sentence_nll(self, ids) -> float:
         return self.corpus_nll([list(ids)])
-
-    def score_sentence(self, tokens):
-        """Out-of-vocabulary tokens are predicted as the unknown symbol and
-        additionally pay the uniform 1/v_all factor."""
-        return self.score_corpus([tokens])
-
-    def score_corpus(self, data):
-        """:func:`~.evaluate.evaluate_ll`'s corpus hook: (log-prob, word
-        count, unk count, unk log portion) summed over token lists.
-
-        The model's part comes from :meth:`corpus_nll`; the unknown-word
-        factors are summed per sentence in data order.
-        """
-        sentences = [encode(self.vocab, tokens, append_eos=True) for tokens in data]
-        unk_count, unk_logp = 0, 0.0
-        for ids in sentences:
-            count, logp = unknown_factor(self.vocab, ids)
-            unk_count += count
-            unk_logp += logp
-        return (-self.corpus_nll(sentences) + unk_logp,
-                sum(len(ids) for ids in sentences), unk_count, unk_logp)
 
 
 class FFNNLM(NeuralLM):

@@ -92,6 +92,15 @@ def default_max_len(source_ids) -> int:
     return 100 if source_ids is None else 2 * len(source_ids) + 10
 
 
+def _checked_max_len(max_len, source_ids) -> int:
+    """``max_len``, or :func:`default_max_len` when it is None; at least 1."""
+    if max_len is None:
+        max_len = default_max_len(source_ids)
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    return max_len
+
+
 def _trace_entries(alphas, count: int) -> list[int]:
     """Most-attended source position of each of ``count`` columns (-1 without
     attention)."""
@@ -100,10 +109,7 @@ def _trace_entries(alphas, count: int) -> list[int]:
 
 def _decode(model, source_ids, max_len, choose) -> Hypothesis:
     """Extend one hypothesis by ``choose(p)`` until EOS or ``max_len`` tokens."""
-    if max_len is None:
-        max_len = default_max_len(source_ids)
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+    max_len = _checked_max_len(max_len, source_ids)
     state = model.start(source_ids)
     hyp = Hypothesis(tokens=[], logprob=0.0, attention_trace=[])
     prev = BOS_ID
@@ -141,13 +147,11 @@ def _rescore(hyp: Hypothesis, mode: str, prior: LengthPrior | None,
         return hyp.logprob
     if mode == "per_word_normalize":
         return hyp.logprob / max(len(hyp.tokens), 1)
-    if mode == "multinomial_prior":
-        if prior is None:
-            raise ValueError("multinomial_prior rescoring needs a LengthPrior")
-        if source_len is None:
-            raise ValueError("multinomial_prior rescoring needs a source sentence")
-        return hyp.logprob + prior.log_prob(len(hyp.tokens), source_len)
-    raise ValueError(f"unknown length mode {mode!r}; choose from {LENGTH_MODES}")
+    if prior is None:       # multinomial_prior; beam_search checked the mode
+        raise ValueError("multinomial_prior rescoring needs a LengthPrior")
+    if source_len is None:
+        raise ValueError("multinomial_prior rescoring needs a source sentence")
+    return hyp.logprob + prior.log_prob(len(hyp.tokens), source_len)
 
 
 def _best_candidates(scores: np.ndarray, prefixes, k: int) -> list[tuple[int, int]]:
@@ -188,10 +192,7 @@ def beam_search(model, source_ids=None, beam_size: int = 4,
         raise ValueError("beam_size must be >= 1")
     if length_mode not in LENGTH_MODES:
         raise ValueError(f"unknown length mode {length_mode!r}")
-    if max_len is None:
-        max_len = default_max_len(source_ids)
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+    max_len = _checked_max_len(max_len, source_ids)
     source_len = None if source_ids is None else len(source_ids)
 
     state = model.start(source_ids)

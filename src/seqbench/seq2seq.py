@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Eager, Evaluator, Graph, Parameter, Value
-from .corpus import BOS_ID, Vocabulary, encode, unknown_factor
+from .corpus import BOS_ID, Vocabulary
 from .nnet import (RecurrentState, StackedRNN, embedding_init, gather_layer_states,
                    glorot)
 from .optim import EpochTracker, Optimizer, fit
@@ -321,13 +321,10 @@ class EncDecModel:
         with Eager() as e:
             return float(self._loss(e, source_ids, target_ids)[0, 0])
 
-    def score_pair(self, src_tokens, tgt_tokens):
-        """(log-prob, word count, unk count, unk log portion) for surface pairs."""
-        f = encode(self.src_vocab, src_tokens)
-        e = encode(self.tgt_vocab, tgt_tokens, append_eos=True)
-        logp = -self.sentence_loss(f, e)
-        unk_count, unk_logp = unknown_factor(self.tgt_vocab, e)
-        return logp + unk_logp, len(e), unk_count, unk_logp
+    def corpus_nll(self, pairs) -> float:
+        """Total NLL of (source ids, EOS-terminated target ids) pairs, one
+        eager :meth:`sentence_loss` per pair, added in data order."""
+        return sum(self.sentence_loss(f, e) for f, e in pairs)
 
     @property
     def vocab(self):
@@ -359,6 +356,10 @@ class Ensemble:
     def vocab(self):
         return self.models[0].vocab
 
+    @property
+    def src_vocab(self):
+        return self.models[0].src_vocab
+
     def start(self, source_ids=None):
         return tuple(m.start(source_ids) for m in self.models)
 
@@ -375,18 +376,20 @@ class Ensemble:
                 alphas = a      # unknown replacement follows the first member
         return total / len(self.models), tuple(member_states), alphas
 
-    def score_pair(self, src_tokens, tgt_tokens):
-        f = encode(self.models[0].src_vocab, src_tokens)
-        e = encode(self.vocab, tgt_tokens, append_eos=True)
-        state = self.start(f)
-        logp = 0.0
-        prev = BOS_ID
-        for target in e:
-            P, state, _ = self.step(state, [0], [prev])
-            logp += math.log(P[target, 0])
-            prev = target
-        unk_count, unk_logp = unknown_factor(self.vocab, e)
-        return logp + unk_logp, len(e), unk_count, unk_logp
+    def corpus_nll(self, pairs) -> float:
+        """Total NLL of (source ids, EOS-terminated target ids) pairs under
+        the averaged distribution, one B=1 :meth:`step` per target token."""
+        total = 0.0
+        for f, e in pairs:
+            state = self.start(f)
+            nll = 0.0
+            prev = BOS_ID
+            for target in e:
+                P, state, _ = self.step(state, [0], [prev])
+                nll -= math.log(P[target, 0])
+                prev = target
+            total += nll
+        return total
 
 
 def train_encdec(model: EncDecModel, pairs, optimizer: Optimizer, epochs: int,
@@ -405,7 +408,7 @@ def train_encdec(model: EncDecModel, pairs, optimizer: Optimizer, epochs: int,
         return train_loss
 
     dev_ll = (None if dev_pairs is None else
-              lambda: -sum(model.sentence_loss(f, e) for f, e in dev_pairs))
+              lambda: -model.corpus_nll(dev_pairs))
     return fit([(list(f), list(e)) for f, e in pairs], train_epoch,
                EpochTracker(optimizer), epochs, dev_ll, rng=rng, shuffle=shuffle,
                log=log)

@@ -101,7 +101,7 @@ def test_criterion_02_ngram_oracle_equivalence():
     worst = 0.0
     for line in sentences:
         ids = C.encode(model.vocab, line, append_eos=True)
-        lib = model.sentence_log_prob(ids)
+        lib = model.score_sentence(ids)
         want = sum(math.log(oracle_interp(model.table, model.weights.alphas,
                                           model.vocab.v_all, ids[:t], ids[t]))
                    for t in range(len(ids)))

@@ -712,9 +712,77 @@ def test_an_input_file_that_is_not_utf8_empty_or_blank_ends_without_traceback(
         argv += [flag, str(path)]
     code = main([command] + argv)          # a traceback would raise here
     err = capsys.readouterr().err
-    if content == "invalid UTF-8":
-        assert code == 2 and err.startswith("data error: ") and str(path) in err
-    elif flag == "--config":
+    if flag == "--config" and content != "invalid UTF-8":
         assert code == 0                    # an empty config file sets nothing
-    else:
-        assert code == 0 or (code == 2 and err.startswith("data error: "))
+    elif content == "invalid UTF-8" or (content == "empty" and flag in DEV_FLAGS):
+        assert code == 2
+    # every data error names the file
+    assert code == 0 or (code == 2 and err.startswith("data error: ") and str(path) in err)
+
+
+DEV_FLAGS = ("--dev", "--dev-src", "--dev-tgt")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("train-loglinear", ["--dev"]), ("train-ffnnlm", ["--dev"]), ("train-rnnlm", ["--dev"]),
+    ("train-encdec", ["--dev-src"]), ("train-encdec", ["--dev-tgt"]),
+    ("train-encdec", ["--dev-src", "--dev-tgt"])])
+def test_an_empty_dev_file_is_a_data_error_before_training(toy_corpus, capsys,
+                                                           monkeypatch, command, flags):
+    tmp_path, train = toy_corpus
+    empty = write(tmp_path / "empty_dev.txt", "")
+    model = tmp_path / "m.bin"
+    for name in ("train_lm", "train_encdec"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(LogLinearLM, "train_sgd", no_work)
+    dev = {"--dev-src": train, "--dev-tgt": train} if command == "train-encdec" else {}
+    dev.update((flag, empty) for flag in flags)
+    argv = [*training_inputs(command, train), *(x for pair in dev.items() for x in pair)]
+    assert main([command, *argv, "--model", str(model), "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and empty in err
+    assert not model.exists() and not os.path.exists(f"{model}.metrics")
+
+
+@pytest.mark.parametrize("command", ["train-ngram", "train-loglinear", "train-ffnnlm",
+                                     "train-rnnlm", "train-encdec"])
+def test_a_training_corpus_without_words_is_a_data_error_naming_it(toy_corpus, capsys,
+                                                                   command):
+    tmp_path, train = toy_corpus
+    blank = write(tmp_path / "blank.txt", "\n \n")   # as many lines as the corpus
+    model = tmp_path / "m.bin"
+    # an encoder-decoder's blank source line is refused first, so blank its targets
+    inputs = (["--train-src", train, "--train-tgt", blank] if command == "train-encdec"
+              else ["--train", blank])
+    assert main([command, *inputs, "--model", str(model)]) == 2
+    assert f"data error: {blank}: empty corpus" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_eval_ppl_of_empty_data_is_a_data_error_naming_it(toy_corpus, capsys):
+    tmp_path, train = toy_corpus
+    model = str(tmp_path / "lm.bin")
+    empty = write(tmp_path / "empty.txt", "")
+    assert main(["train-ngram", "--train", train, "--model", model]) == 0
+    assert main(["eval-ppl", "--model", model, "--data", empty]) == 2
+    assert f"data error: {empty}: empty evaluation data" in capsys.readouterr().err
+
+
+def test_eval_ppl_source_with_a_language_model_is_usage_error(toy_corpus, capsys):
+    tmp_path, train = toy_corpus
+    model = str(tmp_path / "lm.bin")
+    assert main(["train-ngram", "--train", train, "--model", model]) == 0
+    assert main(["eval-ppl", "--model", model, "--data", train, "--source", train]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "--source" in err
+
+
+@pytest.mark.parametrize("hyp_text", ["", "\n \n"])
+def test_bleu_without_hypothesis_words_is_a_data_error_naming_the_files(tmp_path, capsys,
+                                                                        hyp_text):
+    hyp = write(tmp_path / "hyp.txt", hyp_text)
+    ref = write(tmp_path / "ref.txt", "a b\nc\n" if hyp_text else "a b\nc\nd\n")
+    assert main(["bleu", "--hyp", hyp, "--ref", ref]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and hyp in err
+    assert hyp_text or ref in err       # a line-count mismatch names both files

@@ -5,27 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqbench.corpus import DataError
+from seqbench import corpus as C
+from seqbench.corpus import DataError, Vocabulary
 from seqbench.evaluate import EvalReport, bleu, evaluate_ll
+
+
+V_ALL = 1000
+VOCAB = Vocabulary(tokens=[C.BOS, C.EOS, C.UNK, *"abcdexy"], v_all=V_ALL)
 
 
 class UniformModel:
     """Assigns 1/size to every token of every sentence (EOS included)."""
 
+    vocab = VOCAB
+
     def __init__(self, size):
         self.size = size
 
-    def score_sentence(self, tokens):
-        n = len(tokens) + 1
-        return -n * math.log(self.size), n, 0, 0.0
+    def corpus_nll(self, sentences):
+        return sum(len(ids) * math.log(self.size) for ids in sentences)
 
 
 class CannedModel:
-    def __init__(self, scores):
-        self.scores = dict(scores)
+    """A fixed NLL per surface sentence, looked up by its encoded ids."""
 
-    def score_sentence(self, tokens):
-        return self.scores[tuple(tokens)]
+    vocab = VOCAB
+
+    def __init__(self, scores):
+        self.scores = {tuple(C.encode(VOCAB, tokens, append_eos=True)): nll
+                       for tokens, nll in scores.items()}
+
+    def corpus_nll(self, sentences):
+        return sum(self.scores[tuple(ids)] for ids in sentences)
 
 
 def test_uniform_model_perplexity_is_vocab_size():
@@ -37,42 +48,45 @@ def test_uniform_model_perplexity_is_vocab_size():
 
 
 def test_additivity_over_sentences():
-    scores = {("a",): (-1.25, 2, 0, 0.0), ("b", "c"): (-2.5, 3, 1, -16.1)}
-    model = CannedModel(scores)
-    joint = evaluate_ll(model, [["a"], ["b", "c"]])
-    single = [evaluate_ll(model, [["a"]]), evaluate_ll(model, [["b", "c"]])]
+    model = CannedModel({("a",): 1.25, ("b", "zzz"): 2.5})
+    joint = evaluate_ll(model, [["a"], ["b", "zzz"]])
+    single = [evaluate_ll(model, [["a"]]), evaluate_ll(model, [["b", "zzz"]])]
     assert joint.total_log_likelihood == pytest.approx(
         sum(r.total_log_likelihood for r in single), abs=1e-12)
     assert joint.unk_count == 1
-    assert joint.unk_log_portion == pytest.approx(-16.1)
+    assert joint.unk_log_portion == pytest.approx(-math.log(V_ALL))
 
 
 def test_order_invariance():
-    scores = {("a",): (-1.0, 2, 0, 0.0), ("b",): (-2.0, 2, 0, 0.0),
-              ("c",): (-4.0, 2, 1, -3.0)}
-    model = CannedModel(scores)
-    fwd = evaluate_ll(model, [["a"], ["b"], ["c"]])
-    rev = evaluate_ll(model, [["c"], ["b"], ["a"]])
+    model = CannedModel({("a",): 1.0, ("b",): 2.0, ("zzz",): 4.0})
+    fwd = evaluate_ll(model, [["a"], ["b"], ["zzz"]])
+    rev = evaluate_ll(model, [["zzz"], ["b"], ["a"]])
     assert fwd == rev
 
 
-class CorpusModel(CannedModel):
-    """Scores the whole corpus in one call, as the neural LMs do."""
+class PairModel:
+    """A conditional stub that records the items it is asked to score."""
 
-    def score_sentence(self, tokens):
-        raise AssertionError("a corpus-level model is not scored per sentence")
+    vocab = VOCAB
+    src_vocab = Vocabulary(tokens=[C.BOS, C.EOS, C.UNK, "s"], v_all=V_ALL)
 
-    def score_corpus(self, data):
-        return tuple(sum(column) for column in
-                     zip(*(self.scores[tuple(tokens)] for tokens in data)))
+    def __init__(self):
+        self.calls = []
+
+    def corpus_nll(self, pairs):
+        self.calls.append(pairs)
+        return 3.0 * len(pairs)
 
 
-def test_corpus_hook_replaces_per_sentence_scoring():
-    scores = {("a",): (-1.25, 2, 0, 0.0), ("b", "c"): (-2.5, 3, 1, -16.1)}
-    data = [["a"], ["b", "c"], ["a"]]
-    assert evaluate_ll(CorpusModel(scores), data) == evaluate_ll(CannedModel(scores), data)
-    with pytest.raises(DataError):
-        evaluate_ll(CorpusModel(scores), [])
+def test_pairs_are_encoded_with_both_vocabularies_and_scored_in_one_call():
+    model = PairModel()
+    report = evaluate_ll(model, [(["s", "q"], ["a", "zzz"]), (["q"], [])])
+    assert model.calls == [[([3, C.UNK_ID], [VOCAB.id_of("a"), C.UNK_ID, C.EOS_ID]),
+                            ([C.UNK_ID], [C.EOS_ID])]]
+    # only target words are counted and charged the unknown-word factor
+    assert report.word_count == 4 and report.unk_count == 1
+    assert report.unk_log_portion == -math.log(V_ALL)
+    assert report.total_log_likelihood == -6.0 - math.log(V_ALL)
 
 
 def test_perplexity_consistency():
@@ -84,8 +98,8 @@ def test_perplexity_consistency():
 
 def test_perplexity_beyond_float_range_is_infinite():
     # a per-word log-likelihood below about -709.78 overflows exp
-    for logp in (-2000.0, -math.inf):
-        report = evaluate_ll(CannedModel({("a",): (logp, 2, 0, 0.0)}), [["a"]])
+    for nll in (2000.0, math.inf):
+        report = evaluate_ll(CannedModel({("a",): nll}), [["a"]])
         assert report.perplexity == math.inf
 
 

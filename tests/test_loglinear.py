@@ -6,6 +6,7 @@ import pytest
 from helpers import rel_error
 from seqbench import corpus as C
 from seqbench.autograd import softmax
+from seqbench.evaluate import evaluate_ll
 from seqbench.loglinear import (FeatureTemplate, FeatureVector, LogLinearLM,
                                 featurize, loss_and_grad, score)
 
@@ -177,9 +178,10 @@ def test_sgd_zero_learning_rate_is_identity():
 def test_sgd_reduces_training_loss():
     vocab = C.build_vocab(TINY_CORPUS)
     model = LogLinearLM(vocab, "prev2_words")
-    initial = -model.corpus_log_likelihood(TINY_CORPUS)
+    sentences = [C.encode(vocab, line, append_eos=True) for line in TINY_CORPUS]
+    initial = model.corpus_nll(sentences)
     model.train_sgd(TINY_CORPUS, lr=0.1, epochs=10, rng=np.random.default_rng(42))
-    trained = -model.corpus_log_likelihood(TINY_CORPUS)
+    trained = model.corpus_nll(sentences)
     assert trained < initial
 
 
@@ -194,12 +196,12 @@ def test_sgd_deterministic_without_shuffle():
     assert np.array_equal(runs[0][1], runs[1][1])
 
 
-def test_score_sentence_counts_unknowns():
+def test_evaluation_counts_unknowns():
     vocab = C.build_vocab(TINY_CORPUS)
     model = LogLinearLM(vocab, "prev_word")
-    logp, n, unk, unk_logp = model.score_sentence("the zzz sat".split())
-    assert n == 4                      # three words + EOS
-    assert unk == 1
-    assert unk_logp == pytest.approx(-math.log(vocab.v_all))
-    logp2, _, unk2, unk_logp2 = model.score_sentence("the cat sat".split())
-    assert unk2 == 0 and unk_logp2 == 0.0
+    report = evaluate_ll(model, ["the zzz sat".split()])
+    assert report.word_count == 4      # three words + EOS
+    assert report.unk_count == 1
+    assert report.unk_log_portion == pytest.approx(-math.log(vocab.v_all))
+    report2 = evaluate_ll(model, ["the cat sat".split()])
+    assert report2.unk_count == 0 and report2.unk_log_portion == 0.0

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import per_gate_model
 from seqbench import corpus as C
+from seqbench.evaluate import evaluate_ll
 from seqbench.loglinear import LogLinearLM
 from seqbench.modelfile import (ModelFile, load_model, read_modelfile,
                                 save_model, write_modelfile)
@@ -47,7 +48,7 @@ def test_version_refusal(tmp_path):
 
 
 def scoring_fingerprint(model, lines=LINES):
-    return [model.score_sentence(line.split()) for line in lines]
+    return [evaluate_ll(model, [line.split()]) for line in lines]
 
 
 def test_ngram_roundtrip_bit_identical(tmp_path):
@@ -140,7 +141,7 @@ def test_encdec_roundtrip_with_prior(tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     pair = (["x", "y"], ["a", "b"])
-    assert loaded.score_pair(*pair) == model.score_pair(*pair)
+    assert evaluate_ll(loaded, [pair]) == evaluate_ll(model, [pair])
     assert loaded.length_prior.pair_counts == model.length_prior.pair_counts
     assert loaded.length_prior.source_counts == model.length_prior.source_counts
     assert loaded.attention == "mlp"
@@ -162,7 +163,7 @@ def test_encdec_variants_roundtrip(tmp_path, direction, attention):
     save_model(model, path)
     loaded = load_model(path)
     pair = (["x", "z", "y"], ["c", "a"])
-    assert loaded.score_pair(*pair) == model.score_pair(*pair)
+    assert evaluate_ll(loaded, [pair]) == evaluate_ll(model, [pair])
 
 
 @pytest.mark.parametrize("cell", CELL_KINDS)

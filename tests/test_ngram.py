@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqbench import corpus as C
+from seqbench.evaluate import evaluate_ll
 from seqbench.ngram import (InterpolationWeights, NGramLM, interp_prob,
                             mle_prob, train_counts)
 
@@ -145,13 +146,13 @@ def test_normalization_with_unknown_mass():
             assert in_vocab + reserved == pytest.approx(1.0, abs=1e-9)
 
 
-def test_sentence_log_prob_matches_oracle():
+def test_score_sentence_matches_oracle():
     lines = ["a b", "a a", "b a b", "a", "", "b b", "a b a a", "b", "a a a", "b a"]
     vocab = C.build_vocab(["a b", "a a"], policy="keep_all")
     model = NGramLM.train(["a b", "a a"], n=2, alphas=0.5, vocab=vocab)
     for line in lines:
         ids = C.encode(vocab, line, append_eos=True)
-        got = model.sentence_log_prob(ids)
+        got = model.score_sentence(ids)
         want = oracle_sentence_log_prob(model.table, model.weights.alphas, V_ALL, ids)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -163,7 +164,7 @@ def test_oracle_equivalence_random_corpus():
     model = NGramLM.train(lines, n=3, alphas=[0.2, 0.4, 0.15])
     for line in lines:
         ids = C.encode(model.vocab, line, append_eos=True)
-        got = model.sentence_log_prob(ids)
+        got = model.score_sentence(ids)
         want = oracle_sentence_log_prob(model.table, model.weights.alphas, V_ALL, ids)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -191,15 +192,12 @@ def test_unknown_partition_consistency():
                                                 V_ALL, ids[:t], tok))
         return total
 
-    total = unk_portion = 0.0
-    want = 0.0
-    for line in test_lines:
-        logp, _, _, unk_logp = model.score_sentence(line.split())
-        total += logp
-        unk_portion += unk_logp
-        want += oracle_without_unk_factor(C.encode(model.vocab, line, append_eos=True))
-    assert unk_portion < 0
-    assert total - unk_portion == pytest.approx(want, abs=1e-10)
+    report = evaluate_ll(model, [line.split() for line in test_lines])
+    want = sum(oracle_without_unk_factor(C.encode(model.vocab, line, append_eos=True))
+               for line in test_lines)
+    assert report.unk_log_portion < 0
+    assert report.total_log_likelihood - report.unk_log_portion == pytest.approx(
+        want, abs=1e-10)
 
 
 def test_generation_distribution_sums_to_one():

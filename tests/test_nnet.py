@@ -276,10 +276,11 @@ def test_neural_unknown_partition():
     model = RNNLM(vocab, cell="gru", embed_size=3, hidden_size=4,
                   rng=np.random.default_rng(21))
     tokens = "a zzz b qq".split()
-    logp, n, unk, unk_logp = model.score_sentence(tokens)
-    assert unk == 2 and n == 5
+    report = evaluate_ll(model, [tokens])
+    assert report.unk_count == 2 and report.word_count == 5
     ids = C.encode(vocab, tokens, append_eos=True)
-    assert logp - unk_logp == pytest.approx(-model.sentence_nll(ids), abs=1e-12)
+    assert report.total_log_likelihood - report.unk_log_portion == pytest.approx(
+        -model.sentence_nll(ids), abs=1e-12)
 
 
 def test_rnnlm_learns_alternation():

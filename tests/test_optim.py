@@ -227,10 +227,12 @@ BEST_BEFORE_LAST = {
 
 
 def loglinear_trainer(lr, seed, with_dev):
-    model = LogLinearLM(C.build_vocab(LINES), "prev2_words")
+    vocab = C.build_vocab(LINES)
+    model = LogLinearLM(vocab, "prev2_words")
+    dev = [C.encode(vocab, line, append_eos=True) for line in DEV]
     train = lambda log: model.train_sgd(LINES, dev_lines=DEV if with_dev else None, lr=lr,
                                         epochs=6, rng=np.random.default_rng(seed), log=log)
-    return lambda: [model.W, model.b], train, lambda: model.corpus_log_likelihood(DEV)
+    return lambda: [model.W, model.b], train, lambda: -model.corpus_nll(dev)
 
 
 def rnnlm_trainer(lr, seed, with_dev):
@@ -257,7 +259,7 @@ def encdec_trainer(lr, seed, with_dev):
                                      dev_pairs=dev if with_dev else None,
                                      rng=np.random.default_rng(seed), log=log)
     return (lambda: [p.value for p in model.parameters()], train,
-            lambda: -sum(model.sentence_loss(f, e) for f, e in dev))
+            lambda: -model.corpus_nll(dev))
 
 
 TRAINERS = {"train_sgd": loglinear_trainer, "train_lm": rnnlm_trainer,

@@ -3,9 +3,11 @@
 Column b of one B-column ``step`` must equal a one-column ``step`` on row
 ``rows[b]`` alone, for every model, and beam search built on the batched
 call must agree with the reference that steps one hypothesis at a time.
+A model's ``corpus_nll`` must score targets as its one-column steps do.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -214,3 +216,46 @@ def test_neural_beam_one_equals_greedy_bitwise(kind):
         b = beam_search(model, source, beam_size=1, max_len=8)[0]
         assert (g.tokens, g.logprob, g.attention_trace) == (b.tokens, b.logprob,
                                                              b.attention_trace)
+
+
+def trained_loglinear():
+    model = LogLinearLM(LM_VOCAB, "prev2_words")
+    model.train_sgd(LINES, lr=0.3, epochs=2, rng=np.random.default_rng(13))
+    return model
+
+
+SCORED_MODELS = {
+    "ngram": lambda: NGramLM.train(LINES, n=3, alphas=0.2, vocab=LM_VOCAB),
+    "loglinear": trained_loglinear,
+    "ffnnlm": lambda: FFNNLM(LM_VOCAB, n=3, embed_size=3, hidden_size=5,
+                             rng=np.random.default_rng(9)),
+    "rnnlm": lambda: RNNLM(LM_VOCAB, embed_size=3, hidden_size=5, layers=2,
+                           rng=np.random.default_rng(8)),
+    "encdec": lambda: encdec(seed=30, attention="dot", dec_hidden=8),
+    "ensemble": lambda: Ensemble([encdec(seed=31, attention="mlp"),
+                                  encdec(seed=32, attention="bilinear", layers=2)]),
+}
+
+
+def decoding_nll(model, source, target):
+    """The summed -log P[target] of the one-column ``step`` calls."""
+    state, prev, nll = model.start(source), C.BOS_ID, 0.0
+    for tok in target:
+        P, state, _ = model.step(state, [0], [prev])
+        nll -= math.log(P[tok, 0])
+        prev = tok
+    return nll
+
+
+@pytest.mark.parametrize("name", SCORED_MODELS)
+def test_corpus_nll_equals_the_decoding_path(name):
+    model = SCORED_MODELS[name]()
+    if name in ("encdec", "ensemble"):
+        items = pairs = [(SOURCE, [4, 6, 3, C.EOS_ID]), ([5], [C.EOS_ID]),
+                         ([6, 3], [7, 7, C.EOS_ID])]
+    else:       # the training lines, an unseen order of their words and a blank line
+        items = [C.encode(LM_VOCAB, line, append_eos=True) for line in LINES + ["d c b a", ""]]
+        pairs = [(None, ids) for ids in items]
+    assert not any(C.UNK_ID in target for _, target in pairs)
+    want = sum(decoding_nll(model, source, target) for source, target in pairs)
+    assert model.corpus_nll(items) == pytest.approx(want, rel=1e-12, abs=0)
