@@ -8,7 +8,8 @@ An optional ``--config file`` supplies ``key=value`` defaults (keys are the
 long option names without dashes); explicit command-line flags override it.
 Every stochastic run is driven by a single seeded generator (``--seed``,
 default 42). Training commands append one line per epoch to a metrics file:
-``epoch<TAB>train_loss<TAB>dev_ll<TAB>dev_ppl``. Every output file is opened
+``epoch<TAB>train_loss<TAB>dev_ll<TAB>dev_ppl``, where ``dev_ll`` charges
+unknown words the 1/v_all factor ``eval-ppl`` charges. Every output file is opened
 after the inputs are read and before any training, scoring or decoding
 starts; one that cannot be opened is a data error naming its path.
 """
@@ -264,11 +265,16 @@ def _nonempty(lines, what, *paths):
 
 
 class MetricsLog:
-    def __init__(self, fh, dev_words):
+    """Writes the metrics rows; ``dev_ll`` and ``dev_ppl`` charge the dev
+    sentences' unknown words the 1/v_all factor that ``eval-ppl`` charges."""
+
+    def __init__(self, fh, vocab, dev_sentences):
         self.fh = fh
-        self.dev_words = max(dev_words, 1)
+        self.dev_words = max(sum(len(ids) for ids in dev_sentences), 1)
+        self.unk_logp = C.unknown_factor(vocab, dev_sentences)[1]
 
     def __call__(self, epoch, train_loss, dev_ll):
+        dev_ll += self.unk_logp
         try:
             ppl = math.exp(-dev_ll / self.dev_words)
         except OverflowError:
@@ -327,12 +333,12 @@ def _model_output(path):
 
 
 @contextmanager
-def _training_outputs(args, dev_sentences):
-    """A training command's metrics log and model ``save``, both opened
-    before training starts."""
+def _training_outputs(args, vocab, dev_sentences):
+    """A training command's metrics log over the encoded ``dev_sentences``
+    and model ``save``, both opened before training starts."""
     path = args.metrics or f"{args.model}.metrics"
     with _open_output(path) as fh, _model_output(args.model) as save:
-        yield MetricsLog(fh, sum(len(s) for s in dev_sentences)), save
+        yield MetricsLog(fh, vocab, dev_sentences), save
 
 
 @contextmanager
@@ -383,7 +389,7 @@ def cmd_train_loglinear(args, rng) -> int:
     model = LogLinearLM(vocab, args.template)
     dev_sents = [C.encode(vocab, line, append_eos=True)
                  for line in (dev_lines or train_lines)]
-    with _training_outputs(args, dev_sents) as (log, save):
+    with _training_outputs(args, vocab, dev_sents) as (log, save):
         model.train_sgd(train_lines, dev_lines=dev_lines, lr=args.lr,
                         epochs=args.epochs, shuffle=not args.no_shuffle,
                         decay=not args.no_decay, rng=rng, log=log)
@@ -400,7 +406,7 @@ def _train_neural_lm(args, rng, model):
                  if args.dev else None)
     opt = make_optimizer(args.optimizer, model.parameters(), lr=args.lr,
                          clip_norm=args.clip_norm)
-    with _training_outputs(args, dev_sents or train_sents) as (log, save):
+    with _training_outputs(args, vocab, dev_sents or train_sents) as (log, save):
         train_lm(model, train_sents, opt, epochs=args.epochs,
                  dev_sentences=dev_sents, batch_size=args.batch_size,
                  rng=rng, log=log)
@@ -452,7 +458,8 @@ def cmd_train_encdec(args, rng) -> int:
                      for f, e in dev_text]
     opt = make_optimizer(args.optimizer, model.parameters(), lr=args.lr,
                          clip_norm=args.clip_norm)
-    with _training_outputs(args, [e for _, e in (dev_pairs or pairs)]) as (log, save):
+    with _training_outputs(args, tgt_vocab,
+                           [e for _, e in (dev_pairs or pairs)]) as (log, save):
         train_encdec(model, pairs, opt, epochs=args.epochs,
                      dev_pairs=dev_pairs, rng=rng, log=log)
         save(model)
@@ -498,7 +505,7 @@ def _decode_corpus(model, args, rng) -> int:
     lines = C.read_token_lines(args.input)
     _reject_blank_sources(args.input, lines)
     mode = LENGTH_NORM[args.length_norm]
-    prior = getattr(lead, "length_prior", None)
+    prior = lead.length_prior
     if mode == "multinomial_prior" and prior is None:
         raise DataError("model file carries no length prior; retrain or use "
                         "--length-norm none/perword")

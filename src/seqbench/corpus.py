@@ -69,15 +69,19 @@ class Vocabulary:
         return token in self.index
 
 
-def unknown_factor(vocab: Vocabulary, ids) -> tuple[int, float]:
-    """(count, log factor) of the unknown ids in ``ids``.
+def unknown_factor(vocab: Vocabulary, sentences) -> tuple[int, float]:
+    """(count, log factor) of the unknown ids in the id lists ``sentences``.
 
     Each unknown token stands for some word outside the vocabulary and pays
     the uniform 1/v_all probability of that word; the log factor sums those
-    logs.
+    logs sentence by sentence, in order.
     """
-    unk_count = sum(1 for i in ids if i == UNK_ID)
-    return unk_count, -unk_count * math.log(vocab.v_all)
+    unk_count, unk_logp = 0, 0.0
+    for ids in sentences:
+        count = ids.count(UNK_ID)
+        unk_count += count
+        unk_logp += -count * math.log(vocab.v_all)
+    return unk_count, unk_logp
 
 
 def build_vocab(lines, policy: str = "keep_all", min_count: int = 2,
@@ -184,17 +188,15 @@ class MiniBatch:
         return self.token_matrix.shape[1]
 
 
-def make_batches(sentences, batch_size: int, sort_by_length: bool = True) -> list[MiniBatch]:
+def make_batches(sentences, batch_size: int) -> list[MiniBatch]:
     """Group EOS-terminated id sequences into padded minibatches.
 
-    With sort_by_length the sentences are stably sorted by length first, which
-    keeps padding waste low; grouping then takes consecutive runs.
+    The sentences are stably sorted by length first, which keeps padding
+    waste low; grouping then takes consecutive runs.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    sentences = list(sentences)
-    if sort_by_length:
-        sentences = sorted(sentences, key=len)
+    sentences = sorted(sentences, key=len)
     batches = []
     for start in range(0, len(sentences), batch_size):
         group = sentences[start:start + batch_size]

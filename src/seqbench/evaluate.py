@@ -60,11 +60,7 @@ def evaluate_ll(model, data) -> EvalReport:
         items = [(encode(src_vocab, f), encode(model.vocab, e, append_eos=True))
                  for f, e in data]
         targets = [e for _, e in items]
-    unk_count, unk_logp = 0, 0.0
-    for ids in targets:
-        count, logp = unknown_factor(model.vocab, ids)
-        unk_count += count
-        unk_logp += logp
+    unk_count, unk_logp = unknown_factor(model.vocab, targets)
     total = -model.corpus_nll(items) + unk_logp
     words = sum(len(ids) for ids in targets)
     per_word = total / words

@@ -123,12 +123,21 @@ class LogLinearLM:
     """Feature-based n-gram LM trained by stochastic gradient descent."""
 
     kind = "loglinear"
+    file_vocabs = ("vocab",)
+    counts = None
 
     def __init__(self, vocab: Vocabulary, template: str, suffix_len: int = 3):
         self.vocab = vocab
         self.template = FeatureTemplate(template, vocab, suffix_len)
         self.W = np.zeros((len(vocab), self.template.dim))
         self.b = np.zeros((len(vocab), 1))
+
+    @property
+    def hparams(self) -> dict:
+        return {"template": self.template.name, "suffix_len": self.template.suffix_len}
+
+    def file_tensors(self) -> dict[str, np.ndarray]:
+        return {"W": self.W, "b": self.b}
 
     @property
     def n(self) -> int:

@@ -12,6 +12,15 @@ Layout (all integers little-endian):
 Strings are a u32 byte length plus UTF-8 bytes. Tensor payloads are row-major
 float64, so a save/load round trip reproduces parameters bit for bit.
 
+Each model class declares its own record: ``kind``, ``file_vocabs`` (the
+attributes holding the vocabularies its constructor takes first),
+``hparams`` (its constructor settings), ``file_tensors()`` (name -> array
+views, in file order) and ``counts`` (n-gram count records, else None).
+:func:`load_model` builds the kind's class from the vocabularies and the
+settings, writes each tensor into the new model's view, and installs the
+count table and an encoder-decoder ``length_prior``. Any malformed file
+raises DataError naming it.
+
 Recurrent cells are stored one tensor per gate (``rnn.l0.W_xu``,
 ``rnn.l0.b_f``, ...): a cell's stacked gate parameters are split into their
 gate row blocks on save and filled back from them on load.
@@ -25,6 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import DataError, Vocabulary
+from .loglinear import LogLinearLM
+from .ngram import NGramLM
+from .nnet import FFNNLM, RNNLM
+from .search import LengthPrior
+from .seq2seq import EncDecModel
 
 MAGIC = b"S2SW"
 VERSION = 1
@@ -151,106 +165,47 @@ def _parse(r: _Reader) -> ModelFile:
 
 # ---- model <-> file ---------------------------------------------------------
 
+MODEL_CLASSES = {cls.kind: cls for cls in (NGramLM, LogLinearLM, FFNNLM, RNNLM,
+                                           EncDecModel)}
+
+
 def save_model(model, path):
-    write_modelfile(_pack(model), path)
+    write_modelfile(ModelFile(
+        kind=model.kind, vocabs=[getattr(model, name) for name in model.file_vocabs],
+        hparams=model.hparams, tensors=model.file_tensors(), counts=model.counts), path)
 
 
 def load_model(path):
-    """Read a model file back into its model; any malformed file, or one whose
-    tensors hold NaN or Inf, raises DataError."""
+    """Read a model file back into the model it records."""
     mf = read_modelfile(path)
-    unpacker = _UNPACKERS.get(mf.kind)
-    if unpacker is None:
+    cls = MODEL_CLASSES.get(mf.kind)
+    if cls is None:
         raise DataError(f"{path}: unknown model kind {mf.kind!r}")
+    if len(mf.vocabs) != len(cls.file_vocabs):
+        raise DataError(f"{path}: a {mf.kind} model file holds "
+                        f"{len(cls.file_vocabs)} vocabularies, this one {len(mf.vocabs)}")
     for name, tensor in mf.tensors.items():
         if not np.isfinite(tensor).all():
             raise DataError(f"{path}: tensor {name!r} holds NaN or Inf")
     try:
-        return unpacker(mf)
-    except DataError as exc:    # a tensor the model rejects
-        raise DataError(f"{path}: {exc}") from exc
-    except KeyError as exc:
-        raise DataError(f"{path}: model file lacks entry {exc}") from exc
-    except ValueError as exc:   # hyperparameters the model rejects
+        model = cls(*mf.vocabs, **{key: int(value) if value.isdecimal() else value
+                                   for key, value in mf.hparams.items()})
+    except (AttributeError, TypeError, ValueError) as exc:  # settings it lacks or rejects
         raise DataError(f"{path}: model file has invalid settings ({exc})") from exc
-
-
-def _pack(model) -> ModelFile:
-    from .loglinear import LogLinearLM
-    from .ngram import NGramLM
-    from .nnet import FFNNLM, RNNLM
-    from .seq2seq import EncDecModel
-
-    if isinstance(model, NGramLM):
-        return ModelFile(
-            kind="ngram", vocabs=[model.vocab], hparams={"n": model.n},
-            tensors={"alpha": np.array(model.weights.alphas).reshape(-1, 1)},
-            counts=dict(model.table.counts))
-    if isinstance(model, LogLinearLM):
-        return ModelFile(
-            kind="loglinear", vocabs=[model.vocab],
-            hparams={"template": model.template.name,
-                     "suffix_len": model.template.suffix_len},
-            tensors={"W": model.W, "b": model.b})
-    if isinstance(model, (FFNNLM, RNNLM)):
-        hparams = {"embed_size": model.embed_size, "hidden_size": model.hidden_size}
-        if isinstance(model, FFNNLM):
-            hparams.update(n=model.n, nonlinearity=model.nonlinearity)
-        else:
-            hparams.update(cell=model.rnn.kind, layers=len(model.rnn.cells),
-                           residual=int(model.rnn.residual))
-        return ModelFile(kind=model.kind, vocabs=[model.vocab], hparams=hparams,
-                         tensors=_tensor_views(model))
-    if isinstance(model, EncDecModel):
-        hparams = {"embed_size": model.embed_size, "hidden_size": model.hidden_size,
-                   "dec_hidden": model.dec_hidden, "layers": model.layers,
-                   "encoder": model.encoder_direction, "bridge": model.bridge,
-                   "attention": model.attention, "cell": model.cell}
-        if model.attention == "mlp":
-            hparams["attn_hidden"] = model.W_a1_dec.value.shape[0]
-        tensors = _tensor_views(model)
-        prior = getattr(model, "length_prior", None)
-        if prior is not None:
-            rows = [(e, f, c) for (e, f), c in sorted(prior.pair_counts.items())]
-            tensors["length_prior"] = np.array(rows, dtype=np.float64).reshape(-1, 3)
-        return ModelFile(kind="encdec", vocabs=[model.src_vocab, model.tgt_vocab],
-                         hparams=hparams, tensors=tensors)
-    raise TypeError(f"cannot persist model of type {type(model).__name__}")
-
-
-def _tensor_views(model) -> dict:
-    """Name -> array of every tensor the model's file holds, in file order:
-    each parameter, except that a recurrent cell's parameters appear as the
-    per-gate views of :meth:`RecurrentCell.gate`, gate by gate."""
-    from .nnet import RNNLM
-    from .seq2seq import EncDecModel
-
-    stacks = ([model.rnn] if isinstance(model, RNNLM) else
-              [model.enc_fwd, model.enc_bwd, model.dec] if isinstance(model, EncDecModel)
-              else [])
-    cells = {id(cell.parameters()[0]): cell
-             for stack in stacks if stack is not None for cell in stack.cells}
-    in_cells = {id(p) for cell in cells.values() for p in cell.parameters()}
-    views = {}
-    for p in model.parameters():
-        cell = cells.get(id(p))
-        if cell is not None:
-            for gate in cell.gates:
-                views.update((f"{cell.name}.{key}", view)
-                             for key, view in cell.gate(gate).items())
-        elif id(p) not in in_cells:
-            views[p.name] = p.value
-    return views
-
-
-def _restore_params(model, tensors):
-    """Copy each of the model's file tensors into the model; ``load_model``
-    adds the file's path to the ``DataError`` raised for a missing or
-    misshapen one."""
-    for name, view in _tensor_views(model).items():
-        view[...] = _tensor(tensors, name, view.shape)
-    for p in model.parameters():
-        p.changed()
+    built = {key: str(value) for key, value in model.hparams.items()}
+    if built != mf.hparams:
+        raise DataError(f"{path}: model file has invalid settings ({mf.hparams}; "
+                        f"a {mf.kind} model built from them has {built})")
+    try:
+        for name, view in model.file_tensors().items():
+            view[...] = _tensor(mf.tensors, name, view.shape)
+        if model.counts is not None:
+            model.counts = mf.counts or {}
+        if "length_prior" in mf.tensors:
+            model.length_prior = LengthPrior.from_rows(mf.tensors["length_prior"])
+    except (DataError, ValueError) as exc:  # a tensor or count record the model rejects
+        raise DataError(f"{path}: {exc}") from exc
+    return model
 
 
 def _tensor(tensors, name, shape) -> np.ndarray:
@@ -261,81 +216,3 @@ def _tensor(tensors, name, shape) -> np.ndarray:
         raise DataError(f"tensor {name!r} has shape {tensors[name].shape}, "
                         f"expected {shape}")
     return tensors[name]
-
-
-def _unpack_ngram(mf: ModelFile):
-    from .ngram import InterpolationWeights, NGramCountTable, NGramLM
-
-    n = int(mf.hparams["n"])
-    table = NGramCountTable(n=n)
-    table.counts = dict(mf.counts or {})
-    for gram, count in table.counts.items():
-        ctx = gram[:-1]
-        table.context_counts[ctx] = table.context_counts.get(ctx, 0) + count
-    weights = InterpolationWeights([float(a) for a in mf.tensors["alpha"][:, 0]])
-    return NGramLM(mf.vocabs[0], table, weights)
-
-
-def _unpack_loglinear(mf: ModelFile):
-    from .loglinear import LogLinearLM
-
-    model = LogLinearLM(mf.vocabs[0], mf.hparams["template"],
-                        suffix_len=int(mf.hparams["suffix_len"]))
-    model.W = _tensor(mf.tensors, "W", model.W.shape).copy()
-    model.b = _tensor(mf.tensors, "b", model.b.shape).copy()
-    return model
-
-
-def _unpack_ffnnlm(mf: ModelFile):
-    from .nnet import FFNNLM
-
-    model = FFNNLM(mf.vocabs[0], n=int(mf.hparams["n"]),
-                   embed_size=int(mf.hparams["embed_size"]),
-                   hidden_size=int(mf.hparams["hidden_size"]),
-                   nonlinearity=mf.hparams["nonlinearity"])
-    _restore_params(model, mf.tensors)
-    return model
-
-
-def _unpack_rnnlm(mf: ModelFile):
-    from .nnet import RNNLM
-
-    model = RNNLM(mf.vocabs[0], cell=mf.hparams["cell"],
-                  embed_size=int(mf.hparams["embed_size"]),
-                  hidden_size=int(mf.hparams["hidden_size"]),
-                  layers=int(mf.hparams["layers"]),
-                  residual=bool(int(mf.hparams["residual"])))
-    _restore_params(model, mf.tensors)
-    return model
-
-
-def _unpack_encdec(mf: ModelFile):
-    from .search import LengthPrior
-    from .seq2seq import EncDecModel
-
-    model = EncDecModel(
-        mf.vocabs[0], mf.vocabs[1],
-        embed_size=int(mf.hparams["embed_size"]),
-        hidden_size=int(mf.hparams["hidden_size"]),
-        dec_hidden=int(mf.hparams["dec_hidden"]),
-        layers=int(mf.hparams["layers"]), encoder=mf.hparams["encoder"],
-        bridge=mf.hparams["bridge"], attention=mf.hparams["attention"],
-        attn_hidden=int(mf.hparams.get("attn_hidden", mf.hparams["hidden_size"])),
-        cell=mf.hparams["cell"])
-    tensors = dict(mf.tensors)
-    prior_rows = tensors.pop("length_prior", None)
-    if prior_rows is not None:
-        prior = LengthPrior()
-        for e_len, f_len, count in prior_rows:
-            key = (int(e_len), int(f_len))
-            prior.pair_counts[key] = int(count)
-            prior.source_counts[key[1]] = (prior.source_counts.get(key[1], 0)
-                                           + int(count))
-        model.length_prior = prior
-    _restore_params(model, tensors)
-    return model
-
-
-_UNPACKERS = {"ngram": _unpack_ngram, "loglinear": _unpack_loglinear,
-              "ffnnlm": _unpack_ffnnlm, "rnnlm": _unpack_rnnlm,
-              "encdec": _unpack_encdec}

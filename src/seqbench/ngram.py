@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BOS_ID, UNK_ID, Vocabulary
+from .corpus import BOS_ID, UNK_ID, Vocabulary, build_vocab, encode
 
 
 @dataclass
@@ -28,15 +28,20 @@ class NGramCountTable:
 
     ``counts`` maps m-grams (m = 1..n) ending at a predicted position to how
     often they occur; contexts shorter than the order are padded on the left
-    with the sentence-start id. ``context_counts`` maps the (m-1)-token
-    context preceding a predicted position to the number of prediction events
-    it participated in; this is the MLE denominator, and by construction the
-    numerators for a seen context sum exactly to it.
+    with the sentence-start id. ``context_counts``, derived from ``counts``,
+    maps the (m-1)-token context preceding a predicted position to the number
+    of prediction events it participated in; this is the MLE denominator, and
+    by construction the numerators for a seen context sum exactly to it.
     """
 
     n: int
     counts: dict = field(default_factory=dict)
-    context_counts: dict = field(default_factory=dict)
+    context_counts: dict = field(init=False, default_factory=dict)
+
+    def __post_init__(self):
+        for gram, count in self.counts.items():
+            ctx = gram[:-1]
+            self.context_counts[ctx] = self.context_counts.get(ctx, 0) + count
 
     def count(self, ids: tuple) -> int:
         return self.counts.get(tuple(ids), 0)
@@ -49,17 +54,14 @@ def train_counts(corpus, n: int) -> NGramCountTable:
     """Accumulate counts for all orders 1..n over EOS-terminated id sentences."""
     if n < 1:
         raise ValueError("n-gram order must be >= 1")
-    table = NGramCountTable(n=n)
-    counts, ctx_counts = table.counts, table.context_counts
+    counts = {}
     for sent in corpus:
         padded = (BOS_ID,) * (n - 1) + tuple(sent)
         for t in range(n - 1, len(padded)):
             for m in range(1, n + 1):
                 gram = padded[t - m + 1:t + 1]
                 counts[gram] = counts.get(gram, 0) + 1
-                ctx = gram[:-1]
-                ctx_counts[ctx] = ctx_counts.get(ctx, 0) + 1
-    return table
+    return NGramCountTable(n, counts)
 
 
 def mle_prob(table: NGramCountTable, context, token: int) -> tuple[float, bool]:
@@ -87,10 +89,6 @@ class InterpolationWeights:
         for a in self.alphas:
             if not 0.0 <= a <= 1.0:
                 raise ValueError(f"interpolation weight {a} outside [0, 1]")
-
-    @classmethod
-    def uniform(cls, n: int, alpha: float = 0.1) -> "InterpolationWeights":
-        return cls([alpha] * n)
 
 
 def interp_prob(table: NGramCountTable, weights: InterpolationWeights,
@@ -123,35 +121,62 @@ def interp_prob(table: NGramCountTable, weights: InterpolationWeights,
 
 
 class NGramLM:
-    """Interpolated n-gram LM over a fixed vocabulary."""
+    """Interpolated n-gram LM over a fixed vocabulary. ``alpha`` holds the
+    interpolation weights as the (n, 1) column its model file stores."""
 
     kind = "ngram"
+    file_vocabs = ("vocab",)
 
-    def __init__(self, vocab: Vocabulary, table: NGramCountTable,
-                 weights: InterpolationWeights):
-        if len(weights.alphas) != table.n:
+    def __init__(self, vocab: Vocabulary, n: int, alphas=0.1):
+        """An order-``n`` model with an empty count table; ``alphas`` is one
+        held-out mass for every order, or a list of one per order."""
+        if n < 1:
+            raise ValueError("n-gram order must be >= 1")
+        alphas = [float(alphas)] * n if isinstance(alphas, (int, float)) else list(alphas)
+        if len(alphas) != n:
             raise ValueError("one interpolation weight required per order")
-        self.vocab = vocab
-        self.table = table
-        self.weights = weights
-        self.n = table.n
+        self.vocab, self.n = vocab, n
+        self.alpha = np.array(InterpolationWeights(alphas).alphas, float).reshape(n, 1)
+        self.table = NGramCountTable(n=n)
 
     @classmethod
     def train(cls, lines, n: int, alphas, vocab: Vocabulary | None = None) -> "NGramLM":
-        from . import corpus as C
         lines = list(lines)
         if vocab is None:
-            vocab = C.build_vocab(lines, policy="keep_all")
-        sentences = [C.encode(vocab, line, append_eos=True) for line in lines]
-        table = train_counts(sentences, n)
-        if isinstance(alphas, (int, float)):
-            weights = InterpolationWeights.uniform(n, float(alphas))
-        else:
-            weights = InterpolationWeights(list(alphas))
-        return cls(vocab, table, weights)
+            vocab = build_vocab(lines, policy="keep_all")
+        model = cls(vocab, n, alphas)
+        model.table = train_counts([encode(vocab, line, append_eos=True)
+                                    for line in lines], n)
+        return model
 
-    def token_log_prob(self, context, token: int) -> float:
-        return math.log(interp_prob(self.table, self.weights, self.vocab, context, token))
+    @property
+    def weights(self) -> InterpolationWeights:
+        return InterpolationWeights(self.alpha[:, 0].tolist())
+
+    @property
+    def hparams(self) -> dict:
+        return {"n": self.n}
+
+    def file_tensors(self) -> dict[str, np.ndarray]:
+        return {"alpha": self.alpha}
+
+    @property
+    def counts(self) -> dict:
+        """The count table's m-gram counts, the model file's count records."""
+        return self.table.counts
+
+    @counts.setter
+    def counts(self, counts):
+        """Install a model file's count records once its ``alpha`` is read.
+        A weight outside [0, 1] raises ValueError, and so does a record with
+        a gram length outside 1..n or an id outside the vocabulary: it would
+        inflate a context count, so probabilities would not sum to one."""
+        self.weights        # raises ValueError for a weight outside [0, 1]
+        for gram in counts:
+            if not 1 <= len(gram) <= self.n or max(gram) >= len(self.vocab):
+                raise ValueError(f"count record {gram} does not fit an order-{self.n} "
+                                 f"model over {len(self.vocab)} words")
+        self.table = NGramCountTable(self.n, dict(counts))
 
     def score_sentence(self, ids) -> float:
         """Natural-log probability of an EOS-terminated id sentence.
@@ -160,10 +185,11 @@ class NGramLM:
         with the uniform 1/v_all factor replaced by one, since
         :func:`~.evaluate.evaluate_ll` charges that factor separately.
         """
+        weights = self.weights
         total = 0.0
         history: list[int] = []
         for tok in ids:
-            total += self.token_log_prob(history, tok)
+            total += math.log(interp_prob(self.table, weights, self.vocab, history, tok))
             history.append(tok)
         return total + ids.count(UNK_ID) * math.log(self.vocab.v_all)
 
@@ -180,10 +206,11 @@ class NGramLM:
         return [()]
 
     def step(self, state, rows, prev_ids):
+        weights = self.weights
         contexts, columns = [], []
         for row, prev in zip(rows, prev_ids):
             context = state[row] + (prev,) if prev != BOS_ID else state[row]
-            p = np.array([interp_prob(self.table, self.weights, self.vocab, context, e)
+            p = np.array([interp_prob(self.table, weights, self.vocab, context, e)
                           for e in range(len(self.vocab))])
             p[UNK_ID] += 1.0 - p.sum() + p[BOS_ID]
             p[BOS_ID] = 0.0

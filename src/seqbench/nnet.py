@@ -205,6 +205,25 @@ def gather_layer_states(layers: list[RecurrentState], rows) -> list[RecurrentSta
             for st in layers]
 
 
+def file_tensor_views(params, stacks) -> dict[str, np.ndarray]:
+    """Name -> array of every tensor a model file holds, in file order: each
+    of ``params``, except that the cells of ``stacks`` (None entries are
+    skipped) appear as the per-gate views of :meth:`RecurrentCell.gate`, gate
+    by gate, where their first parameter stands."""
+    cells = {id(p): cell for stack in stacks if stack is not None
+             for cell in stack.cells for p in cell.parameters()}
+    views = {}
+    for p in params:
+        cell = cells.get(id(p))
+        if cell is None:
+            views[p.name] = p.value
+        elif p is cell.parameters()[0]:
+            for gate in cell.gates:
+                views.update((f"{cell.name}.{key}", view)
+                             for key, view in cell.gate(gate).items())
+    return views
+
+
 def _prev_token_rows(batch: MiniBatch) -> np.ndarray:
     """Ids fed at each step: sentence-start first, then the shifted tokens."""
     prev = np.empty_like(batch.token_matrix)
@@ -219,6 +238,9 @@ SCORE_BATCH = 32
 
 class NeuralLM:
     """Scoring shared by the neural LMs, through their ``batch_loss``."""
+
+    file_vocabs = ("vocab",)
+    counts = None
 
     def corpus_nll(self, sentences) -> float:
         """Total NLL of EOS-terminated id sequences: stably length-sorted
@@ -262,6 +284,14 @@ class FFNNLM(NeuralLM):
 
     def parameters(self):
         return [self.M, self.W_mh, self.b_h, self.W_hs, self.b_s]
+
+    @property
+    def hparams(self) -> dict:
+        return {"embed_size": self.embed_size, "hidden_size": self.hidden_size,
+                "n": self.n, "nonlinearity": self.nonlinearity}
+
+    def file_tensors(self) -> dict[str, np.ndarray]:
+        return file_tensor_views(self.parameters(), [])
 
     def _scores(self, g: Evaluator, context_cols: list[list[int]]) -> Value:
         """Score columns for a batch of contexts, one list per slot
@@ -318,12 +348,21 @@ class RNNLM(NeuralLM):
         v = len(vocab)
         self.M = Parameter("M", embedding_init(rng, embed_size, v))
         self.rnn = StackedRNN(cell, embed_size, hidden_size, layers, rng,
-                              residual=residual, name="rnn")
+                              residual=bool(residual), name="rnn")
         self.W_hs = Parameter("W_hs", glorot(rng, v, hidden_size))
         self.b_s = Parameter("b_s", np.zeros((v, 1)))
 
     def parameters(self):
         return [self.M] + self.rnn.parameters() + [self.W_hs, self.b_s]
+
+    @property
+    def hparams(self) -> dict:
+        return {"embed_size": self.embed_size, "hidden_size": self.hidden_size,
+                "cell": self.rnn.kind, "layers": len(self.rnn.cells),
+                "residual": int(self.rnn.residual)}
+
+    def file_tensors(self) -> dict[str, np.ndarray]:
+        return file_tensor_views(self.parameters(), [self.rnn])
 
     def batch_loss(self, g: Evaluator, batch: MiniBatch) -> Value:
         """Masked total NLL over every position of every column.

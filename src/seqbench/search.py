@@ -68,17 +68,32 @@ class LengthPrior:
     """
 
     pair_counts: dict = field(default_factory=dict)     # (|E|, |F|) -> count
-    source_counts: dict = field(default_factory=dict)   # |F| -> count
+    source_counts: dict = field(init=False, default_factory=dict)  # |F| -> count, derived
     eps: float = 1e-9
+
+    def __post_init__(self):
+        for (_, f_len), count in self.pair_counts.items():
+            self.source_counts[f_len] = self.source_counts.get(f_len, 0) + count
 
     @classmethod
     def from_pairs(cls, pairs) -> "LengthPrior":
-        prior = cls()
+        counts = {}
         for f, e in pairs:
-            key = (len(e), len(f))
-            prior.pair_counts[key] = prior.pair_counts.get(key, 0) + 1
-            prior.source_counts[len(f)] = prior.source_counts.get(len(f), 0) + 1
-        return prior
+            counts[len(e), len(f)] = counts.get((len(e), len(f)), 0) + 1
+        return cls(counts)
+
+    @classmethod
+    def from_rows(cls, rows) -> "LengthPrior":
+        """The prior whose :meth:`rows` are ``rows``."""
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError(f"length prior has shape {rows.shape}, expected (k, 3)")
+        return cls({(int(e_len), int(f_len)): int(count)
+                    for e_len, f_len, count in rows.tolist()})
+
+    def rows(self) -> np.ndarray:
+        """One ``(|E|, |F|, count)`` float row per length pair, sorted."""
+        return np.array([(e, f, c) for (e, f), c in sorted(self.pair_counts.items())],
+                        dtype=np.float64).reshape(-1, 3)
 
     def log_prob(self, e_len: int, f_len: int) -> float:
         total = self.source_counts.get(f_len, 0)

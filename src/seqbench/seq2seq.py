@@ -20,8 +20,8 @@ import numpy as np
 
 from .autograd import Eager, Evaluator, Graph, Parameter, Value
 from .corpus import BOS_ID, Vocabulary
-from .nnet import (RecurrentState, StackedRNN, embedding_init, gather_layer_states,
-                   glorot)
+from .nnet import (RecurrentState, StackedRNN, embedding_init, file_tensor_views,
+                   gather_layer_states, glorot)
 from .optim import EpochTracker, Optimizer, fit
 
 ENCODER_DIRECTIONS = ("forward", "reverse", "bidirectional")
@@ -50,6 +50,9 @@ class EncDecState:
 
 class EncDecModel:
     kind = "encdec"
+    file_vocabs = ("src_vocab", "tgt_vocab")
+    counts = None
+    length_prior = None     # a search.LengthPrior, set by training or loading
 
     def __init__(self, src_vocab: Vocabulary, tgt_vocab: Vocabulary,
                  embed_size: int = 32, hidden_size: int = 32,
@@ -141,6 +144,23 @@ class EncDecModel:
         params += self.dec.parameters() + [self.W_hs, self.b_s]
         params += self.bridge_params + self.attn_params
         return params
+
+    @property
+    def hparams(self) -> dict:
+        hparams = {"embed_size": self.embed_size, "hidden_size": self.hidden_size,
+                   "dec_hidden": self.dec_hidden, "layers": self.layers,
+                   "encoder": self.encoder_direction, "bridge": self.bridge,
+                   "attention": self.attention, "cell": self.cell}
+        if self.attention == "mlp":
+            hparams["attn_hidden"] = self.W_a1_dec.value.shape[0]
+        return hparams
+
+    def file_tensors(self) -> dict[str, np.ndarray]:
+        tensors = file_tensor_views(self.parameters(),
+                                    [self.enc_fwd, self.enc_bwd, self.dec])
+        if self.length_prior is not None:
+            tensors["length_prior"] = self.length_prior.rows()
+        return tensors
 
     # ---- encoding ----------------------------------------------------------
 

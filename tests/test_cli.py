@@ -91,6 +91,31 @@ def test_train_loglinear_metrics_file(toy_corpus):
             math.exp(-float(dev_ll) / 6), rel=1e-12)
 
 
+@pytest.mark.parametrize("command", ["train-loglinear", "train-rnnlm", "train-encdec"])
+def test_kept_epoch_metrics_match_eval_ppl_with_unknown_words(tmp_path, capsys, command):
+    train = write(tmp_path / "train.txt", "a b c\nc b a\nb b a\na c\n")
+    dev = write(tmp_path / "dev.txt", "a zz b\nqq c yy\nc a\n")    # 3 unknown words
+    model = str(tmp_path / "m.bin")
+    metrics = str(tmp_path / "m.metrics")
+    if command == "train-encdec":
+        data = ["--train-src", train, "--train-tgt", train, "--dev-src", dev,
+                "--dev-tgt", dev, "--embed", "3", "--hidden", "4", "--lr", "0.05"]
+        source = ["--source", dev]
+    else:
+        data = ["--train", train, "--dev", dev]
+        source = []
+    if command == "train-rnnlm":
+        data += ["--embed", "3", "--hidden", "4"]
+    assert main([command, *data, "--model", model, "--metrics", metrics,
+                 "--epochs", "3", "--unk-policy", "keep_all"]) == 0
+    rows = [row.split("\t") for row in open(metrics).read().splitlines()]
+    kept = max(rows, key=lambda row: float(row[2]))    # the first best epoch
+    assert main(["eval-ppl", "--model", model, "--data", dev, *source]) == 0
+    report = read_report(capsys)
+    assert float(report["unk_log_portion"]) == -3 * math.log(C.DEFAULT_V_ALL)
+    assert kept[2:] == [report["total_log_likelihood"], report["perplexity"]]
+
+
 def test_seed_determinism_produces_identical_model_files(tmp_path):
     train = write(tmp_path / "t.txt", "a b c\nc b a\nb b a\n")
     out1, out2, out3 = (str(tmp_path / f"m{i}.bin") for i in range(3))

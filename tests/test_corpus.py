@@ -120,14 +120,13 @@ def test_mask_sum_conservation():
              for _ in range(37)]
     expected = sum(len(s) for s in sents)
     for batch_size in (1, 2, 5, 37, 100):
-        for sort in (True, False):
-            batches = C.make_batches(sents, batch_size, sort_by_length=sort)
-            assert sum(b.mask.sum() for b in batches) == expected
+        batches = C.make_batches(sents, batch_size)
+        assert sum(b.mask.sum() for b in batches) == expected
 
 
 def test_sorting_is_stable():
     sents = [[3, C.EOS_ID], [4, C.EOS_ID], [5, 6, C.EOS_ID]]
-    batches = C.make_batches(sents, batch_size=3, sort_by_length=True)
+    batches = C.make_batches(sents, batch_size=3)
     cols = batches[0].token_matrix
     assert cols[0, 0] == 3 and cols[0, 1] == 4
 
@@ -162,10 +161,10 @@ _SENTENCES = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(_SENTENCES, st.integers(1, 8), st.booleans())
-def test_make_batches_places_every_sentence_once(sentences, batch_size, sort):
+@given(_SENTENCES, st.integers(1, 8))
+def test_make_batches_places_every_sentence_once(sentences, batch_size):
     placed = []
-    for batch in C.make_batches(sentences, batch_size, sort_by_length=sort):
+    for batch in C.make_batches(sentences, batch_size):
         assert 1 <= batch.size <= batch_size
         for j in range(batch.size):
             column = batch.token_matrix[:, j].tolist()
@@ -175,5 +174,4 @@ def test_make_batches_places_every_sentence_once(sentences, batch_size, sort):
             assert batch.mask[:length, j].all()
             assert column[length:] == [C.EOS_ID] * (len(column) - length)
             placed.append(column[:length])
-    assert sorted(placed) == sorted(sentences)
-    assert placed == (sorted(sentences, key=len) if sort else sentences)
+    assert placed == sorted(sentences, key=len)

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from helpers import per_gate_model
 from seqbench import corpus as C
+from seqbench.cli import main
 from seqbench.evaluate import evaluate_ll
-from seqbench.loglinear import LogLinearLM
+from seqbench.loglinear import TEMPLATES, LogLinearLM
 from seqbench.modelfile import (ModelFile, load_model, read_modelfile,
                                 save_model, write_modelfile)
 from seqbench.ngram import NGramLM
@@ -218,3 +220,148 @@ def test_every_truncation_and_byte_flip_loads_or_raises_data_error(tmp_path):
                 load_model(path)
             except C.DataError:
                 pass
+
+
+def _pinned_models():
+    vocab = C.build_vocab(LINES)
+    src = C.build_vocab(["x y z"])
+    prior = LengthPrior.from_pairs([([3, 4], [5, C.EOS_ID]), ([3], [4, 5, C.EOS_ID])])
+    yield "ngram", NGramLM.train(LINES, n=3, alphas=[0.1, 0.25, 0.4])
+    for template in TEMPLATES:
+        yield f"loglinear-{template}", LogLinearLM(vocab, template)
+    yield "ffnnlm", FFNNLM(vocab, n=3, embed_size=3, hidden_size=4,
+                           rng=np.random.default_rng(1))
+    for cell in CELL_KINDS:
+        yield f"rnnlm-{cell}", RNNLM(vocab, cell=cell, embed_size=3, hidden_size=3,
+                                     layers=2, residual=cell == "gru",
+                                     rng=np.random.default_rng(2))
+    for i, (encoder, bridge, attention, cell, with_prior) in enumerate([
+            ("forward", "copy", "none", "lstm_forget", True),
+            ("reverse", "copy", "dot", "rnn", False),
+            ("bidirectional", "concat", "bilinear", "lstm", True),
+            ("bidirectional", "tanh", "mlp", "gru", False),
+            ("forward", "tanh", "mlp", "lstm_forget", True)]):
+        model = EncDecModel(src, vocab, embed_size=3, hidden_size=4, layers=1 + i % 2,
+                            encoder=encoder, bridge=bridge, attention=attention,
+                            attn_hidden=5, cell=cell, rng=np.random.default_rng(3 + i))
+        if with_prior:
+            model.length_prior = prior
+        yield f"encdec-{encoder}-{bridge}-{attention}-{cell}", model
+
+
+# SHA-256 of each file above as the format's first writer saved it; any byte
+# change to the format changes one of them
+PINNED_DIGESTS = {
+    "ngram": "3dbaa3f8a482dd3c4456fd99a7f6710ca1ffbd39cd84f25f8d35570e459a640d",
+    "loglinear-prev_word": "63e8837fa35698be01ce8ad2e04846ed395ea5d0c284c195e67aef0b5d0eeb5e",
+    "loglinear-prev2_words": "d4af9bf8059c047cdbc4a5661f0a4ccf0dc2fee0bff3945d701964103f866e62",
+    "loglinear-suffix_k": "0c56dd37b043629e6ccc7e118de633dbcf7d7612e2c35c01eeef6ce006b4cf92",
+    "loglinear-bag_of_words": "9922a4bae6ba9350fa69e1a11b0d989d567e62f397c9c75b15c23452ac846877",
+    "ffnnlm": "4657ee6d258bf43c1e87c56c9440cadf88f3c9882db220a0d43ac54b85976d8b",
+    "rnnlm-rnn": "54e03bf82228cbf5b24239c69d849bd8e68aeda2d2424a61fa8d846cd6f1f63e",
+    "rnnlm-lstm": "57e1b2194db38d5cdae582aa1c92583e125ccef5399cc28e14898161edce5d87",
+    "rnnlm-lstm_forget": "c95d77088a73427b8ee9f4fbbb2d46fcb4b7d54d5f3ee668a977756495392e1f",
+    "rnnlm-gru": "29c68e0f5fbeeba606689f1fa567054e95abb8d01d96eebaf874e9a3a1df3b62",
+    "encdec-forward-copy-none-lstm_forget":
+        "32634e8c8634929bfd29196d3381e6c4bdfd1f4c2c1aa51422b2630eeee5f91f",
+    "encdec-reverse-copy-dot-rnn":
+        "eb5441de71ec7b400a3755d7546eef73ce05cbde93e7060aad57f273766142e7",
+    "encdec-bidirectional-concat-bilinear-lstm":
+        "fd01d9d2546e937a4ef83bf6827aaa05c24610c50e4e8701be6b1f50f5f0d12a",
+    "encdec-bidirectional-tanh-mlp-gru":
+        "4922ffb80cd2534d37f35f5cf3e0f71d000cb963ea0d7f12094e97d3c9a4149f",
+    "encdec-forward-tanh-mlp-lstm_forget":
+        "b7710fb81fe317d75ba683b65a8fb73580e5127def5577c2d19d0c090e50a930",
+}
+
+
+def test_model_file_format_is_pinned(tmp_path):
+    digests = {}
+    for name, model in _pinned_models():
+        path = tmp_path / f"{name}.bin"
+        save_model(model, path)
+        blob = path.read_bytes()
+        digests[name] = hashlib.sha256(blob).hexdigest()
+        save_model(load_model(path), tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == blob, name
+    assert digests == PINNED_DIGESTS
+
+
+def _ngram_file(tmp_path):
+    path = tmp_path / "ngram.bin"
+    save_model(NGramLM.train(LINES, n=2, alphas=0.1), path)
+    return path, read_modelfile(path)
+
+
+def _encdec_file(tmp_path):
+    path = tmp_path / "encdec.bin"
+    model = EncDecModel(C.build_vocab(["x y"]), C.build_vocab(LINES), embed_size=2,
+                        hidden_size=2, encoder="forward", attention="none")
+    model.length_prior = LengthPrior.from_pairs([([3], [4, C.EOS_ID])])
+    save_model(model, path)
+    return path, read_modelfile(path)
+
+
+def _no_vocabulary(mf):
+    mf.vocabs = []
+
+
+def _one_vocabulary(mf):
+    mf.vocabs = mf.vocabs[:1]
+
+
+def _rank_one(name):
+    def damage(mf):
+        mf.tensors[name] = mf.tensors[name][:, 0]
+    return damage
+
+
+def _weight_above_one(mf):
+    mf.tensors["alpha"][0, 0] = 1.5
+
+
+def _count_record(gram):
+    def damage(mf):
+        mf.counts[gram] = 1
+    return damage
+
+
+def _setting(key, value):
+    def damage(mf):
+        if value is None:
+            del mf.hparams[key]
+        else:
+            mf.hparams[key] = value
+    return damage
+
+
+@pytest.mark.parametrize("make,damage", [
+    (_ngram_file, _no_vocabulary),
+    (_encdec_file, _one_vocabulary),
+    (_ngram_file, _rank_one("alpha")),
+    (_encdec_file, _rank_one("length_prior")),
+    (_ngram_file, _weight_above_one),
+    (_ngram_file, _count_record(())),                # gram length 0
+    (_ngram_file, _count_record((3, 4, 5))),         # longer than the order, 2
+    (_ngram_file, _count_record((3, 6))),            # the 6 words have ids 0..5
+    (_ngram_file, _setting("n", None)),
+    (_ngram_file, _setting("n", "02")),
+    (_encdec_file, _setting("attn_hidden", "3")),    # only MLP attention has one
+    (_encdec_file, _setting("encoder", "sideways")),
+    (_encdec_file, _setting("extra", "1")),
+    (_encdec_file, _setting("rng", "7")),           # a constructor argument
+], ids=["ngram-no-vocabulary", "encdec-one-vocabulary", "alpha-rank-1",
+        "length-prior-rank-1", "alpha-above-1", "empty-gram", "gram-past-order", "id-past-vocabulary",
+        "missing-setting", "altered-setting", "setting-of-another-variant",
+        "unknown-setting-value", "extra-setting", "constructor-argument"])
+def test_malformed_model_file_is_a_data_error_naming_it(tmp_path, capsys, make, damage):
+    path, mf = make(tmp_path)
+    damage(mf)
+    write_modelfile(mf, path)
+    data = str(tmp_path / "data.txt")
+    with open(data, "w", encoding="utf-8") as fh:
+        fh.write("a b\n")
+    source = ["--source", data] if mf.kind == "encdec" else []
+    assert main(["eval-ppl", "--model", str(path), "--data", data, *source]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and path.name in err

@@ -16,7 +16,7 @@ def two_sentence_setup(n=2, alpha=0.5):
     vocab = C.build_vocab(lines, policy="keep_all")
     sents = [C.encode(vocab, line, append_eos=True) for line in lines]
     table = train_counts(sents, n)
-    weights = InterpolationWeights.uniform(n, alpha)
+    weights = InterpolationWeights([alpha] * n)
     return vocab, sents, table, weights
 
 
@@ -96,7 +96,7 @@ def test_count_monotone_vs_context():
 
 def test_interp_full_holdout_collapses_to_uniform_unknown():
     vocab, _, table, _ = two_sentence_setup()
-    weights = InterpolationWeights.uniform(2, 1.0)
+    weights = InterpolationWeights([1.0] * 2)
     for tok in range(len(vocab)):
         assert interp_prob(table, weights, vocab, (vocab.id_of("a"),), tok) == \
             pytest.approx(1.0 / V_ALL, rel=1e-15)

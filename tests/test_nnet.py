@@ -434,7 +434,7 @@ def per_sentence_sums(model, data):
     total, words, unk_count, unk_logp = 0.0, 0, 0, 0.0
     for tokens in data:
         ids = C.encode(model.vocab, tokens, append_eos=True)
-        count, logp = C.unknown_factor(model.vocab, ids)
+        count, logp = C.unknown_factor(model.vocab, [ids])
         total += -model.sentence_nll(ids) + logp
         words += len(ids)
         unk_count += count
@@ -472,7 +472,7 @@ def test_one_sentence_corpus_scores_bitwise_as_one_b1_batch(name):
         ids = C.encode(model.vocab, tokens, append_eos=True)
         with Eager() as e:
             nll = float(model.batch_loss(e, C.make_batches([ids], 1)[0])[0, 0])
-        _, unk_logp = C.unknown_factor(model.vocab, ids)
+        _, unk_logp = C.unknown_factor(model.vocab, [ids])
         assert same_bits(model.sentence_nll(ids), nll)
         report = evaluate_ll(model, [tokens])
         assert same_bits(report.total_log_likelihood, 0.0 + (-nll + unk_logp))
