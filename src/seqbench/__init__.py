@@ -11,7 +11,7 @@ from .corpus import (BOS, BOS_ID, EOS, EOS_ID, UNK, UNK_ID, DataError,
                      MiniBatch, Vocabulary, build_vocab, decode, encode,
                      make_batches, read_parallel, read_token_lines)
 from .evaluate import BleuReport, EvalReport, bleu, evaluate_ll
-from .loglinear import FeatureVector, LogLinearLM, featurize
+from .loglinear import FeatureVector, LogLinearLM
 from .modelfile import load_model, save_model
 from .ngram import InterpolationWeights, NGramCountTable, NGramLM, interp_prob, \
     mle_prob, train_counts

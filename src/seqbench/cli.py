@@ -397,8 +397,11 @@ def cmd_train_loglinear(args, rng) -> int:
     return 0
 
 
-def _train_neural_lm(args, rng, model):
-    vocab = model.vocab
+def _train_neural_lm(args, rng, cls, **settings):
+    vocab = _build_vocab_from(args.train, args.unk_policy, args.min_count,
+                              args.v_all)
+    model = _new_model(cls, vocab, embed_size=args.embed, hidden_size=args.hidden,
+                       rng=rng, **settings)
     train_sents = [C.encode(vocab, line, append_eos=True)
                    for line in C.read_token_lines(args.train)]
     dev_sents = ([C.encode(vocab, line, append_eos=True) for line in
@@ -415,21 +418,13 @@ def _train_neural_lm(args, rng, model):
 
 
 def cmd_train_ffnnlm(args, rng) -> int:
-    vocab = _build_vocab_from(args.train, args.unk_policy, args.min_count,
-                              args.v_all)
-    model = _new_model(FFNNLM, vocab, n=args.order, embed_size=args.embed,
-                       hidden_size=args.hidden, nonlinearity=args.nonlinearity,
-                       rng=rng)
-    return _train_neural_lm(args, rng, model)
+    return _train_neural_lm(args, rng, FFNNLM, n=args.order,
+                            nonlinearity=args.nonlinearity)
 
 
 def cmd_train_rnnlm(args, rng) -> int:
-    vocab = _build_vocab_from(args.train, args.unk_policy, args.min_count,
-                              args.v_all)
-    model = _new_model(RNNLM, vocab, cell=args.cell, embed_size=args.embed,
-                       hidden_size=args.hidden, layers=args.layers,
-                       residual=args.residual, rng=rng)
-    return _train_neural_lm(args, rng, model)
+    return _train_neural_lm(args, rng, RNNLM, cell=args.cell, layers=args.layers,
+                            residual=args.residual)
 
 
 def cmd_train_encdec(args, rng) -> int:
@@ -475,7 +470,7 @@ def _reject_blank_sources(path, lines):
 
 def cmd_eval_ppl(args, rng) -> int:
     model = load_model(args.model)
-    if isinstance(model, EncDecModel):
+    if model.src_vocab is not None:
         if not args.source:
             raise UsageError("conditional models need --source")
         pairs = C.read_parallel(args.source, args.data)
@@ -493,7 +488,7 @@ def cmd_eval_ppl(args, rng) -> int:
 
 
 def _decode_corpus(model, args, rng) -> int:
-    if not isinstance(model, (EncDecModel, Ensemble)):
+    if model.src_vocab is None:
         raise UsageError("translate needs a conditional model; use sample for "
                          "language models")
     # the length prior and the attention that unknown-word replacement
@@ -545,7 +540,7 @@ def cmd_ensemble_translate(args, rng) -> int:
     paths = args.models.split(",")
     models = [load_model(path) for path in paths]
     for path, model in zip(paths, models):
-        if not isinstance(model, EncDecModel):
+        if model.src_vocab is None:
             raise DataError(f"{path}: ensemble member is a language model "
                             f"({model.kind}); every member must be an encoder-decoder")
     first = models[0]
@@ -561,7 +556,7 @@ def cmd_ensemble_translate(args, rng) -> int:
 
 def cmd_sample(args, rng) -> int:
     model = load_model(args.model)
-    if isinstance(model, EncDecModel):
+    if model.src_vocab is not None:
         raise UsageError("sample draws from unconditional language models; "
                          "use translate --search sample for conditional ones")
     out = []

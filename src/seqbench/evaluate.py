@@ -6,11 +6,12 @@ words contributes T+1 scored positions).
 
 Every model scores through one method, ``corpus_nll(items) -> float``: the
 negative log-likelihood it assigns to a list of EOS-terminated target id
-lists, or to (source ids, target ids) pairs for conditional models, with the
-unknown symbol scored as itself. :func:`evaluate_ll` owns the rest: it
-encodes the surface data, calls ``corpus_nll`` once, and charges each unknown
-target token the uniform 1/v_all factor of :func:`~.corpus.unknown_factor`,
-whose log sum the report gives as the unknown log portion. The n-gram,
+lists, or to (source ids, target ids) pairs for models with a ``src_vocab``,
+each token scored with the probability ``step`` gives it, the unknown symbol
+included. :func:`evaluate_ll` owns the rest: it encodes the surface data,
+calls ``corpus_nll`` once, and charges each unknown target token the uniform
+1/v_all factor of :func:`~.corpus.unknown_factor`, whose log sum the report
+gives as the unknown log portion. The n-gram,
 log-linear and conditional models add their per-item NLLs in data order; the
 neural LMs score length-sorted batches of up to :data:`~.nnet.SCORE_BATCH`
 sentences, so their total may differ from a per-sentence sum in the last bits.
@@ -53,7 +54,7 @@ def evaluate_ll(model, data) -> EvalReport:
     data = list(data)
     if not data:
         raise DataError("empty evaluation data")
-    src_vocab = getattr(model, "src_vocab", None)
+    src_vocab = model.src_vocab
     if src_vocab is None:
         items = targets = [encode(model.vocab, tokens, append_eos=True) for tokens in data]
     else:

@@ -23,6 +23,7 @@ import numpy as np
 from .autograd import softmax
 from .corpus import BOS_ID, UNK_ID, Vocabulary, encode
 from .optim import EpochTracker, TrainingDivergence, fit
+from .search import LanguageModel
 
 TEMPLATES = ("prev_word", "prev2_words", "suffix_k", "bag_of_words")
 
@@ -89,10 +90,6 @@ class FeatureTemplate:
         return FeatureVector(sorted(counts.items()), self.dim)
 
 
-def featurize(context, vocab: Vocabulary, template: str) -> FeatureVector:
-    return FeatureTemplate(template, vocab).featurize(context)
-
-
 def score(W: np.ndarray, b: np.ndarray, x: FeatureVector) -> np.ndarray:
     """s = sum over active features of W[:,j] * x_j, plus the bias."""
     if x.dim != W.shape[1]:
@@ -119,12 +116,10 @@ def loss_and_grad(W, b, x: FeatureVector, target: int):
     return loss, grad_b, grad_cols
 
 
-class LogLinearLM:
+class LogLinearLM(LanguageModel):
     """Feature-based n-gram LM trained by stochastic gradient descent."""
 
     kind = "loglinear"
-    file_vocabs = ("vocab",)
-    counts = None
 
     def __init__(self, vocab: Vocabulary, template: str, suffix_len: int = 3):
         self.vocab = vocab
@@ -138,10 +133,6 @@ class LogLinearLM:
 
     def file_tensors(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "b": self.b}
-
-    @property
-    def n(self) -> int:
-        return self.template.arity + 1
 
     def _instances(self, lines):
         """(context_feature, target) pairs over every position of every line."""
@@ -181,12 +172,18 @@ class LogLinearLM:
     # ---- evaluation / generation protocol ----------------------------------
 
     def next_distribution(self, history_ids) -> np.ndarray:
+        """The softmax over the vocabulary after ``history_ids``, with the
+        start symbol's probability folded onto the unknown symbol: the
+        distribution the model decodes from and scores with."""
         x = self.template.featurize(list(history_ids))
-        return softmax(score(self.W, self.b, x))[:, 0]
+        p = softmax(score(self.W, self.b, x))[:, 0]
+        p[UNK_ID] += p[BOS_ID]
+        p[BOS_ID] = 0.0
+        return p
 
     def score_sentence(self, ids) -> float:
-        """Natural-log probability of an EOS-terminated id sentence; -inf
-        where a probability underflows to 0."""
+        """Natural-log probability of an EOS-terminated id sentence under
+        :meth:`next_distribution`; -inf where a probability is 0."""
         logp = 0.0
         history: list[int] = []
         for tok in ids:
@@ -194,22 +191,3 @@ class LogLinearLM:
             logp += math.log(p) if p > 0.0 else -math.inf
             history.append(tok)
         return logp
-
-    def corpus_nll(self, sentences) -> float:
-        return -sum(self.score_sentence(ids) for ids in sentences)
-
-    def start(self, source_ids=None):
-        if source_ids is not None:
-            raise ValueError("log-linear LM is unconditional")
-        return [()]
-
-    def step(self, state, rows, prev_ids):
-        histories, columns = [], []
-        for row, prev in zip(rows, prev_ids):
-            history = state[row] + (prev,) if prev != BOS_ID else state[row]
-            p = self.next_distribution(history).copy()
-            p[UNK_ID] += p[BOS_ID]
-            p[BOS_ID] = 0.0
-            histories.append(history)
-            columns.append(p)
-        return np.array(columns).T, histories, None

@@ -10,6 +10,9 @@ sentence receives strictly positive probability. When a context was never
 observed, the model falls back to the next-lower order outright (the MLE term
 is identically zero for every token there, and renormalizing onto the lower
 order keeps the distribution summing to one).
+
+The model decodes from and scores with one distribution, :func:`next_word_prob`,
+which gives the unknown symbol the mass of the words outside the vocabulary.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import BOS_ID, UNK_ID, Vocabulary, build_vocab, encode
+from .search import LanguageModel
 
 
 @dataclass
@@ -73,10 +77,10 @@ def mle_prob(table: NGramCountTable, context, token: int) -> tuple[float, bool]:
     context = tuple(context)
     if len(context) + 1 > table.n:
         raise ValueError(f"order {len(context) + 1} exceeds model order {table.n}")
-    denom = table.context_count(context)
+    denom = table.context_counts.get(context, 0)
     if denom == 0:
         return 0.0, False
-    return table.count(context + (token,)) / denom, True
+    return table.counts.get(context + (token,), 0) / denom, True
 
 
 @dataclass
@@ -91,6 +95,12 @@ class InterpolationWeights:
                 raise ValueError(f"interpolation weight {a} outside [0, 1]")
 
 
+def _padded_context(n: int, context) -> tuple:
+    """The last n-1 ids of ``context``, left-padded with the start symbol."""
+    context = tuple(context)[-(n - 1):] if n > 1 else ()
+    return (BOS_ID,) * (n - 1 - len(context)) + context
+
+
 def interp_prob(table: NGramCountTable, weights: InterpolationWeights,
                 vocab: Vocabulary, context, token: int) -> float:
     """Interpolated P(token | context), strictly positive whenever alphas are.
@@ -98,34 +108,51 @@ def interp_prob(table: NGramCountTable, weights: InterpolationWeights,
     The context is trimmed/left-padded with the start symbol to length n-1.
     """
     n = table.n
-    context = tuple(context)[-(n - 1):] if n > 1 else ()
-    if len(context) < n - 1:
-        context = (BOS_ID,) * (n - 1 - len(context)) + context
-
-    p_unk = 1.0 / vocab.v_all
-    # Unigram base: mix the MLE unigram with the uniform unknown distribution.
-    p_ml1, seen1 = mle_prob(table, (), token)
-    if not seen1:
-        prob = p_unk                      # empty table: nothing but the uniform base
-    else:
-        a1 = weights.alphas[0]
-        prob = (1.0 - a1) * p_ml1 + a1 * p_unk
-    for m in range(2, n + 1):
-        ctx_m = context[-(m - 1):]
-        p_ml, seen = mle_prob(table, ctx_m, token)
-        if not seen:
-            continue                      # unseen context: keep the lower-order estimate
-        a_m = weights.alphas[m - 1]
-        prob = (1.0 - a_m) * p_ml + a_m * prob
+    context = _padded_context(n, context)
+    prob = 1.0 / vocab.v_all
+    for m in range(1, n + 1):
+        p_ml, seen = mle_prob(table, context[n - m:], token)
+        if seen:                          # else keep the lower-order estimate
+            a_m = weights.alphas[m - 1]
+            prob = (1.0 - a_m) * p_ml + a_m * prob
     return prob
 
 
-class NGramLM:
+def in_vocab_mass(table: NGramCountTable, weights: InterpolationWeights,
+                  vocab: Vocabulary, context) -> float:
+    """The sum of :func:`interp_prob` over the vocabulary, by the same
+    recursion: the uniform base gives |V|/v_all, and every seen order's MLE
+    sums to one over the vocabulary."""
+    n = table.n
+    context = _padded_context(n, context)
+    mass = len(vocab) / vocab.v_all
+    for m in range(1, n + 1):
+        if table.context_count(context[n - m:]) > 0:
+            a_m = weights.alphas[m - 1]
+            mass = (1.0 - a_m) + a_m * mass
+    return mass
+
+
+def next_word_prob(table: NGramCountTable, weights: InterpolationWeights,
+                   vocab: Vocabulary, context, token: int) -> float:
+    """P(token | context) in the distribution the model decodes from: 0 for
+    the start symbol, which is never emitted, and for the unknown symbol its
+    own interpolated probability plus the start symbol's and the mass of
+    every word outside the vocabulary, so the distribution sums to one."""
+    if token == BOS_ID:
+        return 0.0
+    prob = interp_prob(table, weights, vocab, context, token)
+    if token == UNK_ID:
+        prob += (1.0 - in_vocab_mass(table, weights, vocab, context)
+                 + interp_prob(table, weights, vocab, context, BOS_ID))
+    return prob
+
+
+class NGramLM(LanguageModel):
     """Interpolated n-gram LM over a fixed vocabulary. ``alpha`` holds the
     interpolation weights as the (n, 1) column its model file stores."""
 
     kind = "ngram"
-    file_vocabs = ("vocab",)
 
     def __init__(self, vocab: Vocabulary, n: int, alphas=0.1):
         """An order-``n`` model with an empty count table; ``alphas`` is one
@@ -179,41 +206,19 @@ class NGramLM:
         self.table = NGramCountTable(self.n, dict(counts))
 
     def score_sentence(self, ids) -> float:
-        """Natural-log probability of an EOS-terminated id sentence.
-
-        The unknown symbol is scored as itself: its interpolated probability
-        with the uniform 1/v_all factor replaced by one, since
-        :func:`~.evaluate.evaluate_ll` charges that factor separately.
-        """
+        """Natural-log probability of an EOS-terminated id sentence under
+        :func:`next_word_prob`, the distribution :meth:`step` emits; -inf
+        where that probability is 0."""
         weights = self.weights
         total = 0.0
         history: list[int] = []
         for tok in ids:
-            total += math.log(interp_prob(self.table, weights, self.vocab, history, tok))
+            p = next_word_prob(self.table, weights, self.vocab, history, tok)
+            total += math.log(p) if p > 0.0 else -math.inf
             history.append(tok)
-        return total + ids.count(UNK_ID) * math.log(self.vocab.v_all)
+        return total
 
-    def corpus_nll(self, sentences) -> float:
-        return -sum(self.score_sentence(ids) for ids in sentences)
-
-    # Generation support: a distribution over the vocabulary for sampling and
-    # search. Probability mass belonging to words outside the vocabulary (the
-    # uniform unknown share) is folded onto the unknown symbol, and the start
-    # symbol is never emitted, so the vector sums to one.
-    def start(self, source_ids=None):
-        if source_ids is not None:
-            raise ValueError("n-gram LM is unconditional")
-        return [()]
-
-    def step(self, state, rows, prev_ids):
+    def next_distribution(self, history) -> np.ndarray:
         weights = self.weights
-        contexts, columns = [], []
-        for row, prev in zip(rows, prev_ids):
-            context = state[row] + (prev,) if prev != BOS_ID else state[row]
-            p = np.array([interp_prob(self.table, weights, self.vocab, context, e)
-                          for e in range(len(self.vocab))])
-            p[UNK_ID] += 1.0 - p.sum() + p[BOS_ID]
-            p[BOS_ID] = 0.0
-            contexts.append(context)
-            columns.append(p)
-        return np.array(columns).T, contexts, None
+        return np.array([next_word_prob(self.table, weights, self.vocab, history, e)
+                         for e in range(len(self.vocab))])

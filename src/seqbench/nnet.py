@@ -20,6 +20,7 @@ import numpy as np
 from .autograd import Eager, Evaluator, Graph, NonFiniteError, Parameter, Value
 from .corpus import BOS_ID, MiniBatch, Vocabulary, make_batches
 from .optim import EpochTracker, Optimizer, TrainingDivergence, fit
+from .search import LanguageModel
 
 CELL_KINDS = ("rnn", "lstm", "lstm_forget", "gru")
 # each kind's gates in the order their weights are drawn and stacked
@@ -236,11 +237,8 @@ def _prev_token_rows(batch: MiniBatch) -> np.ndarray:
 SCORE_BATCH = 32
 
 
-class NeuralLM:
+class NeuralLM(LanguageModel):
     """Scoring shared by the neural LMs, through their ``batch_loss``."""
-
-    file_vocabs = ("vocab",)
-    counts = None
 
     def corpus_nll(self, sentences) -> float:
         """Total NLL of EOS-terminated id sequences: stably length-sorted
@@ -319,18 +317,12 @@ class FFNNLM(NeuralLM):
         masked = g.cmult(losses, g.input(batch.mask.reshape(1, -1)))
         return g.sum(masked)
 
-    # predictor protocol: a state holds one rolling window of the n-1
-    # previous ids per column
-    def start(self, source_ids=None):
-        if source_ids is not None:
-            raise ValueError("language model is unconditional")
-        return [(BOS_ID,) * (self.n - 1)]
-
-    def step(self, state, rows, prev_ids):
-        windows = [state[r][1:] + (prev,) for r, prev in zip(rows, prev_ids)]
+    def next_distributions(self, histories) -> np.ndarray:
+        """One eager batch of each history's last n-1 ids, start-padded."""
+        pad = (BOS_ID,) * (self.n - 1)
+        windows = [(pad + history)[-(self.n - 1):] for history in histories]
         with Eager() as e:
-            P = e.softmax(self._scores(e, [list(slot) for slot in zip(*windows)]))
-        return P, windows, None
+            return e.softmax(self._scores(e, [list(slot) for slot in zip(*windows)]))
 
 
 class RNNLM(NeuralLM):
@@ -390,8 +382,7 @@ class RNNLM(NeuralLM):
     # predictor protocol: a state is the per-layer states, one column per
     # hypothesis; they came out of checked ops and enter the next step as they are
     def start(self, source_ids=None):
-        if source_ids is not None:
-            raise ValueError("language model is unconditional")
+        super().start(source_ids)
         with Eager() as e:
             return self.rnn.initial_states(e)
 

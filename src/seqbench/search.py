@@ -16,7 +16,9 @@ model has no attention). The returned state holds the B new columns; the
 state passed in is left unchanged. Greedy search and sampling step with
 ``rows=[0]``. Beam search makes one call per time step, whose rows are the
 parent rows of the surviving unfinished hypotheses, so hypotheses keep no
-state of their own.
+state of their own. The language models share :class:`LanguageModel`, whose
+state is one history of ids per column and whose ``step`` computes the
+distribution each model also scores with, the unknown symbol included.
 
 Hypothesis scores are accumulated natural-log probabilities. Ties anywhere
 break toward the lexicographically smallest token sequence (hence the lowest
@@ -34,6 +36,41 @@ import numpy as np
 from .corpus import BOS_ID, EOS_ID, UNK_ID, Vocabulary
 
 LENGTH_MODES = ("none", "multinomial_prior", "per_word_normalize")
+
+
+class LanguageModel:
+    """The predictor protocol of an unconditional model over ``vocab``.
+
+    A state keeps one history per column, the ids read after the start
+    symbol, and ``step`` is one :meth:`next_distributions` call over the
+    histories its rows extend. ``score_sentence`` reads those same
+    probabilities. The RNNLM keeps layer states instead, so it overrides
+    ``step``, and its ``start`` calls this one for the source check.
+    """
+
+    src_vocab = None
+    file_vocabs = ("vocab",)
+    counts = None
+
+    def start(self, source_ids=None):
+        if source_ids is not None:
+            raise ValueError("language model is unconditional")
+        return [()]
+
+    def step(self, state, rows, prev_ids):
+        # a start symbol read into an empty history is not kept: the models
+        # pad short histories with it, so keeping it would change nothing
+        histories = [state[r] + (prev,) if state[r] or prev != BOS_ID else ()
+                     for r, prev in zip(rows, prev_ids)]
+        return self.next_distributions(histories), histories, None
+
+    def next_distributions(self, histories) -> np.ndarray:
+        """The V x B matrix of one :meth:`next_distribution` per history."""
+        return np.array([self.next_distribution(h) for h in histories]).T
+
+    def corpus_nll(self, sentences) -> float:
+        """Total NLL of EOS-terminated id sentences, added in data order."""
+        return -sum(self.score_sentence(ids) for ids in sentences)
 
 
 @dataclass

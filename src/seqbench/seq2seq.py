@@ -35,7 +35,6 @@ class SourceEncoding:
 
     H: np.ndarray                       # (encoding_dim, |F|)
     init_layers: list                   # one-column RecurrentState per decoder layer
-    source_ids: list[int]
     src_proj: np.ndarray | None = None  # W_a1_src·H for MLP attention, else None
 
 
@@ -222,8 +221,7 @@ class EncDecModel:
         with Eager() as e:
             H, init = self._encode_nodes(e, source_ids)
             proj = self._source_projection(e, H)
-        return SourceEncoding(H=H, init_layers=init, source_ids=list(source_ids),
-                              src_proj=proj)
+        return SourceEncoding(H=H, init_layers=init, src_proj=proj)
 
     # ---- attention ---------------------------------------------------------
 
@@ -354,31 +352,24 @@ class EncDecModel:
 class Ensemble:
     """Average the per-step distributions of several decoders.
 
-    Every member threads its own state; all members must share one source
-    and one target vocabulary: the source is encoded, and the averaged
-    distribution read, with the first member's vocabularies.
+    Every member threads its own state; all must share one target and one
+    source vocabulary (None for language models): the source is encoded,
+    and the averaged distribution read, with the first member's.
     """
 
     def __init__(self, models):
         if not models:
             raise ValueError("empty ensemble")
         first = models[0]
-        # a language-model member has no source vocabulary: read as None
-        source = lambda m: getattr(getattr(m, "src_vocab", None), "tokens", None)
-        for m in models[1:]:
+        # a language model's source vocabulary is None
+        sources = [m.src_vocab and m.src_vocab.tokens for m in models]
+        for m, source in zip(models[1:], sources[1:]):
             if m.vocab.tokens != first.vocab.tokens:
                 raise ValueError("ensemble members must share the target vocabulary")
-            if source(m) != source(first):
+            if source != sources[0]:
                 raise ValueError("ensemble members must share the source vocabulary")
         self.models = list(models)
-
-    @property
-    def vocab(self):
-        return self.models[0].vocab
-
-    @property
-    def src_vocab(self):
-        return self.models[0].src_vocab
+        self.vocab, self.src_vocab = first.vocab, first.src_vocab
 
     def start(self, source_ids=None):
         return tuple(m.start(source_ids) for m in self.models)
@@ -396,14 +387,14 @@ class Ensemble:
                 alphas = a      # unknown replacement follows the first member
         return total / len(self.models), tuple(member_states), alphas
 
-    def corpus_nll(self, pairs) -> float:
-        """Total NLL of (source ids, EOS-terminated target ids) pairs under
-        the averaged distribution, one B=1 :meth:`step` per target token."""
+    def corpus_nll(self, items) -> float:
+        """Total NLL under the averaged distribution, one B=1 :meth:`step`
+        per target token, of EOS-terminated target ids (members that are
+        language models) or of (source ids, target ids) pairs."""
+        pairs = items if self.src_vocab is not None else [(None, e) for e in items]
         total = 0.0
         for f, e in pairs:
-            state = self.start(f)
-            nll = 0.0
-            prev = BOS_ID
+            state, prev, nll = self.start(f), BOS_ID, 0.0
             for target in e:
                 P, state, _ = self.step(state, [0], [prev])
                 nll -= math.log(P[target, 0])

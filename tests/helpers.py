@@ -424,8 +424,10 @@ def graph_rnnlm_step(model, state, rows, prev_ids):
 
 
 def graph_ffnnlm_step(model, state, rows, prev_ids):
-    """``FFNNLM.step``'s distribution through a :class:`Graph`."""
-    windows = [tuple(state[r][1:]) + (prev,) for r, prev in zip(rows, prev_ids)]
+    """``FFNNLM.step``'s distribution through a :class:`Graph`: each
+    column's window is the last n-1 ids read, start-symbol padded."""
+    pad = (BOS_ID,) * (model.n - 1)
+    windows = [(pad + state[r] + (prev,))[-(model.n - 1):] for r, prev in zip(rows, prev_ids)]
     g = Graph()
     g.softmax(model._scores(g, [list(slot) for slot in zip(*windows)]))
     return g.forward()

@@ -532,6 +532,22 @@ def test_loglinear_divergence_exit_code(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha,data", [("0.1", f"a {C.BOS} b\n"), ("0", "b a\n")])
+def test_eval_ppl_of_an_ngram_target_of_probability_zero(toy_corpus, capsys, alpha, data):
+    # the n-gram never emits the start symbol, which a literal one in the data
+    # encodes to; with no held-out mass, "b" never follows the sentence start
+    tmp_path, train = toy_corpus
+    model = str(tmp_path / "ngram.bin")
+    assert main(["train-ngram", "--train", train, "--model", model,
+                 "--order", "2", "--alpha", alpha]) == 0
+    capsys.readouterr()
+    assert main(["eval-ppl", "--model", model,
+                 "--data", write(tmp_path / "zero.txt", data)]) == 0
+    report = read_report(capsys)
+    assert float(report["total_log_likelihood"]) == -math.inf
+    assert float(report["perplexity"]) == math.inf
+
+
 def test_eval_ppl_of_a_loglinear_model_whose_probability_underflows(tmp_path, capsys):
     # with one word's W row at 1e4 every other word's probability underflows
     # to 0: the corpus scores -inf and the perplexity is infinite

@@ -251,10 +251,11 @@ def test_ffnnlm_eager_step_and_nll_equal_the_graph_bitwise(nonlinearity):
     model = FFNNLM(LM_VOCAB, n=3, embed_size=4, hidden_size=5,
                    nonlinearity=nonlinearity, rng=np.random.default_rng(3))
     state = model.start() + [(3, 4), (5, 6)]
-    rows, prev_ids = [0, 1, 2, 1], [C.BOS_ID, 5, 7, 3]
-    P, windows, _ = model.step(state, rows, prev_ids)
+    # the last column reads a start symbol after words, which it keeps
+    rows, prev_ids = [0, 1, 2, 1, 2], [C.BOS_ID, 5, 7, 3, C.BOS_ID]
+    P, histories, _ = model.step(state, rows, prev_ids)
     assert same_bits(P, graph_ffnnlm_step(model, state, rows, prev_ids))
-    assert windows == [(C.BOS_ID, C.BOS_ID), (4, 5), (6, 7), (4, 3)]
+    assert histories == [(), (3, 4, 5), (5, 6, 7), (3, 4, 3), (5, 6, C.BOS_ID)]
     ids = [3, 5, 4, 7, C.EOS_ID]
     assert same_bits(model.sentence_nll(ids), graph_sentence_nll(model, ids))
 

@@ -18,6 +18,7 @@ class UniformModel:
     """Assigns 1/size to every token of every sentence (EOS included)."""
 
     vocab = VOCAB
+    src_vocab = None
 
     def __init__(self, size):
         self.size = size
@@ -30,6 +31,7 @@ class CannedModel:
     """A fixed NLL per surface sentence, looked up by its encoded ids."""
 
     vocab = VOCAB
+    src_vocab = None
 
     def __init__(self, scores):
         self.scores = {tuple(C.encode(VOCAB, tokens, append_eos=True)): nll

@@ -8,7 +8,7 @@ from seqbench import corpus as C
 from seqbench.autograd import softmax
 from seqbench.evaluate import evaluate_ll
 from seqbench.loglinear import (FeatureTemplate, FeatureVector, LogLinearLM,
-                                featurize, loss_and_grad, score)
+                                loss_and_grad, score)
 
 
 def vocab_of_size(n_real):
@@ -18,27 +18,27 @@ def vocab_of_size(n_real):
 
 def test_prev_word_onehot():
     vocab = vocab_of_size(7)          # |V| = 10
-    fv = featurize([3, 7], vocab, "prev_word")
+    fv = FeatureTemplate("prev_word", vocab).featurize([3, 7])
     assert fv.active == [(7, 1.0)]
     assert fv.dim == 10
 
 
 def test_prev2_words_concatenated_blocks():
     vocab = vocab_of_size(7)
-    fv = featurize([5, 3, 7], vocab, "prev2_words")
+    fv = FeatureTemplate("prev2_words", vocab).featurize([5, 3, 7])
     assert fv.active == [(7, 1.0), (13, 1.0)]
     assert fv.dim == 20
 
 
 def test_prev2_words_bos_padding():
     vocab = vocab_of_size(7)
-    fv = featurize([], vocab, "prev2_words")
+    fv = FeatureTemplate("prev2_words", vocab).featurize([])
     assert fv.active == [(C.BOS_ID, 1.0), (10 + C.BOS_ID, 1.0)]
 
 
 def test_bag_of_words_sums_onehots():
     vocab = vocab_of_size(7)
-    fv = featurize([3, 3, 4], vocab, "bag_of_words")
+    fv = FeatureTemplate("bag_of_words", vocab).featurize([3, 3, 4])
     assert fv.active == [(3, 2.0), (4, 1.0)]
 
 
@@ -54,7 +54,7 @@ def test_suffix_template_fires_on_shared_suffix():
 
 def test_unknown_template_rejected():
     with pytest.raises(ValueError):
-        featurize([0], vocab_of_size(2), "prev3_words")
+        FeatureTemplate("prev3_words", vocab_of_size(2)).featurize([0])
 
 
 def test_score_empty_feature_vector_is_bias():

@@ -5,8 +5,8 @@ import pytest
 
 from seqbench import corpus as C
 from seqbench.evaluate import evaluate_ll
-from seqbench.ngram import (InterpolationWeights, NGramLM, interp_prob,
-                            mle_prob, train_counts)
+from seqbench.ngram import (InterpolationWeights, NGramLM, in_vocab_mass,
+                            interp_prob, mle_prob, train_counts)
 
 V_ALL = 10_000_000
 
@@ -171,8 +171,10 @@ def test_oracle_equivalence_random_corpus():
 
 def test_unknown_partition_consistency():
     # total log-likelihood minus the unknown portion must equal the score
-    # with every uniform 1/v_all factor replaced by one, recomputed by an
-    # independent modified recursion
+    # under the decoding distribution, recomputed by the independent
+    # recursion: the unknown symbol there takes its own interpolated
+    # probability, the start symbol's and the mass of every word outside
+    # the vocabulary, found as one minus a sum over the vocabulary
     train = ["a b", "a a", "b b a"]
     model = NGramLM.train(train, n=2, alphas=[0.3, 0.6])
     test_lines = ["a zzz b", "qq", "a b"]
@@ -180,16 +182,13 @@ def test_unknown_partition_consistency():
     def oracle_without_unk_factor(ids):
         total = 0.0
         for t, tok in enumerate(ids):
+            prob = oracle_interp(model.table, model.weights.alphas, V_ALL, ids[:t], tok)
             if tok == C.UNK_ID:
-                # replace the base-level 1/v_all factor by 1: the unknown
-                # token has zero counts everywhere, so its probability is the
-                # alpha path times the factor
-                prob_with = oracle_interp(model.table, model.weights.alphas,
-                                          V_ALL, ids[:t], tok)
-                total += math.log(prob_with * V_ALL)
-            else:
-                total += math.log(oracle_interp(model.table, model.weights.alphas,
-                                                V_ALL, ids[:t], tok))
+                in_vocab = sum(oracle_interp(model.table, model.weights.alphas, V_ALL,
+                                             ids[:t], e) for e in range(len(model.vocab)))
+                prob += 1.0 - in_vocab + oracle_interp(
+                    model.table, model.weights.alphas, V_ALL, ids[:t], C.BOS_ID)
+            total += math.log(prob)
         return total
 
     report = evaluate_ll(model, [line.split() for line in test_lines])
@@ -210,3 +209,48 @@ def test_generation_distribution_sums_to_one():
     P2, _, _ = model.step(state, [0], [model.vocab.id_of("a")])
     p2 = P2[:, 0]
     assert p2.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_in_vocab_mass_equals_the_sum_over_the_vocabulary():
+    # the O(n) recursion against a |V|-term sum of interpolated probabilities,
+    # over every order, seen and unseen contexts, an unknown symbol with and
+    # without counts, and an empty table
+    rng = np.random.default_rng(17)
+    lines = [" ".join(rng.choice(list("defghij"), size=rng.integers(1, 7)))
+             for _ in range(15)]
+    for policy in ("keep_all", "replace_singletons"):
+        vocab = C.build_vocab(lines, policy=policy, v_all=1000)
+        for n in (1, 2, 3):
+            model = NGramLM.train(lines, n=n, alphas=list(rng.uniform(0.05, 0.95, n)),
+                                  vocab=vocab)
+            for _ in range(10):
+                ctx = [int(x) for x in rng.integers(0, len(vocab), rng.integers(0, 4))]
+                want = sum(interp_prob(model.table, model.weights, vocab, ctx, e)
+                           for e in range(len(vocab)))
+                assert in_vocab_mass(model.table, model.weights, vocab, ctx) == \
+                    pytest.approx(want, rel=1e-12)
+                p = model.next_distribution(ctx)
+                assert p[C.BOS_ID] == 0.0 and p.sum() == pytest.approx(1.0, abs=1e-12)
+    empty = NGramLM(C.build_vocab(["a b"], v_all=50), n=2)
+    assert in_vocab_mass(empty.table, empty.weights, empty.vocab, []) == 5 / 50
+    assert empty.next_distribution([]).sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_unknown_word_scores_below_zero_with_unknown_counts():
+    # "c" and "d" occur once, so the training counts hold the unknown symbol;
+    # "a zz" scored +14.82 when the unknown symbol was charged its
+    # interpolated probability times v_all
+    lines = ["a b c", "a d", "a b"]
+    model = NGramLM.train(lines, n=2, alphas=0.1,
+                          vocab=C.build_vocab(lines, policy="replace_singletons"))
+    assert model.table.count((C.UNK_ID,)) == 2
+    ids = C.encode(model.vocab, "a zz", append_eos=True)
+    assert ids == [model.vocab.id_of("a"), C.UNK_ID, C.EOS_ID]
+    state, prev, decoded = model.start(), C.BOS_ID, 0.0
+    for tok in ids:
+        P, state, _ = model.step(state, [0], [prev])
+        decoded += math.log(P[tok, 0])
+        prev = tok
+    score = model.score_sentence(ids)
+    assert score < 0
+    assert score == decoded

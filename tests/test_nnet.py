@@ -182,7 +182,7 @@ def test_zero_parameter_lms_are_uniform():
         for p in model.parameters():
             p.value[...] = 0.0
     v = len(vocab)
-    P_ff, _, _ = ff.step([(C.BOS_ID, 3)], [0], [4])
+    P_ff, _, _ = ff.step([(3,)], [0], [4])
     assert np.abs(P_ff[:, 0] - 1 / v).max() < 1e-12
     P, _, _ = rnn.step(rnn.start(), [0], [C.BOS_ID])
     assert np.abs(P[:, 0] - 1 / v).max() < 1e-12

@@ -14,6 +14,7 @@ import pytest
 
 from helpers import random_table_model, reference_beam_search
 from seqbench import corpus as C
+from seqbench.evaluate import evaluate_ll
 from seqbench.loglinear import LogLinearLM
 from seqbench.ngram import NGramLM
 from seqbench.nnet import CELL_KINDS, FFNNLM, RNNLM, RecurrentState
@@ -226,6 +227,10 @@ def trained_loglinear():
 
 SCORED_MODELS = {
     "ngram": lambda: NGramLM.train(LINES, n=3, alphas=0.2, vocab=LM_VOCAB),
+    # "e" and "f" occur once, so the training counts hold the unknown symbol
+    "ngram_unk_counts": lambda: NGramLM.train(
+        LINES + ["b e", "f a"], n=3, alphas=0.2,
+        vocab=C.build_vocab(LINES + ["b e", "f a"], policy="replace_singletons")),
     "loglinear": trained_loglinear,
     "ffnnlm": lambda: FFNNLM(LM_VOCAB, n=3, embed_size=3, hidden_size=5,
                              rng=np.random.default_rng(9)),
@@ -234,6 +239,10 @@ SCORED_MODELS = {
     "encdec": lambda: encdec(seed=30, attention="dot", dec_hidden=8),
     "ensemble": lambda: Ensemble([encdec(seed=31, attention="mlp"),
                                   encdec(seed=32, attention="bilinear", layers=2)]),
+    "lm_ensemble": lambda: Ensemble([
+        RNNLM(LM_VOCAB, embed_size=3, hidden_size=5, rng=np.random.default_rng(33)),
+        RNNLM(LM_VOCAB, cell="gru", embed_size=3, hidden_size=4, layers=2,
+              rng=np.random.default_rng(34))]),
 }
 
 
@@ -250,12 +259,26 @@ def decoding_nll(model, source, target):
 @pytest.mark.parametrize("name", SCORED_MODELS)
 def test_corpus_nll_equals_the_decoding_path(name):
     model = SCORED_MODELS[name]()
-    if name in ("encdec", "ensemble"):
+    if model.src_vocab is not None:
         items = pairs = [(SOURCE, [4, 6, 3, C.EOS_ID]), ([5], [C.EOS_ID]),
-                         ([6, 3], [7, 7, C.EOS_ID])]
-    else:       # the training lines, an unseen order of their words and a blank line
-        items = [C.encode(LM_VOCAB, line, append_eos=True) for line in LINES + ["d c b a", ""]]
+                         ([6, 3], [7, 7, C.EOS_ID]), ([4, 4], [C.UNK_ID, 5, C.EOS_ID]),
+                         ([3], [6, C.UNK_ID, C.UNK_ID, C.EOS_ID])]
+    else:       # the training lines, an unseen order of their words, a blank
+        # line and lines with unknown words
+        items = [C.encode(model.vocab, line, append_eos=True)
+                 for line in LINES + ["d c b a", "", "a zz b", "qq", "c yy xx"]]
         pairs = [(None, ids) for ids in items]
-    assert not any(C.UNK_ID in target for _, target in pairs)
+    assert sum(target.count(C.UNK_ID) for _, target in pairs) >= 3
     want = sum(decoding_nll(model, source, target) for source, target in pairs)
     assert model.corpus_nll(items) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_evaluate_ll_scores_a_language_model_ensemble():
+    model = SCORED_MODELS["lm_ensemble"]()
+    data = [["a", "zz", "b"], ["c"]]
+    report = evaluate_ll(model, data)
+    want = -sum(decoding_nll(model, None, C.encode(LM_VOCAB, tokens, append_eos=True))
+                for tokens in data)
+    assert report.unk_count == 1 and report.word_count == 6
+    assert report.total_log_likelihood == pytest.approx(want + report.unk_log_portion,
+                                                        rel=1e-12, abs=0)

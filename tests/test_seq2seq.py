@@ -219,6 +219,8 @@ def test_zeroed_encoder_reduces_to_rnnlm():
 class FixedModel:
     """Predictor that always returns the same distribution."""
 
+    src_vocab = None
+
     def __init__(self, p, vocab):
         self.p = np.asarray(p, dtype=float)
         self.vocab = vocab
