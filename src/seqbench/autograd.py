@@ -26,7 +26,9 @@ and inference alike. Adding an op means one kernel, one constructor on
 Besides elementwise, matrix and loss ops, two ops serve the recurrent cells:
 ``lstm`` is a whole LSTM cell over stacked gate pre-activations, returning
 ``[h; c]``, and ``rows`` takes a block of rows (the ``h`` or ``c`` half of it,
-or one GRU gate).
+or one GRU gate). Two serve attention over a batch whose columns each read a
+source of their own: ``batch_dot`` scores every column's source words against
+its query, and ``attend`` mixes them with its weights.
 
 A :class:`Parameter` enters a graph once, as one ``parameter`` node however
 often it is used, and that node's gradient slot is ``Parameter.grad`` itself,
@@ -193,6 +195,20 @@ class Ops:
         ``cmult`` and ``add`` ops would round them.
         """
         return self._op("lstm", _lstm, (pre, c_prev), bool(forget), self._saved())
+
+    def batch_dot(self, keys, queries):
+        """Per-column scores of a batch of B columns, each with S keys.
+
+        ``keys`` holds the S·B key columns t-major: column t·B + b is key t
+        of batch column b. Entry [t, b] of the S x B result is that key
+        dotted with column b of ``queries``.
+        """
+        return self._op("batch_dot", _batch_dot, (keys, queries))
+
+    def attend(self, keys, weights):
+        """Column b of the result is batch column b's keys (laid out as for
+        :meth:`batch_dot`) mixed with the weights ``weights[:, b]``."""
+        return self._op("attend", _attend, (keys, weights))
 
     def tanh(self, a):
         return self._op("tanh", np.tanh, (a,))
@@ -408,7 +424,7 @@ def _column_ids(index) -> list[int]:
     """One id, or a sequence of ids, as a list of ints."""
     if isinstance(index, (int, np.integer)):
         return [int(index)]
-    return [int(i) for i in index]
+    return list(map(int, index))
 
 
 def _broadcastable(a, b):
@@ -516,6 +532,27 @@ def _lstm(pre, c_prev, forget, saved=None):
     if saved is not None:
         saved["act"], saved["tanh_c"] = act, tanh_c
     return out
+
+
+def _batch_keys(keys, batch, op):
+    """``keys`` as a rows x S x B array: [:, t, b] is key t of column b."""
+    if keys.shape[1] % batch:
+        raise GraphError(f"{op}: {keys.shape[1]} keys for {batch} columns")
+    return keys.reshape(keys.shape[0], -1, batch)
+
+
+def _batch_dot(keys, queries):
+    if keys.shape[0] != queries.shape[0]:
+        raise GraphError(f"batch_dot: keys {keys.shape} for queries {queries.shape}")
+    return np.einsum("isb,ib->sb", _batch_keys(keys, queries.shape[1], "batch_dot"),
+                     queries)
+
+
+def _attend(keys, weights):
+    k = _batch_keys(keys, weights.shape[1], "attend")
+    if k.shape[1] != weights.shape[0]:
+        raise GraphError(f"attend: keys {keys.shape} for weights {weights.shape}")
+    return np.einsum("isb,sb->ib", k, weights)
 
 
 def _relu(a):
@@ -711,6 +748,30 @@ def _back_lstm(node, g):
               fresh=True)
 
 
+def _batch_outer(column_vectors, column_weights):
+    """The keys-shaped gradient of ``batch_dot`` and ``attend``: key t of
+    column b gets column b of ``column_vectors`` times [t, b] of
+    ``column_weights``."""
+    rows = column_vectors.shape[0]
+    return (column_vectors[:, None, :] * column_weights).reshape(rows, -1)
+
+
+def _back_batch_dot(node, g):
+    keys, queries = node.parents
+    if keys.needs_grad:
+        _give(keys, _batch_outer(queries.value, g), fresh=True)
+    if queries.needs_grad:
+        _give(queries, _attend(keys.value, g), fresh=True)
+
+
+def _back_attend(node, g):
+    keys, weights = node.parents
+    if keys.needs_grad:
+        _give(keys, _batch_outer(g, weights.value), fresh=True)
+    if weights.needs_grad:
+        _give(weights, _batch_dot(keys.value, g), fresh=True)
+
+
 def _back_step(node, g):
     raise GraphError("step has no usable derivative; use tanh or relu")
 
@@ -749,6 +810,8 @@ _BACKWARD = {
                                      g.reshape(node.parents[0].value.shape, order="F")),
     "rows": _back_rows,
     "lstm": _back_lstm,
+    "batch_dot": _back_batch_dot,
+    "attend": _back_attend,
     "tanh": lambda node, g: _give(node.parents[0], g * (1.0 - node.value ** 2),
                                   fresh=True),
     "sigmoid": lambda node, g: _give(node.parents[0],

@@ -11,10 +11,11 @@ each token scored with the probability ``step`` gives it, the unknown symbol
 included. :func:`evaluate_ll` owns the rest: it encodes the surface data,
 calls ``corpus_nll`` once, and charges each unknown target token the uniform
 1/v_all factor of :func:`~.corpus.unknown_factor`, whose log sum the report
-gives as the unknown log portion. The n-gram,
-log-linear and conditional models add their per-item NLLs in data order; the
-neural LMs score length-sorted batches of up to :data:`~.nnet.SCORE_BATCH`
-sentences, so their total may differ from a per-sentence sum in the last bits.
+gives as the unknown log portion. The n-gram and
+log-linear LMs and ensembles add their per-item NLLs in data order; the
+neural LMs and the encoder-decoder score length-sorted batches of up to
+:data:`~.nnet.SCORE_BATCH` sentences or pairs, so their total may differ
+from a per-item sum in the last bits.
 """
 
 from __future__ import annotations

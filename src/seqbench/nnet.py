@@ -233,7 +233,8 @@ def _prev_token_rows(batch: MiniBatch) -> np.ndarray:
     return prev
 
 
-# sentences per eager batch when a neural LM scores a corpus
+# sentences, or encoder-decoder pairs, per eager batch when a neural model
+# scores a corpus
 SCORE_BATCH = 32
 
 

@@ -9,6 +9,12 @@ decoder consumes the previous context vector alongside the word embedding,
 scores every source column against its hidden state (dot, bilinear, or MLP
 score), mixes the columns with the softmaxed weights into a context vector,
 and feeds [hidden; context] to the output softmax.
+
+One loss builder serves training and scoring: it takes B (source, target)
+pairs as the columns of one padded batch, and a pair alone is the
+per-sentence loss. In a batch each column attends over its own source,
+padded source words get exactly zero weight, and only real target positions
+are scored.
 """
 
 from __future__ import annotations
@@ -19,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Eager, Evaluator, Graph, Parameter, Value
-from .corpus import BOS_ID, Vocabulary
-from .nnet import (RecurrentState, StackedRNN, embedding_init, file_tensor_views,
-                   gather_layer_states, glorot)
+from .corpus import BOS_ID, EOS_ID, Vocabulary
+from .nnet import (SCORE_BATCH, RecurrentState, StackedRNN, embedding_init,
+                   file_tensor_views, gather_layer_states, glorot)
 from .optim import EpochTracker, Optimizer, fit
 
 ENCODER_DIRECTIONS = ("forward", "reverse", "bidirectional")
@@ -29,13 +35,26 @@ BRIDGE_KINDS = ("copy", "concat", "tanh")
 ATTENTION_KINDS = ("none", "dot", "bilinear", "mlp")
 
 
+# the attention score of a padded source word: exp rounds its weight to 0.0
+PAD_SCORE = -1e30
+
+
 @dataclass
 class SourceEncoding:
-    """Frozen per-word source encodings plus the decoder's starting state."""
+    """The per-word encodings of B sources, one per batch column, plus the
+    decoder's starting state; frozen arrays when :meth:`EncDecModel.encode`
+    made them for one source.
 
-    H: np.ndarray                       # (encoding_dim, |F|)
-    init_layers: list                   # one-column RecurrentState per decoder layer
-    src_proj: np.ndarray | None = None  # W_a1_src·H for MLP attention, else None
+    ``H`` holds S·B columns t-major, S the longest length: column t·B + b
+    is word t of source b. With padding, ``mask`` is the S x B additive
+    attention mask, 0 at a word and ``PAD_SCORE`` past a source's end.
+    """
+
+    H: Value                            # (encoding_dim, S·B)
+    init_layers: list                   # B-column RecurrentState per decoder layer
+    lengths: list                       # the B source lengths
+    mask: Value | None = None
+    src_proj: Value | None = None       # W_a1_src·H for MLP attention, else None
 
 
 @dataclass
@@ -163,36 +182,64 @@ class EncDecModel:
 
     # ---- encoding ----------------------------------------------------------
 
-    def _run_direction(self, g: Evaluator, stack: StackedRNN, ids, reverse: bool):
-        """Top-layer outputs per word position plus the stack's final states."""
-        states = stack.initial_states(g)
-        outputs: list[Value | None] = [None] * len(ids)
-        order = range(len(ids) - 1, -1, -1) if reverse else range(len(ids))
-        for t in order:
-            x = g.lookup_column(g.param(self.M_f), ids[t])
-            out, states = stack.step(g, x, states)
-            outputs[t] = out
-        return outputs, states
+    def _run_direction(self, g: Evaluator, stack: StackedRNN, sources, reverse: bool):
+        """One direction over B sources: (its outputs in word order, its
+        final top-layer states).
 
-    def _encode_nodes(self, g: Evaluator, source_ids):
-        """Build encoder nodes; returns (H node, decoder initial layer states)."""
-        ids = list(source_ids)
-        if not ids:
+        Step t feeds column b word t of its source, or word n_b - 1 - t in
+        reverse, so a column's padded steps, which feed EOS, all come after
+        its last word and no state that is read has seen padding. Without
+        padding the outputs are one B-column value per word. With padding
+        they are one t-major matrix, in which one ``lookup_column`` puts the
+        reverse direction's back in word order, and each column's final
+        state is gathered at its own last step.
+        """
+        lengths = [len(f) for f in sources]
+        batch, steps = len(lengths), max(lengths)
+        columns = [(f[::-1] if reverse else f) + [EOS_ID] * (steps - n)
+                   for f, n in zip(sources, lengths)]
+        states = stack.initial_states(g, batch=batch)
+        outputs = []
+        for ids in zip(*columns):
+            out, states = stack.step(g, g.lookup_column(g.param(self.M_f), ids), states)
+            outputs.append(out)
+        if min(lengths) == steps:
+            return outputs[::-1] if reverse else outputs, outputs[-1]
+        outputs = g.concat_cols(*outputs)
+        final = g.lookup_column(outputs, [(n - 1) * batch + b
+                                          for b, n in enumerate(lengths)])
+        if reverse:     # word t of column b was read at step n_b - 1 - t
+            outputs = g.lookup_column(outputs, [(n - 1 - t if t < n else t) * batch + b
+                                                for t in range(steps)
+                                                for b, n in enumerate(lengths)])
+        return outputs, final
+
+    def _encode_nodes(self, g: Evaluator, sources) -> SourceEncoding:
+        """Encode B sources as the columns of one batch; the encoding's
+        ``src_proj`` is left to the caller. A batch without padding builds
+        the one-sentence op sequence on B columns."""
+        sources = [list(f) for f in sources]
+        lengths = [len(f) for f in sources]
+        if not all(lengths):
             raise ValueError("empty source sentence")
         direction = self.encoder_direction
-        if direction == "forward":
-            outputs, final_states = self._run_direction(g, self.enc_fwd, ids, False)
-            final_fwd, final_bwd = final_states[-1].h, None
-        elif direction == "reverse":
-            outputs, final_states = self._run_direction(g, self.enc_fwd, ids, True)
-            final_fwd, final_bwd = final_states[-1].h, None
+        if direction == "bidirectional":
+            fwd, final_fwd = self._run_direction(g, self.enc_fwd, sources, False)
+            bwd, final_bwd = self._run_direction(g, self.enc_bwd, sources, True)
         else:
-            fwd_out, fwd_states = self._run_direction(g, self.enc_fwd, ids, False)
-            bwd_out, bwd_states = self._run_direction(g, self.enc_bwd, ids, True)
-            outputs = [g.concat_rows(b, f) for b, f in zip(bwd_out, fwd_out)]
-            final_fwd, final_bwd = fwd_states[-1].h, bwd_states[-1].h
+            fwd, final_fwd = self._run_direction(g, self.enc_fwd, sources,
+                                                 direction == "reverse")
+            bwd = final_bwd = None
 
-        H = g.concat_cols(*outputs) if len(outputs) > 1 else outputs[0]
+        mask = None
+        width = max(lengths)
+        if min(lengths) == width:
+            outputs = fwd if bwd is None else [g.concat_rows(b, f) for b, f in zip(bwd, fwd)]
+            H = g.concat_cols(*outputs) if width > 1 else outputs[0]
+        else:
+            H = fwd if bwd is None else g.concat_rows(bwd, fwd)
+            mask = g.input([[0.0 if t < n else PAD_SCORE for n in lengths]
+                            for t in range(width)])
 
         if self.bridge == "copy":
             h0 = final_fwd
@@ -204,13 +251,13 @@ class EncDecModel:
                 terms += [g.param(self.W_bridge_bwd), final_bwd]
             h0 = g.tanh(g.affine(g.param(self.b_bridge), *terms))
 
-        zeros = np.zeros((self.dec_hidden, 1))
+        zeros = np.zeros((self.dec_hidden, len(sources)))
         init = []
         for i, cell in enumerate(self.dec.cells):
             h = h0 if i == 0 else g.input(zeros)
             c = g.input(zeros) if cell.has_cell else None
-            init.append(RecurrentState(h=h, c=c))
-        return H, init
+            init.append(RecurrentState(h=h, c=c, batch=len(sources)))
+        return SourceEncoding(H=H, init_layers=init, lengths=lengths, mask=mask)
 
     def encode(self, source_ids) -> SourceEncoding:
         """Run the encoder eagerly and keep the per-word encodings.
@@ -219,9 +266,9 @@ class EncDecModel:
         decode step, so it is computed here once.
         """
         with Eager() as e:
-            H, init = self._encode_nodes(e, source_ids)
-            proj = self._source_projection(e, H)
-        return SourceEncoding(H=H, init_layers=init, src_proj=proj)
+            encoding = self._encode_nodes(e, [source_ids])
+            encoding.src_proj = self._source_projection(e, encoding.H)
+        return encoding
 
     # ---- attention ---------------------------------------------------------
 
@@ -234,8 +281,9 @@ class EncDecModel:
 
     def _attention_scores(self, g: Evaluator, H: Value, h_dec: Value,
                           src: Value | None = None, batch: int = 1) -> Value:
-        """Score every source column against each of the ``batch`` decoder
-        states in the columns of ``h_dec``; the result is |F| x ``batch``.
+        """Score every column of one source's ``H`` against each of the
+        ``batch`` decoder states in the columns of ``h_dec``; the result is
+        |F| x ``batch``.
 
         MLP attention takes its source half ``W_a1_src·H`` from the caller as
         ``src``, built once per evaluation: :meth:`_source_projection` in
@@ -259,27 +307,54 @@ class EncDecModel:
             return g.transpose(scores)
         return g.reshape(scores, n_src, batch)
 
+    def _batch_attention_scores(self, g: Evaluator, encoding: SourceEncoding,
+                                h_dec: Value, src: Value | None) -> Value:
+        """Score each column's own source words against the decoder state
+        in that column of ``h_dec``; the result is S x B, ``PAD_SCORE`` added
+        at padded words. ``src`` is MLP attention's source projection."""
+        H, batch = encoding.H, len(encoding.lengths)
+        if self.attention == "dot":
+            keys, queries = H, h_dec
+        elif self.attention == "bilinear":
+            keys, queries = H, g.matmul(g.param(self.W_a), h_dec)
+        else:   # column t·B + b pairs decoder state b with word t of source b
+            dec = g.lookup_column(g.matmul(g.param(self.W_a1_dec), h_dec),
+                                  list(range(batch)) * max(encoding.lengths))
+            keys = g.tanh(g.add(dec, src))
+            queries = g.lookup_column(g.param(self.w_a2), [0] * batch)
+        scores = g.batch_dot(keys, queries)
+        return scores if encoding.mask is None else g.add(scores, encoding.mask)
+
     # ---- decoding ----------------------------------------------------------
 
     def _scores(self, g: Evaluator, x: Value) -> Value:
         """The output layer: next-word scores for every column of ``x``."""
         return g.affine(g.param(self.b_s), g.param(self.W_hs), x)
 
-    def _step_nodes(self, g: Evaluator, H: Value | None, prev_ids, states,
+    def _step_nodes(self, g: Evaluator, encoding: SourceEncoding, prev_ids, states,
                     context: Value | None, src: Value | None = None):
         """One decoder step for the B columns of ``states``, fed ``prev_ids``
-        (an id, or a list of B ids); returns (output-layer input, new states,
-        context, alpha). The output-layer input is ``[h; context]`` with
-        attention and ``h`` without; :meth:`_scores` turns it into scores.
-        ``src`` is MLP attention's source projection."""
+        (a list of B ids); returns (output-layer input, new states, context,
+        alpha). The output-layer input is ``[h; context]`` with attention
+        and ``h`` without; :meth:`_scores` turns it into scores. ``src`` is
+        MLP attention's source projection.
+
+        An encoding of one source is shared by every column, as in decoder
+        steps; an encoding of B sources gives each column its own.
+        """
         x = g.lookup_column(g.param(self.M_e), prev_ids)
         if self.attention != "none":
             x = g.concat_rows(x, context)
         out, states = self.dec.step(g, x, states)
         if self.attention == "none":
             return out, states, None, None
-        alpha = g.softmax(self._attention_scores(g, H, out, src, states[0].batch))
-        new_context = g.matmul(H, alpha)
+        H = encoding.H
+        if len(encoding.lengths) == 1:
+            alpha = g.softmax(self._attention_scores(g, H, out, src, states[0].batch))
+            new_context = g.matmul(H, alpha)
+        else:
+            alpha = g.softmax(self._batch_attention_scores(g, encoding, out, src))
+            new_context = g.attend(H, alpha)
         return g.concat_rows(out, new_context), states, new_context, alpha
 
     def start(self, source_ids) -> EncDecState:
@@ -296,13 +371,14 @@ class EncDecModel:
         encoding = state.encoding
         # H, src_proj and the state's arrays came out of checked ops: they
         # enter as they are
-        H, src = encoding.H, encoding.src_proj
+        src = encoding.src_proj
         if src is not None:
             src = np.hstack([src] * len(rows))
         context = None if state.context is None else np.take(state.context, rows, axis=1)
         with Eager() as e:
             x, layers, context, alpha = self._step_nodes(
-                e, H, prev_ids, gather_layer_states(state.layers, rows), context, src)
+                e, encoding, prev_ids, gather_layer_states(state.layers, rows), context,
+                src)
             P = e.softmax(self._scores(e, x))
         return P, EncDecState(encoding=encoding, layers=layers, context=context), alpha
 
@@ -311,38 +387,61 @@ class EncDecModel:
     def loss_graph(self, source_ids, target_ids) -> Graph:
         """Unrolled NLL graph of an EOS-terminated target given the source."""
         g = Graph()
-        self._loss(g, source_ids, target_ids)
+        self._loss(g, [(source_ids, target_ids)])
         return g
 
-    def _loss(self, g: Evaluator, source_ids, target_ids) -> Value:
-        """The NLL of an EOS-terminated target given the source.
+    def _loss(self, g: Evaluator, pairs) -> Value:
+        """The total NLL of (source ids, EOS-terminated target ids) pairs,
+        the B columns of one padded batch.
 
-        The decoder loop only collects each position's output-layer input;
-        after it, one ``affine`` scores all T positions as the columns of one
-        matrix and one ``pick_neg_log_softmax`` takes every target's loss, so
-        backward forms ``W_hs``'s gradient in one product.
+        The decoder loop only collects each position's output-layer input,
+        t-major (column t·B + b); after it, the real target positions are
+        gathered, one ``affine`` scores them as the columns of one matrix
+        and one ``pick_neg_log_softmax`` takes every target's loss, so
+        backward forms ``W_hs``'s gradient in one product. Padded positions
+        are never scored, and a batch without padding gathers nothing: one
+        pair builds the one-sentence graph.
         """
-        H, states = self._encode_nodes(g, source_ids)
-        context = (g.input(np.zeros((self.src_dim, 1)))
+        targets = [list(e) for _, e in pairs]
+        if not all(targets):
+            raise ValueError("empty target sentence: targets end in EOS")
+        batch = len(pairs)
+        encoding = self._encode_nodes(g, [f for f, _ in pairs])
+        context = (g.input(np.zeros((self.src_dim, batch)))
                    if self.attention != "none" else None)
-        src = self._source_projection(g, H)
+        src = self._source_projection(g, encoding.H)
+        states = encoding.init_layers
+        steps = max(len(e) for e in targets)
         inputs = []
-        prev = BOS_ID
-        for target in target_ids:
-            x, states, context, _ = self._step_nodes(g, H, prev, states, context, src)
+        prev = [BOS_ID] * batch
+        for t in range(steps):
+            x, states, context, _ = self._step_nodes(g, encoding, prev, states, context,
+                                                     src)
             inputs.append(x)
-            prev = target
-        X = g.concat_cols(*inputs) if len(inputs) > 1 else inputs[0]
-        return g.sum(g.pick_neg_log_softmax(self._scores(g, X), target_ids))
+            prev = [e[t] if t < len(e) else EOS_ID for e in targets]
+        X = g.concat_cols(*inputs) if steps > 1 else inputs[0]
+        real = [(t * batch + b, e[t]) for t in range(steps)
+                for b, e in enumerate(targets) if t < len(e)]
+        if len(real) < steps * batch:
+            X = g.lookup_column(X, [column for column, _ in real])
+        return g.sum(g.pick_neg_log_softmax(self._scores(g, X), [e for _, e in real]))
 
     def sentence_loss(self, source_ids, target_ids) -> float:
         with Eager() as e:
-            return float(self._loss(e, source_ids, target_ids)[0, 0])
+            return float(self._loss(e, [(source_ids, target_ids)])[0, 0])
 
     def corpus_nll(self, pairs) -> float:
-        """Total NLL of (source ids, EOS-terminated target ids) pairs, one
-        eager :meth:`sentence_loss` per pair, added in data order."""
-        return sum(self.sentence_loss(f, e) for f, e in pairs)
+        """Total NLL of (source ids, EOS-terminated target ids) pairs: stably
+        length-sorted batches of up to ``SCORE_BATCH`` pairs, one eager
+        :meth:`_loss` each.
+
+        Batching changes how each column's products are blocked, so the
+        total may differ from a per-pair sum in the last bits.
+        """
+        pairs = sorted(pairs, key=lambda pair: (len(pair[1]), len(pair[0])))
+        with Eager() as e:
+            return sum(float(self._loss(e, pairs[i:i + SCORE_BATCH])[0, 0])
+                       for i in range(0, len(pairs), SCORE_BATCH))
 
     @property
     def vocab(self):
@@ -397,7 +496,8 @@ class Ensemble:
             state, prev, nll = self.start(f), BOS_ID, 0.0
             for target in e:
                 P, state, _ = self.step(state, [0], [prev])
-                nll -= math.log(P[target, 0])
+                p = P[target, 0]
+                nll -= math.log(p) if p > 0.0 else -math.inf
                 prev = target
             total += nll
         return total

@@ -7,6 +7,7 @@ references for search."""
 import copy
 import math
 import zlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from seqbench.autograd import Graph, Parameter
 from seqbench.corpus import BOS_ID, make_batches
 from seqbench.nnet import RecurrentState, _prev_token_rows
 from seqbench.search import Hypothesis, _rescore, _trace_entries, default_max_len
+from seqbench.seq2seq import PAD_SCORE
 
 
 def rel_error(a: float, b: float, floor: float = 1e-3) -> float:
@@ -99,6 +101,10 @@ OP_GRADCHECK_CASES = {
         (2 * ps[1].value.shape[0], ps[1].value.shape[1])),
     "rows": lambda g, ps: padding_masked(g, overlapping_rows(g, g.tanh(g.param(ps[0]))),
                                          (2, ps[0].value.shape[1])),
+    "batch_dot": lambda g, ps: g.batch_dot(g.param(ps[0]), g.param(ps[1])),
+    "attend": lambda g, ps: g.attend(g.param(ps[0]), g.param(ps[1])),
+    "padded_attention": lambda g, ps: padded_attention(g, g.param(ps[0]),
+                                                       g.param(ps[1])),
 }
 
 
@@ -113,6 +119,18 @@ def padding_masked(g, node, shape):
     mask = np.ones(shape)
     mask[:, -1] = 0.0
     return g.cmult(node, g.input(mask))
+
+
+def padded_attention(g, keys, queries):
+    """The contexts of masked attention over a padded batch: column 0's
+    source fills all S key rows, column 1's only the first, and any further
+    columns' all but the last."""
+    batch = queries.shape[1]
+    length = keys.shape[1] // batch
+    lengths = [length, 1] + [length - 1] * (batch - 2)
+    mask = [[0.0 if t < n else PAD_SCORE for n in lengths] for t in range(length)]
+    alpha = g.softmax(g.add(g.batch_dot(keys, queries), g.input(mask)))
+    return g.attend(keys, alpha)
 
 
 def op_gradcheck_shapes(name, rng):
@@ -135,6 +153,10 @@ def op_gradcheck_shapes(name, rng):
         return [((3 if name.endswith("no_forget") else 4) * n, m), (n, m)]
     if name == "rows":
         return [(n + 3, m)]
+    if name in ("batch_dot", "padded_attention"):     # S = m keys per column
+        return [(n, m * k), (n, k)]
+    if name == "attend":
+        return [(n, m * k), (m, k)]
     return [(n, m)]
 
 
@@ -274,13 +296,15 @@ def per_position_loss_graph(model, source_ids, target_ids):
     own output-layer ``affine`` and ``pick_neg_log_softmax``, and MLP
     attention its own ``W_a1_src·H`` product, inside the decoder loop."""
     g = Graph()
-    H, states = model._encode_nodes(g, source_ids)
+    encoding = model._encode_nodes(g, [source_ids])
+    states = encoding.init_layers
     context = (g.input(np.zeros((model.src_dim, 1)))
                if model.attention != "none" else None)
     losses, prev = [], BOS_ID
     for target in target_ids:
-        src = model._source_projection(g, H)
-        x, states, context, _ = model._step_nodes(g, H, prev, states, context, src)
+        src = model._source_projection(g, encoding.H)
+        x, states, context, _ = model._step_nodes(g, encoding, [prev], states, context,
+                                                  src)
         losses.append(g.pick_neg_log_softmax(model._scores(g, x), target))
         prev = target
     g.sum(g.concat_cols(*losses) if len(losses) > 1 else losses[0])
@@ -364,7 +388,8 @@ def graph_encode(model, source_ids):
     """``EncDecModel.encode`` through a :class:`Graph`: (H, the decoder's
     initial (h, c) per layer, MLP attention's source projection or None)."""
     g = Graph()
-    H, init = model._encode_nodes(g, source_ids)
+    encoding = model._encode_nodes(g, [source_ids])
+    H, init = encoding.H, encoding.init_layers
     proj = model._source_projection(g, H)
     g.forward()
     return (H.value, [(st.h.value, None if st.c is None else st.c.value) for st in init],
@@ -403,8 +428,8 @@ def graph_encdec_step(model, state, rows, prev_ids):
         context = graph_columns(g, state.context, rows)
     if encoding.src_proj is not None:
         src = g.input(np.hstack([encoding.src_proj] * len(rows)))
-    x, new_layers, new_context, alpha = model._step_nodes(g, H, prev_ids, layers,
-                                                          context, src)
+    x, new_layers, new_context, alpha = model._step_nodes(
+        g, replace(encoding, H=H), prev_ids, layers, context, src)
     P = g.softmax(model._scores(g, x))
     g.forward()
     return (P.value, layer_values(new_layers),

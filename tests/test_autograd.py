@@ -460,6 +460,8 @@ CHECKED_BUILDERS = {
     "affine": lambda g, a, b: g.affine(a, b, g.transpose(g.rows(b, 0, 2))),
     "cmult": lambda g, a, b: g.cmult(a, b),
     "lstm": lambda g, a, b: g.lstm(g.concat_rows(b, b, b, b), a),
+    "batch_dot": lambda g, a, b: g.batch_dot(a, b),
+    "attend": lambda g, a, b: g.attend(a, g.rows(b, 0, 1)),
     "pick_neg_log_softmax": lambda g, a, b: g.pick_neg_log_softmax(a, [0, 1]),
     "squared_distance": lambda g, a, b: g.squared_distance(a, b),
     "sum": lambda g, a, b: g.sum(a),

@@ -3,7 +3,8 @@
 Column b of one B-column ``step`` must equal a one-column ``step`` on row
 ``rows[b]`` alone, for every model, and beam search built on the batched
 call must agree with the reference that steps one hypothesis at a time.
-A model's ``corpus_nll`` must score targets as its one-column steps do.
+A model's ``corpus_nll`` must score targets as its one-column steps do,
+also where the encoder-decoder scores padded batches.
 """
 
 import itertools
@@ -12,12 +13,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_table_model, reference_beam_search
+from helpers import random_table_model, reference_beam_search, same_bits
 from seqbench import corpus as C
+from seqbench.autograd import Eager, Graph
 from seqbench.evaluate import evaluate_ll
 from seqbench.loglinear import LogLinearLM
 from seqbench.ngram import NGramLM
-from seqbench.nnet import CELL_KINDS, FFNNLM, RNNLM, RecurrentState
+from seqbench.nnet import CELL_KINDS, FFNNLM, RNNLM, SCORE_BATCH, RecurrentState
 from seqbench.search import beam_search, greedy
 from seqbench.seq2seq import (ATTENTION_KINDS, BRIDGE_KINDS, ENCODER_DIRECTIONS,
                               EncDecModel, EncDecState, Ensemble, SourceEncoding)
@@ -282,3 +284,127 @@ def test_evaluate_ll_scores_a_language_model_ensemble():
     assert report.unk_count == 1 and report.word_count == 6
     assert report.total_log_likelihood == pytest.approx(want + report.unk_log_portion,
                                                         rel=1e-12, abs=0)
+
+
+# ---- batched encoder-decoder scoring ------------------------------------------------
+
+def accepted(encoder, bridge):
+    try:
+        EncDecModel(SRC, TGT, embed_size=2, hidden_size=2, encoder=encoder, bridge=bridge,
+                    dec_hidden=4 if encoder == "bidirectional" else 2)
+    except ValueError:
+        return False
+    return True
+
+
+ENCODER_BRIDGES = [(encoder, bridge) for encoder, bridge
+                   in itertools.product(ENCODER_DIRECTIONS, BRIDGE_KINDS)
+                   if accepted(encoder, bridge)]
+
+
+def scoring_encdec(encoder, bridge, attention, cell="lstm_forget", layers=1):
+    """An encoder-decoder whose weights and biases are all moved off their
+    initial values, so every source word and every attention weight shows
+    in the scores."""
+    model = encdec(seed=40, encoder=encoder, bridge=bridge, attention=attention,
+                   cell=cell, layers=layers,
+                   dec_hidden=8 if encoder == "bidirectional" else 4)
+    rng = np.random.default_rng(41)
+    for p in model.parameters():
+        p.value += rng.uniform(-0.5, 0.5, size=p.value.shape)
+        p.changed()
+    return model
+
+
+def scoring_pairs():
+    """41 pairs, more than one scoring batch holds, of mixed source and
+    target lengths: a one-word source, lone-EOS targets and unknown words
+    on both sides among them."""
+    rng = np.random.default_rng(42)
+    pairs = [([4], [C.EOS_ID]), ([5], [6, 3, C.EOS_ID]),
+             ([3, 4, 5, 6, 3, 4], [C.EOS_ID]), ([4, 6], [C.UNK_ID, 5, C.EOS_ID])]
+    pairs += [(rng.integers(2, 7, size=rng.integers(1, 7)).tolist(),
+               rng.integers(2, 8, size=rng.integers(0, 6)).tolist() + [C.EOS_ID])
+              for _ in range(37)]
+    return pairs
+
+
+@pytest.mark.parametrize("layers", (1, 2))
+@pytest.mark.parametrize("cell", ("lstm_forget", "gru"))
+@pytest.mark.parametrize("attention", ATTENTION_KINDS)
+@pytest.mark.parametrize("encoder, bridge", ENCODER_BRIDGES)
+def test_batched_corpus_nll_equals_the_one_column_steps(encoder, bridge, attention,
+                                                        cell, layers):
+    model = scoring_encdec(encoder, bridge, attention, cell, layers)
+    pairs = scoring_pairs()
+    want = sum(decoding_nll(model, source, target) for source, target in pairs)
+    assert model.corpus_nll(pairs) == pytest.approx(want, rel=1e-12, abs=0)
+    for source, target in pairs[:4]:
+        assert same_bits(model.corpus_nll([(source, target)]),
+                         model.sentence_loss(source, target))
+
+
+@pytest.mark.parametrize("attention", ATTENTION_KINDS)
+@pytest.mark.parametrize("encoder, bridge", ENCODER_BRIDGES)
+def test_padded_batch_gradients_equal_the_per_pair_sums(encoder, bridge, attention):
+    # the batched loss graph is ready for minibatched training: padding
+    # sends no gradient anywhere
+    model = scoring_encdec(encoder, bridge, attention)
+    pairs = scoring_pairs()[:6]
+    g = Graph()
+    model._loss(g, pairs)
+    batched = g.forward()[0, 0]
+    g.backward()
+    grads = [p.grad.copy() for p in model.parameters()]
+    for p in model.parameters():
+        p.zero_grad()
+    total = 0.0
+    for source, target in pairs:
+        g = model.loss_graph(source, target)
+        total += g.forward()[0, 0]
+        g.backward()
+    assert batched == pytest.approx(total, rel=1e-12, abs=0)
+    for p, grad in zip(model.parameters(), grads):
+        assert np.abs(grad - p.grad).max() <= 1e-10 * np.abs(p.grad).max(), p.name
+
+
+def test_a_batch_with_an_empty_source_or_target_is_rejected():
+    model = scoring_encdec("bidirectional", "tanh", "mlp")
+    with pytest.raises(ValueError, match="^empty source sentence$"):
+        model.corpus_nll([([3, 4], [C.EOS_ID]), ([], [5, C.EOS_ID]), ([4], [C.EOS_ID])])
+    # not EOS-terminated: alone or beside other pairs, it is no target
+    for pairs in ([([3], [])], [([3], []), ([4], [C.EOS_ID])]):
+        with pytest.raises(ValueError, match="^empty target sentence"):
+            model.corpus_nll(pairs)
+
+
+@pytest.mark.parametrize("attention", ["dot", "bilinear", "mlp"])
+@pytest.mark.parametrize("encoder, bridge", ENCODER_BRIDGES)
+def test_padded_source_words_get_exactly_zero_attention(encoder, bridge, attention):
+    model = scoring_encdec(encoder, bridge, attention)
+    sources = [[3, 4, 5, 6], [5], [6, 2, 4]]
+    with Eager() as e:
+        encoding = model._encode_nodes(e, sources)
+        src = model._source_projection(e, encoding.H)
+        context = np.zeros((model.src_dim, len(sources)))
+        _, _, _, alpha = model._step_nodes(e, encoding, [C.BOS_ID] * 3,
+                                           encoding.init_layers, context, src)
+    for b, source in enumerate(sources):
+        assert np.all(alpha[len(source):, b] == 0.0)
+        _, _, alpha1 = model.step(model.start(source), [0], [C.BOS_ID])
+        assert_close(alpha[:len(source), b], alpha1[:, 0], NEURAL_TOL)
+
+
+def test_corpus_nll_scores_stably_length_sorted_batches(monkeypatch):
+    model = scoring_encdec("bidirectional", "tanh", "mlp")
+    pairs = scoring_pairs()
+    assert sum(target.count(C.UNK_ID) for _, target in pairs) >= 3
+    assert len({len(f) for f, _ in pairs}) == len({len(e) for _, e in pairs}) == 6
+    batches = []
+    loss = EncDecModel._loss
+    monkeypatch.setattr(EncDecModel, "_loss",
+                        lambda self, g, batch: batches.append(batch) or loss(self, g, batch))
+    model.corpus_nll(pairs)
+    assert [len(batch) for batch in batches] == [SCORE_BATCH, len(pairs) - SCORE_BATCH]
+    assert [pair for batch in batches for pair in batch] == sorted(
+        pairs, key=lambda pair: (len(pair[1]), len(pair[0])))

@@ -9,6 +9,7 @@ from helpers import (assert_matches_per_gate_reference,
                      per_position_loss_graph)
 from seqbench import corpus as C
 from seqbench.autograd import Eager, Graph, NonFiniteError
+from seqbench.ngram import NGramLM
 from seqbench.nnet import CELL_KINDS, RNNLM
 from seqbench.seq2seq import ATTENTION_KINDS, EncDecModel, Ensemble, train_encdec
 from seqbench.optim import Adam
@@ -274,6 +275,15 @@ def test_ensemble_source_vocabulary_mismatch():
     with pytest.raises(ValueError, match="source vocabulary"):
         Ensemble(members)
     Ensemble([members[0], members[0]])
+
+
+def test_ensemble_scores_a_target_of_probability_zero_as_impossible():
+    # with no held-out mass the bigram gives a literal start symbol, id 0,
+    # probability 0 after "a"; the ensemble's average is 0 too
+    lm = NGramLM.train(["a b c", "a d", "a b"], n=2, alphas=0.0)
+    target = [lm.vocab.id_of("a"), C.BOS_ID, C.EOS_ID]
+    assert lm.corpus_nll([target]) == math.inf
+    assert Ensemble([lm, lm]).corpus_nll([target]) == math.inf
 
 
 def test_training_reduces_loss():
