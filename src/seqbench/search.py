@@ -13,12 +13,12 @@ repeat. Column b of the V x B matrix ``P`` is that hypothesis' next-token
 distribution over the target vocabulary, and column b of the |F| x B
 ``alphas`` its attention over the source words (``alphas`` is None when the
 model has no attention). The returned state holds the B new columns; the
-state passed in is left unchanged. Greedy search and sampling step with
-``rows=[0]``. Beam search makes one call per time step, whose rows are the
-parent rows of the surviving unfinished hypotheses, so hypotheses keep no
-state of their own. The language models share :class:`LanguageModel`, whose
-state is one history of ids per column and whose ``step`` computes the
-distribution each model also scores with, the unknown symbol included.
+state passed in is left unchanged. One loop, :func:`_search`, steps the
+surviving rows once per time step, so hypotheses keep no state of their
+own; each search's chooser picks the survivors. The language models share
+:class:`LanguageModel`, whose state is one history of ids per column and
+whose ``step`` computes the distribution each model also scores with, the
+unknown symbol included.
 
 Hypothesis scores are accumulated natural-log probabilities. Ties anywhere
 break toward the lexicographically smallest token sequence (hence the lowest
@@ -144,53 +144,78 @@ def default_max_len(source_ids) -> int:
     return 100 if source_ids is None else 2 * len(source_ids) + 10
 
 
-def _checked_max_len(max_len, source_ids) -> int:
-    """``max_len``, or :func:`default_max_len` when it is None; at least 1."""
-    if max_len is None:
-        max_len = default_max_len(source_ids)
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    return max_len
-
-
 def _trace_entries(alphas, count: int) -> list[int]:
     """Most-attended source position of each of ``count`` columns (-1 without
     attention)."""
     return [-1] * count if alphas is None else np.argmax(alphas, axis=0).tolist()
 
 
-def _decode(model, source_ids, max_len, choose) -> Hypothesis:
-    """Extend one hypothesis by ``choose(p)`` until EOS or ``max_len`` tokens."""
-    max_len = _checked_max_len(max_len, source_ids)
+def _search(model, source_ids, max_len, width, choose) -> list[Hypothesis]:
+    """Extend live rows until ``width`` hypotheses end in EOS, none is left
+    to extend, or ``max_len`` tokens are read; one ``step`` call per time step.
+
+    ``choose(P, logprobs, tokens)`` reads the K live rows' V x K ``P``,
+    accumulated log probabilities and token lists, and returns the surviving
+    ``(row, token, logprob)`` extensions, best first. Returns the finished
+    hypotheses in the order they ended, else the best live row, truncated.
+    """
+    if max_len is None:
+        max_len = default_max_len(source_ids)
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     state = model.start(source_ids)
-    hyp = Hypothesis(tokens=[], logprob=0.0, attention_trace=[])
-    prev = BOS_ID
-    for _ in range(max_len):
-        P, state, alphas = model.step(state, [0], [prev])
+    rows, tokens, logprobs, traces = [0], [[]], [0.0], [[]]
+    finished: list[Hypothesis] = []
+    with np.errstate(divide="ignore"):      # log(0) = -inf: an impossible extension
+        for _ in range(max_len):
+            P, state, alphas = model.step(state, rows,
+                                          [seq[-1] if seq else BOS_ID for seq in tokens])
+            entries = _trace_entries(alphas, len(rows))
+            chosen = choose(P, logprobs, tokens)
+            parents, parent_traces = tokens, traces
+            rows, tokens, logprobs, traces = [], [], [], []
+            for row, tok, logprob in chosen:
+                seq, trace = parents[row] + [tok], parent_traces[row] + [entries[row]]
+                if tok == EOS_ID:
+                    finished.append(Hypothesis(seq, logprob, finished=True,
+                                               attention_trace=trace))
+                else:
+                    rows.append(row)
+                    tokens.append(seq)
+                    logprobs.append(logprob)
+                    traces.append(trace)
+            if len(finished) >= width or not rows:
+                break
+    if finished:
+        return finished
+    best = min(range(len(rows)), key=lambda i: (-logprobs[i], tokens[i]))
+    return [Hypothesis(tokens[best], logprobs[best], truncated=True,
+                       attention_trace=traces[best])]
+
+
+def _one_column(pick):
+    """The chooser of a one-row search: the token ``pick(p)`` of the row's
+    distribution ``p``, adding the ``np.log`` of that entry only."""
+    def choose(P, logprobs, tokens):
         p = P[:, 0]
-        tok = choose(p)
-        hyp.tokens.append(tok)
-        hyp.logprob += math.log(p[tok])
-        hyp.attention_trace.append(_trace_entries(alphas, 1)[0])
-        if tok == EOS_ID:
-            hyp.finished = True
-            break
-        prev = tok
-    hyp.truncated = not hyp.finished
-    return hyp
+        tok = pick(p)
+        return [(0, tok, logprobs[0] + np.log(p[tok]))]
+    return choose
 
 
 def sample(model, source_ids=None, rng=0, max_len: int | None = None) -> Hypothesis:
     """Ancestral sampling: draw each token from the model distribution."""
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    return _decode(model, source_ids, max_len,
-                   lambda p: int(rng.choice(len(p), p=p / p.sum())))
+    return _search(model, source_ids, max_len, 1, _one_column(
+        lambda p: int(rng.choice(len(p), p=p / p.sum()))))[0]
 
 
 def greedy(model, source_ids=None, max_len: int | None = None) -> Hypothesis:
     """Pick the most probable token at every step (ties: lowest id)."""
-    # argmax returns the first (lowest) id on ties
-    return _decode(model, source_ids, max_len, lambda p: int(np.argmax(p)))
+    # the argmax of the column's probabilities, not of accumulated scores,
+    # which may round two of them alike; ties go to the first (lowest) id
+    return _search(model, source_ids, max_len, 1,
+                   _one_column(lambda p: int(p.argmax())))[0]
 
 
 def _rescore(hyp: Hypothesis, mode: str, prior: LengthPrior | None,
@@ -229,13 +254,13 @@ def beam_search(model, source_ids=None, beam_size: int = 4,
                 length_prior: LengthPrior | None = None) -> list[Hypothesis]:
     """Breadth-limited search keeping the best ``beam_size`` partial outputs.
 
-    Each step expands every active hypothesis over the whole vocabulary,
-    prunes back to the top ``beam_size`` by accumulated log probability, and
-    moves those ending in EOS to a completed pool. Zero-probability
-    extensions are never kept. When several extensions tie at the cut, the
-    ones whose token sequences sort lexicographically first survive, exactly
-    as if every extension had been sorted. Search stops once the pool
-    holds ``beam_size`` hypotheses (or nothing is left to extend, or
+    The decoding loop's chooser expands every active hypothesis over the
+    whole vocabulary and prunes back to the top ``beam_size`` by accumulated
+    log probability; the loop moves those ending in EOS to a completed pool.
+    Zero-probability extensions are never kept. When several extensions tie
+    at the cut, the ones whose token sequences sort lexicographically first
+    survive, exactly as if every extension had been sorted. Search stops once
+    the pool holds ``beam_size`` hypotheses (or nothing is left to extend, or
     ``max_len`` is hit); the pool is then rescored by ``length_mode`` and
     returned best-first. If nothing completed, the best unfinished hypothesis
     is returned with its truncated flag set.
@@ -244,46 +269,19 @@ def beam_search(model, source_ids=None, beam_size: int = 4,
         raise ValueError("beam_size must be >= 1")
     if length_mode not in LENGTH_MODES:
         raise ValueError(f"unknown length mode {length_mode!r}")
-    max_len = _checked_max_len(max_len, source_ids)
     source_len = None if source_ids is None else len(source_ids)
 
-    state = model.start(source_ids)
-    active = [Hypothesis(tokens=[], logprob=0.0, attention_trace=[])]
-    rows = [0]              # the state column each active hypothesis extends
-    completed: list[Hypothesis] = []
-    for _ in range(max_len):
-        P, state, alphas = model.step(
-            state, rows, [hyp.tokens[-1] if hyp.tokens else BOS_ID for hyp in active])
-        with np.errstate(divide="ignore"):
-            logp = np.log(P)
-        scores = logp.T + np.array([[hyp.logprob] for hyp in active])
-        traces = _trace_entries(alphas, len(active))
-        prefixes = [tuple(hyp.tokens) for hyp in active]
-        parents = active
-        active, rows = [], []
-        for row, tok in _best_candidates(scores, prefixes, beam_size):
-            parent = parents[row]
-            child = Hypothesis(tokens=parent.tokens + [tok], logprob=scores[row, tok],
-                               finished=tok == EOS_ID,
-                               attention_trace=parent.attention_trace + [traces[row]])
-            if child.finished:
-                completed.append(child)
-            else:
-                active.append(child)
-                rows.append(row)
-        if len(completed) >= beam_size or not active:
-            break
+    def choose(P, logprobs, tokens):
+        scores = np.log(P).T + np.array(logprobs)[:, None]
+        prefixes = [tuple(seq) for seq in tokens]
+        return [(row, tok, scores[row, tok])
+                for row, tok in _best_candidates(scores, prefixes, beam_size)]
 
-    if not completed:
-        best = min(active, key=lambda h: (-h.logprob, tuple(h.tokens)))
-        best.truncated = True
-        best.score = _rescore(best, length_mode, length_prior, source_len)
-        return [best]
-
-    for hyp in completed:
+    hyps = _search(model, source_ids, max_len, beam_size, choose)
+    for hyp in hyps:
         hyp.score = _rescore(hyp, length_mode, length_prior, source_len)
-    completed.sort(key=lambda h: (-h.score, tuple(h.tokens)))
-    return completed[:beam_size]
+    hyps.sort(key=lambda h: (-h.score, tuple(h.tokens)))
+    return hyps[:beam_size]
 
 
 def replace_unknowns(hyp: Hypothesis, source_tokens, vocab: Vocabulary) -> list[str]:

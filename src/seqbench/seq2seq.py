@@ -19,7 +19,6 @@ are scored.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ from .corpus import BOS_ID, EOS_ID, Vocabulary
 from .nnet import (SCORE_BATCH, RecurrentState, StackedRNN, embedding_init,
                    file_tensor_views, gather_layer_states, glorot)
 from .optim import EpochTracker, Optimizer, fit
+from .search import _one_column, _search
 
 ENCODER_DIRECTIONS = ("forward", "reverse", "bidirectional")
 BRIDGE_KINDS = ("copy", "concat", "tanh")
@@ -487,19 +487,19 @@ class Ensemble:
         return total / len(self.models), tuple(member_states), alphas
 
     def corpus_nll(self, items) -> float:
-        """Total NLL under the averaged distribution, one B=1 :meth:`step`
-        per target token, of EOS-terminated target ids (members that are
-        language models) or of (source ids, target ids) pairs."""
+        """Total NLL under the averaged distribution of EOS-terminated target
+        ids (members that are language models) or of (source ids, target
+        ids) pairs: the decoding loop reads each target, forced token by
+        token, so it is scored by the one-column :meth:`step` calls of
+        greedy search."""
         pairs = items if self.src_vocab is not None else [(None, e) for e in items]
         total = 0.0
         for f, e in pairs:
-            state, prev, nll = self.start(f), BOS_ID, 0.0
-            for target in e:
-                P, state, _ = self.step(state, [0], [prev])
-                p = P[target, 0]
-                nll -= math.log(p) if p > 0.0 else -math.inf
-                prev = target
-            total += nll
+            targets = iter(e)
+            hyp = _search(self, f, len(e), 1, _one_column(lambda p: next(targets)))[0]
+            if len(hyp.tokens) < len(e):
+                raise ValueError("end of sentence before the end of a target")
+            total -= hyp.logprob
         return total
 
 

@@ -1,8 +1,8 @@
 """Shared test oracles: central finite differences against analytic gradients,
 the two-pass pick_neg_log_softmax formula, per-column attention scoring, the
 per-gate recurrent cell, the per-position output layer, graph-built
-references for the eager evaluator, and brute-force and sort-everything
-references for search."""
+references for the eager evaluator, forced decoding for scoring, and
+brute-force and sort-everything references for search."""
 
 import copy
 import math
@@ -465,6 +465,17 @@ def graph_sentence_nll(model, ids):
     return g.forward()[0, 0]
 
 
+def decoding_nll(model, source, target):
+    """The summed -log P[target] of one-column ``step`` calls, stepped here
+    rather than through ``search``: the forced-decoding oracle for scoring."""
+    state, prev, nll = model.start(source), BOS_ID, 0.0
+    for tok in target:
+        P, state, _ = model.step(state, [0], [prev])
+        nll -= math.log(P[tok, 0])
+        prev = tok
+    return nll
+
+
 def same_bits(a, b) -> bool:
     """Equal shapes and bit-identical entries (so -0.0 differs from 0.0)."""
     a, b = np.asarray(a), np.asarray(b)
@@ -497,6 +508,18 @@ class TableModel:
                     for r, prev in zip(rows, prev_ids)]
         P = np.array([self.table.get(prefix, self._eos_only) for prefix in prefixes]).T
         return P, prefixes, None
+
+
+class AttendingTableModel(TableModel):
+    """A table model that also attends over three source positions: each
+    column puts all its weight on the position its prefix's id sum picks,
+    so the hypotheses of one step attend to different positions."""
+
+    def step(self, state, rows, prev_ids):
+        P, prefixes, _ = super().step(state, rows, prev_ids)
+        alphas = np.zeros((3, len(prefixes)))
+        alphas[[sum(prefix) % 3 for prefix in prefixes], range(len(prefixes))] = 1.0
+        return P, prefixes, alphas
 
 
 def random_table_model(rng, vocab_size=3, max_len=4, min_eos=0.0):

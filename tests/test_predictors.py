@@ -8,12 +8,11 @@ also where the encoder-decoder scores padded batches.
 """
 
 import itertools
-import math
 
 import numpy as np
 import pytest
 
-from helpers import random_table_model, reference_beam_search, same_bits
+from helpers import decoding_nll, random_table_model, reference_beam_search, same_bits
 from seqbench import corpus as C
 from seqbench.autograd import Eager, Graph
 from seqbench.evaluate import evaluate_ll
@@ -246,16 +245,6 @@ SCORED_MODELS = {
         RNNLM(LM_VOCAB, cell="gru", embed_size=3, hidden_size=4, layers=2,
               rng=np.random.default_rng(34))]),
 }
-
-
-def decoding_nll(model, source, target):
-    """The summed -log P[target] of the one-column ``step`` calls."""
-    state, prev, nll = model.start(source), C.BOS_ID, 0.0
-    for tok in target:
-        P, state, _ = model.step(state, [0], [prev])
-        nll -= math.log(P[tok, 0])
-        prev = tok
-    return nll
 
 
 @pytest.mark.parametrize("name", SCORED_MODELS)

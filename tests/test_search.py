@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (TableModel, brute_force_best, enumerate_sequences,
-                     quantized_table_model, random_table_model,
-                     reference_beam_search)
+from helpers import (AttendingTableModel, TableModel, brute_force_best,
+                     enumerate_sequences, quantized_table_model,
+                     random_table_model, reference_beam_search, same_bits)
 from seqbench import corpus as C
 from seqbench.nnet import RNNLM
 from seqbench.search import (LENGTH_MODES, Hypothesis, LengthPrior,
                              _best_candidates, beam_search, greedy, nbest_lines,
                              replace_unknowns, sample)
+from seqbench.seq2seq import EncDecModel
 
 # the hand-built toy model: vocabulary {a(id 0), EOS(id 1), b(id 2)}
 A, EOS, B = 0, 1, 2
@@ -52,12 +53,29 @@ def test_greedy_uniform_tie_breaks_to_lowest_id():
 
 def test_beam_one_equals_greedy_random_models():
     rng = np.random.default_rng(21)
-    for _ in range(30):
-        model = random_table_model(rng, vocab_size=3, max_len=4)
-        g = greedy(model, max_len=4)
-        b = beam_search(model, beam_size=1, max_len=4)[0]
+    cases = [(random_table_model(rng, vocab_size=3, max_len=4), None, 4)
+             for _ in range(30)]
+    src, tgt = C.build_vocab(["w x y z"]), C.build_vocab(["p q r s t"])
+    for seed in range(4):
+        model = EncDecModel(src, tgt, embed_size=3, hidden_size=4, attention="mlp",
+                            rng=np.random.default_rng(40 + seed))
+        model.b_s.value[EOS] += seed    # some decodes end, some are cut at max_len
+        cases.append((model, [3, 5, 4, 6][:seed + 1], 8))
+        rnnlm = RNNLM(tgt, embed_size=3, hidden_size=4, rng=np.random.default_rng(50 + seed))
+        rnnlm.b_s.value[EOS] += seed
+        cases.append((rnnlm, None, 8))
+    ends = set()
+    for model, source, max_len in cases:
+        g = greedy(model, source, max_len=max_len)
+        b = beam_search(model, source, beam_size=1, max_len=max_len)[0]
         assert g.tokens == b.tokens
-        assert g.logprob == pytest.approx(b.logprob, abs=1e-12)
+        assert same_bits(g.logprob, b.logprob)
+        assert (g.finished, g.truncated) == (b.finished, b.truncated)
+        assert g.attention_trace == b.attention_trace
+        if source is not None:
+            assert min(g.attention_trace) >= 0
+        ends.add(g.finished)
+    assert ends == {True, False}
 
 
 def test_exhaustive_beam_matches_brute_force():
@@ -99,6 +117,8 @@ def test_beam_equals_full_sort_reference_with_ties_and_zeros():
     for trial in range(12):
         vocab_size = 3 if trial % 2 else 4
         model = quantized_table_model(rng, vocab_size=vocab_size, max_len=4)
+        if trial % 3 == 0:
+            model = AttendingTableModel(model.table)
         for beam_size in range(1, vocab_size ** 2 + 1):
             for mode in LENGTH_MODES:
                 kwargs = dict(beam_size=beam_size, max_len=4, length_mode=mode,

@@ -277,6 +277,7 @@ def test_ensemble_source_vocabulary_mismatch():
     Ensemble([members[0], members[0]])
 
 
+@pytest.mark.filterwarnings("error")
 def test_ensemble_scores_a_target_of_probability_zero_as_impossible():
     # with no held-out mass the bigram gives a literal start symbol, id 0,
     # probability 0 after "a"; the ensemble's average is 0 too
@@ -284,6 +285,20 @@ def test_ensemble_scores_a_target_of_probability_zero_as_impossible():
     target = [lm.vocab.id_of("a"), C.BOS_ID, C.EOS_ID]
     assert lm.corpus_nll([target]) == math.inf
     assert Ensemble([lm, lm]).corpus_nll([target]) == math.inf
+
+
+def test_ensemble_rejects_an_empty_target_as_the_model_does():
+    model = tiny_model(seed=20)
+    for scorer in (model, Ensemble([model, model])):
+        with pytest.raises(ValueError):
+            scorer.corpus_nll([([3, 4], [])])
+
+
+def test_ensemble_rejects_an_end_of_sentence_inside_a_target():
+    # decoding ends a hypothesis at EOS, so forced decoding cannot read past it
+    model = tiny_model(seed=20)
+    with pytest.raises(ValueError, match="end of sentence"):
+        Ensemble([model, model]).corpus_nll([([3, 4], [4, C.EOS_ID, 5, C.EOS_ID])])
 
 
 def test_training_reduces_loss():
