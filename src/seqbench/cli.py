@@ -483,7 +483,11 @@ def cmd_eval_ppl(args, rng) -> int:
         data = [line.split() for line in C.read_token_lines(args.data)]
     _nonempty(data, "evaluation data", args.data)
     with _lines_output(args.out) as out, _reported_as_data_error(args.model):
-        _write_lines(evaluate_ll(model, data).lines(), out)
+        try:
+            report = evaluate_ll(model, data)
+        except DataError as exc:        # a target line ending too early
+            raise DataError(f"{args.data}: {exc}") from exc
+        _write_lines(report.lines(), out)
     return 0
 
 

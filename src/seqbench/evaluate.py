@@ -24,7 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import DataError, encode, unknown_factor
+from .corpus import EOS, EOS_ID, DataError, encode, unknown_factor
 
 
 @dataclass
@@ -51,6 +51,10 @@ def evaluate_ll(model, data) -> EvalReport:
     Targets are encoded with ``model.vocab`` and EOS-terminated, sources
     with ``model.src_vocab``. The total is ``-corpus_nll`` plus the unknown
     log portion, which is summed sentence by sentence in data order.
+
+    A target that holds the reserved end-of-sentence token is a
+    :class:`~.corpus.DataError` naming its line (its 1-based position in
+    ``data``): a model reads nothing past an end of sentence.
     """
     data = list(data)
     if not data:
@@ -62,6 +66,10 @@ def evaluate_ll(model, data) -> EvalReport:
         items = [(encode(src_vocab, f), encode(model.vocab, e, append_eos=True))
                  for f, e in data]
         targets = [e for _, e in items]
+    for number, ids in enumerate(targets, start=1):
+        if ids.index(EOS_ID) < len(ids) - 1:
+            raise DataError(f"line {number} holds the reserved end-of-sentence "
+                            f"token {EOS}")
     unk_count, unk_logp = unknown_factor(model.vocab, targets)
     total = -model.corpus_nll(items) + unk_logp
     words = sum(len(ids) for ids in targets)

@@ -243,7 +243,8 @@ class NeuralLM(LanguageModel):
 
     def corpus_nll(self, sentences) -> float:
         """Total NLL of EOS-terminated id sequences: stably length-sorted
-        batches of up to ``SCORE_BATCH``, one eager ``batch_loss`` each.
+        batches of up to ``SCORE_BATCH``, one eager ``batch_loss`` each,
+        which scores only the batch's real positions, not its padding.
 
         Batching changes how each column's products are blocked, so the
         total may differ from a per-sentence sum in the last bits.
@@ -302,21 +303,30 @@ class FFNNLM(NeuralLM):
         return g.affine(g.param(self.b_s), g.param(self.W_hs), h)
 
     def batch_loss(self, g: Evaluator, batch: MiniBatch) -> Value:
-        """Masked total NLL over every position of every column."""
+        """Total NLL over the real positions of every column.
+
+        Positions are the columns of one score matrix, t-major (the order of
+        ``token_matrix.reshape(-1)``). A :class:`~.autograd.Graph` scores
+        every position and masks the padding with one ``cmult``; under
+        :class:`~.autograd.Eager` the padded windows are dropped before the
+        lookups, and no mask is applied.
+        """
         T, B = batch.token_matrix.shape
         prev = _prev_token_rows(batch)
-        # per-position context slots, flattened over (T*B) columns
+        scoring = isinstance(g, Eager)
+        real = np.flatnonzero(batch.mask.reshape(-1)) if scoring else slice(None)
+        # per-position context slots, flattened over the kept columns
         slots = []
         for back in range(self.n - 1, 0, -1):     # oldest slot first
             ids = np.full((T, B), BOS_ID, dtype=np.int64)
             if back - 1 < T:
                 ids[back - 1:, :] = prev[:T - (back - 1), :]
-            slots.append([int(i) for i in ids.reshape(-1)])
-        targets = [int(t) for t in batch.token_matrix.reshape(-1)]
+            slots.append(ids.reshape(-1)[real])
         s = self._scores(g, slots)
-        losses = g.pick_neg_log_softmax(s, targets)
-        masked = g.cmult(losses, g.input(batch.mask.reshape(1, -1)))
-        return g.sum(masked)
+        losses = g.pick_neg_log_softmax(s, batch.token_matrix.reshape(-1)[real])
+        if not scoring:
+            losses = g.cmult(losses, g.input(batch.mask.reshape(1, -1)))
+        return g.sum(losses)
 
     def next_distributions(self, histories) -> np.ndarray:
         """One eager batch of each history's last n-1 ids, start-padded."""
@@ -358,27 +368,44 @@ class RNNLM(NeuralLM):
         return file_tensor_views(self.parameters(), [self.rnn])
 
     def batch_loss(self, g: Evaluator, batch: MiniBatch) -> Value:
-        """Masked total NLL over every position of every column.
+        """Total NLL over the real positions of every column.
 
-        The step loop only collects each position's top hidden state; after
-        it, one ``affine`` scores all T·B positions as the columns of one
-        matrix, t-major (column t·B + b, the order of
-        ``token_matrix.reshape(-1)``), one ``pick_neg_log_softmax`` takes
-        every target's loss and one ``cmult`` applies the mask.
+        The step loop only collects each step's top hidden states; after it,
+        one ``affine`` scores them as the columns of one matrix, t-major, and
+        one ``pick_neg_log_softmax`` takes every target's loss.
+
+        A :class:`~.autograd.Graph` steps all B columns to the end and masks
+        the padded positions with one ``cmult``, which keeps training's
+        gradients as they were. Under :class:`~.autograd.Eager` (scoring) a
+        column is dropped from the layer states once its sentence has ended,
+        so each step runs only the live columns (a suffix of a batch from
+        :func:`~.corpus.make_batches`, sorted by length), the output layer
+        sees only real positions and no mask is applied. A batch without
+        padding is scored by the same ops either way, less the mask.
         """
         T, B = batch.token_matrix.shape
         prev = _prev_token_rows(batch)
+        lengths = np.asarray(batch.true_lengths)
+        scoring = isinstance(g, Eager)
+        live = np.arange(B)
         states = self.rnn.initial_states(g, batch=B)
-        outputs = []
+        outputs, targets = [], []
         for t in range(T):
-            x = g.lookup_column(g.param(self.M), [int(i) for i in prev[t]])
+            if scoring:
+                keep = np.flatnonzero(lengths[live] > t)
+                if len(keep) < len(live):
+                    states = gather_layer_states(states, keep)
+                    live = live[keep]
+            x = g.lookup_column(g.param(self.M), prev[t, live])
             out, states = self.rnn.step(g, x, states)
             outputs.append(out)
+            targets.append(batch.token_matrix[t, live])
         X = g.concat_cols(*outputs) if T > 1 else outputs[0]
         s = g.affine(g.param(self.b_s), g.param(self.W_hs), X)
-        losses = g.pick_neg_log_softmax(s, [int(i) for i in batch.token_matrix.reshape(-1)])
-        masked = g.cmult(losses, g.input(batch.mask.reshape(1, -1)))
-        return g.sum(masked)
+        losses = g.pick_neg_log_softmax(s, np.concatenate(targets))
+        if not scoring:
+            losses = g.cmult(losses, g.input(batch.mask.reshape(1, -1)))
+        return g.sum(losses)
 
     # predictor protocol: a state is the per-layer states, one column per
     # hypothesis; they came out of checked ops and enter the next step as they are

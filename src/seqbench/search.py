@@ -172,10 +172,17 @@ def _search(model, source_ids, max_len, width, choose) -> list[Hypothesis]:
                                           [seq[-1] if seq else BOS_ID for seq in tokens])
             entries = _trace_entries(alphas, len(rows))
             chosen = choose(P, logprobs, tokens)
+            # the last child of a row extends the row's lists in place, and
+            # the earlier ones copy them first, so no two rows share a list
+            last_child = {row: i for i, (row, _, _) in enumerate(chosen)}
             parents, parent_traces = tokens, traces
             rows, tokens, logprobs, traces = [], [], [], []
-            for row, tok, logprob in chosen:
-                seq, trace = parents[row] + [tok], parent_traces[row] + [entries[row]]
+            for i, (row, tok, logprob) in enumerate(chosen):
+                seq, trace = parents[row], parent_traces[row]
+                if last_child[row] != i:
+                    seq, trace = seq.copy(), trace.copy()
+                seq.append(tok)
+                trace.append(entries[row])
                 if tok == EOS_ID:
                     finished.append(Hypothesis(seq, logprob, finished=True,
                                                attention_trace=trace))

@@ -5,6 +5,7 @@ references for the eager evaluator, forced decoding for scoring, and
 brute-force and sort-everything references for search."""
 
 import copy
+import hashlib
 import math
 import zlib
 from dataclasses import replace
@@ -474,6 +475,15 @@ def decoding_nll(model, source, target):
         nll -= math.log(P[tok, 0])
         prev = tok
     return nll
+
+
+def parameter_digest(model) -> str:
+    """SHA-256 over every parameter's name, shape and value bits, in order."""
+    digest = hashlib.sha256()
+    for p in model.parameters():
+        digest.update(f"{p.name}{p.value.shape}".encode())
+        digest.update(np.ascontiguousarray(p.value).tobytes())
+    return digest.hexdigest()
 
 
 def same_bits(a, b) -> bool:

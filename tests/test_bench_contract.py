@@ -3,8 +3,9 @@
 The benchmark's oracles check every decoded hypothesis against
 ``EncDecModel.sentence_loss(f, e)`` or ``NeuralLM.sentence_nll(ids)``, and
 one ``RNNLM.batch_loss(g, batch)`` graph against per-sentence sums; its
-tracer wraps ``EncDecModel.loss_graph``, ``encode`` and ``step`` where the
-class body defines them, and the module attributes ``search.greedy`` and
+tracer wraps ``EncDecModel.loss_graph``, ``encode`` and ``step``,
+``RNNLM.batch_loss`` and ``RecurrentCell.step`` where the class body defines
+them, and the module attributes ``search.greedy`` and
 ``search.beam_search``, counting one sentence per call. A refactor that
 drops, renames or moves one of them would otherwise fail only a benchmark
 run, so each is called here on a tiny model against the path it stands for.
@@ -17,7 +18,7 @@ from helpers import decoding_nll
 from seqbench import corpus as C
 from seqbench import search
 from seqbench.autograd import Graph
-from seqbench.nnet import FFNNLM, RNNLM, NeuralLM
+from seqbench.nnet import FFNNLM, RNNLM, SCORE_BATCH, NeuralLM, RecurrentCell
 from seqbench.seq2seq import EncDecModel
 
 SRC = C.build_vocab(["w x y z"])
@@ -73,3 +74,22 @@ def test_batch_loss_graph_is_the_sum_of_sentence_nlls():
     model.batch_loss(g, C.make_batches(sentences, len(sentences))[0])
     assert g.forward()[0, 0] == pytest.approx(
         sum(model.sentence_nll(ids) for ids in sentences), rel=1e-12, abs=0)
+
+
+def test_lm_scoring_runs_through_the_traced_batch_loss_and_cell_step(monkeypatch):
+    # nnet.batch_loss_s and nnet.cell_step_s time these methods; scoring that
+    # bypassed them would read as zero in a traced run
+    assert callable(vars(RNNLM).get("batch_loss"))
+    assert callable(vars(RecurrentCell).get("step"))
+    model = RNNLM(LM_VOCAB, embed_size=3, hidden_size=4, rng=np.random.default_rng(8))
+    sentences = [[3 + i % 4] * (1 + i % 7) + [C.EOS_ID] for i in range(SCORE_BATCH + 5)]
+    calls = {"batch_loss": 0, "step": 0}
+    for cls, name in ((RNNLM, "batch_loss"), (RecurrentCell, "step")):
+        def counted(*args, original=vars(cls)[name], name=name):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(cls, name, counted)
+    model.corpus_nll(sentences)
+    batches = C.make_batches(sentences, SCORE_BATCH)
+    assert calls == {"batch_loss": len(batches),
+                     "step": sum(batch.max_len for batch in batches)}

@@ -346,6 +346,21 @@ def test_blank_lines_score_as_a_lone_eos_but_are_no_source(translation_setup, to
         assert f"{blank}: line 2 is empty" in capsys.readouterr().err
 
 
+def test_eval_ppl_refuses_a_reserved_end_of_sentence_naming_the_data_line(
+        translation_setup, toy_corpus, capsys):
+    tmp_path, model, inputs = translation_setup
+    lm_dir, train = toy_corpus
+    lm = str(lm_dir / "lm.bin")
+    assert main(["train-ngram", "--train", train, "--model", lm]) == 0
+    data = write(tmp_path / "eos.txt", "d e\nd \u27e8/s\u27e9 f\nf\n")
+    for source in ([], ["--source", inputs]):
+        assert main(["eval-ppl", "--model", model if source else lm, "--data", data,
+                     *source]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"data error: {data}: line 2 holds the reserved end-of-sentence "
+                       f"token {C.EOS}\n")
+
+
 def test_decode_rejects_non_positive_sizes(translation_setup, toy_corpus, capsys):
     tmp_path, model, inputs = translation_setup
     out = str(tmp_path / "bad.txt")

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from seqbench import corpus as C
 from seqbench.corpus import DataError, Vocabulary
 from seqbench.evaluate import EvalReport, bleu, evaluate_ll
+from seqbench.nnet import RNNLM
+from seqbench.seq2seq import EncDecModel, Ensemble
 
 
 V_ALL = 1000
@@ -108,6 +110,36 @@ def test_perplexity_beyond_float_range_is_infinite():
 def test_empty_data_rejected():
     with pytest.raises(DataError):
         evaluate_ll(UniformModel(4), [])
+
+
+def rnnlm(seed):
+    return RNNLM(VOCAB, embed_size=3, hidden_size=4, rng=np.random.default_rng(seed))
+
+
+def encdec(seed):
+    return EncDecModel(VOCAB, VOCAB, embed_size=3, hidden_size=4, attention="mlp",
+                       rng=np.random.default_rng(seed))
+
+
+RESERVED_EOS_MODELS = {
+    "rnnlm": lambda: rnnlm(1),
+    "encdec": lambda: encdec(2),
+    "lm-ensemble": lambda: Ensemble([rnnlm(3), rnnlm(4)]),
+    "encdec-ensemble": lambda: Ensemble([encdec(5), encdec(6)]),
+}
+
+
+@pytest.mark.parametrize("name", RESERVED_EOS_MODELS)
+def test_a_target_holding_the_reserved_eos_is_refused_naming_its_line(name):
+    # a model reads nothing past an end of sentence, so no model scores one
+    # inside a target; the refusal is the same for every model
+    model = RESERVED_EOS_MODELS[name]()
+    pair = (lambda e: e) if model.src_vocab is None else (lambda e: (["x", "y"], e))
+    for inner in (["a", C.EOS, "b"], ["a", "b", C.EOS], [C.EOS]):
+        with pytest.raises(DataError, match=f"^line 2 holds the reserved end-of-sentence "
+                                            f"token {C.EOS}$"):
+            evaluate_ll(model, [pair(["a", "b"]), pair(inner), pair(["c"])])
+    assert math.isfinite(evaluate_ll(model, [pair(["a", "b"])]).total_log_likelihood)
 
 
 def test_report_lines_format():

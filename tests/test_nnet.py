@@ -6,7 +6,8 @@ import pytest
 
 from helpers import (assert_matches_per_gate_reference,
                      assert_matches_per_position_reference, max_gradient_error,
-                     per_gate_model, per_position_batch_loss, same_bits)
+                     parameter_digest, per_gate_model, per_position_batch_loss,
+                     same_bits)
 from seqbench import corpus as C
 from seqbench.autograd import Eager, Graph, NonFiniteError, Parameter
 from seqbench.evaluate import evaluate_ll
@@ -489,3 +490,99 @@ def test_dev_scores_are_the_batched_corpus_nll():
                        log=lambda epoch, loss, dev_ll: expected.append(
                            -model.corpus_nll(dev)))
     assert history == expected
+
+
+def scoring_batch(lengths, seed=11):
+    """One batch from ``make_batches`` of EOS-terminated sentences of
+    ``lengths`` words each, out-of-vocabulary ids included."""
+    rng = np.random.default_rng(seed)
+    return C.make_batches([[int(i) for i in rng.integers(2, len(SCORING_VOCAB), size=n)]
+                           + [C.EOS_ID] for n in lengths], len(lengths))[0]
+
+
+def eager_and_graph_batch_loss(model, batch):
+    """(eager scoring total, training graph total) of one batch."""
+    with Eager() as e:
+        eager = float(model.batch_loss(e, batch)[0, 0])
+    g = Graph()
+    model.batch_loss(g, batch)
+    return eager, float(g.forward()[0, 0])
+
+
+@pytest.mark.parametrize("name", SCORING_LMS)
+def test_eager_batch_loss_of_a_padded_batch_is_the_masked_graph_loss(name):
+    # the graph steps and scores every padded position and masks it; scoring
+    # drops the padding, which may move only the last bits
+    model = SCORING_LMS[name]()
+    batch = scoring_batch([0, 3, 3, 7, 12, 1, 29])
+    assert batch.mask.min() == 0.0
+    eager, graph = eager_and_graph_batch_loss(model, batch)
+    assert eager == pytest.approx(graph, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("name", SCORING_LMS)
+def test_eager_batch_loss_without_padding_is_the_graph_loss_bitwise(name):
+    model = SCORING_LMS[name]()
+    for lengths in ([5, 5, 5, 5], [0], [17]):
+        eager, graph = eager_and_graph_batch_loss(model, scoring_batch(lengths))
+        assert same_bits(eager, graph), lengths
+
+
+@pytest.mark.parametrize("name", [n for n in SCORING_LMS if not n.startswith("ffnnlm")])
+def test_rnnlm_scoring_steps_only_the_live_columns(name, monkeypatch):
+    model = SCORING_LMS[name]()
+    lengths = [0, 3, 3, 7, 12, 1, 29]
+    batch = scoring_batch(lengths)
+    widths, picked = [], []
+    step, pick = RecurrentCell.step, Eager.pick_neg_log_softmax
+    monkeypatch.setattr(RecurrentCell, "step", lambda self, g, x, state: widths.append(
+        (x.shape[1], state.h.shape[1], state.batch)) or step(self, g, x, state))
+    monkeypatch.setattr(Eager, "pick_neg_log_softmax", lambda self, s, target: picked.append(
+        s.shape[1]) or pick(self, s, target))
+    with Eager() as e:
+        model.batch_loss(e, batch)
+    layers = len(model.rnn.cells)
+    live = [sum(n + 1 > t for n in lengths) for t in range(max(lengths) + 1)]
+    assert widths == [(b, b, b) for b in live for _ in range(layers)]
+    assert picked == [sum(batch.true_lengths)]
+
+
+@pytest.mark.parametrize("name", SCORING_LMS)
+def test_corpus_scoring_is_bitwise_for_equal_length_batches(name):
+    # a corpus whose one batch is unpadded scores exactly as the masked
+    # training graph does
+    model = SCORING_LMS[name]()
+    data = [["w1", "zzz", "w4", "w9"][i % 4:] + ["w2"] * (i % 4) for i in range(SCORE_BATCH)]
+    assert len({len(tokens) for tokens in data}) == 1
+    ids = [C.encode(model.vocab, tokens, append_eos=True) for tokens in data]
+    (batch,) = C.make_batches(ids, SCORE_BATCH)
+    _, graph = eager_and_graph_batch_loss(model, batch)
+    assert same_bits(model.corpus_nll(ids), 0.0 + graph)
+    report = evaluate_ll(model, data)
+    unk_count, unk_logp = C.unknown_factor(model.vocab, ids)
+    assert report.unk_count == unk_count > 0
+    assert same_bits(report.unk_log_portion, unk_logp)
+    assert same_bits(report.total_log_likelihood, -(0.0 + graph) + unk_logp)
+
+
+# parameters after training on padded batches through the masked training
+# graph; a change to training's graphs that moves any parameter bit changes these
+TRAINED_DIGESTS = {
+    "lstm_forget": "3a75398a04f374cb5bd3d0b8ba45112de9245c94982d8e4b71c4eeef2867154f",
+    "gru": "d2849783840e6da6b50e1a48758ca0a99d632d6ed08403bf626771a07475d07c",
+}
+
+
+@pytest.mark.parametrize("cell", TRAINED_DIGESTS)
+def test_training_on_padded_batches_is_pinned_bitwise(cell):
+    rng = np.random.default_rng(7)
+    words = SCORING_VOCAB.tokens[3:] + ["zzz"]
+    data = [C.encode(SCORING_VOCAB, [words[i] for i in rng.integers(0, len(words), size=n)],
+                     append_eos=True)
+            for n in rng.permutation(np.arange(22) % 11)]
+    assert any(batch.mask.min() == 0.0 for batch in C.make_batches(data, 4))
+    model = RNNLM(SCORING_VOCAB, cell=cell, embed_size=6, hidden_size=6, layers=2,
+                  residual=True, rng=np.random.default_rng(5))
+    train_lm(model, data, Adam(model.parameters(), lr=0.01), epochs=2,
+             dev_sentences=data[:5], batch_size=4, rng=np.random.default_rng(0))
+    assert parameter_digest(model) == TRAINED_DIGESTS[cell]

@@ -9,8 +9,8 @@ from helpers import (AttendingTableModel, TableModel, brute_force_best,
 from seqbench import corpus as C
 from seqbench.nnet import RNNLM
 from seqbench.search import (LENGTH_MODES, Hypothesis, LengthPrior,
-                             _best_candidates, beam_search, greedy, nbest_lines,
-                             replace_unknowns, sample)
+                             _best_candidates, _search, beam_search, greedy,
+                             nbest_lines, replace_unknowns, sample)
 from seqbench.seq2seq import EncDecModel
 
 # the hand-built toy model: vocabulary {a(id 0), EOS(id 1), b(id 2)}
@@ -176,6 +176,37 @@ def test_beam_search_steps_once_per_time_step_on_the_survivors_parent_rows():
             prev_ids = [tokens[-1] for tokens, _ in live]
             ended = done >= beam_size or not live or t + 1 == max_len
             assert ended == (t + 1 == len(recorder.calls))
+
+
+def test_children_of_one_row_never_share_a_list():
+    # every step keeps two children of row 0, then both end from row 1; the
+    # last child of a row takes over the row's lists, so a shared list would
+    # show the other child's token
+    model = AttendingTableModel({(): [0.5, 0.0, 0.5]})
+    seen = []
+
+    def choose(P, logprobs, tokens):
+        seen.append([list(seq) for seq in tokens])
+        assert len({id(seq) for seq in tokens}) == len(tokens)
+        if len(seen) == 4:
+            return [(1, EOS, -1.0), (1, EOS, -2.0)]
+        return [(0, A, -1.0), (0, B, -2.0)]
+
+    hyps = _search(model, None, 6, 2, choose)
+    assert seen == [[[]], [[A], [B]], [[A, A], [A, B]], [[A, A, A], [A, A, B]]]
+    assert [h.tokens for h in hyps] == [[A, A, B, EOS]] * 2
+    assert hyps[0].tokens is not hyps[1].tokens
+    assert hyps[0].attention_trace == hyps[1].attention_trace == [0, 0, 0, B]
+    assert hyps[0].attention_trace is not hyps[1].attention_trace
+
+    # beam 2 on a table model whose two best children share their parent
+    model = TableModel({(): [0.9, 0.0, 0.1], (A,): [0.5, 0.1, 0.4],
+                        (A, A): [0.0, 1.0, 0.0], (A, B): [0.0, 1.0, 0.0]})
+    hyps = beam_search(model, beam_size=2, max_len=5)
+    reference = reference_beam_search(model, beam_size=2, max_len=5)
+    assert [(h.tokens, h.logprob) for h in hyps] == [(h.tokens, h.logprob) for h in reference]
+    assert [h.tokens for h in hyps] == [[A, A, EOS], [A, B, EOS]]
+    assert hyps[0].tokens is not hyps[1].tokens
 
 
 def test_best_completion_score_decays_with_length():
