@@ -343,13 +343,22 @@ def _training_outputs(args, vocab, dev_sentences):
 
 @contextmanager
 def _lines_output(path):
-    """Where a command's lines go: ``path``, opened before the work starts,
-    or stdout."""
+    """Where a command's lines go: ``path``, opened (and so emptied) before
+    the work starts, or stdout. A file this run created is removed again if
+    the run fails."""
     if path is None:
         yield sys.stdout
-    else:
+        return
+    created = not os.path.exists(path)
+    written = False
+    try:
         with _open_output(path) as fh:
             yield fh
+        written = True
+    finally:
+        if created and not written:
+            with suppress(OSError):
+                os.unlink(path)
 
 
 def _write_lines(lines, out):

@@ -9,6 +9,7 @@ models when they pad contexts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ UNK = "⟨unk⟩"     # unknown word, id 2
 BOS_ID = 0
 EOS_ID = 1
 UNK_ID = 2
+RESERVED = (BOS, EOS, UNK)
 
 DEFAULT_V_ALL = 10_000_000
 
@@ -37,7 +39,7 @@ class Vocabulary:
     unknown-word distribution; it must exceed the number of known tokens.
     """
 
-    tokens: list[str] = field(default_factory=lambda: [BOS, EOS, UNK])
+    tokens: list[str] = field(default_factory=lambda: list(RESERVED))
     v_all: int = DEFAULT_V_ALL
 
     def __post_init__(self):
@@ -51,13 +53,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def add(self, token: str) -> int:
-        if token in self.index:
-            return self.index[token]
-        self.index[token] = len(self.tokens)
-        self.tokens.append(token)
-        return self.index[token]
 
     def id_of(self, token: str) -> int:
         return self.index.get(token, UNK_ID)
@@ -96,35 +91,20 @@ def build_vocab(lines, policy: str = "keep_all", min_count: int = 2,
     Token ids follow first occurrence in the corpus, so identical input bytes
     always produce the identical vocabulary.
     """
-    lines = list(lines)
-    if not any(line.split() for line in lines):
-        raise DataError("empty corpus")
-    if policy == "keep_all":
-        threshold = 1
-    elif policy == "replace_singletons":
-        threshold = 2
-    elif policy == "min_count":
-        threshold = min_count
-    else:
-        raise ValueError(f"unknown vocabulary policy: {policy!r}")
-
-    counts: dict[str, int] = {}
-    order: list[str] = []
+    counts = Counter()          # first occurrence first, as dicts keep order
     for line in lines:
-        for tok in line.split():
-            if tok not in counts:
-                order.append(tok)
-            counts[tok] = counts.get(tok, 0) + 1
-
-    vocab = Vocabulary(v_all=v_all)
-    for tok in order:
-        if tok in (BOS, EOS, UNK):
-            continue
-        if counts[tok] >= threshold:
-            vocab.add(tok)
-    if v_all <= len(vocab):
-        raise ValueError(f"v_all must exceed the vocabulary size ({len(vocab)})")
-    return vocab
+        counts.update(line.split())
+    if not counts:
+        raise DataError("empty corpus")
+    threshold = {"keep_all": 1, "replace_singletons": 2, "min_count": min_count}.get(policy)
+    if threshold is None:
+        raise ValueError(f"unknown vocabulary policy: {policy!r}")
+    for tok in RESERVED:
+        counts.pop(tok, None)
+    tokens = [*RESERVED, *(tok for tok, count in counts.items() if count >= threshold)]
+    if len(RESERVED) < v_all <= len(tokens):   # the constructor refuses a smaller v_all
+        raise ValueError(f"v_all must exceed the vocabulary size ({len(tokens)})")
+    return Vocabulary(tokens=tokens, v_all=v_all)
 
 
 def encode(vocab: Vocabulary, line, append_eos: bool = False) -> list[int]:

@@ -21,6 +21,15 @@ settings, writes each tensor into the new model's view, and installs the
 count table and an encoder-decoder ``length_prior``. Any malformed file
 raises DataError naming it.
 
+A save packs the small header pieces first, so a model that cannot be
+serialized leaves an earlier file in place, then hands them and the
+tensors' own buffers to one ``writelines``: no payload is copied. A read
+fills one ``bytearray`` from the file, and each tensor is a writable,
+bounds-checked ``np.frombuffer`` view into it. A load copies each view into
+the new model, the payload's one copy, and builds the neural kinds with a
+generator stand-in that draws nothing, so no initial value is drawn only to
+be overwritten.
+
 Recurrent cells are stored one tensor per gate (``rnn.l0.W_xu``,
 ``rnn.l0.b_f``, ...): a cell's stacked gate parameters are split into their
 gate row blocks on save and filled back from them on load.
@@ -28,11 +37,15 @@ gate row blocks on save and filled back from them on load.
 
 from __future__ import annotations
 
+import inspect
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autograd import all_finite
 from .corpus import DataError, Vocabulary
 from .loglinear import LogLinearLM
 from .ngram import NGramLM
@@ -42,6 +55,9 @@ from .seq2seq import EncDecModel
 
 MAGIC = b"S2SW"
 VERSION = 1
+
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
 
 
 @dataclass
@@ -53,75 +69,107 @@ class ModelFile:
     counts: dict | None = None
 
 
-def _pack_str(out, text: str):
-    blob = text.encode("utf-8")
-    out.append(struct.pack("<I", len(blob)))
-    out.append(blob)
+def _strings(texts) -> bytes:
+    """The strings ``texts`` in file form, built in one pass: the u32 byte
+    lengths are packed together and interleaved with the UTF-8 bytes in one
+    join."""
+    blobs = [text.encode("utf-8") for text in texts]
+    out = [b""] * (2 * len(blobs))
+    out[0::2] = map(_U32.pack, map(len, blobs))
+    out[1::2] = blobs
+    return b"".join(out)
 
 
 def write_modelfile(mf: ModelFile, path):
-    out = []
-    out.append(MAGIC)
-    out.append(struct.pack("<I", VERSION))
-    _pack_str(out, mf.kind)
-    out.append(struct.pack("<I", len(mf.vocabs)))
+    out = [MAGIC, _U32.pack(VERSION), _strings([mf.kind]), _U32.pack(len(mf.vocabs))]
     for vocab in mf.vocabs:
-        out.append(struct.pack("<Q", vocab.v_all))
-        out.append(struct.pack("<I", len(vocab.tokens)))
-        for tok in vocab.tokens:
-            _pack_str(out, tok)
-    out.append(struct.pack("<I", len(mf.hparams)))
-    for key, value in mf.hparams.items():
-        _pack_str(out, key)
-        _pack_str(out, str(value))
-    out.append(struct.pack("<I", len(mf.tensors)))
+        out += [_U64.pack(vocab.v_all), _U32.pack(len(vocab.tokens)),
+                _strings(vocab.tokens)]
+    out.append(_U32.pack(len(mf.hparams)))
+    out.append(_strings([text for key, value in mf.hparams.items()
+                         for text in (key, str(value))]))
+    out.append(_U32.pack(len(mf.tensors)))
     for name, tensor in mf.tensors.items():
-        _pack_str(out, name)
-        arr = np.ascontiguousarray(tensor, dtype=np.float64)
-        out.append(struct.pack("<I", arr.ndim))
-        out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        out.append(arr.tobytes())
-    out.append(struct.pack("<I", 1 if mf.counts is not None else 0))
+        arr = np.ascontiguousarray(tensor, dtype="<f8")
+        out += [_strings([name]), struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape),
+                arr]                    # the buffer itself, not a copy
+    out.append(_U32.pack(1 if mf.counts is not None else 0))
     if mf.counts is not None:
-        out.append(struct.pack("<Q", len(mf.counts)))
+        out.append(_U64.pack(len(mf.counts)))
         for ids in sorted(mf.counts):
-            out.append(struct.pack("<I", len(ids)))
-            out.append(struct.pack(f"<{len(ids)}I", *ids))
-            out.append(struct.pack("<Q", mf.counts[ids]))
+            out.append(struct.pack(f"<I{len(ids)}IQ", len(ids), *ids, mf.counts[ids]))
     with open(path, "wb") as fh:
-        fh.write(b"".join(out))
+        fh.writelines(out)
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
+    """A cursor over a model file's bytes; every read is bounds-checked."""
+
+    def __init__(self, buf: bytearray, path):
+        self.buf = buf
         self.pos = 0
         self.path = path
 
+    def _truncated(self) -> DataError:
+        return DataError(f"{self.path}: truncated model file")
+
+    def skip(self, n: int) -> int:
+        """Move past the next ``n`` bytes; returns where they start."""
+        start = self.pos
+        if start + n > len(self.buf):
+            raise self._truncated()
+        self.pos = start + n
+        return start
+
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise DataError(f"{self.path}: truncated model file")
-        chunk = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
+        start = self.skip(n)
+        return bytes(self.buf[start:self.pos])
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return _U32.unpack_from(self.buf, self.skip(4))[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+        return _U64.unpack_from(self.buf, self.skip(8))[0]
 
-    def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+    def u32s(self, count: int) -> tuple:
+        return struct.unpack_from(f"<{count}I", self.buf, self.skip(4 * count))
+
+    def strings(self, count: int) -> list[str]:
+        """The next ``count`` strings, parsed in one loop."""
+        buf, pos, end = self.buf, self.pos, len(self.buf)
+        unpack = _U32.unpack_from
+        out = []
+        for _ in range(count):
+            if pos + 4 > end:
+                raise self._truncated()
+            n, = unpack(buf, pos)
+            start = pos + 4
+            pos = start + n
+            if pos > end:
+                raise self._truncated()
+            out.append(buf[start:pos].decode("utf-8"))
+        self.pos = pos
+        return out
+
+    def tensor(self) -> np.ndarray:
+        """The next tensor, as a view into the file's bytes."""
+        dims = self.u32s(self.u32())
+        size = math.prod(dims)
+        return np.frombuffer(self.buf, dtype="<f8", count=size,
+                             offset=self.skip(8 * size)).reshape(dims)
 
 
 def read_modelfile(path) -> ModelFile:
+    """The file at ``path``, read once into one buffer that its tensors view."""
     try:
-        blob = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            buf = bytearray(os.fstat(fh.fileno()).st_size)
+            del buf[fh.readinto(buf):]
+            buf += fh.read()        # whatever outgrew the size, as a pipe may
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        return _parse(_Reader(blob, path))
+        return _parse(_Reader(buf, path))
     except ValueError as exc:   # undecodable strings, bad vocabularies or tensor ranks
         raise DataError(f"{path}: malformed model file ({exc})") from exc
 
@@ -134,30 +182,22 @@ def _parse(r: _Reader) -> ModelFile:
     if version != VERSION:
         raise DataError(f"{path}: unsupported model file version {version}, "
                         f"this build reads version {VERSION}")
-    kind = r.string()
+    kind, = r.strings(1)
     vocabs = []
     for _ in range(r.u32()):
         v_all = r.u64()
-        tokens = [r.string() for _ in range(r.u32())]
-        vocabs.append(Vocabulary(tokens=tokens, v_all=v_all))
-    hparams = {}
-    for _ in range(r.u32()):
-        key = r.string()
-        hparams[key] = r.string()
+        vocabs.append(Vocabulary(tokens=r.strings(r.u32()), v_all=v_all))
+    pairs = r.strings(2 * r.u32())
+    hparams = dict(zip(pairs[0::2], pairs[1::2]))
     tensors = {}
     for _ in range(r.u32()):
-        name = r.string()
-        rank = r.u32()
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        size = int(np.prod(dims)) if rank else 1
-        data = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(dims)
-        tensors[name] = data.copy()
+        name, = r.strings(1)
+        tensors[name] = r.tensor()
     counts = None
     if r.u32():
         counts = {}
         for _ in range(r.u64()):
-            length = r.u32()
-            ids = struct.unpack(f"<{length}I", r.take(4 * length))
+            ids = r.u32s(r.u32())
             counts[ids] = r.u64()
     return ModelFile(kind=kind, vocabs=vocabs, hparams=hparams,
                      tensors=tensors, counts=counts)
@@ -167,6 +207,21 @@ def _parse(r: _Reader) -> ModelFile:
 
 MODEL_CLASSES = {cls.kind: cls for cls in (NGramLM, LogLinearLM, FFNNLM, RNNLM,
                                            EncDecModel)}
+
+
+class _NoDraws:
+    """A random generator stand-in whose ``uniform`` draws nothing and returns
+    zeros: initial values a model file is about to overwrite."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+
+_NO_DRAWS = _NoDraws()
+# the kinds whose constructors draw their initial values from ``rng``
+_DRAWING = frozenset(cls for cls in MODEL_CLASSES.values()
+                     if "rng" in inspect.signature(cls).parameters)
 
 
 def save_model(model, path):
@@ -185,11 +240,14 @@ def load_model(path):
         raise DataError(f"{path}: a {mf.kind} model file holds "
                         f"{len(cls.file_vocabs)} vocabularies, this one {len(mf.vocabs)}")
     for name, tensor in mf.tensors.items():
-        if not np.isfinite(tensor).all():
+        if not all_finite(tensor):
             raise DataError(f"{path}: tensor {name!r} holds NaN or Inf")
+    settings = {key: int(value) if value.isdecimal() else value
+                for key, value in mf.hparams.items()}
+    if cls in _DRAWING:
+        settings.setdefault("rng", _NO_DRAWS)   # a file's own rng is still refused
     try:
-        model = cls(*mf.vocabs, **{key: int(value) if value.isdecimal() else value
-                                   for key, value in mf.hparams.items()})
+        model = cls(*mf.vocabs, **settings)
     except (AttributeError, TypeError, ValueError) as exc:  # settings it lacks or rejects
         raise DataError(f"{path}: model file has invalid settings ({exc})") from exc
     built = {key: str(value) for key, value in model.hparams.items()}

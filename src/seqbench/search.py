@@ -246,14 +246,25 @@ def _best_candidates(scores: np.ndarray, prefixes, k: int) -> list[tuple[int, in
     is that of the key ``(-score, prefixes[row] + (token,))``. Only the entries
     scoring at least the k-th best value are sorted; every entry tied at the
     cut is among them, so the tie rule picks the survivors as a full sort would.
+    ``scores`` is read in its own memory order, so the transposed view of a
+    (vocabulary x hypotheses) array is not copied to be flattened.
     """
-    flat = scores.ravel()
+    rows, width = scores.shape
+    token_major = not scores.flags.c_contiguous
+    flat = scores.ravel("F" if token_major else "C")
     k = min(k, flat.size)
-    cut = -np.partition(-flat, k - 1)[k - 1]
-    picked = np.flatnonzero((flat >= cut) & (flat > -math.inf)).tolist()
-    width = scores.shape[1]
-    picked.sort(key=lambda i: (-flat[i], prefixes[i // width] + (i % width,)))
-    return [divmod(i, width) for i in picked[:k]]
+    cut = np.partition(flat, flat.size - k)[flat.size - k]
+    keep = flat >= cut
+    if cut == -math.inf:
+        keep &= flat > -math.inf
+    picked = np.flatnonzero(keep)
+    if token_major:
+        tokens, row_ids = np.divmod(picked, rows)
+    else:
+        row_ids, tokens = np.divmod(picked, width)
+    candidates = sorted(zip(flat[picked].tolist(), row_ids.tolist(), tokens.tolist()),
+                        key=lambda c: (-c[0], prefixes[c[1]] + (c[2],)))
+    return [(row, tok) for _, row, tok in candidates[:k]]
 
 
 def beam_search(model, source_ids=None, beam_size: int = 4,
@@ -279,7 +290,8 @@ def beam_search(model, source_ids=None, beam_size: int = 4,
     source_len = None if source_ids is None else len(source_ids)
 
     def choose(P, logprobs, tokens):
-        scores = np.log(P).T + np.array(logprobs)[:, None]
+        scores = np.log(P).T           # hypotheses x vocabulary, a view
+        scores += np.array(logprobs)[:, None]
         prefixes = [tuple(seq) for seq in tokens]
         return [(row, tok, scores[row, tok])
                 for row, tok in _best_candidates(scores, prefixes, beam_size)]

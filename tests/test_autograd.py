@@ -13,7 +13,8 @@ from helpers import (OP_GRADCHECK_CASES, max_gradient_error, random_params,
                      run_op_gradcheck, same_bits, two_pass_pick_neg_log_softmax)
 from seqbench import corpus as C
 from seqbench.autograd import (_BACKWARD, FINITE_PRESERVING_OPS, Eager, Graph,
-                               GraphError, NonFiniteError, Ops, Parameter, softmax)
+                               GraphError, NonFiniteError, Ops, Parameter, all_finite,
+                               softmax)
 from seqbench.nnet import RNNLM
 
 
@@ -393,6 +394,35 @@ def test_shared_embedding_gradient_matches_per_use_copies_bitwise():
 
 
 # ---- NonFiniteError names the first non-finite node -----------------------------
+
+def _unaligned(values):
+    """``values`` as a float64 view at an odd offset into a byte buffer, as
+    model files hold tensors."""
+    values = np.asarray(values, dtype=np.float64)
+    buf = bytearray(values.nbytes + 3)
+    view = np.frombuffer(buf, dtype="<f8", count=values.size, offset=3).reshape(values.shape)
+    view[...] = values
+    return view
+
+
+@pytest.mark.parametrize("value", [
+    np.zeros((0, 3)), np.array(2.5), np.full((4, 3), 0.25),
+    np.full((4, 3), 1e200), np.full((2, 2), -1e200),      # squares beyond the float range
+    np.array([[1e308, -1e308]]), np.array([[1e200, np.nan]]), np.array([[np.nan, 1.0]]),
+    np.array([[np.inf]]), np.array([[1.0], [-np.inf]]), np.array([[-np.inf, np.inf]]),
+    _unaligned([[0.5, -0.25], [3.0, 1e200]]), _unaligned([[0.5, np.nan]])],
+    ids=["empty", "scalar", "finite", "1e200", "-1e200", "1e308", "1e200-nan", "nan",
+         "inf", "-inf", "both-infs", "unaligned-1e200", "unaligned-nan"])
+def test_all_finite_agrees_with_an_entrywise_scan(value):
+    expected = bool(np.isfinite(value).all())
+    assert all_finite(value) is expected
+    assert Parameter("p", value).is_finite() is expected
+
+
+def test_all_finite_falls_back_to_a_scan_when_the_sum_of_squares_overflows():
+    assert math.isinf(np.vdot(np.full(3, 1e200), np.full(3, 1e200)))
+    assert all_finite(np.full(3, 1e200))
+
 
 def test_nan_parameter_is_named_at_its_node():
     w = Parameter("w", [[1.0, np.nan]])

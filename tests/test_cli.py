@@ -616,6 +616,34 @@ def test_overflow_in_a_sampled_language_model_is_data_error(tmp_path, capsys):
     assert "data error" in err and "overflow.bin" in err
 
 
+@pytest.mark.parametrize("command", ["eval-ppl", "translate", "sample"])
+def test_a_failed_run_removes_the_line_output_it_created(translation_setup, tmp_path,
+                                                        capsys, command):
+    # a run that fails leaves no output file where there was none; an earlier
+    # file at that path is emptied when the run opens it, as documented
+    _, model, inputs = translation_setup
+    lm = str(tmp_path / "lm.bin")
+    save_model(RNNLM(C.build_vocab(["a b c"]), cell="lstm", embed_size=3,
+                     hidden_size=4), lm)
+    out = tmp_path / "out.txt"
+    if command == "eval-ppl":       # a data line holding the reserved end of sentence
+        argv = ["--model", lm, "--out", str(out), "--data",
+                write(tmp_path / "eos.txt", "a b\na \u27e8/s\u27e9 c\n")]
+    elif command == "translate":    # a model whose values overflow
+        argv = ["--input", inputs, "--output", str(out), "--model",
+                overflowing_copy(model, tmp_path, ("M_f", "enc_fwd.l0.W_x"))]
+    else:
+        argv = ["--count", "2", "--output", str(out), "--model",
+                overflowing_copy(lm, tmp_path, ("M", "rnn.l0.W_x"))]
+    argv = [command, *argv]
+    assert main(argv) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
+    out.write_text("earlier lines\n", encoding="utf-8")
+    assert main(argv) == 2
+    assert out.read_text(encoding="utf-8") == ""
+
+
 @pytest.mark.parametrize("flags", [["--order", "0"], ["--alpha", "x"],
                                    ["--alpha", "2.0"], ["--alpha", "0.1,-0.5,0.2"]])
 def test_train_ngram_rejects_bad_order_and_alpha(toy_corpus, capsys, flags):

@@ -40,6 +40,58 @@ def test_build_vocab_first_occurrence_order_deterministic():
     assert v1.tokens == v2.tokens == [C.BOS, C.EOS, C.UNK, "z", "q", "m"]
 
 
+def reference_build_vocab(lines, policy="keep_all", min_count=2, v_all=C.DEFAULT_V_ALL):
+    """The vocabulary built one token at a time, first occurrence first."""
+    lines = list(lines)
+    if not any(line.split() for line in lines):
+        raise C.DataError("empty corpus")
+    threshold = {"keep_all": 1, "replace_singletons": 2, "min_count": min_count}.get(policy)
+    if threshold is None:
+        raise ValueError(f"unknown vocabulary policy: {policy!r}")
+    counts, order = {}, []
+    for line in lines:
+        for tok in line.split():
+            if tok not in counts:
+                order.append(tok)
+            counts[tok] = counts.get(tok, 0) + 1
+    tokens = [C.BOS, C.EOS, C.UNK]
+    for tok in order:
+        if tok not in (C.BOS, C.EOS, C.UNK) and counts[tok] >= threshold:
+            tokens.append(tok)
+    return C.Vocabulary(tokens=tokens, v_all=max(v_all, len(tokens) + 1))
+
+
+# reserved tokens (one of them twice), singletons and repeats, in mixed order
+RESERVED_AND_REPEATS = [f"b {C.UNK} a", "", f"c a {C.EOS} d d", "  e  b a  ",
+                        f"{C.BOS} f {C.UNK} g g g", "h"]
+
+
+@pytest.mark.parametrize("policy,min_count", [("keep_all", 2), ("replace_singletons", 2),
+                                              ("min_count", 1), ("min_count", 3)])
+def test_build_vocab_matches_the_token_at_a_time_reference(policy, min_count):
+    vocab = C.build_vocab(iter(RESERVED_AND_REPEATS), policy=policy, min_count=min_count)
+    ref = reference_build_vocab(RESERVED_AND_REPEATS, policy, min_count)
+    assert vocab.tokens == ref.tokens and vocab.index == ref.index
+    assert vocab.v_all == C.DEFAULT_V_ALL
+
+
+def test_build_vocab_errors_keep_their_precedence():
+    # an empty corpus before an unknown policy, an unknown policy before v_all
+    with pytest.raises(C.DataError, match="empty corpus"):
+        C.build_vocab(["", " "], policy="sometimes", v_all=1)
+    with pytest.raises(ValueError, match="unknown vocabulary policy: 'sometimes'"):
+        C.build_vocab(["a"], policy="sometimes", v_all=1)
+    # a v_all the reserved ids alone reach fails in the constructor, a larger
+    # one that the corpus reaches names the vocabulary size
+    with pytest.raises(ValueError, match=r"^v_all must exceed the vocabulary size$"):
+        C.build_vocab(RESERVED_AND_REPEATS, v_all=3)
+    with pytest.raises(ValueError, match=r"^v_all must exceed the vocabulary size \(11\)$"):
+        C.build_vocab(RESERVED_AND_REPEATS, v_all=11)
+    assert len(C.build_vocab(RESERVED_AND_REPEATS, v_all=12)) == 11
+    assert len(C.build_vocab(RESERVED_AND_REPEATS, policy="replace_singletons",
+                             v_all=8)) == 7
+
+
 def test_vocabulary_invariants_enforced():
     with pytest.raises(ValueError, match="reserved"):
         C.Vocabulary(tokens=["a", C.EOS, C.UNK])

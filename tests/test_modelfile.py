@@ -222,6 +222,64 @@ def test_every_truncation_and_byte_flip_loads_or_raises_data_error(tmp_path):
                 pass
 
 
+def test_every_cut_of_a_file_with_non_ascii_tokens_is_a_truncation(tmp_path):
+    # a cut anywhere, inside a multi-byte token or a tensor payload too, is
+    # found by a bounds check before anything is decoded or viewed
+    lines = ["née ☃ a", "☃ né b", "日本 a 日本"]
+    models = [NGramLM.train(lines, n=2, alphas=0.1),
+              EncDecModel(C.build_vocab(["ça va", "déjà vu"]), C.build_vocab(lines),
+                          embed_size=2, hidden_size=2, encoder="forward",
+                          attention="dot", cell="gru", rng=np.random.default_rng(6))]
+    for model in models:
+        path = tmp_path / f"{model.kind}.bin"
+        save_model(model, path)
+        blob = path.read_bytes()
+        assert "☃".encode() in blob
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(C.DataError, match=rf"{model.kind}\.bin: truncated model file$"):
+                load_model(path)
+
+
+def test_loading_draws_no_random_numbers_and_copies_each_tensor(tmp_path, monkeypatch):
+    neural = [(name, model) for name, model in _pinned_models()
+              if model.kind in ("ffnnlm", "rnnlm", "encdec")]
+    assert len(neural) == 10
+    for name, model in neural:
+        save_model(model, tmp_path / f"{name}.bin")
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("loading a model file made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    for name, model in neural:
+        path = tmp_path / f"{name}.bin"
+        mf = read_modelfile(path)
+        loaded = load_model(path)
+        views = loaded.file_tensors()
+        assert set(views) == set(mf.tensors), name
+        for key, view in views.items():
+            assert view.tobytes() == mf.tensors[key].tobytes(), (name, key)
+        for p, q in zip(model.parameters(), loaded.parameters()):
+            assert p.name == q.name and p.value.tobytes() == q.value.tobytes()
+            assert q.value.flags.c_contiguous and q.value.flags.owndata
+
+
+def test_read_tensors_are_writable_views_that_write_back_identically(tmp_path):
+    for name, model in _pinned_models():
+        path = tmp_path / f"{name}.bin"
+        save_model(model, path)
+        mf = read_modelfile(path)
+        assert all(tensor.flags.writeable for tensor in mf.tensors.values())
+        write_modelfile(mf, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes(), name
+    # an edit in place is what the next write saves
+    key = next(iter(mf.tensors))
+    mf.tensors[key][...] = 0.5
+    write_modelfile(mf, path)
+    assert (read_modelfile(path).tensors[key] == 0.5).all()
+
+
 def _pinned_models():
     vocab = C.build_vocab(LINES)
     src = C.build_vocab(["x y z"])
