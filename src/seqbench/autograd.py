@@ -90,7 +90,7 @@ class Parameter:
         kept until :meth:`changed` is called.
         """
         if not self._known_finite:
-            self._known_finite = all_finite(self.value)
+            self._known_finite = bool(np.isfinite(self.value).all())
         return self._known_finite
 
     def changed(self):
@@ -314,7 +314,7 @@ class Graph(Ops):
                 elif op in FINITE_PRESERVING_OPS:
                     continue
                 else:
-                    finite = all_finite(node.value)
+                    finite = _all_finite(node.value)
                 if not finite:
                     raise NonFiniteError(f"non-finite value at node {i} ({op})")
         self._next_unevaluated = len(nodes)
@@ -381,7 +381,7 @@ class Eager(Ops):
     def _op(self, op, kernel, parents, *settings) -> np.ndarray:
         # most ops have no settings, and then an empty star-merge costs time
         value = kernel(*parents, *settings) if settings else kernel(*parents)
-        if op in FINITE_PRESERVING_OPS or all_finite(value):
+        if op in FINITE_PRESERVING_OPS or _all_finite(value):
             return value
         raise NonFiniteError(f"non-finite value at an eager op ({op})")
 
@@ -410,7 +410,7 @@ FINITE_PRESERVING_OPS = frozenset({
     "rows", "tanh", "sigmoid", "relu", "step", "softmax"})
 
 
-def all_finite(value) -> bool:
+def _all_finite(value) -> bool:
     """True when every entry of ``value`` is finite.
 
     A finite sum of squares proves it in one BLAS call; only when that sum is

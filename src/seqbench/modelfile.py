@@ -39,13 +39,11 @@ from __future__ import annotations
 
 import inspect
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import all_finite
 from .corpus import DataError, Vocabulary
 from .loglinear import LogLinearLM
 from .ngram import NGramLM
@@ -163,9 +161,7 @@ def read_modelfile(path) -> ModelFile:
     """The file at ``path``, read once into one buffer that its tensors view."""
     try:
         with open(path, "rb") as fh:
-            buf = bytearray(os.fstat(fh.fileno()).st_size)
-            del buf[fh.readinto(buf):]
-            buf += fh.read()        # whatever outgrew the size, as a pipe may
+            buf = bytearray(fh.read())
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
     try:
@@ -240,7 +236,7 @@ def load_model(path):
         raise DataError(f"{path}: a {mf.kind} model file holds "
                         f"{len(cls.file_vocabs)} vocabularies, this one {len(mf.vocabs)}")
     for name, tensor in mf.tensors.items():
-        if not all_finite(tensor):
+        if not np.isfinite(tensor).all():
             raise DataError(f"{path}: tensor {name!r} holds NaN or Inf")
     settings = {key: int(value) if value.isdecimal() else value
                 for key, value in mf.hparams.items()}

@@ -246,22 +246,16 @@ def _best_candidates(scores: np.ndarray, prefixes, k: int) -> list[tuple[int, in
     is that of the key ``(-score, prefixes[row] + (token,))``. Only the entries
     scoring at least the k-th best value are sorted; every entry tied at the
     cut is among them, so the tie rule picks the survivors as a full sort would.
-    ``scores`` is read in its own memory order, so the transposed view of a
-    (vocabulary x hypotheses) array is not copied to be flattened.
     """
-    rows, width = scores.shape
-    token_major = not scores.flags.c_contiguous
-    flat = scores.ravel("F" if token_major else "C")
+    width = scores.shape[1]
+    flat = scores.ravel()
     k = min(k, flat.size)
     cut = np.partition(flat, flat.size - k)[flat.size - k]
     keep = flat >= cut
     if cut == -math.inf:
         keep &= flat > -math.inf
     picked = np.flatnonzero(keep)
-    if token_major:
-        tokens, row_ids = np.divmod(picked, rows)
-    else:
-        row_ids, tokens = np.divmod(picked, width)
+    row_ids, tokens = np.divmod(picked, width)
     candidates = sorted(zip(flat[picked].tolist(), row_ids.tolist(), tokens.tolist()),
                         key=lambda c: (-c[0], prefixes[c[1]] + (c[2],)))
     return [(row, tok) for _, row, tok in candidates[:k]]

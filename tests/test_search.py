@@ -113,24 +113,22 @@ def test_best_candidates_breaks_ties_at_the_cut_lexicographically():
 def test_best_candidates_of_a_transposed_log_matrix_match_a_full_sort():
     # the beam chooser passes the (hypotheses x vocabulary) transposed view of
     # log(P), whose zero probabilities are -inf and whose equal entries tie at
-    # the cut; it keeps the survivors of a C-ordered copy and of a full sort
+    # the cut; either memory order of P keeps the survivors of a full sort
     P = np.array([[0.25, 0.0, 0.5],
                   [0.25, 0.5, 0.0],
                   [0.0, 0.25, 0.25],
                   [0.5, 0.25, 0.25]])
-    with np.errstate(divide="ignore"):
-        scores = np.log(P).T
-    scores += np.array([-1.0, -1.0, -0.5])[:, None]
-    assert not scores.flags.c_contiguous
     prefixes = [(3,), (1,), (2,)]
-    full = sorted(((row, tok) for row in range(3) for tok in range(4)
-                   if scores[row, tok] > -np.inf),
-                  key=lambda c: (-scores[c], prefixes[c[0]] + (c[1],)))
-    assert len(full) == 9
-    for k in range(1, 13):
-        fast = _best_candidates(scores, prefixes, k)
-        assert fast == _best_candidates(np.ascontiguousarray(scores), prefixes, k)
-        assert fast == full[:k]
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        with np.errstate(divide="ignore"):
+            scores = np.log(layout(P)).T
+        scores += np.array([-1.0, -1.0, -0.5])[:, None]
+        full = sorted(((row, tok) for row in range(3) for tok in range(4)
+                       if scores[row, tok] > -np.inf),
+                      key=lambda c: (-scores[c], prefixes[c[0]] + (c[1],)))
+        assert len(full) == 9
+        for k in range(1, 13):
+            assert _best_candidates(scores, prefixes, k) == full[:k]
 
 
 def test_beam_equals_full_sort_reference_with_ties_and_zeros():
