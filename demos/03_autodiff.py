@@ -17,9 +17,11 @@ x_value = np.array([0.7, -1.2])
 
 
 def loss_graph():
-    g = Graph()
-    h = g.tanh(g.add(g.matmul(g.param(W), g.input(x_value)), g.param(b)))
-    g.squared_distance(h, g.input([1.0, -1.0]))
+    # each op's value is computed as its node is recorded; forward() returns
+    # the last one
+    with Graph() as g:
+        h = g.tanh(g.add(g.matmul(g.param(W), g.input(x_value)), g.param(b)))
+        g.squared_distance(h, g.input([1.0, -1.0]))
     return g
 
 

@@ -2,26 +2,28 @@
 and an eager evaluator for work that needs no gradient.
 
 Values are dense float64 numpy arrays of rank 2; column vectors have shape
-(n, 1). A :class:`Graph` is built per training example or minibatch: nodes
-are appended in construction order, which is already a topological order,
-and two dynamic programs run over the node list:
-
-* ``forward()`` evaluates unevaluated nodes in insertion order;
-* ``backward()`` seeds the final scalar node with gradient one and sends each
-  node's gradient to its parents in reverse insertion order.
+(n, 1). A :class:`Graph` is built per training example or minibatch. Each op
+is computed and checked when it is built, and its node is appended holding
+the value, so the node list is already a topological order, and one dynamic
+program runs over it: ``backward()`` seeds the final scalar node with
+gradient one and sends each node's gradient to its parents in reverse
+insertion order. ``forward()`` only returns the last node's value.
 
 Decoding, scoring and prediction need no gradient, so they run through
-:class:`Eager` instead, which computes each op's value at once and returns it
-as a plain array: no node is created and nothing is kept.
+:class:`Eager` instead, which returns each op's value as a plain array: no
+node is created and nothing is kept.
 
 Both evaluators share one op surface, :class:`Ops`. Each op constructor names
 its kernel (a function from input values and settings to the value), its
-parents and its settings, and hands them to the evaluator's ``_op``: a graph
-appends a node that ``forward()`` later runs through the kernel, the eager
-evaluator calls the kernel there and then. A value is thus bitwise the same
-either way, and model code written against the constructors serves training
-and inference alike. Adding an op means one kernel, one constructor on
-:class:`Ops` and one rule in ``_BACKWARD``.
+parents and its settings, and hands them to the evaluator's ``_op``. Both run
+them through one routine, :meth:`Ops._compute`, which is the eager
+evaluator's ``_op`` itself; a graph calls it on its parents' values and
+records a node. A value is thus bitwise the same either way, and model code
+written against the constructors serves training and inference alike. Adding
+an op means one kernel, one constructor on :class:`Ops` and one rule in
+``_BACKWARD``. Build inside ``with Graph() as g:`` or ``with Eager() as e:``;
+there, floating-point overflow raises no warning and is reported as
+:class:`NonFiniteError` instead.
 
 Besides elementwise, matrix and loss ops, two ops serve the recurrent cells:
 ``lstm`` is a whole LSTM cell over stacked gate pre-activations, returning
@@ -37,11 +39,12 @@ gradient slot when their first contribution arrives, and nodes that reach no
 parameter (inputs, masks, zero states and everything computed only from them)
 never get one.
 
-A NaN or Inf is reported as :class:`NonFiniteError` at the node, or eager op,
-where it first appears. Computed values are checked as they are evaluated,
-except those of the ops in ``FINITE_PRESERVING_OPS``, the one check policy of
-both evaluators. A parameter is checked by its :class:`Parameter`, which
-scans its value once and remembers a finite result until
+A NaN or Inf is reported as :class:`NonFiniteError` at the op where it first
+appears, as the op is built; so is a kernel's :class:`GraphError`, and a graph
+appends no node for the op that raised. ``_compute`` is the one check site:
+it scans every computed value except those of the ops in
+``FINITE_PRESERVING_OPS``. A parameter is checked by its :class:`Parameter`,
+which scans its value once and remembers a finite result until
 :meth:`Parameter.changed` is called, so evaluating an unchanged model scans
 no parameter. The library's writers call ``changed()`` after they
 write: ``Optimizer.step``, ``EpochTracker.restore_best``, the model-file
@@ -53,7 +56,6 @@ loader and ``nnet.train_toy_mlp``. Code outside the library that writes
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 
 import numpy as np
 
@@ -110,19 +112,18 @@ class NonFiniteError(GraphError):
 
 
 class Node:
-    """One value of a graph: an input, a parameter, or ``kernel`` applied to
-    the parents' values followed by ``settings``."""
+    """One value of a graph: an input, a parameter, or an op's kernel applied
+    to the parents' values followed by ``settings``."""
 
-    __slots__ = ("idx", "op", "kernel", "parents", "settings", "value", "grad",
-                 "param", "needs_grad")
+    __slots__ = ("idx", "op", "parents", "settings", "value", "grad", "param",
+                 "needs_grad")
 
-    def __init__(self, idx, op, kernel, parents, settings=(), param=None):
+    def __init__(self, idx, op, value, parents=(), settings=(), param=None):
         self.idx = idx
         self.op = op
-        self.kernel = kernel
         self.parents = parents
         self.settings = settings
-        self.value = None
+        self.value = value
         self.grad = None
         self.param = param
         # True when some parameter lies upstream, so a gradient is worth sending
@@ -134,21 +135,42 @@ class Node:
 
     @property
     def shape(self):
-        return None if self.value is None else self.value.shape
+        return self.value.shape
 
 
 class Ops:
     """The computed ops, defined once for :class:`Graph` and :class:`Eager`.
 
-    Each constructor hands ``self._op(op name, kernel, parents, *settings)``
-    to its evaluator, which returns a node or a value.
+    Each constructor hands ``self._op(op name, kernel, parents, settings)``
+    to its evaluator, which returns a node or a value. Inside
+    ``with evaluator:`` floating-point overflow raises no warning; it is
+    reported as :class:`NonFiniteError` instead.
     """
 
-    __slots__ = ()
+    __slots__ = ("_errstate",)
+
+    def __enter__(self):
+        self._errstate = np.errstate(over="ignore")
+        self._errstate.__enter__()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._errstate.__exit__(*exc_info)
+
+    def _compute(self, op, kernel, values, settings=()) -> np.ndarray:
+        """``kernel(*values, *settings)``, the one place where either evaluator
+        runs a kernel; raises :class:`NonFiniteError` when the value is not
+        finite, unless ``op`` is in ``FINITE_PRESERVING_OPS``."""
+        # most ops have no settings, and then an empty star-merge costs time
+        value = kernel(*values, *settings) if settings else kernel(*values)
+        if op in FINITE_PRESERVING_OPS or _all_finite(value):
+            return value
+        raise NonFiniteError(f"non-finite value at an eager op ({op})")
 
     def lookup_column(self, matrix, index):
         """Select column(s) of a matrix; ``index`` is an int or sequence of ints."""
-        return self._op("lookup_column", _lookup_column, (matrix,), _column_ids(index))
+        return self._op("lookup_column", _lookup_column, (matrix,),
+                        (_column_ids(index),))
 
     def matmul(self, a, b):
         return self._op("matmul", _matmul, (a, b))
@@ -182,7 +204,7 @@ class Ops:
 
     def rows(self, a, start: int, stop: int):
         """Rows ``start:stop`` of ``a``."""
-        return self._op("rows", _rows, (a,), int(start), int(stop))
+        return self._op("rows", _rows, (a,), (int(start), int(stop)))
 
     def lstm(self, pre, c_prev, forget: bool = True):
         """One fused LSTM cell step; the value is ``[h; c]`` (2n x B).
@@ -194,7 +216,7 @@ class Ops:
         h = o*tanh(c), rounded exactly as separate ``tanh``, ``sigmoid``,
         ``cmult`` and ``add`` ops would round them.
         """
-        return self._op("lstm", _lstm, (pre, c_prev), bool(forget), self._saved())
+        return self._op("lstm", _lstm, (pre, c_prev), (bool(forget), self._saved()))
 
     def batch_dot(self, keys, queries):
         """Per-column scores of a batch of B columns, each with S keys.
@@ -225,7 +247,7 @@ class Ops:
     def reshape(self, a, rows: int, cols: int):
         """The entries of ``a`` in column-major order, refilled into a
         ``rows`` x ``cols`` matrix column by column."""
-        return self._op("reshape", _reshape, (a,), int(rows), int(cols))
+        return self._op("reshape", _reshape, (a,), (int(rows), int(cols)))
 
     def softmax(self, a):
         """Column-wise softmax: every column of the result sums to one.
@@ -238,7 +260,7 @@ class Ops:
     def pick_neg_log_softmax(self, scores, target):
         """Fused -log softmax(scores)[target]; one target id per column."""
         return self._op("pick_neg_log_softmax", _pick_neg_log_softmax, (scores,),
-                        _column_ids(target), self._saved())
+                        (_column_ids(target), self._saved()))
 
     def squared_distance(self, a, b):
         return self._op("squared_distance", _squared_distance, (a, b))
@@ -247,10 +269,7 @@ class Ops:
         return self._op("sum", _sum, (a,))
 
     def scale(self, a, k: float):
-        return self._op("scale", _scale, (a,), float(k))
-
-
-_value = attrgetter("value")
+        return self._op("scale", _scale, (a,), (float(k),))
 
 
 class Graph(Ops):
@@ -259,11 +278,19 @@ class Graph(Ops):
     def __init__(self):
         self.nodes: list[Node] = []
         self._params: dict[int, Node] = {}
-        self._next_unevaluated = 0
         self._backward_done = False
 
-    def _op(self, op, kernel, parents, *settings) -> Node:
-        node = Node(len(self.nodes), op, kernel, parents, settings)
+    def _op(self, op, kernel, parents, settings=()) -> Node:
+        """Compute and check the op's value, then append its node; an error
+        names the index the node would have had, and nothing is appended."""
+        try:
+            value = self._compute(op, kernel, [p.value for p in parents], settings)
+        except NonFiniteError:
+            raise NonFiniteError(f"non-finite value at node {len(self.nodes)} ({op})") \
+                from None
+        except GraphError as exc:
+            raise GraphError(f"node {len(self.nodes)} {exc}") from None
+        node = Node(len(self.nodes), op, value, parents, settings)
         self.nodes.append(node)
         return node
 
@@ -272,53 +299,25 @@ class Graph(Ops):
         return {}
 
     def input(self, values) -> Node:
-        node = self._op("input", None, ())
-        node.value = as_col(values)
-        return node
+        return self._op("input", as_col, (), (values,))
 
     def param(self, parameter: Parameter) -> Node:
-        """The graph's one node for ``parameter``, added on first use."""
+        """The graph's one node for ``parameter``, added (and checked) on first use."""
         node = self._params.get(id(parameter))
         if node is None:
-            node = Node(len(self.nodes), "parameter", None, (), param=parameter)
-            node.value = parameter.value
+            if not parameter.is_finite():
+                raise NonFiniteError(
+                    f"non-finite value at node {len(self.nodes)} (parameter)")
+            node = Node(len(self.nodes), "parameter", parameter.value, param=parameter)
             self.nodes.append(node)
             self._params[id(parameter)] = node
         return node
 
     def forward(self) -> np.ndarray:
-        """Evaluate all unevaluated nodes in insertion order; return the last value.
-
-        Raises :class:`NonFiniteError` naming the first node whose value is
-        not finite. Ops in ``FINITE_PRESERVING_OPS`` cannot turn finite inputs
-        into a non-finite value, so they are not checked. A ``parameter`` node
-        takes :meth:`Parameter.is_finite`, which scans the value only the first
-        time after a :meth:`Parameter.changed`; whoever writes a parameter's
-        value in place after it has been in a graph must call ``changed()``.
-        """
-        nodes = self.nodes
-        if not nodes:
+        """The last node's value (every value was computed as its node was built)."""
+        if not self.nodes:
             raise GraphError("empty graph")
-        with np.errstate(over="ignore"):      # overflow is reported as NonFiniteError
-            for i in range(self._next_unevaluated, len(nodes)):
-                node = nodes[i]
-                op = node.op
-                if node.value is None:
-                    try:
-                        node.value = node.kernel(*map(_value, node.parents),
-                                                 *node.settings)
-                    except GraphError as exc:
-                        raise GraphError(f"node {i} {exc}") from None
-                if op == "parameter":
-                    finite = node.param.is_finite()
-                elif op in FINITE_PRESERVING_OPS:
-                    continue
-                else:
-                    finite = _all_finite(node.value)
-                if not finite:
-                    raise NonFiniteError(f"non-finite value at node {i} ({op})")
-        self._next_unevaluated = len(nodes)
-        return nodes[-1].value
+        return self.nodes[-1].value
 
     def backward(self):
         """Accumulate gradients of the final scalar node back through the graph.
@@ -327,8 +326,6 @@ class Graph(Ops):
         holds; a parameter used several times receives the sum over all
         paths. Branches that reach no parameter get no gradient.
         """
-        if self._next_unevaluated != len(self.nodes):
-            raise GraphError("backward called before forward")
         nodes = self.nodes
         final = nodes[-1]
         if final.value.shape != (1, 1):
@@ -354,36 +351,17 @@ class Graph(Ops):
 class Eager(Ops):
     """Forward-only evaluation through the :class:`Ops` constructors.
 
-    Each constructor computes its op's value at once, with the kernel
-    ``Graph.forward`` uses, and returns it as a plain array; no node is
-    created and nothing is kept. Model code that builds training graphs thus
-    decodes and scores without recording one, and gets the same values bit
-    for bit. Values are checked as ``Graph.forward`` checks them, so a NaN or
-    Inf raises :class:`NonFiniteError` at the same first op: a parameter asks
-    :meth:`Parameter.is_finite`, and every op outside
-    ``FINITE_PRESERVING_OPS`` (inputs included) is scanned.
-
-    Evaluate inside ``with Eager() as e:``; there, as in ``Graph.forward``,
-    floating-point overflow raises no warning and is reported as
-    :class:`NonFiniteError` instead.
+    Each constructor computes its op's value with :meth:`Ops._compute`, the
+    routine a :class:`Graph` records its nodes with, and returns it as a
+    plain array; no node is created and nothing is kept. Model code that
+    builds training graphs thus decodes and scores without recording one,
+    and gets the same values bit for bit, checked alike: a NaN or Inf raises
+    :class:`NonFiniteError` at the same first op.
     """
 
-    __slots__ = ("_errstate",)
+    __slots__ = ()
 
-    def __enter__(self):
-        self._errstate = np.errstate(over="ignore")
-        self._errstate.__enter__()
-        return self
-
-    def __exit__(self, *exc_info):
-        self._errstate.__exit__(*exc_info)
-
-    def _op(self, op, kernel, parents, *settings) -> np.ndarray:
-        # most ops have no settings, and then an empty star-merge costs time
-        value = kernel(*parents, *settings) if settings else kernel(*parents)
-        if op in FINITE_PRESERVING_OPS or _all_finite(value):
-            return value
-        raise NonFiniteError(f"non-finite value at an eager op ({op})")
+    _op = Ops._compute
 
     def _saved(self) -> None:
         return None             # nothing is kept for a backward pass
@@ -432,8 +410,8 @@ def _broadcastable(a, b):
 
 
 # ---- kernels: input values (and op settings) -> value ---------------------------
-# The one numeric rule per op, run by Graph.forward and by Eager._op. A
-# kernel's GraphError names its op; Graph.forward adds the node.
+# The one numeric rule per op, run by Ops._compute. A kernel's GraphError
+# names its op; Graph._op adds the node.
 
 def _lookup_column(matrix, idx):
     return matrix[:, idx]

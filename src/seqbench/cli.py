@@ -286,9 +286,10 @@ class MetricsLog:
 @contextmanager
 def _reported_as_data_error(model_path):
     """Report a NaN or Inf that a loaded model's finite values produce (an
-    overflow) as a data error naming the model file."""
+    overflow) as a data error naming the model file, with no warning."""
     try:
-        yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
     except NonFiniteError as exc:
         raise DataError(f"{model_path}: the model's values overflow to a "
                         f"non-finite number ({exc})") from exc

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .autograd import softmax
+from .autograd import NonFiniteError, softmax
 from .corpus import BOS_ID, UNK_ID, Vocabulary, encode
 from .optim import EpochTracker, TrainingDivergence, fit
 from .search import LanguageModel
@@ -91,12 +91,15 @@ class FeatureTemplate:
 
 
 def score(W: np.ndarray, b: np.ndarray, x: FeatureVector) -> np.ndarray:
-    """s = sum over active features of W[:,j] * x_j, plus the bias."""
+    """s = sum over active features of W[:,j] * x_j, plus the bias; raises
+    NonFiniteError when an entry is not finite, as the neural models do."""
     if x.dim != W.shape[1]:
         raise ValueError(f"feature dim {x.dim} != weight columns {W.shape[1]}")
     s = b[:, 0].copy()
     for j, value in x.active:
         s += W[:, j] * value
+    if not np.isfinite(s).all():
+        raise NonFiniteError("non-finite log-linear score")
     return s
 
 

@@ -431,8 +431,8 @@ def train_lm(model, train_sentences, optimizer: Optimizer, epochs: int,
     def train_epoch(sentences):
         train_loss = 0.0
         for batch in make_batches(sentences, batch_size):
-            g = Graph()
-            model.batch_loss(g, batch)
+            with Graph() as g:
+                model.batch_loss(g, batch)
             train_loss += float(g.forward()[0, 0])
             g.backward()
             optimizer.step()
@@ -486,14 +486,12 @@ def train_toy_mlp(data, hidden_size: int = 20, lr: float = 0.1,
         epoch_loss = 0.0
         for i in order:
             x, ystar = data[i]
-            g = Graph()
-            y = model._output(g, x)
-            g.squared_distance(y, g.input([float(ystar)]))
             try:
-                value = float(g.forward()[0, 0])
+                with Graph() as g:
+                    g.squared_distance(model._output(g, x), g.input([float(ystar)]))
             except NonFiniteError as exc:
                 raise TrainingDivergence("toy MLP diverged") from exc
-            epoch_loss += value
+            epoch_loss += float(g.forward()[0, 0])
             if lr > 0:
                 g.backward()
                 for p in model.parameters():

@@ -386,8 +386,8 @@ class EncDecModel:
 
     def loss_graph(self, source_ids, target_ids) -> Graph:
         """Unrolled NLL graph of an EOS-terminated target given the source."""
-        g = Graph()
-        self._loss(g, [(source_ids, target_ids)])
+        with Graph() as g:
+            self._loss(g, [(source_ids, target_ids)])
         return g
 
     def _loss(self, g: Evaluator, pairs) -> Value:

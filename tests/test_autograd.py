@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -116,9 +117,8 @@ def test_softmax_extreme_scores_no_overflow():
 
 def test_softmax_nan_rejected():
     g = Graph()
-    g.softmax(g.input([np.nan, 0.0]))
     with pytest.raises(GraphError):
-        g.forward()
+        g.softmax(g.input([np.nan, 0.0]))
 
 
 def test_forward_determinism():
@@ -157,13 +157,10 @@ def test_gradient_accumulation_shared_parameter():
     assert w2.grad[0, 0] == pytest.approx(5.0)
 
 
-def test_backward_requires_forward_and_scalar():
+def test_backward_requires_scalar():
     g = Graph()
     p = Parameter("x", [1.0, 2.0])
     g.tanh(g.param(p))
-    with pytest.raises(GraphError, match="before forward"):
-        g.backward()
-    g.forward()
     with pytest.raises(GraphError, match="scalar"):
         g.backward()
 
@@ -172,9 +169,8 @@ def test_shape_mismatch_names_node():
     g = Graph()
     a = g.input(np.ones((2, 2)))
     b = g.input(np.ones((3, 1)))
-    g.matmul(a, b)
     with pytest.raises(GraphError, match="node 2"):
-        g.forward()
+        g.matmul(a, b)
 
 
 @pytest.mark.parametrize("name", sorted(OP_GRADCHECK_CASES))
@@ -234,6 +230,20 @@ def test_graph_freed_without_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_a_failed_op_appends_no_node():
+    # the node an error names is the one that would have been appended next
+    g = Graph()
+    a, b = g.input(np.ones((2, 2))), g.input(np.ones((3, 1)))
+    nan = Parameter("nan", [[np.nan]])
+    for build in (lambda: g.matmul(a, b), lambda: g.concat_cols(a, b),
+                  lambda: g.rows(a, 1, 3), lambda: g.param(nan),
+                  lambda: g.input([np.inf]), lambda: g.scale(g.input([1e308]), 1e10)):
+        with g, pytest.raises(GraphError) as raised:
+            build()
+        assert re.search(rf"\bnode {len(g.nodes)}\b", str(raised.value))
+    assert [node.op for node in g.nodes] == ["input", "input", "input"]
 
 
 def test_param_is_one_node_per_graph():
@@ -339,9 +349,9 @@ def test_affine_rejects_bad_arity_and_shapes():
         g.affine(b)
     with pytest.raises(GraphError, match="pairs"):
         g.affine(b, g.input(np.ones((2, 2))))
-    g.affine(b, g.input(np.ones((2, 3))), g.input(np.ones((2, 1))))
+    w, x = g.input(np.ones((2, 3))), g.input(np.ones((2, 1)))
     with pytest.raises(GraphError, match="affine"):
-        g.forward()
+        g.affine(b, w, x)
 
 
 class PerUseGraph(Graph):
@@ -421,27 +431,23 @@ def test_all_finite_agrees_with_an_entrywise_scan(value):
 def test_nan_parameter_is_named_at_its_node():
     w = Parameter("w", [[1.0, np.nan]])
     g = Graph()
-    x = g.input([1.0, 2.0])
-    wn = g.param(w)
-    g.tanh(g.matmul(wn, x))
-    with pytest.raises(NonFiniteError, match=rf"node {wn.idx} \(parameter\)"):
-        g.forward()
+    g.input([1.0, 2.0])
+    with pytest.raises(NonFiniteError, match=r"node 1 \(parameter\)"):
+        g.param(w)
 
 
 def test_matmul_overflow_is_named_at_the_matmul():
     g = Graph()
-    y = g.matmul(g.input([[1e200]]), g.input([1e200]))
-    g.tanh(y)
-    with pytest.raises(NonFiniteError, match=rf"node {y.idx} \(matmul\)"):
-        g.forward()
+    a, b = g.input([[1e200]]), g.input([1e200])
+    with g, pytest.raises(NonFiniteError, match=r"node 2 \(matmul\)"):
+        g.matmul(a, b)
 
 
 def test_infinite_loss_from_finite_scores_is_caught():
     g = Graph()
-    loss = g.pick_neg_log_softmax(g.input([1e308, -1e308]), 1)
-    g.sum(loss)
-    with pytest.raises(NonFiniteError, match=rf"node {loss.idx} \(pick_neg_log_softmax\)"):
-        g.forward()
+    scores = g.input([1e308, -1e308])
+    with g, pytest.raises(NonFiniteError, match=r"node 1 \(pick_neg_log_softmax\)"):
+        g.pick_neg_log_softmax(scores, 1)
 
 
 FINITE_PRESERVING_BUILDERS = {
@@ -469,10 +475,9 @@ def test_unchecked_ops_keep_finite_inputs_finite(a, b):
     # neither evaluator checks the values of exactly these ops
     assert set(FINITE_PRESERVING_BUILDERS) == FINITE_PRESERVING_OPS
     for op, build in FINITE_PRESERVING_BUILDERS.items():
-        g = Graph()
-        out = build(g, g.input(a), g.input(b))
+        with Graph() as g:
+            out = build(g, g.input(a), g.input(b))
         assert out.op == op
-        g.forward()
         assert np.isfinite(out.value).all(), op
         with Eager() as e:
             assert same_bits(build(e, e.input(a), e.input(b)), out.value), op
@@ -521,12 +526,12 @@ def non_finite_operands():
 
 @pytest.mark.parametrize("op", sorted(CHECKED_BUILDERS))
 def test_checked_ops_name_a_non_finite_value_under_both_evaluators(op):
+    # the node the error names is the one that would have been appended next
     a, b, g, na, nb = non_finite_operands()
-    out = CHECKED_BUILDERS[op](g, na, nb)
-    assert out.op == op
     with np.errstate(invalid="ignore"):
-        with pytest.raises(NonFiniteError, match=rf"node {out.idx} \({op}\)"):
-            g.forward()
+        with pytest.raises(NonFiniteError, match=rf"\({op}\)") as raised:
+            CHECKED_BUILDERS[op](g, na, nb)
+        assert f"non-finite value at node {len(g.nodes)} ({op})" == str(raised.value)
         with Eager() as e, pytest.raises(NonFiniteError, match=rf"eager op \({op}\)"):
             CHECKED_BUILDERS[op](e, a, b)
 
@@ -535,8 +540,7 @@ def test_checked_ops_name_a_non_finite_value_under_both_evaluators(op):
 def test_unchecked_ops_pass_a_non_finite_value_under_both_evaluators(op):
     # the Inf came from a parent, which was checked where it was computed
     a, b, g, na, nb = non_finite_operands()
-    FINITE_PRESERVING_BUILDERS[op](g, na, nb)
     with np.errstate(invalid="ignore"):
-        g.forward()
+        FINITE_PRESERVING_BUILDERS[op](g, na, nb)
         with Eager() as e:
             FINITE_PRESERVING_BUILDERS[op](e, a, b)

@@ -9,6 +9,8 @@ them, and the module attributes ``search.greedy`` and
 ``search.beam_search``, counting one sentence per call. A refactor that
 drops, renames or moves one of them would otherwise fail only a benchmark
 run, so each is called here on a tiny model against the path it stands for.
+The tracer also counts each training graph's nodes when ``Graph.forward`` is
+called, so the trainers must call it once per graph, after its last node.
 """
 
 import numpy as np
@@ -18,8 +20,10 @@ from helpers import decoding_nll
 from seqbench import corpus as C
 from seqbench import search
 from seqbench.autograd import Graph
-from seqbench.nnet import FFNNLM, RNNLM, SCORE_BATCH, NeuralLM, RecurrentCell
-from seqbench.seq2seq import EncDecModel
+from seqbench.nnet import (FFNNLM, RNNLM, SCORE_BATCH, TOY_EQUALITY_DATA, NeuralLM,
+                           RecurrentCell, train_lm, train_toy_mlp)
+from seqbench.optim import SGD
+from seqbench.seq2seq import EncDecModel, train_encdec
 
 SRC = C.build_vocab(["w x y z"])
 TGT = C.build_vocab(["p q r s t"])
@@ -93,3 +97,42 @@ def test_lm_scoring_runs_through_the_traced_batch_loss_and_cell_step(monkeypatch
     batches = C.make_batches(sentences, SCORE_BATCH)
     assert calls == {"batch_loss": len(batches),
                      "step": sum(batch.max_len for batch in batches)}
+
+
+@pytest.mark.parametrize("trainer", ["train_lm", "train_encdec", "train_toy_mlp"])
+def test_trainers_call_forward_once_per_finished_graph(monkeypatch, trainer):
+    # the tracer counts forward.graphs and forward.nodes (and from them
+    # autograd.nodes_per_tok) when Graph.forward is called, so each training
+    # graph must reach forward exactly once, with all of its nodes
+    built, forwarded, backwarded = [], [], []
+    init, forward, backward = Graph.__init__, Graph.forward, Graph.backward
+
+    def counted_init(self):
+        built.append(self)
+        init(self)
+
+    def counted_forward(self):
+        forwarded.append((self, len(self.nodes)))
+        return forward(self)
+
+    def counted_backward(self):
+        backwarded.append((self, len(self.nodes)))
+        return backward(self)
+
+    monkeypatch.setattr(Graph, "__init__", counted_init)
+    monkeypatch.setattr(Graph, "forward", counted_forward)
+    monkeypatch.setattr(Graph, "backward", counted_backward)
+    if trainer == "train_lm":
+        model = RNNLM(LM_VOCAB, embed_size=3, hidden_size=4, rng=np.random.default_rng(9))
+        train_lm(model, [[3, 4, C.EOS_ID], [5, C.EOS_ID], [6, 3, C.EOS_ID]],
+                 SGD(model.parameters(), lr=0.1), epochs=2, batch_size=2)
+    elif trainer == "train_encdec":
+        model = EncDecModel(SRC, TGT, embed_size=3, hidden_size=4,
+                            rng=np.random.default_rng(10))
+        train_encdec(model, [([3, 5], [4, C.EOS_ID]), ([4], [6, 5, C.EOS_ID])],
+                     SGD(model.parameters(), lr=0.1), epochs=2)
+    else:
+        train_toy_mlp(TOY_EQUALITY_DATA, hidden_size=4, max_epochs=2)
+    assert built and [g for g, _ in forwarded] == built
+    assert backwarded == forwarded
+    assert all(n == len(g.nodes) for g, n in forwarded)

@@ -616,6 +616,30 @@ def test_overflow_in_a_sampled_language_model_is_data_error(tmp_path, capsys):
     assert "data error" in err and "overflow.bin" in err
 
 
+@pytest.mark.parametrize("command", ["eval-ppl", "sample"])
+@pytest.mark.parametrize("columns", [{"a": 1e308}, {"a": 1e308, "b": -1e308}],
+                         ids=["inf", "nan"])
+def test_overflow_in_a_loglinear_model_is_data_error(tmp_path, capsys, recwarn,
+                                                     command, columns):
+    # bag-of-words scores add a word's column once per occurrence: a second
+    # "a" overflows to Inf, and with "b" = -1e308 Inf meets -Inf as NaN
+    vocab = C.build_vocab(["a b c"])
+    model = str(tmp_path / "overflow.bin")
+    save_model(LogLinearLM(vocab, "bag_of_words"), model)
+    mf = read_modelfile(model)
+    for word, value in columns.items():
+        mf.tensors["W"][:, vocab.id_of(word)] = value
+    write_modelfile(mf, model)
+    argv = {"eval-ppl": ["--data", write(tmp_path / "d.txt", "a a b b c\n")],
+            # enough sentences that one draws "a" twice
+            "sample": ["--count", "20", "--seed", "0"]}[command]
+    assert main([command, "--model", model, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "overflow.bin" in err
+    assert "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("command", ["eval-ppl", "translate", "sample"])
 def test_a_failed_run_removes_the_line_output_it_created(translation_setup, tmp_path,
                                                         capsys, command):

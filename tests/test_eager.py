@@ -68,6 +68,19 @@ def test_forward_only_ops_evaluate_bitwise_alike(name):
     assert same_bits(eager_value(build, params), graph_value(build, params))
 
 
+@pytest.mark.parametrize("name", sorted(OP_GRADCHECK_CASES))
+def test_graph_nodes_hold_their_values_as_they_are_built(name):
+    # no forward(): each constructor computes its node's value before it returns
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    build = OP_GRADCHECK_CASES[name]
+    params = random_params(rng, op_gradcheck_shapes(name, rng), scale=3.0)
+    with Graph() as g:
+        out = build(g, params)
+    assert out is g.nodes[-1]
+    assert all(type(node.value) is np.ndarray for node in g.nodes)
+    assert same_bits(out.value, eager_value(build, params))
+
+
 def test_eager_keeps_no_nodes():
     assert not hasattr(Eager(), "__dict__")         # nothing to append nodes to
     p = Parameter("p", np.ones((2, 2)))
@@ -90,9 +103,8 @@ def test_nan_parameter_raises_under_both_evaluators():
     w = Parameter("w", [[1.0, np.nan]])
     x = np.ones((2, 1))
     g = Graph()
-    g.tanh(g.matmul(g.param(w), g.input(x)))
     with pytest.raises(NonFiniteError, match=r"\(parameter\)"):
-        g.forward()
+        g.tanh(g.matmul(g.param(w), g.input(x)))
     with Eager() as e, pytest.raises(NonFiniteError, match=r"'w' \(parameter\)"):
         e.tanh(e.matmul(e.param(w), e.input(x)))
 
@@ -103,10 +115,8 @@ def test_overflowing_affine_raises_under_both_evaluators(inf_input, recwarn):
     b = Parameter("b", np.zeros((2, 1)))
     x = np.array([[np.inf if inf_input else 1e308], [1.0]])
     first = "input" if inf_input else "affine"
-    g = Graph()
-    g.affine(g.param(b), g.param(w), g.input(x))
-    with pytest.raises(NonFiniteError, match=rf"\({first}\)"):
-        g.forward()
+    with Graph() as g, pytest.raises(NonFiniteError, match=rf"\({first}\)"):
+        g.affine(g.param(b), g.param(w), g.input(x))
     with Eager() as e, pytest.raises(NonFiniteError, match=rf"\({first}\)"):
         e.affine(e.param(b), e.param(w), e.input(x))
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

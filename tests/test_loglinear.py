@@ -5,10 +5,11 @@ import pytest
 
 from helpers import rel_error
 from seqbench import corpus as C
-from seqbench.autograd import softmax
+from seqbench.autograd import NonFiniteError, softmax
 from seqbench.evaluate import evaluate_ll
 from seqbench.loglinear import (FeatureTemplate, FeatureVector, LogLinearLM,
                                 loss_and_grad, score)
+from seqbench.optim import TrainingDivergence
 
 
 def vocab_of_size(n_real):
@@ -90,6 +91,20 @@ def test_sparse_dense_equivalence():
 def test_score_dimension_mismatch():
     with pytest.raises(ValueError):
         score(np.zeros((3, 4)), np.zeros((3, 1)), FeatureVector([], 5))
+
+
+def test_overflowing_score_raises():
+    x = FeatureVector([(0, 1.0), (1, 1.0)], 4)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        score(np.full((3, 4), 1e308), np.zeros((3, 1)), x)
+
+
+def test_training_into_an_overflowing_score_diverges():
+    model = LogLinearLM(C.build_vocab(TINY_CORPUS), "bag_of_words")
+    model.W[...] = 1e308        # a two-word history scores Inf
+    with np.errstate(over="ignore"), pytest.raises(TrainingDivergence,
+                                                   match="non-finite"):
+        model.train_sgd(TINY_CORPUS, lr=0.0, epochs=1)
 
 
 def test_softmax_closed_forms():

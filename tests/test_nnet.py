@@ -384,7 +384,7 @@ def test_lstm_step_adds_four_computed_nodes():
     assert [node.op for node in added if node.op != "parameter"] == [
         "affine", "lstm", "rows", "rows"]
     before = len(g.nodes)
-    cell.step(g, state.h, state)        # parameters already in the graph
+    cell.step(g, x, state)              # parameters already in the graph
     assert len(g.nodes) - before == 4
 
 
@@ -392,10 +392,12 @@ def test_nan_in_stacked_bias_is_named_at_its_parameter_node():
     cell = RecurrentCell("lstm_forget", 2, 3, np.random.default_rng(0))
     cell.gate("f")["b_f"][1, 0] = np.nan
     g = Graph()
-    cell.step(g, g.input(np.ones((2, 1))), cell.initial_state(g))
-    bias = g.param(cell.params["b"])
-    with pytest.raises(NonFiniteError, match=rf"node {bias.idx} \(parameter\)"):
-        g.forward()
+    x, state = g.input(np.ones((2, 1))), cell.initial_state(g)
+    with pytest.raises(NonFiniteError) as raised:
+        cell.step(g, x, state)
+    # the bias, the one non-finite parameter, would have been the next node
+    assert str(raised.value) == f"non-finite value at node {len(g.nodes)} (parameter)"
+    assert cell.params["b"] not in [node.param for node in g.nodes]
 
 
 # ---- corpus scoring in length-sorted batches ------------------------------------------
