@@ -18,7 +18,7 @@ from .ngram import InterpolationWeights, NGramCountTable, NGramLM, interp_prob, 
 from .nnet import (FFNNLM, RNNLM, RecurrentCell, RecurrentState, StackedRNN,
                    ToyMLP, train_lm, train_toy_mlp)
 from .optim import (SGD, Adam, AdaGrad, Momentum, TrainingDivergence,
-                    clip_gradients, make_optimizer)
+                    make_optimizer)
 from .search import (Hypothesis, LengthPrior, beam_search, greedy,
                      replace_unknowns, sample)
 from .seq2seq import EncDecModel, Ensemble, SourceEncoding, train_encdec

@@ -47,8 +47,10 @@ it scans every computed value except those of the ops in
 which scans its value once and remembers a finite result until
 :meth:`Parameter.changed` is called, so evaluating an unchanged model scans
 no parameter. The library's writers call ``changed()`` after they
-write: ``Optimizer.step``, ``EpochTracker.restore_best``, the model-file
-loader and ``nnet.train_toy_mlp``. Code outside the library that writes
+write: ``EpochTracker.restore_best``, the model-file loader,
+``nnet.train_toy_mlp`` and ``Optimizer.step``, which checks the values it
+writes and passes its verdict, so after a finite update the next graph scans
+no parameter either. Code outside the library that writes
 ``Parameter.value`` in place after the parameter has been evaluated must call
 ``changed()`` too, or a later NaN or Inf in it goes unreported.
 """
@@ -95,9 +97,11 @@ class Parameter:
             self._known_finite = bool(np.isfinite(self.value).all())
         return self._known_finite
 
-    def changed(self):
-        """Forget the finiteness result; call after writing ``value`` in place."""
-        self._known_finite = False
+    def changed(self, known_finite: bool = False):
+        """Call after writing ``value`` in place: the next graph scans it again,
+        unless the writer has found it finite itself and passes
+        ``known_finite=True``."""
+        self._known_finite = known_finite
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"
@@ -327,6 +331,8 @@ class Graph(Ops):
         paths. Branches that reach no parameter get no gradient.
         """
         nodes = self.nodes
+        if not nodes:
+            raise GraphError("empty graph")
         final = nodes[-1]
         if final.value.shape != (1, 1):
             raise GraphError(f"loss node must be scalar, got shape {final.value.shape}")

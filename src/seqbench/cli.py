@@ -248,9 +248,9 @@ def _new_model(cls, *args, **kwargs):
 
 
 def _build_vocab_from(path, policy, min_count, v_all):
+    lines = C.read_token_lines(path)        # its DataError names the path
     try:
-        return C.build_vocab(C.read_token_lines(path), policy=policy,
-                             min_count=min_count, v_all=v_all)
+        return C.build_vocab(lines, policy=policy, min_count=min_count, v_all=v_all)
     except DataError as exc:        # a corpus without a word
         raise DataError(f"{path}: {exc}") from exc
     except ValueError as exc:       # --v-all not above the vocabulary size

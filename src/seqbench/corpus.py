@@ -123,7 +123,8 @@ def decode(vocab: Vocabulary, ids) -> list[str]:
 def read_token_lines(path) -> list[str]:
     """Read a corpus file, reporting the line number of any invalid UTF-8."""
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
     lines = []

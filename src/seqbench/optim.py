@@ -7,6 +7,8 @@ import numpy as np
 
 from .autograd import NonFiniteError, Parameter
 
+BLOCK = 32_768      # entries per pass: a block of every array a rule touches fits in L2
+
 
 class TrainingDivergence(Exception):
     """Loss became NaN/Inf during training (maps to CLI exit code 3)."""
@@ -17,59 +19,68 @@ def global_norm(grads) -> float:
         return float(np.sqrt(sum(float((g ** 2).sum()) for g in grads)))
 
 
-def clip_gradients(grads, max_norm: float, norm: float | None = None):
-    """Scale all gradients in place so their global L2 norm is at most max_norm.
-
-    ``norm`` is the gradients' global norm when the caller already has it.
-    """
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    if norm is None:
-        norm = global_norm(grads)
-    if norm > max_norm:
-        factor = max_norm / norm
-        for g in grads:
-            g *= factor
-    return grads
-
-
 class Optimizer:
-    """Base update rule over a fixed list of parameters.
+    """Base update rule over a fixed list of parameters, kept in one arena.
 
-    ``clip_norm`` applies global-norm clipping to the accumulated gradients
-    before every update; pass None to disable.
+    Building an optimizer moves its parameters' ``value`` and ``grad`` into
+    views of two flat buffers, ``values`` and ``grads``: an array taken from
+    a parameter earlier is no longer the parameter's. ``step`` scales the
+    gradients to a global norm of at most ``clip_norm`` (None disables it)
+    and, block by block of ``BLOCK`` entries, runs the subclass's rule
+    ``_update(block, value, grad, a, b)`` on the entries ``block`` (``a`` and
+    ``b`` are scratch), rounded as its textbook form, and checks the updated
+    values for finiteness.
     """
 
     def __init__(self, params, lr: float, clip_norm: float | None = None):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
+        if clip_norm is not None and clip_norm <= 0:
+            raise ValueError("clip_norm must be positive")
         self.params: list[Parameter] = list(params)
         self.lr = lr
         self.clip_norm = clip_norm
+        self.t = 0                          # updates made
+        size = sum(p.value.size for p in self.params)
+        self.values, self.grads = np.empty(size), np.zeros(size)
+        self._scratch = np.empty((2, min(size, BLOCK)))
+        end = 0
+        for p in self.params:
+            start, end = end, end + p.value.size
+            value = self.values[start:end].reshape(p.value.shape)
+            grad = self.grads[start:end].reshape(p.value.shape)
+            value[...] = p.value
+            if p.grad.any():            # else the gradients stay calloc's unwritten pages
+                grad[...] = p.grad
+            p.value, p.grad = value, grad   # the old arrays are released here
 
     def step(self):
+        factor = None
         if self.clip_norm is not None:
-            grads = [p.grad for p in self.params]
-            norm = global_norm(grads)
+            norm = global_norm([p.grad for p in self.params])  # per-tensor sums, bitwise
             if not np.isfinite(norm):
                 raise TrainingDivergence("gradient norm is not finite")
-            clip_gradients(grads, self.clip_norm, norm)
-        self._update()
-        for p in self.params:
-            p.changed()
+            if norm > self.clip_norm:
+                factor = self.clip_norm / norm
+        self.t += 1
+        finite = True
+        for start in range(0, self.values.size, BLOCK):
+            block = slice(start, start + BLOCK)
+            value, grad = self.values[block], self.grads[block]
+            if factor is not None:
+                grad *= factor
+            self._update(block, value, grad, *self._scratch[:, :value.size])
+            finite = finite and bool(np.isfinite(value).all())
+        for p in self.params:           # a finite model needs no scan by the next graph
+            p.changed(known_finite=finite)
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
-    def _update(self):
-        raise NotImplementedError
+        self.grads.fill(0.0)
 
 
 class SGD(Optimizer):
-    def _update(self):
-        for p in self.params:
-            p.value -= self.lr * p.grad
+    def _update(self, block, value, grad, a, b):
+        value -= np.multiply(self.lr, grad, out=a)
 
 
 class Momentum(Optimizer):
@@ -78,13 +89,13 @@ class Momentum(Optimizer):
     def __init__(self, params, lr: float, momentum: float = 0.9, clip_norm=None):
         super().__init__(params, lr, clip_norm)
         self.momentum = momentum
-        self.velocity = [np.zeros(p.value.shape) for p in self.params]
+        self.velocity = np.zeros(self.values.size)
 
-    def _update(self):
-        for p, v in zip(self.params, self.velocity):
-            v *= self.momentum
-            v += p.grad
-            p.value -= self.lr * v
+    def _update(self, block, value, grad, a, b):
+        v = self.velocity[block]
+        v *= self.momentum
+        v += grad
+        value -= np.multiply(self.lr, v, out=a)
 
 
 class AdaGrad(Optimizer):
@@ -93,12 +104,14 @@ class AdaGrad(Optimizer):
     def __init__(self, params, lr: float, eps: float = 1e-8, clip_norm=None):
         super().__init__(params, lr, clip_norm)
         self.eps = eps
-        self.accum = [np.zeros(p.value.shape) for p in self.params]
+        self.accum = np.zeros(self.values.size)
 
-    def _update(self):
-        for p, acc in zip(self.params, self.accum):
-            acc += p.grad ** 2
-            p.value -= self.lr * p.grad / (np.sqrt(acc) + self.eps)
+    def _update(self, block, value, grad, a, b):
+        acc = self.accum[block]
+        acc += np.square(grad, out=a)
+        np.sqrt(acc, out=b)
+        b += self.eps
+        value -= np.divide(np.multiply(self.lr, grad, out=a), b, out=a)
 
 
 class Adam(Optimizer):
@@ -110,34 +123,21 @@ class Adam(Optimizer):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.t = 0
-        self.m = [np.zeros(p.value.shape) for p in self.params]
-        self.v = [np.zeros(p.value.shape) for p in self.params]
+        self.m = np.zeros(self.values.size)
+        self.v = np.zeros(self.values.size)
 
-    def _update(self):
-        """``value -= lr * m_hat / (sqrt(v_hat) + eps)``, rounded exactly as
-        that expression, but through two scratch buffers sized for the
-        largest parameter instead of full-size temporaries. The buffers live
-        for one call: an optimizer outlives its training run."""
-        self.t += 1
-        c1, c2 = 1 - self.beta1 ** self.t, 1 - self.beta2 ** self.t
-        size = max((p.value.size for p in self.params), default=0)
-        buf_a, buf_b = np.empty(size), np.empty(size)
-        for p, m, v in zip(self.params, self.m, self.v):
-            a = buf_a[:m.size].reshape(m.shape)
-            b = buf_b[:m.size].reshape(m.shape)
-            m *= self.beta1
-            m += np.multiply(1 - self.beta1, p.grad, out=a)
-            v *= self.beta2
-            np.square(p.grad, out=a)
-            v += np.multiply(1 - self.beta2, a, out=a)
-            np.divide(m, c1, out=a)             # m_hat
-            np.divide(v, c2, out=b)             # v_hat
-            a *= self.lr
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            p.value -= a
+    def _update(self, block, value, grad, a, b):
+        m, v = self.m[block], self.v[block]
+        m *= self.beta1
+        m += np.multiply(1 - self.beta1, grad, out=a)
+        v *= self.beta2
+        v += np.multiply(1 - self.beta2, np.square(grad, out=a), out=a)
+        np.divide(m, 1 - self.beta1 ** self.t, out=a)     # m_hat
+        np.divide(v, 1 - self.beta2 ** self.t, out=b)     # v_hat
+        a *= self.lr
+        np.sqrt(b, out=b)
+        b += self.eps
+        value -= np.divide(a, b, out=a)
 
 
 OPTIMIZERS = {"sgd": SGD, "momentum": Momentum, "adagrad": AdaGrad, "adam": Adam}

@@ -165,6 +165,12 @@ def test_backward_requires_scalar():
         g.backward()
 
 
+@pytest.mark.parametrize("call", ["forward", "backward"])
+def test_an_empty_graph_is_a_graph_error(call):
+    with pytest.raises(GraphError, match="^empty graph$"):
+        getattr(Graph(), call)()
+
+
 def test_shape_mismatch_names_node():
     g = Graph()
     a = g.input(np.ones((2, 2)))

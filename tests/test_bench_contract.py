@@ -11,6 +11,9 @@ drops, renames or moves one of them would otherwise fail only a benchmark
 run, so each is called here on a tiny model against the path it stands for.
 The tracer also counts each training graph's nodes when ``Graph.forward`` is
 called, so the trainers must call it once per graph, after its last node.
+It times ``Optimizer.step`` and ``Optimizer.zero_grad`` on the base class and
+reads ``opt.params``, ``opt.clip_norm`` and ``optim.global_norm`` to count
+clipped steps, so no update rule may override either method.
 """
 
 import numpy as np
@@ -18,11 +21,11 @@ import pytest
 
 from helpers import decoding_nll
 from seqbench import corpus as C
-from seqbench import search
-from seqbench.autograd import Graph
+from seqbench import optim, search
+from seqbench.autograd import Graph, Parameter
 from seqbench.nnet import (FFNNLM, RNNLM, SCORE_BATCH, TOY_EQUALITY_DATA, NeuralLM,
                            RecurrentCell, train_lm, train_toy_mlp)
-from seqbench.optim import SGD
+from seqbench.optim import OPTIMIZERS, SGD, Optimizer
 from seqbench.seq2seq import EncDecModel, train_encdec
 
 SRC = C.build_vocab(["w x y z"])
@@ -136,3 +139,15 @@ def test_trainers_call_forward_once_per_finished_graph(monkeypatch, trainer):
     assert built and [g for g, _ in forwarded] == built
     assert backwarded == forwarded
     assert all(n == len(g.nodes) for g, n in forwarded)
+
+
+@pytest.mark.parametrize("kind", sorted(OPTIMIZERS))
+def test_every_update_rule_runs_through_the_traced_optimizer_methods(kind):
+    cls = OPTIMIZERS[kind]
+    for klass in cls.__mro__[:cls.__mro__.index(Optimizer)]:
+        assert "step" not in vars(klass) and "zero_grad" not in vars(klass), klass
+    p = Parameter("p", [3.0, 4.0])
+    opt = cls([p], lr=0.1, clip_norm=1.0)
+    assert opt.params == [p] and opt.clip_norm == 1.0
+    p.grad[...] = [[3.0], [4.0]]
+    assert optim.global_norm([q.grad for q in opt.params]) == 5.0

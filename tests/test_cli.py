@@ -867,6 +867,16 @@ def test_a_training_corpus_without_words_is_a_data_error_naming_it(toy_corpus, c
     assert not model.exists()
 
 
+@pytest.mark.parametrize("command", ["train-ffnnlm", "train-rnnlm"])
+def test_a_latin1_training_corpus_is_named_once(tmp_path, capsys, command):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("caf\u00e9 au lait\n".encode("latin-1"))
+    model = tmp_path / "m.bin"
+    assert main([command, "--train", str(latin1), "--model", str(model)]) == 2
+    assert capsys.readouterr().err == f"data error: {latin1}: invalid UTF-8 on line 1\n"
+    assert not model.exists()
+
+
 def test_eval_ppl_of_empty_data_is_a_data_error_naming_it(toy_corpus, capsys):
     tmp_path, train = toy_corpus
     model = str(tmp_path / "lm.bin")

@@ -1,3 +1,5 @@
+import gc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -124,6 +126,20 @@ def test_read_token_lines_bad_utf8(tmp_path):
     path.write_bytes(b"good line\n\xff\xfe broken\n")
     with pytest.raises(C.DataError, match="line 2"):
         C.read_token_lines(path)
+
+
+@pytest.mark.parametrize("content", [b"a b\n", b"a\n\xff\n"])
+def test_read_token_lines_closes_its_file(tmp_path, content):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(content)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            C.read_token_lines(path)
+        except C.DataError:
+            pass
+        gc.collect()                    # an unclosed handle warns when collected
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_read_parallel_mismatch(tmp_path):

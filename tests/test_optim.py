@@ -7,9 +7,8 @@ from seqbench import corpus as C
 from seqbench.autograd import Graph, NonFiniteError, Parameter
 from seqbench.loglinear import LogLinearLM
 from seqbench.nnet import RNNLM, train_lm
-from seqbench.optim import (SGD, Adam, AdaGrad, EpochTracker, Momentum,
-                            TrainingDivergence, clip_gradients, global_norm,
-                            make_optimizer)
+from seqbench.optim import (BLOCK, SGD, Adam, AdaGrad, EpochTracker, Momentum,
+                            TrainingDivergence, global_norm, make_optimizer)
 from seqbench.seq2seq import EncDecModel, train_encdec
 
 
@@ -50,37 +49,100 @@ def test_adam_bias_corrected_trajectory():
     assert p.value[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_adam_steps_equal_the_textbook_formula_bitwise():
-    # several clipped steps over tensors of different sizes: the scratch
-    # buffers must round exactly as the full-size expression
+# one parameter straddles the first block boundary and one the second
+SHAPES = [(5, 3), (181, 200), (7, 1), (1, 4), (150, 210), (2, 2)]
+LR = 0.05
+
+
+def clip(grads, max_norm):
+    """Global-norm clipping of each array in place, one array at a time."""
+    norm = global_norm(grads)
+    if norm > max_norm:
+        factor = max_norm / norm
+        for g in grads:
+            g *= factor
+
+
+def sgd_rule(x, g, state, t):
+    x -= LR * g
+
+
+def momentum_rule(x, g, state, t):
+    v, = state
+    v *= 0.9
+    v += g
+    x -= LR * v
+
+
+def adagrad_rule(x, g, state, t):
+    acc, = state
+    acc += g ** 2
+    x -= LR * g / (np.sqrt(acc) + 1e-8)
+
+
+def adam_rule(x, g, state, t):
+    m, v = state
+    m *= 0.9
+    m += (1 - 0.9) * g
+    v *= 0.999
+    v += (1 - 0.999) * g ** 2
+    m_hat = m / (1 - 0.9 ** t)
+    v_hat = v / (1 - 0.999 ** t)
+    x -= LR * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+# optimizer -> (per-parameter reference rule, its state arrays per parameter)
+REFERENCE_RULES = {SGD: (sgd_rule, 0), Momentum: (momentum_rule, 1),
+                   AdaGrad: (adagrad_rule, 1), Adam: (adam_rule, 2)}
+
+
+@pytest.mark.parametrize("clip_norm", [None, 2.0])
+@pytest.mark.parametrize("make", [SGD, Momentum, AdaGrad, Adam])
+def test_every_rule_equals_a_per_parameter_reference_bitwise(make, clip_norm):
+    # several steps over tensors of mixed shapes spanning three blocks: the
+    # blocked pass must round exactly as each rule applied parameter by parameter
+    assert BLOCK < sum(r * c for r, c in SHAPES) <= 3 * BLOCK
+    rule, n_state = REFERENCE_RULES[make]
     rng = np.random.default_rng(21)
-    shapes = [(5, 3), (7, 1), (1, 4), (2, 2)]
-    values = [rng.normal(size=shape) for shape in shapes]
+    values = [rng.normal(size=shape) for shape in SHAPES]
     params = [Parameter(f"p{i}", v) for i, v in enumerate(values)]
-    opt = Adam(params, lr=0.003, clip_norm=2.0)
+    opt = make(params, lr=LR, clip_norm=clip_norm)
     ref = [v.copy() for v in values]
-    m = [np.zeros(shape) for shape in shapes]
-    v = [np.zeros(shape) for shape in shapes]
+    state = [[np.zeros(shape) for _ in range(n_state)] for shape in SHAPES]
     clipped_steps = 0
     for t in range(1, 7):
-        grads = [rng.normal(scale=3.0 if t % 2 else 0.1, size=shape) for shape in shapes]
+        grads = [rng.normal(scale=3.0 if t % 2 else 0.001, size=shape) for shape in SHAPES]
         for p, g in zip(params, grads):
             p.grad[...] = g
         opt.step()
+        if clip_norm is not None:
+            clipped_steps += global_norm(grads) > clip_norm
+            clip(grads, clip_norm)
+        for x, g, s in zip(ref, grads, state):
+            rule(x, g, s, t)
+        for p, x, g in zip(params, ref, grads):
+            assert np.array_equal(p.value, x) and np.array_equal(p.grad, g)
         opt.zero_grad()
-        clipped_steps += global_norm(grads) > 2.0
-        clip_gradients(grads, 2.0)
-        for x, mi, vi, g in zip(ref, m, v, grads):
-            mi *= 0.9
-            mi += (1 - 0.9) * g
-            vi *= 0.999
-            vi += (1 - 0.999) * g ** 2
-            m_hat = mi / (1 - 0.9 ** t)
-            v_hat = vi / (1 - 0.999 ** t)
-            x -= 0.003 * m_hat / (np.sqrt(v_hat) + 1e-8)
-        for p, x in zip(params, ref):
-            assert np.array_equal(p.value, x)
-    assert 0 < clipped_steps < 6
+        assert not any(p.grad.any() for p in params)
+    assert clip_norm is None or 0 < clipped_steps < 6
+
+
+def test_parameters_become_views_of_the_optimizer_buffers():
+    rng = np.random.default_rng(4)
+    params = [param_with_grad(rng.normal(size=shape), rng.normal(size=shape))
+              for shape in SHAPES]
+    before = [(p.value, p.grad) for p in params]
+    opt = Adam(params, lr=0.01)
+    assert opt.values.size == opt.grads.size == sum(r * c for r, c in SHAPES)
+    for p, (value, grad) in zip(params, before):
+        assert np.shares_memory(p.value, opt.values) and np.shares_memory(p.grad, opt.grads)
+        assert p.value.flags.c_contiguous and p.grad.flags.c_contiguous
+        assert p.value is not value and np.array_equal(p.value, value)
+        assert p.grad is not grad and np.array_equal(p.grad, grad)
+    opt.step()
+    assert not np.array_equal(params[0].value, before[0][0])   # the old array is left behind
+    opt.zero_grad()
+    assert not opt.grads.any()
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
@@ -110,33 +172,20 @@ def test_adagrad_shrinks_frequent_updates():
     assert second < first    # accumulated squared grads damp the step
 
 
-def test_clip_gradients():
-    a = np.array([[3.0], [4.0]])        # norm 5
-    b = np.array([[np.sqrt(75.0)]])     # total norm 10
-    clip_gradients([a, b], 5.0)
-    assert global_norm([a, b]) == pytest.approx(5.0)
-    assert a[0, 0] == pytest.approx(1.5)
+def test_clipping_scales_the_gradients_to_the_norm_in_place():
+    a = param_with_grad([0.0, 0.0], [3.0, 4.0])         # norm 5
+    b = param_with_grad([0.0], [np.sqrt(75.0)])         # total norm 10
+    SGD([a, b], lr=0.1, clip_norm=5.0).step()
+    assert global_norm([a.grad, b.grad]) == pytest.approx(5.0)
+    assert a.grad[0, 0] == pytest.approx(1.5) and a.value[0, 0] == pytest.approx(-0.15)
 
-    c = np.array([[3.0]])
-    clip_gradients([c], 5.0)
-    assert c[0, 0] == 3.0               # norm below threshold: unchanged
+    c = param_with_grad([0.0], [3.0])
+    SGD([c], lr=0.1, clip_norm=5.0).step()
+    assert c.grad[0, 0] == 3.0                          # norm below threshold: unchanged
 
-    z = np.zeros((2, 1))
-    clip_gradients([z], 5.0)
-    assert not z.any()
-
-
-def test_clipped_step_matches_clip_then_update():
-    rng = np.random.default_rng(3)
-    values = [rng.normal(size=(3, 2)), rng.normal(size=(4, 1))]
-    grads = [10.0 * rng.normal(size=v.shape) for v in values]
-    clipped = [p.copy() for p in grads]
-    clip_gradients(clipped, 1.5)
-    expected = [v - 0.1 * g for v, g in zip(values, clipped)]
-    params = [param_with_grad(v, g) for v, g in zip(values, grads)]
-    SGD(params, lr=0.1, clip_norm=1.5).step()
-    for p, want in zip(params, expected):
-        assert np.array_equal(p.value, want)
+    z = param_with_grad([1.0, 2.0], [0.0, 0.0])
+    SGD([z], lr=0.1, clip_norm=5.0).step()
+    assert not z.grad.any() and z.value[:, 0].tolist() == [1.0, 2.0]
 
 
 def test_non_finite_gradient_norm_stops_before_scaling():
@@ -146,9 +195,12 @@ def test_non_finite_gradient_norm_stops_before_scaling():
     assert params[0].grad[0, 0] == 3.0 and params[0].value[0, 0] == 1.0
 
 
-def test_learning_rate_must_be_positive():
-    with pytest.raises(ValueError):
+def test_learning_rate_and_clip_norm_must_be_positive():
+    with pytest.raises(ValueError, match="learning rate"):
         SGD([Parameter("p", [1.0])], lr=0.0)
+    for clip_norm in (0.0, -1.0):
+        with pytest.raises(ValueError, match="clip_norm"):
+            SGD([Parameter("p", [1.0])], lr=0.1, clip_norm=clip_norm)
 
 
 def test_make_optimizer_rejects_unknown():
@@ -187,6 +239,34 @@ def test_step_that_overflows_a_weight_is_caught_by_the_next_graph(make):
         make([p], lr=1e308).step()           # every rule's first update is ~ -1e308
     assert p.value[0, 0] == -np.inf and p.value[1, 0] == 1.0
     assert_named_at_parameter_node(p)
+
+
+def test_an_overflow_in_a_later_block_leaves_every_parameter_to_be_rescanned():
+    params = [Parameter(f"p{i}", np.ones(shape)) for i, shape in enumerate(SHAPES)]
+    g = Graph()
+    for p in params:
+        g.tanh(g.param(p))                   # every parameter is known to be finite
+    params[4].value[-1, -1] = 1e308
+    params[4].changed()
+    params[4].grad[-1, -1] = -1.0            # the last block's update overflows
+    with np.errstate(over="ignore"):
+        SGD(params, lr=1e308).step()
+    assert params[4].value[-1, -1] == np.inf
+    assert all(np.isfinite(p.value).all() for i, p in enumerate(params) if i != 4)
+    assert_named_at_parameter_node(params[4])
+    params[0].value[0, 0] = np.nan           # written without changed(): still rescanned
+    assert_named_at_parameter_node(params[0])
+
+
+def test_a_finite_step_records_its_verdict_on_every_parameter():
+    params = [param_with_grad(np.ones(shape), np.ones(shape)) for shape in SHAPES]
+    SGD(params, lr=0.1).step()
+    for p in params:
+        p.value[0, 0] = np.nan               # written without changed(): not rescanned
+        g = Graph()
+        g.tanh(g.param(p))
+        p.changed()
+        assert_named_at_parameter_node(p)
 
 
 def test_restore_best_of_a_non_finite_snapshot_is_caught_by_the_next_graph():
