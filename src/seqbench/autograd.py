@@ -25,12 +25,21 @@ an op means one kernel, one constructor on :class:`Ops` and one rule in
 there, floating-point overflow raises no warning and is reported as
 :class:`NonFiniteError` instead.
 
+Every matrix product of a kernel or a backward rule goes through one helper,
+``_dot``. It calls ``np.dot`` when the inner dimension is 1 and ``@``
+otherwise, with bitwise the same result either way: a graph over one
+sentence is one column wide, so every weight gradient ``g @ x.T`` it forms
+has inner dimension 1, and ``np.dot`` runs those rank-1 products several
+times faster than ``@``, which stays the faster of the two for wide products.
+
 Besides elementwise, matrix and loss ops, two ops serve the recurrent cells:
 ``lstm`` is a whole LSTM cell over stacked gate pre-activations, returning
-``[h; c]``, and ``rows`` takes a block of rows (the ``h`` or ``c`` half of it,
-or one GRU gate). Two serve attention over a batch whose columns each read a
-source of their own: ``batch_dot`` scores every column's source words against
-its query, and ``attend`` mixes them with its weights.
+``[h; c]``, and ``rows`` takes a block of rows (the ``h`` half of it, or one
+GRU gate). The next step's ``lstm``, told so by ``c_is_hc``, reads its memory
+cell from the last rows of the previous ``[h; c]``, so no node is recorded for
+``c`` alone. Two serve attention over a batch whose columns each read a source
+of their own: ``batch_dot`` scores every column's source words against its
+query, and ``attend`` mixes them with its weights.
 
 A :class:`Parameter` enters a graph once, as one ``parameter`` node however
 often it is used, and that node's gradient slot is ``Parameter.grad`` itself,
@@ -210,17 +219,19 @@ class Ops:
         """Rows ``start:stop`` of ``a``."""
         return self._op("rows", _rows, (a,), (int(start), int(stop)))
 
-    def lstm(self, pre, c_prev, forget: bool = True):
+    def lstm(self, pre, c_prev, forget: bool = True, c_is_hc: bool = False):
         """One fused LSTM cell step; the value is ``[h; c]`` (2n x B).
 
         ``pre`` holds the gate pre-activations as n-row blocks, u, i, f, o
         (u, i, o when ``forget`` is false), for the n x B memory cell
-        ``c_prev``. With u = tanh, the other gates sigmoid:
-        c = i*u + f*c_prev (i*u + c_prev without a forget gate) and
+        ``c_prev``, or, with ``c_is_hc``, for the cell in the last n rows of
+        a previous step's 2n x B ``[h; c]``. With u = tanh, the other gates
+        sigmoid: c = i*u + f*c_prev (i*u + c_prev without a forget gate) and
         h = o*tanh(c), rounded exactly as separate ``tanh``, ``sigmoid``,
         ``cmult`` and ``add`` ops would round them.
         """
-        return self._op("lstm", _lstm, (pre, c_prev), (bool(forget), self._saved()))
+        return self._op("lstm", _lstm, (pre, c_prev),
+                        (bool(forget), bool(c_is_hc), self._saved()))
 
     def batch_dot(self, keys, queries):
         """Per-column scores of a batch of B columns, each with S keys.
@@ -423,10 +434,25 @@ def _lookup_column(matrix, idx):
     return matrix[:, idx]
 
 
+def _dot(a, b):
+    """``a @ b``, bit for bit, shape and strides alike; the one product of
+    every kernel and backward rule.
+
+    A product whose inner dimension is 1 (the weight gradient ``g @ x.T`` of
+    a one-column graph) goes through ``np.dot``, which runs those several
+    times faster than ``@``; other products stay with ``@``, which is the
+    faster of the two for wide ones and within a few percent of ``np.dot``
+    for matrix-vector ones.
+    """
+    if a.shape[1] == 1:
+        return np.dot(a, b)
+    return a @ b
+
+
 def _matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise GraphError(f"matmul: {a.shape} x {b.shape} mismatch")
-    return a @ b
+    return _dot(a, b)
 
 
 def _add(a, b):
@@ -442,7 +468,7 @@ def _affine(*values):
         w, x = values[k], values[k + 1]
         if w.shape[1] != x.shape[0]:
             raise GraphError(f"affine: term {k // 2} {w.shape} x {x.shape} mismatch")
-        out = w @ x if out is None else _sum_into(out, w @ x)
+        out = _dot(w, x) if out is None else _sum_into(out, _dot(w, x))
     return _sum_into(out, values[0])
 
 
@@ -498,12 +524,17 @@ def _sigmoid(x, out=None):
     return np.divide(1.0, out, out=out)
 
 
-def _lstm(pre, c_prev, forget, saved=None):
+def _lstm(pre, c_prev, forget, c_is_hc, saved=None):
     """``[h; c]`` of one cell step; keeps the gate activations and tanh(c)
     for backward in ``saved`` when given."""
-    n = c_prev.shape[0]
-    if pre.shape != ((4 if forget else 3) * n, c_prev.shape[1]):
-        raise GraphError(f"lstm: gates {pre.shape} for cell {c_prev.shape}")
+    gates = 4 if forget else 3
+    n = pre.shape[0] // gates
+    if (pre.shape[0] != gates * n or c_prev.shape[1] != pre.shape[1]
+            or c_prev.shape[0] != (2 * n if c_is_hc else n)):
+        what = "[h; c]" if c_is_hc else "cell"
+        raise GraphError(f"lstm: gates {pre.shape} for {what} {c_prev.shape}")
+    if c_is_hc:
+        c_prev = c_prev[n:]
     act = np.empty_like(pre)
     u, i, o = act[:n], act[n:2 * n], act[-n:]
     np.tanh(pre[:n], out=u)
@@ -622,6 +653,10 @@ def _back_lookup_column(node, g):
     if matrix.grad is None:
         matrix.grad = np.zeros_like(matrix.value)
     idx = node.settings[0]
+    if len(idx) == 1:       # a slice adds faster than an index list
+        i = idx[0] % matrix.value.shape[1]
+        matrix.grad[:, i:i + 1] += g
+        return
     if len(set(idx)) == len(idx):
         matrix.grad[:, idx] += g
         return
@@ -637,9 +672,9 @@ def _back_lookup_column(node, g):
 def _back_matmul(node, g):
     a, b = node.parents
     if a.needs_grad:
-        _give(a, g @ b.value.T, fresh=True)
+        _give(a, _dot(g, b.value.T), fresh=True)
     if b.needs_grad:
-        _give(b, a.value.T @ g, fresh=True)
+        _give(b, _dot(a.value.T, g), fresh=True)
 
 
 def _back_add(node, g):
@@ -668,9 +703,9 @@ def _back_affine(node, g):
                 g_col = g.sum(axis=1, keepdims=True)
             g_term = g_col
         if w.needs_grad:
-            _give(w, g_term @ x.value.T, fresh=True)
+            _give(w, _dot(g_term, x.value.T), fresh=True)
         if x.needs_grad:
-            _give(x, w.value.T @ g_term, fresh=True)
+            _give(x, _dot(w.value.T, g_term), fresh=True)
 
 
 def _back_cmult(node, g):
@@ -697,19 +732,22 @@ def _back_concat_cols(node, g):
         offset += cols
 
 
-def _back_rows(node, g):
-    a = node.parents[0]
-    if not a.needs_grad:
+def _give_rows(node, start, contribution):
+    """Add ``contribution`` into the rows of ``node``'s slot from ``start`` on."""
+    if not node.needs_grad:
         return
-    if a.grad is None:
-        a.grad = np.zeros_like(a.value)
-    start, stop = node.settings
-    a.grad[start:stop] += g
+    if node.grad is None:
+        node.grad = np.zeros_like(node.value)
+    node.grad[start:start + contribution.shape[0]] += contribution
+
+
+def _back_rows(node, g):
+    _give_rows(node.parents[0], node.settings[0], g)
 
 
 def _back_lstm(node, g):
     pre, c_prev = node.parents
-    forget, saved = node.settings
+    forget, c_is_hc, saved = node.settings
     act, tanh_c = saved["act"], saved["tanh_c"]
     n = tanh_c.shape[0]
     u, i, o = act[:n], act[n:2 * n], act[-n:]
@@ -721,15 +759,19 @@ def _back_lstm(node, g):
     d_pre[:n] *= 1.0 - u ** 2
     np.multiply(d_c, u, out=d_pre[n:2 * n])
     if forget:
-        np.multiply(d_c, c_prev.value, out=d_pre[2 * n:3 * n])
+        np.multiply(d_c, c_prev.value[-n:], out=d_pre[2 * n:3 * n])
     np.multiply(g_h, tanh_c, out=d_pre[-n:])
     sig = act[n:]
     d_pre[n:] *= sig
     d_pre[n:] *= 1.0 - sig
     _give(pre, d_pre, fresh=True)
-    if c_prev.needs_grad:
-        _give(c_prev, d_c * act[2 * n:3 * n] if forget else d_c,
-              fresh=True)
+    if not c_prev.needs_grad:
+        return
+    d_c_prev = d_c * act[2 * n:3 * n] if forget else d_c
+    if c_is_hc:     # a previous step's [h; c], whose last n rows are the cell
+        _give_rows(c_prev, n, d_c_prev)
+    else:
+        _give(c_prev, d_c_prev, fresh=True)
 
 
 def _batch_outer(column_vectors, column_weights):

@@ -247,8 +247,8 @@ def _new_model(cls, *args, **kwargs):
         raise UsageError(str(exc)) from exc
 
 
-def _build_vocab_from(path, policy, min_count, v_all):
-    lines = C.read_token_lines(path)        # its DataError names the path
+def _build_vocab_from(lines, path, policy, min_count, v_all):
+    """The vocabulary of ``lines``, read from ``path``, which errors name."""
     try:
         return C.build_vocab(lines, policy=policy, min_count=min_count, v_all=v_all)
     except DataError as exc:        # a corpus without a word
@@ -384,7 +384,7 @@ def cmd_train_ngram(args, rng) -> int:
         alphas = alphas * args.order
     if len(alphas) != args.order:
         raise UsageError("--alpha needs one value or one per order")
-    vocab = _build_vocab_from(args.train, "keep_all", 2, args.v_all)
+    vocab = _build_vocab_from(lines, args.train, "keep_all", 2, args.v_all)
     with _model_output(args.model) as save:
         save(NGramLM.train(lines, n=args.order, alphas=alphas, vocab=vocab))
     return 0
@@ -394,7 +394,7 @@ def cmd_train_loglinear(args, rng) -> int:
     train_lines = C.read_token_lines(args.train)
     dev_lines = (_nonempty(C.read_token_lines(args.dev), "development set", args.dev)
                  if args.dev else None)
-    vocab = _build_vocab_from(args.train, args.unk_policy, args.min_count,
+    vocab = _build_vocab_from(train_lines, args.train, args.unk_policy, args.min_count,
                               args.v_all)
     model = LogLinearLM(vocab, args.template)
     dev_sents = [C.encode(vocab, line, append_eos=True)
@@ -408,12 +408,12 @@ def cmd_train_loglinear(args, rng) -> int:
 
 
 def _train_neural_lm(args, rng, cls, **settings):
-    vocab = _build_vocab_from(args.train, args.unk_policy, args.min_count,
+    train_lines = C.read_token_lines(args.train)
+    vocab = _build_vocab_from(train_lines, args.train, args.unk_policy, args.min_count,
                               args.v_all)
     model = _new_model(cls, vocab, embed_size=args.embed, hidden_size=args.hidden,
                        rng=rng, **settings)
-    train_sents = [C.encode(vocab, line, append_eos=True)
-                   for line in C.read_token_lines(args.train)]
+    train_sents = [C.encode(vocab, line, append_eos=True) for line in train_lines]
     dev_sents = ([C.encode(vocab, line, append_eos=True) for line in
                   _nonempty(C.read_token_lines(args.dev), "development set", args.dev)]
                  if args.dev else None)
@@ -441,10 +441,11 @@ def cmd_train_encdec(args, rng) -> int:
     if bool(args.dev_src) != bool(args.dev_tgt):
         raise UsageError("--dev-src and --dev-tgt go together; give both or neither")
     pairs_text = C.read_parallel(args.train_src, args.train_tgt)
-    _reject_blank_sources(args.train_src, [f for f, _ in pairs_text])
-    src_vocab = _build_vocab_from(args.train_src, args.unk_policy,
+    src_lines, tgt_lines = [f for f, _ in pairs_text], [e for _, e in pairs_text]
+    _reject_blank_sources(args.train_src, src_lines)
+    src_vocab = _build_vocab_from(src_lines, args.train_src, args.unk_policy,
                                   args.min_count, args.v_all)
-    tgt_vocab = _build_vocab_from(args.train_tgt, args.unk_policy,
+    tgt_vocab = _build_vocab_from(tgt_lines, args.train_tgt, args.unk_policy,
                                   args.min_count, args.v_all)
     direction = {"bidir": "bidirectional"}.get(args.encoder, args.encoder)
     model = _new_model(EncDecModel, src_vocab, tgt_vocab, embed_size=args.embed,

@@ -13,7 +13,7 @@ scoring and prediction, which then hands back plain arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,11 +40,18 @@ def embedding_init(rng, rows, cols) -> np.ndarray:
 @dataclass
 class RecurrentState:
     """Hidden state (and memory cell for LSTM kinds) as graph nodes, or as
-    arrays under :class:`~.autograd.Eager`."""
+    arrays under :class:`~.autograd.Eager`.
+
+    For the LSTM kinds ``c`` is the n x B memory cell or, with ``c_is_hc``
+    (a state a step returned), that step's whole 2n x B ``[h; c]``, whose
+    last n rows are the cell; ``lstm`` reads either. ``h`` is the hidden
+    state on its own (plus the layer input with residual connections).
+    """
 
     h: Value
     c: Value | None = None
     batch: int = 1
+    c_is_hc: bool = False
 
 
 class RecurrentCell:
@@ -52,7 +59,9 @@ class RecurrentCell:
 
     The LSTM kinds keep every gate's weights stacked in three parameters,
     ``W_x``, ``W_h`` and ``b``, whose n-row blocks are the gates in ``gates``
-    order, so a step is one ``affine`` for all gates and one ``lstm`` node.
+    order, so a step is one ``affine`` for all gates, one ``lstm`` node and
+    one ``rows`` node for ``h``; the next step reads the cell from the
+    ``lstm`` node's ``[h; c]``, which the state keeps as its ``c``.
     The GRU stacks its r and z gates the same way and keeps its candidate's
     ``W_xh``, ``W_hh`` and ``b_h`` apart, because the candidate reads
     r*h_prev; the vanilla RNN has only those three. :meth:`gate` views one
@@ -134,9 +143,10 @@ class RecurrentCell:
             return RecurrentState(h=h, batch=state.batch)
         pre = self._affine(g, ("W_x", "W_h", "b"), x, h_prev)
         if self.has_cell:
-            hc = g.lstm(pre, state.c, forget=self.kind == "lstm_forget")
-            return RecurrentState(h=g.rows(hc, 0, n), c=g.rows(hc, n, 2 * n),
-                                  batch=state.batch)
+            hc = g.lstm(pre, state.c, forget=self.kind == "lstm_forget",
+                        c_is_hc=state.c_is_hc)
+            return RecurrentState(h=g.rows(hc, 0, n), c=hc, batch=state.batch,
+                                  c_is_hc=True)
         # gru: candidate state mixed in by the update gate,
         # h = h_prev + z * (h_tilde - h_prev)
         rz = g.sigmoid(pre)
@@ -186,14 +196,15 @@ class StackedRNN:
         for cell, state in zip(self.cells, states):
             new = cell.step(g, inp, state)
             if self.residual:
-                new = RecurrentState(h=g.add(new.h, inp), c=new.c, batch=new.batch)
+                new = replace(new, h=g.add(new.h, inp))
             new_states.append(new)
             inp = new.h
         return inp, new_states
 
 
 def gather_layer_states(layers: list[RecurrentState], rows) -> list[RecurrentState]:
-    """The columns ``rows`` of eagerly evaluated layer states, in that order.
+    """The columns ``rows`` of eagerly evaluated layer states, in that order;
+    of an LSTM state's ``[h; c]`` only the cell rows are gathered.
 
     ``np.take`` returns C-contiguous arrays, the layout the decoder's BLAS
     products had when hypotheses kept one column each and were stacked with
@@ -201,7 +212,8 @@ def gather_layer_states(layers: list[RecurrentState], rows) -> list[RecurrentSta
     may round differently.
     """
     return [RecurrentState(h=np.take(st.h, rows, axis=1),
-                           c=None if st.c is None else np.take(st.c, rows, axis=1),
+                           c=None if st.c is None
+                           else np.take(st.c[-len(st.h):], rows, axis=1),
                            batch=len(rows))
             for st in layers]
 

@@ -161,15 +161,21 @@ class EpochTracker:
         self.optimizer = optimizer
         self.decay = decay
         self.best_ll = -np.inf
-        self.best_snapshot = None
+        self.best_snapshot = None       # None: the current values are the best
 
-    def report(self, dev_ll: float) -> bool:
-        """Record an epoch's dev log-likelihood; returns True if it improved."""
+    def report(self, dev_ll: float, last: bool = False) -> bool:
+        """Record an epoch's dev log-likelihood; returns True if it improved.
+
+        An improved epoch's values are copied, unless ``last`` says that no
+        epoch follows it: training then ends on them, and nothing is copied
+        or, by ``restore_best``, written back.
+        """
         if not np.isfinite(dev_ll):
             raise TrainingDivergence(f"dev log-likelihood is {dev_ll}")
         if dev_ll > self.best_ll:
             self.best_ll = dev_ll
-            self.best_snapshot = [_array(p).copy() for p in self.optimizer.params]
+            self.best_snapshot = None if last else [
+                _array(p).copy() for p in self.optimizer.params]
             return True
         if self.decay:
             self.optimizer.lr /= 2.0
@@ -197,7 +203,8 @@ def fit(items, train_epoch, tracker: EpochTracker, epochs: int, dev_ll=None,
     passed to ``log(epoch, train_loss, score)`` and to ``tracker``, which halves
     the rate after a worse epoch. Training ends on the best-scoring epoch's
     parameters: the best on dev, or the lowest training loss without a dev
-    set. A NaN or Inf in a graph, or a non-finite score, raises
+    set. When that is the last epoch, its values are neither copied nor
+    written back. A NaN or Inf in a graph, or a non-finite score, raises
     TrainingDivergence.
     """
     rng = rng or np.random.default_rng(0)
@@ -212,6 +219,6 @@ def fit(items, train_epoch, tracker: EpochTracker, epochs: int, dev_ll=None,
         history.append(score)
         if log is not None:
             log(epoch, train_loss, score)
-        tracker.report(score)
+        tracker.report(score, last=epoch == epochs)
     tracker.restore_best()
     return history

@@ -93,12 +93,19 @@ OP_GRADCHECK_CASES = {
     # repeated ids into a computed matrix rather than a parameter
     "lookup_column_computed": lambda g, ps: g.lookup_column(
         g.tanh(g.param(ps[0])), [1, 0, 1]),
+    # one id at a time, counted from either end: both add into column 2
+    "lookup_column_one_id": lambda g, ps: g.add(g.lookup_column(g.param(ps[0]), 2),
+                                                g.lookup_column(g.param(ps[0]), -1)),
     "scale": lambda g, ps: g.scale(g.param(ps[0]), 1.7),
     "affine": lambda g, ps: g.affine(*[g.param(p) for p in ps]),
     "lstm": lambda g, ps: padding_masked(g, g.lstm(g.param(ps[0]), g.param(ps[1])),
                                          (2 * ps[1].value.shape[0], ps[1].value.shape[1])),
     "lstm_no_forget": lambda g, ps: padding_masked(
         g, g.lstm(g.param(ps[0]), g.param(ps[1]), forget=False),
+        (2 * ps[1].value.shape[0], ps[1].value.shape[1])),
+    # the second step reads its memory cell from the first step's [h; c]
+    "lstm_chain": lambda g, ps: padding_masked(
+        g, g.lstm(g.param(ps[2]), g.lstm(g.param(ps[0]), g.param(ps[1])), c_is_hc=True),
         (2 * ps[1].value.shape[0], ps[1].value.shape[1])),
     "rows": lambda g, ps: padding_masked(g, overlapping_rows(g, g.tanh(g.param(ps[0]))),
                                          (2, ps[0].value.shape[1])),
@@ -150,6 +157,8 @@ def op_gradcheck_shapes(name, rng):
         return [(n, 3)]
     if name == "affine":    # bias broadcast across m >= 2 columns, two terms
         return [(n, 1), (n, k), (k, m), (n, m), (m, m)]
+    if name == "lstm_chain":        # two steps' gates and the first step's cell
+        return [(4 * n, m), (n, m), (4 * n, m)]
     if name.startswith("lstm"):     # stacked gates and the memory cell, m columns
         return [((3 if name.endswith("no_forget") else 4) * n, m), (n, m)]
     if name == "rows":
@@ -408,7 +417,7 @@ def graph_layer_states(g, layers, rows):
     states."""
     return [RecurrentState(h=graph_columns(g, st.h, rows),
                            c=None if st.c is None else graph_columns(g, st.c, rows),
-                           batch=len(rows))
+                           batch=len(rows), c_is_hc=st.c_is_hc)
             for st in layers]
 
 

@@ -234,7 +234,7 @@ def test_criterion_04_lstm_memory_path():
     state = RecurrentState(h=g.input(np.zeros((hidden, 1))), c=g.param(c0))
     for x in xs:
         state = cell.step(g, g.input(x), state)
-    g.sum(state.c)
+    g.sum(g.rows(state.c, hidden, 2 * hidden))      # c_T, the cell half of [h; c]
     g.forward()
     g.backward()
     lstm_gap = np.abs(c0.grad - 1.0).max()

@@ -15,7 +15,7 @@ from helpers import (OP_GRADCHECK_CASES, max_gradient_error, random_params,
 from seqbench import corpus as C
 from seqbench.autograd import (_BACKWARD, FINITE_PRESERVING_OPS, Eager, Graph,
                                GraphError, NonFiniteError, Ops, Parameter, _all_finite,
-                               softmax)
+                               _dot, softmax)
 from seqbench.nnet import RNNLM
 
 
@@ -346,6 +346,68 @@ def test_affine_is_bitwise_the_matmul_add_chain():
         assert np.array_equal(fused_value, chain_value)
         for a, b in zip(fused_grads, chain_grads):
             assert np.array_equal(a, b)
+
+
+# (rows, inner, cols) of the products the benchmark models form: copy-task
+# (E=16, H=24, V=12, bidirectional), wide-vocab (E=H=32, V=5,000) and lm-train
+# (E=64, H=128, B=32, V~1,000), forward and as backward's weight and input
+# gradients, one column and one-sentence target widths
+MODEL_PRODUCT_SHAPES = [
+    (96, 1, 64), (96, 1, 24), (96, 64, 1), (96, 24, 1), (64, 96, 1), (12, 1, 72),
+    (12, 72, 6), (12, 6, 72), (72, 12, 6), (24, 48, 5), (1, 24, 5),
+    (512, 1, 128), (952, 1, 128), (128, 1, 96), (5000, 96, 1), (5000, 8, 96),
+    (96, 5000, 8), (5000, 1, 96), (96, 5000, 1),
+    (512, 32, 128), (512, 32, 64), (512, 128, 32), (128, 512, 32), (952, 128, 32),
+    (952, 32, 128)]
+
+
+def _product_operands(rng, rows, inner, cols):
+    """Every C- and F-ordered (transposed) layout of a rows x inner by
+    inner x cols product."""
+    a = rng.normal(size=(rows, inner))
+    b = rng.normal(size=(inner, cols))
+    for left in (a, np.ascontiguousarray(a.T).T):
+        for right in (b, np.ascontiguousarray(b.T).T):
+            yield left, right
+
+
+@pytest.mark.parametrize("rows, inner, cols", [
+    (rows, inner, cols) for rows in (1, 3, 17) for inner in (1, 2, 7, 64)
+    for cols in (1, 2, 5)] + MODEL_PRODUCT_SHAPES)
+def test_the_product_helper_is_matmul_bit_for_bit(rows, inner, cols):
+    rng = np.random.default_rng(rows * 10_000 + inner * 100 + cols)
+    for a, b in _product_operands(rng, rows, inner, cols):
+        product, reference = _dot(a, b), a @ b
+        assert product.strides == reference.strides
+        assert same_bits(product, reference)
+
+
+def test_lstm_reads_a_cell_of_n_rows_or_the_last_n_rows_of_h_and_c():
+    rng = np.random.default_rng(8)
+    pre, cell = rng.normal(size=(12, 2)), rng.normal(size=(3, 2))
+    hc = np.vstack([rng.normal(size=(3, 2)), cell])
+    with Eager() as e:
+        assert same_bits(e.lstm(pre, hc, c_is_hc=True), e.lstm(pre, cell))
+        assert same_bits(e.lstm(pre[:9], hc, forget=False, c_is_hc=True),
+                         e.lstm(pre[:9], cell, forget=False))
+        for bad_pre, bad_cell, c_is_hc in (
+                (pre, cell[:2], False), (pre, np.vstack([hc, cell]), True),
+                (pre, hc[:, :1], True), (pre[:10], cell, False),
+                (pre, cell, True), (pre, hc[:5], True), (pre, hc, False)):
+            with pytest.raises(GraphError, match="lstm: gates"):
+                e.lstm(bad_pre, bad_cell, c_is_hc=c_is_hc)
+
+
+def test_a_cell_of_2n_rows_not_marked_as_h_and_c_is_rejected():
+    # two n-row cells stacked, as a bidirectional bridge might stack them,
+    # are not a previous step's [h; c]: read as one, half of them would be lost
+    rng = np.random.default_rng(9)
+    g = Graph()
+    pre = g.input(rng.normal(size=(12, 2)))
+    cells = g.concat_rows(g.input(rng.normal(size=(3, 2))),
+                          g.input(rng.normal(size=(3, 2))))
+    with pytest.raises(GraphError, match=r"node 4 lstm: gates \(12, 2\) for cell \(6, 2\)"):
+        g.lstm(pre, cells)
 
 
 def test_affine_rejects_bad_arity_and_shapes():

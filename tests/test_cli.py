@@ -2,6 +2,7 @@ import argparse
 import math
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ def test_train_loglinear_metrics_file(toy_corpus):
     assert main(["train-loglinear", "--train", train, "--dev", train,
                  "--model", model, "--epochs", "3", "--lr", "0.2",
                  "--metrics", metrics, "--template", "prev_word"]) == 0
-    rows = open(metrics).read().splitlines()
+    rows = Path(metrics).read_text().splitlines()
     assert len(rows) == 3
     for i, row in enumerate(rows, start=1):
         epoch, train_loss, dev_ll, dev_ppl = row.split("\t")
@@ -108,7 +109,7 @@ def test_kept_epoch_metrics_match_eval_ppl_with_unknown_words(tmp_path, capsys, 
         data += ["--embed", "3", "--hidden", "4"]
     assert main([command, *data, "--model", model, "--metrics", metrics,
                  "--epochs", "3", "--unk-policy", "keep_all"]) == 0
-    rows = [row.split("\t") for row in open(metrics).read().splitlines()]
+    rows = [row.split("\t") for row in Path(metrics).read_text().splitlines()]
     kept = max(rows, key=lambda row: float(row[2]))    # the first best epoch
     assert main(["eval-ppl", "--model", model, "--data", dev, *source]) == 0
     report = read_report(capsys)
@@ -124,7 +125,7 @@ def test_seed_determinism_produces_identical_model_files(tmp_path):
     assert main(base + ["--model", out1, "--seed", "7"]) == 0
     assert main(base + ["--model", out2, "--seed", "7"]) == 0
     assert main(base + ["--model", out3, "--seed", "8"]) == 0
-    blob1, blob2, blob3 = (open(p, "rb").read() for p in (out1, out2, out3))
+    blob1, blob2, blob3 = (Path(p).read_bytes() for p in (out1, out2, out3))
     assert blob1 == blob2
     assert blob1 != blob3
 
@@ -181,12 +182,12 @@ def test_translate_beam_one_equals_greedy(translation_setup):
                  "--output", out_greedy, "--search", "greedy"]) == 0
     assert main(["translate", "--model", model, "--input", inputs,
                  "--output", out_beam, "--search", "beam", "--beam-size", "1"]) == 0
-    assert open(out_greedy, "rb").read() == open(out_beam, "rb").read()
+    assert Path(out_greedy).read_bytes() == Path(out_beam).read_bytes()
 
 
 def test_translate_corrupt_model_is_data_error(translation_setup, capsys):
     tmp_path, model, inputs = translation_setup
-    blob = bytearray(open(model, "rb").read())
+    blob = bytearray(Path(model).read_bytes())
     blob[12] ^= 0xFF            # first byte of the kind string: no longer UTF-8
     corrupt = tmp_path / "corrupt.bin"
     corrupt.write_bytes(bytes(blob))
@@ -197,7 +198,7 @@ def test_translate_corrupt_model_is_data_error(translation_setup, capsys):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_translate_non_finite_model_is_data_error(translation_setup, capsys, bad):
     tmp_path, model, inputs = translation_setup
-    blob = bytearray(open(model, "rb").read())
+    blob = bytearray(Path(model).read_bytes())
     # name, rank 2 and two dims precede the first W_hs payload entry
     at = blob.index(struct.pack("<I", 4) + b"W_hs") + 8 + 4 + 8
     blob[at:at + 8] = struct.pack("<d", bad)
@@ -265,7 +266,7 @@ def test_translate_nbest_format(translation_setup):
     assert main(["translate", "--model", model, "--input", inputs,
                  "--output", out, "--search", "beam", "--beam-size", "3",
                  "--nbest", "3"]) == 0
-    rows = open(out, encoding="utf-8").read().splitlines()
+    rows = Path(out).read_text(encoding="utf-8").splitlines()
     assert rows
     for row in rows:
         index, tokens, score = row.split(" ||| ")
@@ -280,7 +281,7 @@ def test_translate_length_norms(translation_setup):
         assert main(["translate", "--model", model, "--input", inputs,
                      "--output", out, "--search", "beam", "--beam-size", "2",
                      "--length-norm", norm]) == 0
-        assert len(open(out, encoding="utf-8").read().splitlines()) == 3
+        assert len(Path(out).read_text(encoding="utf-8").splitlines()) == 3
 
 
 def test_translate_replace_unk(translation_setup, tmp_path):
@@ -299,8 +300,8 @@ def test_translate_replace_unk(translation_setup, tmp_path):
                  "--output", plain, "--max-len", "2"]) == 0
     assert main(["translate", "--model", rigged, "--input", inputs,
                  "--output", replaced, "--replace-unk", "--max-len", "2"]) == 0
-    plain_words = open(plain, encoding="utf-8").read().split()
-    replaced_words = open(replaced, encoding="utf-8").read().split()
+    plain_words = Path(plain).read_text(encoding="utf-8").split()
+    replaced_words = Path(replaced).read_text(encoding="utf-8").split()
     assert C.UNK in plain_words
     assert all(w in ("d", "e") for w in replaced_words)
     assert len(replaced_words) == len(plain_words)
@@ -314,7 +315,8 @@ def test_ensemble_translate_identical_members(translation_setup):
                  "--output", single]) == 0
     assert main(["ensemble-translate", "--models", f"{model},{model}",
                  "--input", inputs, "--output", double]) == 0
-    assert open(single, encoding="utf-8").read() == open(double, encoding="utf-8").read()
+    assert (Path(single).read_text(encoding="utf-8")
+            == Path(double).read_text(encoding="utf-8"))
 
 
 def test_eval_ppl_conditional_needs_source(translation_setup, capsys):
@@ -525,12 +527,12 @@ def test_diverged_run_keeps_the_earlier_model(tmp_path, capsys):
     train = write(tmp_path / "t.txt", "a b c\nc b a\n")
     model = str(tmp_path / "d.bin")
     assert main(["train-ngram", "--train", train, "--model", model]) == 0
-    earlier = open(model, "rb").read()
+    earlier = Path(model).read_bytes()
     assert main(["train-ffnnlm", "--train", train, "--model", model,
                  "--epochs", "10", "--lr", "1e60", "--optimizer", "sgd",
                  "--clip-norm", "1e300", "--embed", "4", "--hidden", "4",
                  "--nonlinearity", "relu"]) == 3
-    assert open(model, "rb").read() == earlier
+    assert Path(model).read_bytes() == earlier
     # a run that succeeds replaces the whole file, however long it was
     assert main(["train-ngram", "--train", train, "--model", model,
                  "--order", "1"]) == 0
@@ -875,6 +877,22 @@ def test_a_latin1_training_corpus_is_named_once(tmp_path, capsys, command):
     assert main([command, "--train", str(latin1), "--model", str(model)]) == 2
     assert capsys.readouterr().err == f"data error: {latin1}: invalid UTF-8 on line 1\n"
     assert not model.exists()
+
+
+@pytest.mark.parametrize("command", ["train-ngram", "train-loglinear", "train-ffnnlm",
+                                     "train-rnnlm", "train-encdec"])
+def test_each_training_file_is_read_once(toy_corpus, monkeypatch, command):
+    tmp_path, train = toy_corpus
+    reads = []
+    read = C.read_token_lines
+    monkeypatch.setattr(C, "read_token_lines",
+                        lambda path: reads.append(str(path)) or read(path))
+    inputs = (["--train-src", train, "--train-tgt", write(tmp_path / "tgt.txt", "b\na\n")]
+              if command == "train-encdec" else ["--train", train])
+    settings = {"train-ngram": [], "train-loglinear": ["--epochs", "1"]}.get(
+        command, ["--epochs", "1", "--embed", "2", "--hidden", "2"])
+    assert main([command, *inputs, *settings, "--model", str(tmp_path / "m.bin")]) == 0
+    assert sorted(reads) == sorted(inputs[1::2])
 
 
 def test_eval_ppl_of_empty_data_is_a_data_error_naming_it(toy_corpus, capsys):

@@ -39,8 +39,10 @@ def run_one_step(cell, x, h=None, c=None):
 def test_lstm_zero_weights_hand_values():
     cell = zeroed_cell("lstm")
     new = run_one_step(cell, [0.0], c=[2.0])
-    # u = tanh(0) = 0, i = o = sigmoid(0) = 0.5, c = 0.5*0 + 2 = 2
-    assert new.c.value[0, 0] == pytest.approx(2.0, abs=1e-15)
+    # u = tanh(0) = 0, i = o = sigmoid(0) = 0.5, c = 0.5*0 + 2 = 2; the
+    # state's c is the step's [h; c], whose last row here is the cell
+    assert new.c.value.shape == (2, 1)
+    assert new.c.value[-1, 0] == pytest.approx(2.0, abs=1e-15)
     assert new.h.value[0, 0] == pytest.approx(0.5 * math.tanh(2.0), abs=1e-12)
 
 
@@ -67,7 +69,7 @@ def test_forget_gate_saturated_open():
     gi, gu = cell.gate("i"), cell.gate("u")
     i = 1 / (1 + np.exp(-(gi["W_xi"] @ x + gi["b_i"])))
     u = np.tanh(gu["W_xu"] @ x + gu["b_u"])
-    assert np.abs(new.c.value - (i * u + c_prev)).max() < 1e-9
+    assert np.abs(new.c.value[-3:] - (i * u + c_prev)).max() < 1e-9
 
 
 def test_forget_bias_initialized_open():
@@ -109,6 +111,38 @@ def test_cell_gradients_three_step_unroll(kind):
         assert max_gradient_error(build, cell.parameters()) < 1e-6
 
 
+@pytest.mark.parametrize("kind", ["lstm", "lstm_forget"])
+@pytest.mark.parametrize("layers, residual", [(1, False), (1, True), (2, False),
+                                              (2, True)])
+def test_stacked_lstm_gradients_three_step_unroll(kind, layers, residual):
+    # from the second step on, each layer's cell is read from the previous
+    # step's [h; c]; the loss reads every layer's last h and cell
+    rng = np.random.default_rng(zlib.crc32(f"{kind}{layers}{residual}".encode()))
+    hidden = 3
+    stack = StackedRNN(kind, hidden, hidden, layers, rng, residual=residual)
+    for p in stack.parameters():
+        p.value += rng.uniform(-0.3, 0.3, size=p.value.shape)
+    c0 = Parameter("c0", rng.uniform(-0.5, 0.5, size=(hidden, 2)))
+    xs = [rng.uniform(-0.8, 0.8, size=(hidden, 2)) for _ in range(3)]
+    projections = rng.normal(size=(2 * layers, hidden, 2))
+
+    def build():
+        g = Graph()
+        states = stack.initial_states(g, batch=2)
+        states[0] = RecurrentState(h=states[0].h, c=g.param(c0), batch=2)
+        for x in xs:
+            _, states = stack.step(g, g.input(x), states)
+        terms = []
+        for st, (p_h, p_c) in zip(states, projections.reshape(layers, 2, hidden, 2)):
+            rows = st.c.value.shape[0]
+            terms += [g.cmult(st.h, g.input(p_h)),
+                      g.cmult(g.rows(st.c, rows - hidden, rows), g.input(p_c))]
+        g.sum(g.concat_rows(*terms))
+        return g
+
+    assert max_gradient_error(build, stack.parameters() + [c0]) < 1e-6
+
+
 def lstm_no_forget_with_closed_input_gate(rng, hidden):
     cell = RecurrentCell("lstm", hidden, hidden, rng)
     for gate in cell.gates:
@@ -131,7 +165,7 @@ def test_lstm_memory_path_gradient_is_one():
     state = RecurrentState(h=g.input(np.zeros((hidden, 1))), c=g.param(c0))
     for x in xs:
         state = cell.step(g, g.input(x), state)
-    g.sum(state.c)
+    g.sum(g.rows(state.c, hidden, 2 * hidden))      # c_T, the cell half of [h; c]
     g.forward()
     g.backward()
     assert np.abs(c0.grad - 1.0).max() < 1e-6
@@ -372,7 +406,7 @@ def test_stacked_gates_round_alike_at_odd_sizes(kind):
     assert model.sentence_nll(ids) == pytest.approx(ref.sentence_nll(ids), rel=1e-13)
 
 
-def test_lstm_step_adds_four_computed_nodes():
+def test_lstm_step_adds_three_computed_nodes():
     cell = RecurrentCell("lstm_forget", 3, 4, np.random.default_rng(0))
     g = Graph()
     state = cell.initial_state(g, batch=2)
@@ -382,10 +416,11 @@ def test_lstm_step_adds_four_computed_nodes():
     added = g.nodes[before:]
     assert sum(node.op == "parameter" for node in added) == 3
     assert [node.op for node in added if node.op != "parameter"] == [
-        "affine", "lstm", "rows", "rows"]
+        "affine", "lstm", "rows"]
+    assert state.c is added[-2]         # the next step reads the cell from [h; c]
     before = len(g.nodes)
     cell.step(g, x, state)              # parameters already in the graph
-    assert len(g.nodes) - before == 4
+    assert len(g.nodes) - before == 3
 
 
 def test_nan_in_stacked_bias_is_named_at_its_parameter_node():

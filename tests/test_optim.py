@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from helpers import same_bits
 from seqbench import corpus as C
 from seqbench.autograd import Graph, NonFiniteError, Parameter
 from seqbench.loglinear import LogLinearLM
@@ -378,3 +379,36 @@ def test_without_dev_set_the_lowest_training_loss_epoch_is_kept(trainer):
     history, losses, snapshots, final, _ = train_with_epoch_snapshots(trainer, False)
     assert history == [-loss for loss in losses]
     assert_kept_epoch(int(np.argmin(losses)), snapshots, final)
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_a_best_last_epoch_is_neither_copied_nor_written_back(epochs):
+    # the values training ends on stay as the last step left them, and so
+    # does every parameter's finite verdict: the next graph scans none
+    vocab = C.build_vocab(LINES)
+    model = RNNLM(vocab, embed_size=4, hidden_size=4, rng=np.random.default_rng(0))
+    sents, dev = ([C.encode(vocab, line, append_eos=True) for line in lines]
+                  for lines in (LINES, DEV))
+    last = []
+    history = train_lm(model, sents, Adam(model.parameters(), lr=0.01), epochs=epochs,
+                       dev_sentences=dev, batch_size=2, rng=np.random.default_rng(0),
+                       log=lambda *_: last.__setitem__(
+                           slice(None), [p.value.copy() for p in model.parameters()]))
+    assert history == sorted(history)       # the last epoch is the best
+    for p, value in zip(model.parameters(), last, strict=True):
+        assert same_bits(p.value, value)
+        assert p._known_finite
+
+
+def test_a_last_improving_epoch_takes_no_snapshot():
+    params = [Parameter(f"p{i}", np.full(shape, float(i))) for i, shape in
+              enumerate([(2, 3), (4, 1)])]
+    tracker = EpochTracker(SGD(params, lr=0.1))
+    assert tracker.report(-1.0)
+    assert [snap.tolist() for snap in tracker.best_snapshot] == [[[0.0] * 3] * 2,
+                                                                 [[1.0]] * 4]
+    for p in params:
+        p.value[...] = 9.0
+    assert tracker.report(0.0, last=True) and tracker.best_snapshot is None
+    tracker.restore_best()
+    assert all((p.value == 9.0).all() for p in params)

@@ -6,7 +6,7 @@ import pytest
 from helpers import (assert_matches_per_gate_reference,
                      assert_matches_per_position_reference,
                      attention_scores_per_column, max_gradient_error,
-                     per_position_loss_graph)
+                     parameter_digest, per_position_loss_graph)
 from seqbench import corpus as C
 from seqbench.autograd import Eager, Graph, NonFiniteError
 from seqbench.ngram import NGramLM
@@ -366,6 +366,79 @@ def test_loss_graph_matches_per_position_output_layer(encoder, bridge, attention
         lambda: per_position_loss_graph(model, f, e))
 
 
+# parameters after two epochs of per-sentence train_encdec with clipped Adam and
+# a dev set, per encoder, bridge and attention; a change to training's graphs,
+# products or update that moves any parameter bit changes these
+ENCDEC_TRAINED_DIGESTS = {
+    ("forward", "copy", "none"):
+        "a02ba1f0eabd1ade0ad6fb5ab5b1f69f4066d7e4f76ea8aa4914f077629396a1",
+    ("forward", "copy", "dot"):
+        "7a6a18830520d9185bbc598847cffca49d17a9737be0fb425ddcfaefd94de018",
+    ("forward", "copy", "bilinear"):
+        "ebf06d2110416408edffc24f51b7d38eac927abe214374ae62d95f25abc1b8e1",
+    ("forward", "copy", "mlp"):
+        "03a2eedd87f8024605a708c53e1a3c796e6f694e89cb90453c6ff975382b64d7",
+    ("forward", "tanh", "none"):
+        "5ebe33bb5a51559f0f6187cfaf49487c4b7ed41b5224772cdfea0c03ea0de034",
+    ("forward", "tanh", "dot"):
+        "0657027af4d173605a58191af695a911d6be64d12dbd77c304c2035e7bb1d012",
+    ("forward", "tanh", "bilinear"):
+        "c92c2a8b6b1bfab8aff370f89e6426a7301a53d8b9d72a39486b016a37f1d8b1",
+    ("forward", "tanh", "mlp"):
+        "f5621d6c7ad16b82163e031d5c6225db5a786ba330eb6ab6cb5c1b1e8dafbe05",
+    ("reverse", "copy", "none"):
+        "65c9b5340889c9100275482308807a80557ecbbb6292d8caf552331e16864f99",
+    ("reverse", "copy", "dot"):
+        "5ae1f4b4049d6a9571944de4e565e7bd67781babebcb472fe4ed752d9dbf16c3",
+    ("reverse", "copy", "bilinear"):
+        "a0c5bb28e7c5be0c4d636192fe893bc34293f9047f21b2ad2a9a1611846ac1b7",
+    ("reverse", "copy", "mlp"):
+        "956f8be1705af4362b575a148b9d5cf1aea8e2e4260677bf4455f08b84ab2b76",
+    ("reverse", "tanh", "none"):
+        "54190a54ed3eaa2c10a555b1976a6a2319d8838695db4b4a145c0a609b7095eb",
+    ("reverse", "tanh", "dot"):
+        "edf17d212a090b3e28b038d796d4e05db4995feb1467bbc46c55bcd942858a61",
+    ("reverse", "tanh", "bilinear"):
+        "b37c61206299e2789b2e358e5fe2df5e124b14bd089dfe9e0a798450ea688a53",
+    ("reverse", "tanh", "mlp"):
+        "2cfb72c269e462009eb8cc92d1274db94b9be378ffab66392646626905c7cbae",
+    ("bidirectional", "concat", "none"):
+        "bdb69989ff4ea601b5ed7420049d3d2c48d75016c5bbf4dde3b22e22f414190e",
+    ("bidirectional", "concat", "dot"):
+        "d46a8a5e43b66295a32356254e27c2c5b014c9e16ceeeb8755a62489202aaf12",
+    ("bidirectional", "concat", "bilinear"):
+        "0dfb336739ebd062c13c2468698b47bb4c586343d946f9f6c6406c73d0783c08",
+    ("bidirectional", "concat", "mlp"):
+        "72f715dfebd0b70bd3e8237442a6dc3a319b6464778cffdeee9bd4143f31117c",
+    ("bidirectional", "tanh", "none"):
+        "79456c8bf4d0910baa49048ec5cd83f73b93555781b562acae797f3c9d162042",
+    ("bidirectional", "tanh", "dot"):
+        "cccab84d1a094a88323c187f1f1896548af3df95a61393f1fed110902550721b",
+    ("bidirectional", "tanh", "bilinear"):
+        "e2a9dc5bee3453a4548a83216938b7655e325b39f3252284d1480964b047e2c5",
+    ("bidirectional", "tanh", "mlp"):
+        "9eecc86103f336759eecd3402c6b9e9842ac16c824184a67687060368b699a6e",
+}
+
+
+@pytest.mark.parametrize("attention", ATTENTION_KINDS)
+@pytest.mark.parametrize("encoder, bridge", [
+    ("forward", "copy"), ("forward", "tanh"), ("reverse", "copy"), ("reverse", "tanh"),
+    ("bidirectional", "concat"), ("bidirectional", "tanh")])
+def test_per_sentence_training_is_pinned_bitwise(encoder, bridge, attention):
+    src_dim = 8 if encoder == "bidirectional" else 4
+    model = tiny_model(seed=23, encoder=encoder, bridge=bridge, attention=attention,
+                       layers=2, dec_hidden=src_dim if attention == "dot" else None)
+    rng = np.random.default_rng(24)
+    pairs = [([int(w) for w in rng.integers(3, 7, size=n)],
+              [int(w) for w in rng.integers(3, 7, size=m)] + [C.EOS_ID])
+             for n, m in zip(rng.integers(1, 6, size=8), rng.integers(0, 5, size=8))]
+    optimizer = Adam(model.parameters(), lr=0.2, clip_norm=1.0)
+    train_encdec(model, pairs, optimizer, epochs=2, dev_pairs=pairs[:3],
+                 rng=np.random.default_rng(25))
+    assert parameter_digest(model) == ENCDEC_TRAINED_DIGESTS[encoder, bridge, attention]
+
+
 def test_wide_vocabulary_loss_graph_matches_per_position_output_layer():
     # at V=2,000 one gemm and T gemv calls may round differently
     src = C.build_vocab(["w x y z"])
@@ -400,7 +473,7 @@ def test_copy_task_graph_sizes(monkeypatch):
     state = model.start([3, 4, 5, 6, 7])
     model.step(state, [0], [C.BOS_ID])
     assert graphs == []
-    assert len(model.loss_graph([3, 4, 5, 6, 7], [3, 4, 5, 6, 7, C.EOS_ID]).nodes) <= 178
+    assert len(model.loss_graph([3, 4, 5, 6, 7], [3, 4, 5, 6, 7, C.EOS_ID]).nodes) <= 162
 
 
 def test_decoder_steps_take_the_source_encoding_unwrapped(monkeypatch):
