@@ -22,8 +22,8 @@ records a node. A value is thus bitwise the same either way, and model code
 written against the constructors serves training and inference alike. Adding
 an op means one kernel, one constructor on :class:`Ops` and one rule in
 ``_BACKWARD``. Build inside ``with Graph() as g:`` or ``with Eager() as e:``;
-there, floating-point overflow raises no warning and is reported as
-:class:`NonFiniteError` instead.
+there, floating-point overflow and invalid operations raise no warning, and
+the NaN or Inf they make is reported as :class:`NonFiniteError` instead.
 
 Every matrix product of a kernel or a backward rule goes through one helper,
 ``_dot``. It calls ``np.dot`` when the inner dimension is 1 and ``@``
@@ -128,11 +128,10 @@ class Node:
     """One value of a graph: an input, a parameter, or an op's kernel applied
     to the parents' values followed by ``settings``."""
 
-    __slots__ = ("idx", "op", "parents", "settings", "value", "grad", "param",
+    __slots__ = ("op", "parents", "settings", "value", "grad", "param",
                  "needs_grad")
 
-    def __init__(self, idx, op, value, parents=(), settings=(), param=None):
-        self.idx = idx
+    def __init__(self, op, value, parents=(), settings=(), param=None):
         self.op = op
         self.parents = parents
         self.settings = settings
@@ -156,14 +155,15 @@ class Ops:
 
     Each constructor hands ``self._op(op name, kernel, parents, settings)``
     to its evaluator, which returns a node or a value. Inside
-    ``with evaluator:`` floating-point overflow raises no warning; it is
-    reported as :class:`NonFiniteError` instead.
+    ``with evaluator:`` floating-point overflow and invalid operations raise
+    no warning; the NaN or Inf they make is reported as
+    :class:`NonFiniteError` instead.
     """
 
     __slots__ = ("_errstate",)
 
     def __enter__(self):
-        self._errstate = np.errstate(over="ignore")
+        self._errstate = np.errstate(over="ignore", invalid="ignore")
         self._errstate.__enter__()
         return self
 
@@ -305,7 +305,7 @@ class Graph(Ops):
                 from None
         except GraphError as exc:
             raise GraphError(f"node {len(self.nodes)} {exc}") from None
-        node = Node(len(self.nodes), op, value, parents, settings)
+        node = Node(op, value, parents, settings)
         self.nodes.append(node)
         return node
 
@@ -323,7 +323,7 @@ class Graph(Ops):
             if not parameter.is_finite():
                 raise NonFiniteError(
                     f"non-finite value at node {len(self.nodes)} (parameter)")
-            node = Node(len(self.nodes), "parameter", parameter.value, param=parameter)
+            node = Node("parameter", parameter.value, param=parameter)
             self.nodes.append(node)
             self._params[id(parameter)] = node
         return node

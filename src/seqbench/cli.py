@@ -11,16 +11,16 @@ default 42). Training commands append one line per epoch to a metrics file:
 ``epoch<TAB>train_loss<TAB>dev_ll<TAB>dev_ppl``, where ``dev_ll`` charges
 unknown words the 1/v_all factor ``eval-ppl`` charges. Every output file is opened
 after the inputs are read and before any training, scoring or decoding
-starts; one that cannot be opened is a data error naming its path.
+starts; one that cannot be opened or written is a data error naming its path.
+A failed run removes every output file it created and keeps an earlier model.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from . import corpus as C
 from .autograd import NonFiniteError
 from .corpus import DataError
 from .evaluate import bleu as corpus_bleu
-from .evaluate import evaluate_ll
+from .evaluate import evaluate_ll, perplexity
 from .loglinear import LogLinearLM
 from .modelfile import load_model, save_model
 from .ngram import NGramLM
@@ -275,10 +275,7 @@ class MetricsLog:
 
     def __call__(self, epoch, train_loss, dev_ll):
         dev_ll += self.unk_logp
-        try:
-            ppl = math.exp(-dev_ll / self.dev_words)
-        except OverflowError:
-            ppl = math.inf
+        ppl = perplexity(dev_ll, self.dev_words)
         self.fh.write(f"{epoch}\t{train_loss!r}\t{dev_ll!r}\t{ppl!r}\n")
         self.fh.flush()
 
@@ -295,71 +292,43 @@ def _reported_as_data_error(model_path):
                         f"non-finite number ({exc})") from exc
 
 
-def _open_output(path, mode="w"):
-    """Open an output file; failing to is a data error naming the path."""
-    try:
-        return open(path, mode, encoding=None if "b" in mode else "utf-8")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
-
-
 @contextmanager
-def _model_output(path):
-    """Check before training that the model file can be written; yields
-    ``save(model)``.
+def _output(path, mode="w"):
+    """An output file, opened before the work starts: ``"w"`` empties it,
+    ``"ab"`` (a model's) creates it without emptying an earlier model.
 
-    Opened for appending, the file is created without emptying an earlier
-    model, which a run that fails before it saves thus leaves in place. A
-    file this run created is removed again if the run fails before it saves.
+    Failing to open, write or close it is a data error naming ``path``. A
+    run that fails, for any reason, removes the file again if it created it,
+    and so leaves an earlier model in place and no file where there was none.
     """
     created = not os.path.exists(path)
-    _open_output(path, "ab").close()
-    saved = False
-
-    def save(model):
-        nonlocal saved
+    try:
         try:
-            save_model(model, path)
+            with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+                yield fh
         except OSError as exc:
-            raise DataError(f"{path}: cannot write: "
-                            f"{exc.strerror or exc}") from exc
-        saved = True
-
-    try:
-        yield save
-    finally:
-        if created and not saved:
+            raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+    except BaseException:
+        if created:
             with suppress(OSError):
                 os.unlink(path)
+        raise
 
 
 @contextmanager
-def _training_outputs(args, vocab, dev_sentences):
-    """A training command's metrics log over the encoded ``dev_sentences``
-    and model ``save``, both opened before training starts."""
-    path = args.metrics or f"{args.model}.metrics"
-    with _open_output(path) as fh, _model_output(args.model) as save:
-        yield MetricsLog(fh, vocab, dev_sentences), save
+def _training_outputs(args, model, dev_sentences):
+    """A training command's metrics log over the encoded ``dev_sentences``;
+    the model is saved once training ends. The model file is the inner one,
+    so a failed save is named by its path and removes the metrics too."""
+    with _output(args.metrics or f"{args.model}.metrics") as fh, \
+            _output(args.model, "ab"):
+        yield MetricsLog(fh, model.vocab, dev_sentences)
+        save_model(model, args.model)
 
 
-@contextmanager
 def _lines_output(path):
-    """Where a command's lines go: ``path``, opened (and so emptied) before
-    the work starts, or stdout. A file this run created is removed again if
-    the run fails."""
-    if path is None:
-        yield sys.stdout
-        return
-    created = not os.path.exists(path)
-    written = False
-    try:
-        with _open_output(path) as fh:
-            yield fh
-        written = True
-    finally:
-        if created and not written:
-            with suppress(OSError):
-                os.unlink(path)
+    """Where a command's lines go: ``path`` or stdout."""
+    return nullcontext(sys.stdout) if path is None else _output(path)
 
 
 def _write_lines(lines, out):
@@ -385,8 +354,9 @@ def cmd_train_ngram(args, rng) -> int:
     if len(alphas) != args.order:
         raise UsageError("--alpha needs one value or one per order")
     vocab = _build_vocab_from(lines, args.train, "keep_all", 2, args.v_all)
-    with _model_output(args.model) as save:
-        save(NGramLM.train(lines, n=args.order, alphas=alphas, vocab=vocab))
+    with _output(args.model, "ab"):
+        save_model(NGramLM.train(lines, n=args.order, alphas=alphas, vocab=vocab),
+                   args.model)
     return 0
 
 
@@ -399,11 +369,10 @@ def cmd_train_loglinear(args, rng) -> int:
     model = LogLinearLM(vocab, args.template)
     dev_sents = [C.encode(vocab, line, append_eos=True)
                  for line in (dev_lines or train_lines)]
-    with _training_outputs(args, vocab, dev_sents) as (log, save):
+    with _training_outputs(args, model, dev_sents) as log:
         model.train_sgd(train_lines, dev_lines=dev_lines, lr=args.lr,
                         epochs=args.epochs, shuffle=not args.no_shuffle,
                         decay=not args.no_decay, rng=rng, log=log)
-        save(model)
     return 0
 
 
@@ -419,11 +388,10 @@ def _train_neural_lm(args, rng, cls, **settings):
                  if args.dev else None)
     opt = make_optimizer(args.optimizer, model.parameters(), lr=args.lr,
                          clip_norm=args.clip_norm)
-    with _training_outputs(args, vocab, dev_sents or train_sents) as (log, save):
+    with _training_outputs(args, model, dev_sents or train_sents) as log:
         train_lm(model, train_sents, opt, epochs=args.epochs,
                  dev_sentences=dev_sents, batch_size=args.batch_size,
                  rng=rng, log=log)
-        save(model)
     return 0
 
 
@@ -464,11 +432,9 @@ def cmd_train_encdec(args, rng) -> int:
                      for f, e in dev_text]
     opt = make_optimizer(args.optimizer, model.parameters(), lr=args.lr,
                          clip_norm=args.clip_norm)
-    with _training_outputs(args, tgt_vocab,
-                           [e for _, e in (dev_pairs or pairs)]) as (log, save):
+    with _training_outputs(args, model, [e for _, e in (dev_pairs or pairs)]) as log:
         train_encdec(model, pairs, opt, epochs=args.epochs,
                      dev_pairs=dev_pairs, rng=rng, log=log)
-        save(model)
     return 0
 
 

@@ -44,6 +44,15 @@ class EvalReport:
         return [header] + [f"{name}\t{getattr(self, name)!r}" for name in self.FIELDS]
 
 
+def perplexity(log_likelihood: float, words: int) -> float:
+    """``exp(-log_likelihood / words)``; inf where a per-word NLL beyond
+    about 709.78 overflows it."""
+    try:
+        return math.exp(-log_likelihood / words)
+    except OverflowError:
+        return math.inf
+
+
 def evaluate_ll(model, data) -> EvalReport:
     """Score a corpus of surface token lists (language models) or of
     (source, target) token-list pairs (models with a ``src_vocab``).
@@ -73,13 +82,8 @@ def evaluate_ll(model, data) -> EvalReport:
     unk_count, unk_logp = unknown_factor(model.vocab, targets)
     total = -model.corpus_nll(items) + unk_logp
     words = sum(len(ids) for ids in targets)
-    per_word = total / words
-    try:
-        perplexity = math.exp(-per_word)
-    except OverflowError:       # a per-word NLL beyond about 709.78
-        perplexity = math.inf
     return EvalReport(total_log_likelihood=total, word_count=words,
-                      per_word_ll=per_word, perplexity=perplexity,
+                      per_word_ll=total / words, perplexity=perplexity(total, words),
                       unk_count=unk_count, unk_log_portion=unk_logp)
 
 

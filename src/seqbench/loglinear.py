@@ -168,9 +168,11 @@ class LogLinearLM(LanguageModel):
         dev = (None if dev_lines is None else
                [encode(self.vocab, line, append_eos=True) for line in dev_lines])
         dev_ll = None if dev is None else lambda: -self.corpus_nll(dev)
-        return fit(self._instances(train_lines), train_epoch,
-                   EpochTracker(sgd, decay), epochs, dev_ll, rng=rng,
-                   shuffle=shuffle, log=log)
+        # an overflow raises no warning: score and fit report its NaN or Inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fit(self._instances(train_lines), train_epoch,
+                       EpochTracker(sgd, decay), epochs, dev_ll, rng=rng,
+                       shuffle=shuffle, log=log)
 
     # ---- evaluation / generation protocol ----------------------------------
 

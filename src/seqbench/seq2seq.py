@@ -183,16 +183,17 @@ class EncDecModel:
     # ---- encoding ----------------------------------------------------------
 
     def _run_direction(self, g: Evaluator, stack: StackedRNN, sources, reverse: bool):
-        """One direction over B sources: (its outputs in word order, its
-        final top-layer states).
+        """One direction over B sources: (its outputs as one t-major matrix
+        in word order, its final top-layer states).
 
         Step t feeds column b word t of its source, or word n_b - 1 - t in
         reverse, so a column's padded steps, which feed EOS, all come after
         its last word and no state that is read has seen padding. Without
-        padding the outputs are one B-column value per word. With padding
-        they are one t-major matrix, in which one ``lookup_column`` puts the
-        reverse direction's back in word order, and each column's final
-        state is gathered at its own last step.
+        padding the reverse direction's step outputs are joined in reverse
+        (a ``lookup_column`` would return an F-ordered matrix, whose products
+        round differently). With padding one ``lookup_column`` puts them back
+        in word order, and each column's final state is gathered at its own
+        last step.
         """
         lengths = [len(f) for f in sources]
         batch, steps = len(lengths), max(lengths)
@@ -204,7 +205,10 @@ class EncDecModel:
             out, states = stack.step(g, g.lookup_column(g.param(self.M_f), ids), states)
             outputs.append(out)
         if min(lengths) == steps:
-            return outputs[::-1] if reverse else outputs, outputs[-1]
+            final = outputs[-1]
+            if reverse:
+                outputs.reverse()
+            return g.concat_cols(*outputs) if steps > 1 else final, final
         outputs = g.concat_cols(*outputs)
         final = g.lookup_column(outputs, [(n - 1) * batch + b
                                           for b, n in enumerate(lengths)])
@@ -231,13 +235,10 @@ class EncDecModel:
                                                  direction == "reverse")
             bwd = final_bwd = None
 
+        H = fwd if bwd is None else g.concat_rows(bwd, fwd)
         mask = None
         width = max(lengths)
-        if min(lengths) == width:
-            outputs = fwd if bwd is None else [g.concat_rows(b, f) for b, f in zip(bwd, fwd)]
-            H = g.concat_cols(*outputs) if width > 1 else outputs[0]
-        else:
-            H = fwd if bwd is None else g.concat_rows(bwd, fwd)
+        if min(lengths) < width:
             mask = g.input([[0.0 if t < n else PAD_SCORE for n in lengths]
                             for t in range(width)])
 

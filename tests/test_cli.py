@@ -922,3 +922,84 @@ def test_bleu_without_hypothesis_words_is_a_data_error_naming_the_files(tmp_path
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and hyp in err
     assert hyp_text or ref in err       # a line-count mismatch names both files
+
+
+# ---- output files: a failed run leaves none it created -----------------------------
+
+def diverging_run(command, tmp_path):
+    """Flags that make ``command`` diverge in its first epoch."""
+    corpus = write(tmp_path / "corpus.txt", "a b\nb a c\nc\n")
+    if command == "train-loglinear":
+        return ["--train", corpus, "--lr", "1e308"]
+    flags = ["--lr", "1e300", "--optimizer", "sgd", "--clip-norm", "1e300",
+             "--embed", "4", "--hidden", "4"]
+    if command == "train-encdec":
+        return ["--train-src", corpus, "--train-tgt", corpus, *flags]
+    return ["--train", corpus, *flags, *(["--cell", "rnn"] if command == "train-rnnlm"
+                                         else [])]
+
+
+@pytest.mark.parametrize("command", ["train-loglinear", "train-ffnnlm", "train-rnnlm",
+                                     "train-encdec"])
+def test_a_diverged_run_leaves_no_file_it_created_and_keeps_an_earlier_model(
+        tmp_path, capsys, command):
+    model, metrics = tmp_path / "m.bin", tmp_path / "m.bin.metrics"
+    argv = [command, *diverging_run(command, tmp_path), "--model", str(model)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("training diverged: ") and err.count("\n") == 1
+    assert not model.exists() and not metrics.exists()
+    model.write_bytes(b"an earlier model")
+    assert main(argv) == 3
+    assert model.read_bytes() == b"an earlier model"
+    assert not metrics.exists()
+
+
+def outputs_in(tmp_path, command, valid_invocations):
+    """``command``'s valid flags with every output file of it in ``tmp_path``,
+    and those output paths by flag."""
+    argv = list(valid_invocations[command])
+    if command in ("train-loglinear", "train-ffnnlm", "train-rnnlm", "train-encdec"):
+        argv += ["--epochs", "1"]
+        if command != "train-loglinear":
+            argv += ["--embed", "4", "--hidden", "4"]
+    outputs = {flag: tmp_path / f"out{flag}" for name, flag in file_flags()
+               if name == command and is_output(name, flag)}
+    for flag, path in outputs.items():
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(path)
+        else:
+            argv += [flag, str(path)]
+    return argv, outputs
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flag in file_flags()
+                                           if is_output(command, flag)])
+def test_an_output_that_cannot_be_written_is_a_data_error_naming_it(
+        command, flag, valid_invocations, tmp_path, capsys):
+    # /dev/full opens, and every write to it fails
+    argv, outputs = outputs_in(tmp_path, command, valid_invocations)
+    argv[argv.index(flag) + 1] = "/dev/full"
+    assert main([command] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: /dev/full: cannot write: ")
+    assert "Traceback" not in err
+    assert not [path for path in outputs.values() if path.exists()]
+
+
+@pytest.mark.parametrize("command", sorted({command for command, flag in file_flags()
+                                            if is_output(command, flag)}))
+def test_an_interrupted_run_leaves_no_file_it_created(
+        command, valid_invocations, tmp_path, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    for name in ("train_lm", "train_encdec", "evaluate_ll", "greedy", "sample"):
+        monkeypatch.setattr(cli, name, interrupt)
+    monkeypatch.setattr(NGramLM, "train", interrupt)
+    monkeypatch.setattr(LogLinearLM, "train_sgd", interrupt)
+    argv, outputs = outputs_in(tmp_path, command, valid_invocations)
+    with pytest.raises(KeyboardInterrupt):
+        main([command] + argv)
+    assert not [path for path in outputs.values() if path.exists()]

@@ -473,7 +473,7 @@ def test_copy_task_graph_sizes(monkeypatch):
     state = model.start([3, 4, 5, 6, 7])
     model.step(state, [0], [C.BOS_ID])
     assert graphs == []
-    assert len(model.loss_graph([3, 4, 5, 6, 7], [3, 4, 5, 6, 7, C.EOS_ID]).nodes) <= 162
+    assert len(model.loss_graph([3, 4, 5, 6, 7], [3, 4, 5, 6, 7, C.EOS_ID]).nodes) <= 159
 
 
 def test_decoder_steps_take_the_source_encoding_unwrapped(monkeypatch):
