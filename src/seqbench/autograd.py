@@ -44,9 +44,11 @@ query, and ``attend`` mixes them with its weights.
 A :class:`Parameter` enters a graph once, as one ``parameter`` node however
 often it is used, and that node's gradient slot is ``Parameter.grad`` itself,
 so every use adds straight into the parameter's accumulator. Other nodes get a
-gradient slot when their first contribution arrives, and nodes that reach no
-parameter (inputs, masks, zero states and everything computed only from them)
-never get one.
+gradient slot when their first contribution arrives: a new array laid out like
+the node's value becomes the slot, and any other contribution (a view of the
+consumer's gradient, say) is copied into an unfilled array laid out like the
+value. Nodes that reach no parameter (inputs, masks, zero states and
+everything computed only from them) never get one.
 
 A NaN or Inf is reported as :class:`NonFiniteError` at the op where it first
 appears, as the op is built; so is a kernel's :class:`GraphError`, and a graph
@@ -399,10 +401,13 @@ Value = Node | np.ndarray
 
 
 # Ops whose value is finite whenever their inputs are; neither evaluator checks
-# them, so the first non-finite value is still caught at its source.
+# them, so the first non-finite value is still caught at its source. ``lstm``
+# is one of them: its gates are tanh and sigmoid values, so |h| <= 1 and
+# |c| <= |c_prev| + 1, which rounds to |c_prev| where that bound nears the
+# float range; its pre-activations come from a checked ``affine``.
 FINITE_PRESERVING_OPS = frozenset({
     "lookup_column", "concat_rows", "concat_cols", "transpose", "reshape",
-    "rows", "tanh", "sigmoid", "relu", "step", "softmax"})
+    "rows", "lstm", "tanh", "sigmoid", "relu", "step", "softmax"})
 
 
 def _all_finite(value) -> bool:
@@ -473,13 +478,14 @@ def _affine(*values):
 
 
 def _sum_into(total, term):
-    """``total + term`` with ``add``'s broadcasting, in place when shapes agree."""
-    if total.shape == term.shape:
-        total += term
-        return total
-    if not _broadcastable(total, term):
+    """``total + term`` with ``add``'s broadcasting, in place unless ``total``
+    is the one column that broadcasts."""
+    if total.shape != term.shape and not _broadcastable(total, term):
         raise GraphError(f"affine: {total.shape} + {term.shape} mismatch")
-    return total + term
+    if total.shape[1] < term.shape[1]:
+        return total + term
+    total += term
+    return total
 
 
 def _cmult(a, b):
@@ -588,12 +594,14 @@ def _pick_neg_log_softmax(s, targets, saved=None):
     if len(targets) != s.shape[1]:
         raise GraphError(f"pick_neg_log_softmax: {len(targets)} targets "
                          f"for {s.shape[1]} columns")
-    if np.isnan(s).any():
-        raise GraphError("pick_neg_log_softmax: NaN scores")
     # one max shift, exp and column sum serve both the softmax kept for
     # backward and the log partition function; the shifted scores become the
-    # softmax in place, so a wide score matrix is copied once
-    shifted = s - s.max(axis=0, keepdims=True)
+    # softmax in place, so a wide score matrix is copied once. ``max``
+    # propagates NaN, so the column maxima show a NaN score.
+    top = s.max(axis=0, keepdims=True)
+    if np.isnan(top).any():
+        raise GraphError("pick_neg_log_softmax: NaN scores")
+    shifted = s - top
     picked = shifted[targets, np.arange(s.shape[1])]
     e = np.exp(shifted, out=shifted)
     z = e.sum(axis=0, keepdims=True)
@@ -625,13 +633,13 @@ def _give(node, contribution, fresh=False):
 
     A ``fresh`` contribution is a new array that nothing else refers to; it
     becomes the slot when it has the shape and layout of ``node.value``.
-    Otherwise the slot starts as zeros shaped and laid out like the value.
-    Either way every slot has the layout a zero-filled one would have, so the
-    BLAS calls and reductions later applied to it round exactly alike.
-    (Adopting skips a ``0.0 + contribution`` that could only turn -0.0 into
-    +0.0, a difference that vanishes once added into a ``Parameter.grad``.)
-    Views of ``g`` and ``g`` itself must not be marked fresh: two slots would
-    share memory.
+    Otherwise it is copied into a new array shaped and laid out like the
+    value, with no zero fill first. Either way every slot has the layout of
+    the value, so the BLAS calls and reductions later applied to it round
+    exactly alike. (Adopting or copying skips a ``0.0 + contribution`` that
+    could only turn -0.0 into +0.0, a difference that vanishes once added
+    into a ``Parameter.grad``, which starts at +0.0.) Views of ``g`` and ``g``
+    itself must not be marked fresh: two slots would share memory.
     """
     if not node.needs_grad:
         return
@@ -642,8 +650,8 @@ def _give(node, contribution, fresh=False):
           and contribution.strides == node.value.strides):
         node.grad = contribution
     else:
-        node.grad = slot = np.zeros_like(node.value)
-        slot += contribution
+        node.grad = slot = np.empty_like(node.value)
+        slot[...] = contribution
 
 
 def _back_lookup_column(node, g):
@@ -854,9 +862,10 @@ _BACKWARD = {
 
 
 def _softmax_cols(s: np.ndarray) -> np.ndarray:
-    if np.isnan(s).any():
+    top = s.max(axis=0, keepdims=True)      # NaN where a column holds one
+    if np.isnan(top).any():
         raise GraphError("NaN input to softmax")
-    e = s - s.max(axis=0, keepdims=True)
+    e = s - top
     np.exp(e, out=e)
     e /= e.sum(axis=0, keepdims=True)
     return e

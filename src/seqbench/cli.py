@@ -11,8 +11,9 @@ default 42). Training commands append one line per epoch to a metrics file:
 ``epoch<TAB>train_loss<TAB>dev_ll<TAB>dev_ppl``, where ``dev_ll`` charges
 unknown words the 1/v_all factor ``eval-ppl`` charges. Every output file is opened
 after the inputs are read and before any training, scoring or decoding
-starts; one that cannot be opened or written is a data error naming its path.
-A failed run removes every output file it created and keeps an earlier model.
+starts; one that cannot be opened or written is a data error naming its path,
+and so is a failed write to stdout, named ``stdout``. A failed run removes
+every output file it created and keeps an earlier model.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -295,12 +296,22 @@ def _reported_as_data_error(model_path):
 @contextmanager
 def _output(path, mode="w"):
     """An output file, opened before the work starts: ``"w"`` empties it,
-    ``"ab"`` (a model's) creates it without emptying an earlier model.
+    ``"ab"`` (a model's) creates it without emptying an earlier model. A
+    ``path`` of None is stdout, flushed at the end.
 
-    Failing to open, write or close it is a data error naming ``path``. A
-    run that fails, for any reason, removes the file again if it created it,
-    and so leaves an earlier model in place and no file where there was none.
+    Failing to open, write or close it, or to write or flush stdout, is a
+    data error naming ``path`` (or ``stdout``). A run that fails, for any
+    reason, removes the file again if it created it, and so leaves an
+    earlier model in place and no file where there was none.
     """
+    if path is None:
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError as exc:
+            _discard_stdout()
+            raise DataError(f"stdout: cannot write: {exc.strerror or exc}") from exc
+        return
     created = not os.path.exists(path)
     try:
         try:
@@ -326,9 +337,17 @@ def _training_outputs(args, model, dev_sentences):
         save_model(model, args.model)
 
 
-def _lines_output(path):
-    """Where a command's lines go: ``path`` or stdout."""
-    return nullcontext(sys.stdout) if path is None else _output(path)
+def _discard_stdout():
+    """Point stdout's file descriptor at the null device, so that what a
+    failed write left in its buffer goes nowhere and the interpreter's last
+    flush cannot fail again; a stdout without a descriptor is left as is."""
+    with suppress(OSError, ValueError):
+        fd = sys.stdout.fileno()
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, fd)
+        finally:
+            os.close(null)
 
 
 def _write_lines(lines, out):
@@ -459,7 +478,7 @@ def cmd_eval_ppl(args, rng) -> int:
     else:
         data = [line.split() for line in C.read_token_lines(args.data)]
     _nonempty(data, "evaluation data", args.data)
-    with _lines_output(args.out) as out, _reported_as_data_error(args.model):
+    with _output(args.out) as out, _reported_as_data_error(args.model):
         try:
             report = evaluate_ll(model, data)
         except DataError as exc:        # a target line ending too early
@@ -485,7 +504,7 @@ def _decode_corpus(model, args, rng) -> int:
     if mode == "multinomial_prior" and prior is None:
         raise DataError("model file carries no length prior; retrain or use "
                         "--length-norm none/perword")
-    with _lines_output(args.output) as fh:
+    with _output(args.output) as fh:
         out = []
         for index, line in enumerate(lines):
             tokens = line.split()
@@ -541,7 +560,7 @@ def cmd_sample(args, rng) -> int:
         raise UsageError("sample draws from unconditional language models; "
                          "use translate --search sample for conditional ones")
     out = []
-    with _lines_output(args.output) as fh, _reported_as_data_error(args.model):
+    with _output(args.output) as fh, _reported_as_data_error(args.model):
         for _ in range(args.count):
             hyp = sample(model, rng=rng, max_len=args.max_len)
             out.append(" ".join(hyp.surface(model.vocab)))
@@ -555,7 +574,8 @@ def cmd_bleu(args, rng) -> int:
         report = corpus_bleu([h for h, _ in pairs], [r for _, r in pairs])
     except DataError as exc:        # no hypothesis words
         raise DataError(f"{args.hyp}: {exc}") from exc
-    _write_lines(report.lines(), sys.stdout)
+    with _output(None) as out:
+        _write_lines(report.lines(), out)
     return 0
 
 

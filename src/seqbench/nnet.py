@@ -202,15 +202,25 @@ class StackedRNN:
         return inp, new_states
 
 
+def same_columns(rows, width: int) -> bool:
+    """True when ``rows`` lists each of ``width`` columns once, in order, so
+    that gathering them would copy a state unchanged."""
+    return len(rows) == width and all(r == i for i, r in enumerate(rows))
+
+
 def gather_layer_states(layers: list[RecurrentState], rows) -> list[RecurrentState]:
     """The columns ``rows`` of eagerly evaluated layer states, in that order;
     of an LSTM state's ``[h; c]`` only the cell rows are gathered.
 
-    ``np.take`` returns C-contiguous arrays, the layout the decoder's BLAS
-    products had when hypotheses kept one column each and were stacked with
-    ``np.hstack``; ``x[:, rows]`` would return F-ordered ones, whose products
-    may round differently.
+    When ``rows`` are the states' own columns in order (:func:`same_columns`)
+    the states are returned as they are, an LSTM layer's ``[h; c]`` still
+    marked ``c_is_hc``. Otherwise ``np.take`` returns C-contiguous arrays,
+    the layout the decoder's BLAS products had when hypotheses kept one
+    column each and were stacked with ``np.hstack``; ``x[:, rows]`` would
+    return F-ordered ones, whose products may round differently.
     """
+    if same_columns(rows, layers[0].h.shape[1]):
+        return layers
     return [RecurrentState(h=np.take(st.h, rows, axis=1),
                            c=None if st.c is None
                            else np.take(st.c[-len(st.h):], rows, axis=1),

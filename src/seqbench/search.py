@@ -13,7 +13,9 @@ repeat. Column b of the V x B matrix ``P`` is that hypothesis' next-token
 distribution over the target vocabulary, and column b of the |F| x B
 ``alphas`` its attention over the source words (``alphas`` is None when the
 model has no attention). The returned state holds the B new columns; the
-state passed in is left unchanged. One loop, :func:`_search`, steps the
+state passed in is left unchanged. Rows that list the state's own columns
+in order, as at every one-row step, reuse the state: a recurrent model
+gathers nothing from it. One loop, :func:`_search`, steps the
 surviving rows once per time step, so hypotheses keep no state of their
 own; each search's chooser picks the survivors. The language models share
 :class:`LanguageModel`, whose state is one history of ids per column and

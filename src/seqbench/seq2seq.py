@@ -26,7 +26,7 @@ import numpy as np
 from .autograd import Eager, Evaluator, Graph, Parameter, Value
 from .corpus import BOS_ID, EOS_ID, Vocabulary
 from .nnet import (SCORE_BATCH, RecurrentState, StackedRNN, embedding_init,
-                   file_tensor_views, gather_layer_states, glorot)
+                   file_tensor_views, gather_layer_states, glorot, same_columns)
 from .optim import EpochTracker, Optimizer, fit
 from .search import _one_column, _search
 
@@ -54,7 +54,10 @@ class SourceEncoding:
     init_layers: list                   # B-column RecurrentState per decoder layer
     lengths: list                       # the B source lengths
     mask: Value | None = None
-    src_proj: Value | None = None       # W_a1_src·H for MLP attention, else None
+    # MLP attention's step-invariant parts, else None: W_a1_src·H, and w_a2ᵀ
+    # for one source
+    src_proj: Value | None = None
+    w_a2_t: Value | None = None
 
 
 @dataclass
@@ -219,9 +222,9 @@ class EncDecModel:
         return outputs, final
 
     def _encode_nodes(self, g: Evaluator, sources) -> SourceEncoding:
-        """Encode B sources as the columns of one batch; the encoding's
-        ``src_proj`` is left to the caller. A batch without padding builds
-        the one-sentence op sequence on B columns."""
+        """Encode B sources as the columns of one batch; MLP attention's
+        step-invariant parts are left to the caller. A batch without padding
+        builds the one-sentence op sequence on B columns."""
         sources = [list(f) for f in sources]
         lengths = [len(f) for f in sources]
         if not all(lengths):
@@ -261,49 +264,51 @@ class EncDecModel:
         return SourceEncoding(H=H, init_layers=init, lengths=lengths, mask=mask)
 
     def encode(self, source_ids) -> SourceEncoding:
-        """Run the encoder eagerly and keep the per-word encodings.
-
-        MLP attention's source half ``W_a1_src·H`` is the same at every
-        decode step, so it is computed here once.
-        """
+        """Run the encoder eagerly and keep the per-word encodings, with MLP
+        attention's step-invariant parts, computed here once per source."""
         with Eager() as e:
             encoding = self._encode_nodes(e, [source_ids])
-            encoding.src_proj = self._source_projection(e, encoding.H)
+            self._step_invariants(e, encoding)
         return encoding
 
     # ---- attention ---------------------------------------------------------
 
-    def _source_projection(self, g: Evaluator, H: Value) -> Value | None:
-        """MLP attention's source half ``W_a1_src·H``, the same at every
-        decoder step; None for the other kinds."""
-        if self.attention != "mlp":
-            return None
-        return g.matmul(g.param(self.W_a1_src), H)
+    def _step_invariants(self, g: Evaluator, encoding: SourceEncoding):
+        """Set MLP attention's parts that are the same at every decoder step
+        on ``encoding``: the source half ``W_a1_src·H`` and, for one source,
+        ``w_a2ᵀ`` (a batch of sources scores with ``batch_dot``); the other
+        kinds have none."""
+        if self.attention == "mlp":
+            encoding.src_proj = g.matmul(g.param(self.W_a1_src), encoding.H)
+            if len(encoding.lengths) == 1:
+                encoding.w_a2_t = g.transpose(g.param(self.w_a2))
 
-    def _attention_scores(self, g: Evaluator, H: Value, h_dec: Value,
+    def _attention_scores(self, g: Evaluator, encoding: SourceEncoding, h_dec: Value,
                           src: Value | None = None, batch: int = 1) -> Value:
         """Score every column of one source's ``H`` against each of the
         ``batch`` decoder states in the columns of ``h_dec``; the result is
         |F| x ``batch``.
 
         MLP attention takes its source half ``W_a1_src·H`` from the caller as
-        ``src``, built once per evaluation: :meth:`_source_projection` in
-        training graphs, the encoding's projection repeated once per decoder
-        column (|K| x |F|·``batch``) in decoder steps. The other kinds ignore
-        it. With ``batch`` > 1, ``H`` must be an array, as it is in decoder
-        steps.
+        ``src``: the encoding's projection in training graphs and one-column
+        decoder steps, repeated once per decoder column (|K| x |F|·``batch``)
+        in wider steps. The other kinds ignore it. With ``batch`` > 1, ``H``
+        must be an array, as it is in decoder steps.
         """
+        H = encoding.H
         if self.attention == "dot":
             return g.matmul(g.transpose(H), h_dec)
         if self.attention == "bilinear":
             return g.matmul(g.transpose(H),
                             g.matmul(g.param(self.W_a), h_dec))
-        dec = g.matmul(g.param(self.W_a1_dec), h_dec)
-        if batch > 1:   # column b * |F| + j pairs decoder state b with source word j
+        if batch == 1:  # one decoder column, broadcast over the source words
+            pre = g.affine(src, g.param(self.W_a1_dec), h_dec)
+        else:           # column b * |F| + j pairs decoder state b with source word j
             n_src = H.shape[1]
-            dec = g.lookup_column(dec, [b for b in range(batch) for _ in range(n_src)])
-        # with one decoder column, it broadcasts over the source words
-        scores = g.matmul(g.transpose(g.param(self.w_a2)), g.tanh(g.add(dec, src)))
+            dec = g.lookup_column(g.matmul(g.param(self.W_a1_dec), h_dec),
+                                  [b for b in range(batch) for _ in range(n_src)])
+            pre = g.add(dec, src)
+        scores = g.matmul(encoding.w_a2_t, g.tanh(pre))
         if batch == 1:
             return g.transpose(scores)
         return g.reshape(scores, n_src, batch)
@@ -351,7 +356,8 @@ class EncDecModel:
             return out, states, None, None
         H = encoding.H
         if len(encoding.lengths) == 1:
-            alpha = g.softmax(self._attention_scores(g, H, out, src, states[0].batch))
+            alpha = g.softmax(self._attention_scores(g, encoding, out, src,
+                                                     states[0].batch))
             new_context = g.matmul(H, alpha)
         else:
             alpha = g.softmax(self._batch_attention_scores(g, encoding, out, src))
@@ -368,14 +374,18 @@ class EncDecModel:
 
     def step(self, state, rows, prev_ids):
         """Predictor protocol: one decoder call extending the columns ``rows``
-        of ``state``; see :mod:`seqbench.search`."""
+        of ``state``; see :mod:`seqbench.search`. When ``rows`` are the
+        state's own columns in order, the step reads the state's arrays as
+        they are and gathers nothing."""
         encoding = state.encoding
-        # H, src_proj and the state's arrays came out of checked ops: they
-        # enter as they are
+        # H, the step invariants and the state's arrays came out of checked
+        # ops: they enter as they are
         src = encoding.src_proj
-        if src is not None:
+        if src is not None and len(rows) > 1:
             src = np.hstack([src] * len(rows))
-        context = None if state.context is None else np.take(state.context, rows, axis=1)
+        context = state.context
+        if context is not None and not same_columns(rows, context.shape[1]):
+            context = np.take(context, rows, axis=1)
         with Eager() as e:
             x, layers, context, alpha = self._step_nodes(
                 e, encoding, prev_ids, gather_layer_states(state.layers, rows), context,
@@ -410,7 +420,8 @@ class EncDecModel:
         encoding = self._encode_nodes(g, [f for f, _ in pairs])
         context = (g.input(np.zeros((self.src_dim, batch)))
                    if self.attention != "none" else None)
-        src = self._source_projection(g, encoding.H)
+        self._step_invariants(g, encoding)
+        src = encoding.src_proj
         states = encoding.init_layers
         steps = max(len(e) for e in targets)
         inputs = []

@@ -17,7 +17,7 @@ from seqbench.autograd import Graph, Parameter
 from seqbench.corpus import BOS_ID, make_batches
 from seqbench.nnet import RecurrentState, _prev_token_rows
 from seqbench.search import Hypothesis, _rescore, _trace_entries, default_max_len
-from seqbench.seq2seq import PAD_SCORE
+from seqbench.seq2seq import PAD_SCORE, SourceEncoding
 
 
 def rel_error(a: float, b: float, floor: float = 1e-3) -> float:
@@ -304,7 +304,8 @@ def assert_matches_per_gate_reference(model, stacks, loss_graph):
 def per_position_loss_graph(model, source_ids, target_ids):
     """Reference encoder-decoder loss graph: every target position gets its
     own output-layer ``affine`` and ``pick_neg_log_softmax``, and MLP
-    attention its own ``W_a1_src·H`` product, inside the decoder loop."""
+    attention its own ``W_a1_src·H`` product and ``w_a2ᵀ``, inside the
+    decoder loop."""
     g = Graph()
     encoding = model._encode_nodes(g, [source_ids])
     states = encoding.init_layers
@@ -312,9 +313,9 @@ def per_position_loss_graph(model, source_ids, target_ids):
                if model.attention != "none" else None)
     losses, prev = [], BOS_ID
     for target in target_ids:
-        src = model._source_projection(g, encoding.H)
+        model._step_invariants(g, encoding)
         x, states, context, _ = model._step_nodes(g, encoding, [prev], states, context,
-                                                  src)
+                                                  encoding.src_proj)
         losses.append(g.pick_neg_log_softmax(model._scores(g, x), target))
         prev = target
     g.sum(g.concat_cols(*losses) if len(losses) > 1 else losses[0])
@@ -394,13 +395,21 @@ def attention_scores_per_column(model, g, H_cols, h_dec):
     return g.concat_rows(*scores) if len(scores) > 1 else scores[0]
 
 
+def one_source_encoding(model, g, H):
+    """The encoding of one source whose per-word encodings are ``H``, with
+    MLP attention's step invariants; no decoder state."""
+    encoding = SourceEncoding(H=H, init_layers=[], lengths=[H.shape[1]])
+    model._step_invariants(g, encoding)
+    return encoding
+
+
 def graph_encode(model, source_ids):
     """``EncDecModel.encode`` through a :class:`Graph`: (H, the decoder's
     initial (h, c) per layer, MLP attention's source projection or None)."""
     g = Graph()
     encoding = model._encode_nodes(g, [source_ids])
-    H, init = encoding.H, encoding.init_layers
-    proj = model._source_projection(g, H)
+    model._step_invariants(g, encoding)
+    H, init, proj = encoding.H, encoding.init_layers, encoding.src_proj
     g.forward()
     return (H.value, [(st.h.value, None if st.c is None else st.c.value) for st in init],
             None if proj is None else proj.value)
@@ -432,14 +441,15 @@ def graph_encdec_step(model, state, rows, prev_ids):
     encoding = state.encoding
     g = Graph()
     layers = graph_layer_states(g, state.layers, rows)
-    H = context = src = None
+    H = context = src = w_a2_t = None
     if model.attention != "none":
         H = g.input(encoding.H)
         context = graph_columns(g, state.context, rows)
     if encoding.src_proj is not None:
         src = g.input(np.hstack([encoding.src_proj] * len(rows)))
+        w_a2_t = g.input(encoding.w_a2_t)
     x, new_layers, new_context, alpha = model._step_nodes(
-        g, replace(encoding, H=H), prev_ids, layers, context, src)
+        g, replace(encoding, H=H, w_a2_t=w_a2_t), prev_ids, layers, context, src)
     P = g.softmax(model._scores(g, x))
     g.forward()
     return (P.value, layer_values(new_layers),

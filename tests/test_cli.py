@@ -1,12 +1,17 @@
 import argparse
+import errno
+import io
 import math
 import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqbench
 from seqbench import cli
 from seqbench import corpus as C
 from seqbench.cli import build_parser, main
@@ -1003,3 +1008,57 @@ def test_an_interrupted_run_leaves_no_file_it_created(
     with pytest.raises(KeyboardInterrupt):
         main([command] + argv)
     assert not [path for path in outputs.values() if path.exists()]
+
+
+# commands that write their lines to stdout when given no output file
+STDOUT_COMMANDS = ["bleu", "eval-ppl", "translate", "ensemble-translate", "sample"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", STDOUT_COMMANDS)
+def test_a_stdout_that_cannot_be_written_is_a_data_error(command, buffered,
+                                                         valid_invocations, tmp_path):
+    # nothing else reaches stderr: not a traceback, nor, with a buffered
+    # stdout, the interpreter's report of a last flush that failed again
+    env = dict(os.environ)
+    src = str(Path(seqbench.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "seqbench.cli", command,
+                               *valid_invocations[command]], stdout=full,
+                              stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=env,
+                              timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("data error: stdout: cannot write: ")
+    assert done.stderr.count("\n") == 1
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose ``write`` or ``flush`` runs out of space."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("command", STDOUT_COMMANDS)
+def test_a_failed_write_to_stdout_is_a_data_error(command, failing, valid_invocations,
+                                                  monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", FailingStdout(failing))
+    assert main([command, *valid_invocations[command]]) == 2
+    assert capsys.readouterr().err == ("data error: stdout: cannot write: "
+                                       "No space left on device\n")

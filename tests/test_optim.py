@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import same_bits
+from helpers import parameter_digest, same_bits
 from seqbench import corpus as C
 from seqbench.autograd import Graph, NonFiniteError, Parameter
 from seqbench.loglinear import LogLinearLM
@@ -412,3 +412,69 @@ def test_a_last_improving_epoch_takes_no_snapshot():
     assert tracker.report(0.0, last=True) and tracker.best_snapshot is None
     tracker.restore_best()
     assert all((p.value == 9.0).all() for p in params)
+
+
+# parameters after per-sentence encoder-decoder training (bidirectional
+# encoder, tanh bridge, MLP attention) and after RNNLM training on padded
+# batches, under each update rule without and with clipping: a change to the
+# training graphs, their backward pass or a rule that moves any parameter bit
+# changes these
+RULE_TRAINED_DIGESTS = {
+    ("encdec", "sgd", None):
+        "aaaa601c0b8a00d469f966f7f2a231920614aef6b25f7fe5fb15c8ceb183cdb7",
+    ("encdec", "sgd", 2.0):
+        "d8cd4d39562d51968e0d0efc236b787395bec2d63b85ba43e9304409a9d9ff33",
+    ("encdec", "momentum", None):
+        "a474c94dd47a2cdf7f904f207326fded7ae3050097e03673fbe50a21ff4cbea0",
+    ("encdec", "momentum", 2.0):
+        "a0b8339c461867faa76da98668ef307373409eb839dfa2aee6c4d5cbd1bc120d",
+    ("encdec", "adagrad", None):
+        "1b1a82465cf174bf5d903076cdc392f150fabda1504c5f5c62c914b85ad4b106",
+    ("encdec", "adagrad", 2.0):
+        "9f956a145c5db1aab277d0cc98a8a807733aef95cd3296ae0b43fc8cf2d5a317",
+    ("rnnlm", "sgd", None):
+        "abdb4b4a2e68db3e8e20a975df3930b9a2b337a0b0f9ba8ad9f818b7e4a55277",
+    ("rnnlm", "sgd", 4.0):
+        "8b130251bcc7e437ea1702f4912c414c3f47d6e89d4f004dafc32ff424f7ef8f",
+    ("rnnlm", "momentum", None):
+        "83a754bf29ea96eb380702de9dab5e27c6e28ab33c307125616d9bd35ccb59a8",
+    ("rnnlm", "momentum", 4.0):
+        "b410043851c45f769b4899bc5d1d71d0d2f8bad9e99a72a810fa603c24cb975e",
+    ("rnnlm", "adagrad", None):
+        "b550306596abdfaf25243a520fe24cb0d8c550d514514536e20b79a91db81602",
+    ("rnnlm", "adagrad", 4.0):
+        "b2bb24d39c68018687465c9c189c8db140c085264df2d6b0b13b4b1c97a0cdb9",
+}
+RULE_RATES = {"sgd": 0.5, "momentum": 0.1, "adagrad": 0.3}
+
+
+@pytest.mark.parametrize("trainer, rule, clip_norm", RULE_TRAINED_DIGESTS)
+def test_every_update_rule_trains_as_pinned_bitwise(trainer, rule, clip_norm):
+    vocab = C.build_vocab(LINES)
+    rng = np.random.default_rng(31)
+    sents = [[int(w) for w in rng.integers(3, len(vocab), size=n)] + [C.EOS_ID]
+             for n in rng.integers(1, 6, size=10)]
+    if trainer == "encdec":
+        model = EncDecModel(vocab, vocab, embed_size=4, hidden_size=5, attention="mlp",
+                            encoder="bidirectional", bridge="tanh",
+                            rng=np.random.default_rng(32))
+        data = [(e[:-1] or [3], e) for e in sents]
+    else:
+        model = RNNLM(vocab, embed_size=5, hidden_size=5, layers=2, residual=True,
+                      rng=np.random.default_rng(32))
+        data = sents
+    opt = make_optimizer(rule, model.parameters(), lr=RULE_RATES[rule],
+                         clip_norm=clip_norm)
+    norms = []
+    step = opt.step
+    opt.step = lambda: norms.append(global_norm([p.grad for p in opt.params])) or step()
+    if trainer == "encdec":
+        train_encdec(model, data, opt, epochs=2, dev_pairs=data[:3],
+                     rng=np.random.default_rng(33))
+    else:
+        assert any(b.mask.min() == 0.0 for b in C.make_batches(data, 3))
+        train_lm(model, data, opt, epochs=2, dev_sentences=data[:3], batch_size=3,
+                 rng=np.random.default_rng(33))
+    bound = 2.0 if trainer == "encdec" else 4.0     # clipping bites in some steps
+    assert clip_norm in (None, bound) and 0 < sum(n > bound for n in norms) < len(norms)
+    assert parameter_digest(model) == RULE_TRAINED_DIGESTS[trainer, rule, clip_norm]

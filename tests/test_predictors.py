@@ -14,6 +14,7 @@ import pytest
 
 from helpers import decoding_nll, random_table_model, reference_beam_search, same_bits
 from seqbench import corpus as C
+from seqbench import nnet, seq2seq
 from seqbench.autograd import Eager, Graph
 from seqbench.evaluate import evaluate_ll
 from seqbench.loglinear import LogLinearLM
@@ -186,6 +187,67 @@ def test_table_model_batched_step_exact():
                                max_len=4)
     model.vocab = LM_VOCAB
     check_batched_step(model, None, 0)
+
+
+IDENTITY_MODELS = {
+    "encdec": lambda: encdec(seed=30, layers=2),
+    "encdec-gru": lambda: encdec(seed=31, cell="gru"),
+    "encdec-bilinear": lambda: encdec(seed=32, attention="bilinear", encoder="forward"),
+    "encdec-none": lambda: encdec(seed=33, attention="none", encoder="forward"),
+    "rnnlm-residual": lambda: RNNLM(LM_VOCAB, embed_size=5, hidden_size=5, layers=2,
+                                    residual=True, rng=np.random.default_rng(34)),
+    "rnnlm-gru": lambda: RNNLM(LM_VOCAB, cell="gru", embed_size=3, hidden_size=5,
+                               rng=np.random.default_rng(35)),
+}
+
+
+def state_arrays(state):
+    """Every array a neural predictor state holds, in order."""
+    if isinstance(state, EncDecState):
+        return state_arrays(state.layers) + [a for a in (state.context,) if a is not None]
+    return [a for st in state for a in (st.h, st.c) if a is not None]
+
+
+@pytest.mark.parametrize("name", IDENTITY_MODELS)
+def test_identity_rows_reuse_the_state_as_the_gathered_path_would_bitwise(
+        name, monkeypatch):
+    # rows that list a state's own columns in order gather nothing; P,
+    # alphas and the new state are those of the gathered path, bit for bit,
+    # and the state passed in is left unchanged
+    model = IDENTITY_MODELS[name]()
+    source = SOURCE if isinstance(model, EncDecModel) else None
+    start = model.start(source)
+    for state, rows in ((start, [0]), (distinct_columns(model, start, 3), [0, 1, 2])):
+        prev_ids = [4, 5, 3][:len(rows)]
+        before = [a.copy() for a in state_arrays(state)]
+        reused = model.step(state, rows, prev_ids)
+        with monkeypatch.context() as patch:
+            for module in (nnet, seq2seq):
+                patch.setattr(module, "same_columns", lambda rows, width: False)
+            gathered = model.step(state, rows, prev_ids)
+        assert all(map(same_bits, state_arrays(state), before))
+        (P, new, alphas), (P_ref, new_ref, alphas_ref) = reused, gathered
+        assert same_bits(P, P_ref)
+        assert alphas is None if alphas_ref is None else same_bits(alphas, alphas_ref)
+        assert len(state_arrays(new)) == len(state_arrays(new_ref))
+        assert all(map(same_bits, state_arrays(new), state_arrays(new_ref)))
+
+
+@pytest.mark.parametrize("kind", ["encdec", "rnnlm"])
+def test_greedy_steps_gather_and_tile_nothing(kind, monkeypatch):
+    if kind == "encdec":
+        model, source = encdec(seed=36), SOURCE
+    else:
+        model, source = RNNLM(LM_VOCAB, rng=np.random.default_rng(37)), None
+    calls = []
+    for name in ("take", "hstack"):
+        wrapped = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *args, _name=name, _fn=wrapped, **kwargs:
+                            calls.append(_name) or _fn(*args, **kwargs))
+    hyp = greedy(model, source, max_len=6)
+    assert len(hyp.tokens) > 1 and calls == []
+    beam_search(model, source, beam_size=3, max_len=6)
+    assert "take" in calls      # the beam's later steps do gather
 
 
 @pytest.mark.parametrize("kind", ["encdec", "rnnlm"])
@@ -374,10 +436,11 @@ def test_padded_source_words_get_exactly_zero_attention(encoder, bridge, attenti
     sources = [[3, 4, 5, 6], [5], [6, 2, 4]]
     with Eager() as e:
         encoding = model._encode_nodes(e, sources)
-        src = model._source_projection(e, encoding.H)
+        model._step_invariants(e, encoding)
         context = np.zeros((model.src_dim, len(sources)))
         _, _, _, alpha = model._step_nodes(e, encoding, [C.BOS_ID] * 3,
-                                           encoding.init_layers, context, src)
+                                           encoding.init_layers, context,
+                                           encoding.src_proj)
     for b, source in enumerate(sources):
         assert np.all(alpha[len(source):, b] == 0.0)
         _, _, alpha1 = model.step(model.start(source), [0], [C.BOS_ID])

@@ -6,7 +6,7 @@ import pytest
 from helpers import (assert_matches_per_gate_reference,
                      assert_matches_per_position_reference,
                      attention_scores_per_column, max_gradient_error,
-                     parameter_digest, per_position_loss_graph)
+                     one_source_encoding, parameter_digest, per_position_loss_graph)
 from seqbench import corpus as C
 from seqbench.autograd import Eager, Graph, NonFiniteError
 from seqbench.ngram import NGramLM
@@ -105,7 +105,8 @@ def test_saturated_attention_picks_one_column():
     H_value = np.zeros((8, 3))
     H_value[:, 1] = 5.0
     h_dec = np.ones((8, 1))
-    scores = model._attention_scores(g, g.input(H_value), g.input(h_dec))
+    H = g.input(H_value)
+    scores = model._attention_scores(g, one_source_encoding(model, g, H), g.input(h_dec))
     alpha = g.softmax(scores)
     context = g.matmul(g.input(H_value), alpha)
     g.forward()
@@ -120,8 +121,8 @@ def test_dot_score_closed_forms():
     ortho = np.zeros((8, 1))
     ortho[1, 0] = 1.0
     g = Graph()
-    s = model._attention_scores(g, g.concat_cols(g.input(unit), g.input(ortho)),
-                                g.input(unit))
+    H = g.concat_cols(g.input(unit), g.input(ortho))
+    s = model._attention_scores(g, one_source_encoding(model, g, H), g.input(unit))
     g.forward()
     assert s.value[0, 0] == 1.0
     assert s.value[1, 0] == 0.0
@@ -137,8 +138,8 @@ def test_batched_attention_equals_per_column(kind):
 
     g = Graph()
     H = g.input(H_value)
-    batched = model._attention_scores(g, H, g.input(h_value),
-                                      model._source_projection(g, H))
+    encoding = one_source_encoding(model, g, H)
+    batched = model._attention_scores(g, encoding, g.input(h_value), encoding.src_proj)
     cols = [g.input(H_value[:, j:j + 1]) for j in range(4)]
     single = attention_scores_per_column(model, g, cols, g.input(h_value))
     g.forward()
@@ -473,7 +474,28 @@ def test_copy_task_graph_sizes(monkeypatch):
     state = model.start([3, 4, 5, 6, 7])
     model.step(state, [0], [C.BOS_ID])
     assert graphs == []
-    assert len(model.loss_graph([3, 4, 5, 6, 7], [3, 4, 5, 6, 7, C.EOS_ID]).nodes) <= 159
+    assert len(model.loss_graph([3, 4, 5, 6, 7], [3, 4, 5, 6, 7, C.EOS_ID]).nodes) <= 148
+
+
+# one copy-task decoder step: embedding, [x; context], the LSTM cell's affine,
+# lstm and h rows, MLP attention's score affine, tanh, w_a2ᵀ product and
+# transpose, softmax, context product, [h; context], output affine and softmax
+COPY_TASK_STEP_OPS = ["lookup_column", "concat_rows", "affine", "lstm", "rows", "affine",
+                      "tanh", "matmul", "transpose", "softmax", "matmul", "concat_rows",
+                      "affine", "softmax"]
+
+
+def test_a_copy_task_greedy_step_runs_fourteen_ops(monkeypatch):
+    ops = []
+    op = Eager._op
+    monkeypatch.setattr(Eager, "_op", lambda self, name, *rest: ops.append(name) or
+                        op(self, name, *rest))
+    model = copy_task_model()
+    state = model.start([3, 4, 5, 6, 7])
+    for prev in (C.BOS_ID, 3, 4):
+        ops.clear()
+        _, state, _ = model.step(state, [0], [prev])
+        assert ops == COPY_TASK_STEP_OPS
 
 
 def test_decoder_steps_take_the_source_encoding_unwrapped(monkeypatch):
