@@ -35,11 +35,11 @@ times faster than ``@``, which stays the faster of the two for wide products.
 Besides elementwise, matrix and loss ops, two ops serve the recurrent cells:
 ``lstm`` is a whole LSTM cell over stacked gate pre-activations, returning
 ``[h; c]``, and ``rows`` takes a block of rows (the ``h`` half of it, or one
-GRU gate). The next step's ``lstm``, told so by ``c_is_hc``, reads its memory
-cell from the last rows of the previous ``[h; c]``, so no node is recorded for
-``c`` alone. Two serve attention over a batch whose columns each read a source
-of their own: ``batch_dot`` scores every column's source words against its
-query, and ``attend`` mixes them with its weights.
+GRU gate). The next step's ``lstm`` reads its memory cell from the last rows
+of the previous ``[h; c]``, so no node is recorded for ``c`` alone. Two serve
+attention whose columns each have keys of their own, laid out t-major:
+``batch_dot`` scores every column's keys against its query, and ``attend``
+mixes them with its weights.
 
 A :class:`Parameter` enters a graph once, as one ``parameter`` node however
 often it is used, and that node's gradient slot is ``Parameter.grad`` itself,
@@ -221,19 +221,18 @@ class Ops:
         """Rows ``start:stop`` of ``a``."""
         return self._op("rows", _rows, (a,), (int(start), int(stop)))
 
-    def lstm(self, pre, c_prev, forget: bool = True, c_is_hc: bool = False):
+    def lstm(self, pre, hc_prev, forget: bool = True):
         """One fused LSTM cell step; the value is ``[h; c]`` (2n x B).
 
         ``pre`` holds the gate pre-activations as n-row blocks, u, i, f, o
-        (u, i, o when ``forget`` is false), for the n x B memory cell
-        ``c_prev``, or, with ``c_is_hc``, for the cell in the last n rows of
-        a previous step's 2n x B ``[h; c]``. With u = tanh, the other gates
+        (u, i, o when ``forget`` is false), and ``hc_prev`` is the previous
+        step's 2n x B ``[h; c]`` (zeros before the first step), whose last n
+        rows are the memory cell c_prev. With u = tanh, the other gates
         sigmoid: c = i*u + f*c_prev (i*u + c_prev without a forget gate) and
         h = o*tanh(c), rounded exactly as separate ``tanh``, ``sigmoid``,
         ``cmult`` and ``add`` ops would round them.
         """
-        return self._op("lstm", _lstm, (pre, c_prev),
-                        (bool(forget), bool(c_is_hc), self._saved()))
+        return self._op("lstm", _lstm, (pre, hc_prev), (bool(forget), self._saved()))
 
     def batch_dot(self, keys, queries):
         """Per-column scores of a batch of B columns, each with S keys.
@@ -257,14 +256,6 @@ class Ops:
 
     def relu(self, a):
         return self._op("relu", _relu, (a,))
-
-    def step(self, a):
-        return self._op("step", _step, (a,))
-
-    def reshape(self, a, rows: int, cols: int):
-        """The entries of ``a`` in column-major order, refilled into a
-        ``rows`` x ``cols`` matrix column by column."""
-        return self._op("reshape", _reshape, (a,), (int(rows), int(cols)))
 
     def softmax(self, a):
         """Column-wise softmax: every column of the result sums to one.
@@ -406,8 +397,8 @@ Value = Node | np.ndarray
 # |c| <= |c_prev| + 1, which rounds to |c_prev| where that bound nears the
 # float range; its pre-activations come from a checked ``affine``.
 FINITE_PRESERVING_OPS = frozenset({
-    "lookup_column", "concat_rows", "concat_cols", "transpose", "reshape",
-    "rows", "lstm", "tanh", "sigmoid", "relu", "step", "softmax"})
+    "lookup_column", "concat_rows", "concat_cols", "transpose", "rows", "lstm",
+    "tanh", "sigmoid", "relu", "softmax"})
 
 
 def _all_finite(value) -> bool:
@@ -510,12 +501,6 @@ def _transpose(a):
     return a.T.copy()
 
 
-def _reshape(v, rows, cols):
-    if v.size != rows * cols:
-        raise GraphError(f"reshape: {v.shape} into ({rows}, {cols})")
-    return v.reshape((rows, cols), order="F")
-
-
 def _rows(v, start, stop):
     if not 0 <= start < stop <= v.shape[0]:
         raise GraphError(f"rows: {start}:{stop} of {v.shape}")
@@ -530,17 +515,14 @@ def _sigmoid(x, out=None):
     return np.divide(1.0, out, out=out)
 
 
-def _lstm(pre, c_prev, forget, c_is_hc, saved=None):
+def _lstm(pre, hc_prev, forget, saved=None):
     """``[h; c]`` of one cell step; keeps the gate activations and tanh(c)
     for backward in ``saved`` when given."""
     gates = 4 if forget else 3
     n = pre.shape[0] // gates
-    if (pre.shape[0] != gates * n or c_prev.shape[1] != pre.shape[1]
-            or c_prev.shape[0] != (2 * n if c_is_hc else n)):
-        what = "[h; c]" if c_is_hc else "cell"
-        raise GraphError(f"lstm: gates {pre.shape} for {what} {c_prev.shape}")
-    if c_is_hc:
-        c_prev = c_prev[n:]
+    if (pre.shape[0] != gates * n or hc_prev.shape != (2 * n, pre.shape[1])):
+        raise GraphError(f"lstm: gates {pre.shape} for [h; c] {hc_prev.shape}")
+    c_prev = hc_prev[n:]
     act = np.empty_like(pre)
     u, i, o = act[:n], act[n:2 * n], act[-n:]
     np.tanh(pre[:n], out=u)
@@ -578,10 +560,6 @@ def _attend(keys, weights):
 
 def _relu(a):
     return np.maximum(a, 0.0)
-
-
-def _step(a):
-    return np.where(a > 0.0, 1.0, -1.0)
 
 
 def _softmax(a):
@@ -754,8 +732,8 @@ def _back_rows(node, g):
 
 
 def _back_lstm(node, g):
-    pre, c_prev = node.parents
-    forget, c_is_hc, saved = node.settings
+    pre, hc_prev = node.parents
+    forget, saved = node.settings
     act, tanh_c = saved["act"], saved["tanh_c"]
     n = tanh_c.shape[0]
     u, i, o = act[:n], act[n:2 * n], act[-n:]
@@ -767,19 +745,14 @@ def _back_lstm(node, g):
     d_pre[:n] *= 1.0 - u ** 2
     np.multiply(d_c, u, out=d_pre[n:2 * n])
     if forget:
-        np.multiply(d_c, c_prev.value[-n:], out=d_pre[2 * n:3 * n])
+        np.multiply(d_c, hc_prev.value[n:], out=d_pre[2 * n:3 * n])
     np.multiply(g_h, tanh_c, out=d_pre[-n:])
     sig = act[n:]
     d_pre[n:] *= sig
     d_pre[n:] *= 1.0 - sig
     _give(pre, d_pre, fresh=True)
-    if not c_prev.needs_grad:
-        return
-    d_c_prev = d_c * act[2 * n:3 * n] if forget else d_c
-    if c_is_hc:     # a previous step's [h; c], whose last n rows are the cell
-        _give_rows(c_prev, n, d_c_prev)
-    else:
-        _give(c_prev, d_c_prev, fresh=True)
+    if hc_prev.needs_grad:      # the cell's rows of the previous [h; c]
+        _give_rows(hc_prev, n, d_c * act[2 * n:3 * n] if forget else d_c)
 
 
 def _batch_outer(column_vectors, column_weights):
@@ -804,10 +777,6 @@ def _back_attend(node, g):
         _give(keys, _batch_outer(g, weights.value), fresh=True)
     if weights.needs_grad:
         _give(weights, _batch_dot(keys.value, g), fresh=True)
-
-
-def _back_step(node, g):
-    raise GraphError("step has no usable derivative; use tanh or relu")
 
 
 def _back_softmax(node, g):
@@ -840,8 +809,6 @@ _BACKWARD = {
     "concat_rows": _back_concat_rows,
     "concat_cols": _back_concat_cols,
     "transpose": lambda node, g: _give(node.parents[0], g.T),
-    "reshape": lambda node, g: _give(node.parents[0],
-                                     g.reshape(node.parents[0].value.shape, order="F")),
     "rows": _back_rows,
     "lstm": _back_lstm,
     "batch_dot": _back_batch_dot,
@@ -852,7 +819,6 @@ _BACKWARD = {
                                      g * node.value * (1.0 - node.value), fresh=True),
     "relu": lambda node, g: _give(node.parents[0], g * (node.parents[0].value > 0.0),
                                   fresh=True),
-    "step": _back_step,
     "softmax": _back_softmax,
     "pick_neg_log_softmax": _back_pick_neg_log_softmax,
     "squared_distance": _back_squared_distance,

@@ -517,15 +517,13 @@ def _decode_corpus(model, args, rng) -> int:
                 hyps = beam_search(model, source_ids, beam_size=args.beam_size,
                                    max_len=args.max_len, length_mode=mode,
                                    length_prior=prior)
+            hyps = hyps[:args.nbest or 1]
+            words = [replace_unknowns(h, tokens, model.vocab) if args.replace_unk
+                     else h.surface(model.vocab) for h in hyps]
             if args.nbest:
-                out.extend(nbest_lines(hyps[:args.nbest], index, model.vocab))
+                out.extend(nbest_lines(hyps, index, words))
             else:
-                best = hyps[0]
-                if args.replace_unk:
-                    words = replace_unknowns(best, tokens, model.vocab)
-                else:
-                    words = best.surface(model.vocab)
-                out.append(" ".join(words))
+                out.append(" ".join(words[0]))
         _write_lines(out, fh)
     return 0
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autograd import Eager, Evaluator, Graph, NonFiniteError, Parameter, Value
 from .corpus import BOS_ID, MiniBatch, Vocabulary, make_batches
-from .optim import EpochTracker, Optimizer, TrainingDivergence, fit
+from .optim import EpochTracker, Optimizer, TrainingDivergence, fit, train_graphs
 from .search import LanguageModel
 
 CELL_KINDS = ("rnn", "lstm", "lstm_forget", "gru")
@@ -39,19 +39,17 @@ def embedding_init(rng, rows, cols) -> np.ndarray:
 
 @dataclass
 class RecurrentState:
-    """Hidden state (and memory cell for LSTM kinds) as graph nodes, or as
-    arrays under :class:`~.autograd.Eager`.
+    """Hidden state (and memory cell for LSTM kinds) of B columns as graph
+    nodes, or as arrays under :class:`~.autograd.Eager`.
 
-    For the LSTM kinds ``c`` is the n x B memory cell or, with ``c_is_hc``
-    (a state a step returned), that step's whole 2n x B ``[h; c]``, whose
-    last n rows are the cell; ``lstm`` reads either. ``h`` is the hidden
-    state on its own (plus the layer input with residual connections).
+    For the LSTM kinds ``c`` is the whole 2n x B ``[h; c]`` of the step that
+    made the state, zeros before the first step; ``lstm`` reads the cell
+    from its last n rows. ``h`` is the hidden state on its own (plus the
+    layer input with residual connections).
     """
 
     h: Value
     c: Value | None = None
-    batch: int = 1
-    c_is_hc: bool = False
 
 
 class RecurrentCell:
@@ -127,8 +125,8 @@ class RecurrentCell:
 
     def initial_state(self, g: Evaluator, batch: int = 1) -> RecurrentState:
         zeros = np.zeros((self.hidden_size, batch))
-        c = g.input(zeros) if self.has_cell else None
-        return RecurrentState(h=g.input(zeros), c=c, batch=batch)
+        c = g.input(np.zeros((2 * self.hidden_size, batch))) if self.has_cell else None
+        return RecurrentState(h=g.input(zeros), c=c)
 
     def _affine(self, g, keys, x, h):
         w_x, w_h, b = (g.param(self.params[key]) for key in keys)
@@ -140,13 +138,11 @@ class RecurrentCell:
         h_prev, n = state.h, self.hidden_size
         if self.kind == "rnn":
             h = g.tanh(self._affine(g, ("W_xh", "W_hh", "b_h"), x, h_prev))
-            return RecurrentState(h=h, batch=state.batch)
+            return RecurrentState(h=h)
         pre = self._affine(g, ("W_x", "W_h", "b"), x, h_prev)
         if self.has_cell:
-            hc = g.lstm(pre, state.c, forget=self.kind == "lstm_forget",
-                        c_is_hc=state.c_is_hc)
-            return RecurrentState(h=g.rows(hc, 0, n), c=hc, batch=state.batch,
-                                  c_is_hc=True)
+            hc = g.lstm(pre, state.c, forget=self.kind == "lstm_forget")
+            return RecurrentState(h=g.rows(hc, 0, n), c=hc)
         # gru: candidate state mixed in by the update gate,
         # h = h_prev + z * (h_tilde - h_prev)
         rz = g.sigmoid(pre)
@@ -155,7 +151,7 @@ class RecurrentCell:
                                       g.cmult(r, h_prev)))
         delta = g.add(h_tilde, g.scale(h_prev, -1.0))
         h = g.add(h_prev, g.cmult(z, delta))
-        return RecurrentState(h=h, batch=state.batch)
+        return RecurrentState(h=h)
 
 
 class StackedRNN:
@@ -210,21 +206,19 @@ def same_columns(rows, width: int) -> bool:
 
 def gather_layer_states(layers: list[RecurrentState], rows) -> list[RecurrentState]:
     """The columns ``rows`` of eagerly evaluated layer states, in that order;
-    of an LSTM state's ``[h; c]`` only the cell rows are gathered.
+    an LSTM state's whole ``[h; c]`` columns are gathered.
 
     When ``rows`` are the states' own columns in order (:func:`same_columns`)
-    the states are returned as they are, an LSTM layer's ``[h; c]`` still
-    marked ``c_is_hc``. Otherwise ``np.take`` returns C-contiguous arrays,
-    the layout the decoder's BLAS products had when hypotheses kept one
-    column each and were stacked with ``np.hstack``; ``x[:, rows]`` would
-    return F-ordered ones, whose products may round differently.
+    the states are returned as they are. Otherwise ``np.take`` returns
+    C-contiguous arrays, the layout the decoder's BLAS products had when
+    hypotheses kept one column each and were stacked with ``np.hstack``;
+    ``x[:, rows]`` would return F-ordered ones, whose products may round
+    differently.
     """
     if same_columns(rows, layers[0].h.shape[1]):
         return layers
     return [RecurrentState(h=np.take(st.h, rows, axis=1),
-                           c=None if st.c is None
-                           else np.take(st.c[-len(st.h):], rows, axis=1),
-                           batch=len(rows))
+                           c=None if st.c is None else np.take(st.c, rows, axis=1))
             for st in layers]
 
 
@@ -450,20 +444,16 @@ def train_lm(model, train_sentences, optimizer: Optimizer, epochs: int,
     """Minibatched LM training over :func:`optim.fit`; returns its per-epoch
     dev log-likelihoods (negated training NLL when no dev set is given)."""
 
-    def train_epoch(sentences):
-        train_loss = 0.0
-        for batch in make_batches(sentences, batch_size):
-            with Graph() as g:
-                model.batch_loss(g, batch)
-            train_loss += float(g.forward()[0, 0])
-            g.backward()
-            optimizer.step()
-            optimizer.zero_grad()
-        return train_loss
+    def batch_graph(batch):
+        with Graph() as g:
+            model.batch_loss(g, batch)
+        return g
 
     dev_ll = (None if dev_sentences is None else
               lambda: -model.corpus_nll(dev_sentences))
-    return fit([list(s) for s in train_sentences], train_epoch,
+    return fit([list(s) for s in train_sentences],
+               lambda sentences: train_graphs(optimizer, batch_graph,
+                                              make_batches(sentences, batch_size)),
                EpochTracker(optimizer), epochs, dev_ll, rng=rng, shuffle=shuffle,
                log=log)
 

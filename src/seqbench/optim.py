@@ -193,6 +193,22 @@ def _array(p) -> np.ndarray:
     return p.value if isinstance(p, Parameter) else p
 
 
+def train_graphs(optimizer: Optimizer, build, items) -> float:
+    """One epoch of per-graph updates, the ``train_epoch`` of the neural
+    trainers' :func:`fit`: ``build(item)`` returns each item's loss graph,
+    whose ``forward`` value is added to the returned loss, followed by
+    ``backward``, ``optimizer.step`` and ``zero_grad``."""
+    train_loss = 0.0
+    for item in items:
+        g = build(item)
+        train_loss += float(g.forward()[0, 0])
+        g.backward()
+        optimizer.step()
+        optimizer.zero_grad()
+        del g       # the next graph is built without this one alive
+    return train_loss
+
+
 def fit(items, train_epoch, tracker: EpochTracker, epochs: int, dev_ll=None,
         rng=None, shuffle: bool = True, log=None) -> list[float]:
     """The epoch loop of every trainer; returns the per-epoch scores.

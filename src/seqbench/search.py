@@ -313,7 +313,8 @@ def replace_unknowns(hyp: Hypothesis, source_tokens, vocab: Vocabulary) -> list[
     return surface
 
 
-def nbest_lines(hypotheses, index: int, vocab: Vocabulary) -> list[str]:
-    """Moses-style n-best rows: ``index ||| tokens ||| score``."""
-    return [f"{index} ||| {' '.join(h.surface(vocab))} ||| {h.final_score:.6f}"
-            for h in hypotheses]
+def nbest_lines(hypotheses, index: int, words) -> list[str]:
+    """Moses-style n-best rows, ``index ||| words ||| score``, of each
+    hypothesis with its output words, given in the same order."""
+    return [f"{index} ||| {' '.join(w)} ||| {h.final_score:.6f}"
+            for h, w in zip(hypotheses, words, strict=True)]

@@ -27,7 +27,7 @@ from .autograd import Eager, Evaluator, Graph, Parameter, Value
 from .corpus import BOS_ID, EOS_ID, Vocabulary
 from .nnet import (SCORE_BATCH, RecurrentState, StackedRNN, embedding_init,
                    file_tensor_views, gather_layer_states, glorot, same_columns)
-from .optim import EpochTracker, Optimizer, fit
+from .optim import EpochTracker, Optimizer, fit, train_graphs
 from .search import _one_column, _search
 
 ENCODER_DIRECTIONS = ("forward", "reverse", "bidirectional")
@@ -48,6 +48,10 @@ class SourceEncoding:
     ``H`` holds S·B columns t-major, S the longest length: column t·B + b
     is word t of source b. With padding, ``mask`` is the S x B additive
     attention mask, 0 at a word and ``PAD_SCORE`` past a source's end.
+    MLP attention's ``src_proj`` is laid out as ``H``; a decoder step over
+    K columns of one source repeats each of its columns K times, so that
+    column t·K + b lines up with decoder column b. An LSTM layer's initial
+    ``c`` is an all-zero ``[h; c]``.
     """
 
     H: Value                            # (encoding_dim, S·B)
@@ -255,12 +259,11 @@ class EncDecModel:
                 terms += [g.param(self.W_bridge_bwd), final_bwd]
             h0 = g.tanh(g.affine(g.param(self.b_bridge), *terms))
 
-        zeros = np.zeros((self.dec_hidden, len(sources)))
+        zeros = np.zeros((2 * self.dec_hidden, len(sources)))     # [h; c]
         init = []
         for i, cell in enumerate(self.dec.cells):
-            h = h0 if i == 0 else g.input(zeros)
-            c = g.input(zeros) if cell.has_cell else None
-            init.append(RecurrentState(h=h, c=c, batch=len(sources)))
+            h = h0 if i == 0 else g.input(zeros[:self.dec_hidden])
+            init.append(RecurrentState(h=h, c=g.input(zeros) if cell.has_cell else None))
         return SourceEncoding(H=H, init_layers=init, lengths=lengths, mask=mask)
 
     def encode(self, source_ids) -> SourceEncoding:
@@ -276,60 +279,47 @@ class EncDecModel:
     def _step_invariants(self, g: Evaluator, encoding: SourceEncoding):
         """Set MLP attention's parts that are the same at every decoder step
         on ``encoding``: the source half ``W_a1_src·H`` and, for one source,
-        ``w_a2ᵀ`` (a batch of sources scores with ``batch_dot``); the other
-        kinds have none."""
+        ``w_a2ᵀ``, which its one-column steps score with (wider steps and a
+        batch of sources score with ``batch_dot``); the other kinds have
+        none."""
         if self.attention == "mlp":
             encoding.src_proj = g.matmul(g.param(self.W_a1_src), encoding.H)
             if len(encoding.lengths) == 1:
                 encoding.w_a2_t = g.transpose(g.param(self.w_a2))
 
-    def _attention_scores(self, g: Evaluator, encoding: SourceEncoding, h_dec: Value,
-                          src: Value | None = None, batch: int = 1) -> Value:
-        """Score every column of one source's ``H`` against each of the
-        ``batch`` decoder states in the columns of ``h_dec``; the result is
-        |F| x ``batch``.
+    def _attention(self, g: Evaluator, encoding: SourceEncoding, h_dec: Value,
+                   src: Value | None) -> tuple[Value, Value]:
+        """(alpha, context) of the decoder states in the columns of ``h_dec``:
+        alpha is S x K, each column softmaxed over its source's words, and
+        the context is ``H`` mixed with those weights.
 
-        MLP attention takes its source half ``W_a1_src·H`` from the caller as
-        ``src``: the encoding's projection in training graphs and one-column
-        decoder steps, repeated once per decoder column (|K| x |F|·``batch``)
-        in wider steps. The other kinds ignore it. With ``batch`` > 1, ``H``
-        must be an array, as it is in decoder steps.
+        An encoding of one source is shared by all K columns, as in decoder
+        steps; an encoding of B sources gives each of the K = B columns its
+        own, with ``PAD_SCORE`` added at padded words. ``src`` is MLP
+        attention's source projection ``W_a1_src·H``; a step over K columns
+        of one source passes it repeated t-major, column t·K + b projecting
+        word t, the layout of a batch's keys. The other kinds ignore it.
         """
-        H = encoding.H
-        if self.attention == "dot":
-            return g.matmul(g.transpose(H), h_dec)
-        if self.attention == "bilinear":
-            return g.matmul(g.transpose(H),
-                            g.matmul(g.param(self.W_a), h_dec))
-        if batch == 1:  # one decoder column, broadcast over the source words
+        H, batch = encoding.H, h_dec.shape[1]
+        one_source = len(encoding.lengths) == 1
+        if self.attention != "mlp":
+            keys = g.transpose(H) if one_source else H
+            queries = (h_dec if self.attention == "dot"
+                       else g.matmul(g.param(self.W_a), h_dec))
+            scores = (g.matmul(keys, queries) if one_source
+                      else g.batch_dot(keys, queries))
+        elif one_source and batch == 1:     # broadcast over the source words
             pre = g.affine(src, g.param(self.W_a1_dec), h_dec)
-        else:           # column b * |F| + j pairs decoder state b with source word j
-            n_src = H.shape[1]
-            dec = g.lookup_column(g.matmul(g.param(self.W_a1_dec), h_dec),
-                                  [b for b in range(batch) for _ in range(n_src)])
-            pre = g.add(dec, src)
-        scores = g.matmul(encoding.w_a2_t, g.tanh(pre))
-        if batch == 1:
-            return g.transpose(scores)
-        return g.reshape(scores, n_src, batch)
-
-    def _batch_attention_scores(self, g: Evaluator, encoding: SourceEncoding,
-                                h_dec: Value, src: Value | None) -> Value:
-        """Score each column's own source words against the decoder state
-        in that column of ``h_dec``; the result is S x B, ``PAD_SCORE`` added
-        at padded words. ``src`` is MLP attention's source projection."""
-        H, batch = encoding.H, len(encoding.lengths)
-        if self.attention == "dot":
-            keys, queries = H, h_dec
-        elif self.attention == "bilinear":
-            keys, queries = H, g.matmul(g.param(self.W_a), h_dec)
-        else:   # column t·B + b pairs decoder state b with word t of source b
+            scores = g.transpose(g.matmul(encoding.w_a2_t, g.tanh(pre)))
+        else:   # key t·K + b pairs decoder state b with word t of its source
             dec = g.lookup_column(g.matmul(g.param(self.W_a1_dec), h_dec),
                                   list(range(batch)) * max(encoding.lengths))
             keys = g.tanh(g.add(dec, src))
-            queries = g.lookup_column(g.param(self.w_a2), [0] * batch)
-        scores = g.batch_dot(keys, queries)
-        return scores if encoding.mask is None else g.add(scores, encoding.mask)
+            scores = g.batch_dot(keys, g.lookup_column(g.param(self.w_a2), [0] * batch))
+        if encoding.mask is not None:
+            scores = g.add(scores, encoding.mask)
+        alpha = g.softmax(scores)
+        return alpha, g.matmul(H, alpha) if one_source else g.attend(H, alpha)
 
     # ---- decoding ----------------------------------------------------------
 
@@ -345,8 +335,7 @@ class EncDecModel:
         and ``h`` without; :meth:`_scores` turns it into scores. ``src`` is
         MLP attention's source projection.
 
-        An encoding of one source is shared by every column, as in decoder
-        steps; an encoding of B sources gives each column its own.
+        :meth:`_attention` reads ``encoding`` for each column.
         """
         x = g.lookup_column(g.param(self.M_e), prev_ids)
         if self.attention != "none":
@@ -354,14 +343,7 @@ class EncDecModel:
         out, states = self.dec.step(g, x, states)
         if self.attention == "none":
             return out, states, None, None
-        H = encoding.H
-        if len(encoding.lengths) == 1:
-            alpha = g.softmax(self._attention_scores(g, encoding, out, src,
-                                                     states[0].batch))
-            new_context = g.matmul(H, alpha)
-        else:
-            alpha = g.softmax(self._batch_attention_scores(g, encoding, out, src))
-            new_context = g.attend(H, alpha)
+        alpha, new_context = self._attention(g, encoding, out, src)
         return g.concat_rows(out, new_context), states, new_context, alpha
 
     def start(self, source_ids) -> EncDecState:
@@ -382,7 +364,7 @@ class EncDecModel:
         # ops: they enter as they are
         src = encoding.src_proj
         if src is not None and len(rows) > 1:
-            src = np.hstack([src] * len(rows))
+            src = np.repeat(src, len(rows), axis=1)
         context = state.context
         if context is not None and not same_columns(rows, context.shape[1]):
             context = np.take(context, rows, axis=1)
@@ -519,19 +501,10 @@ def train_encdec(model: EncDecModel, pairs, optimizer: Optimizer, epochs: int,
                  dev_pairs=None, rng=None, log=None, shuffle: bool = True):
     """Per-sentence training over (source_ids, target_ids) pairs with
     :func:`optim.fit`; returns its per-epoch dev log-likelihoods."""
-
-    def train_epoch(ordered):
-        train_loss = 0.0
-        for f, e in ordered:
-            g = model.loss_graph(f, e)
-            train_loss += float(g.forward()[0, 0])
-            g.backward()
-            optimizer.step()
-            optimizer.zero_grad()
-        return train_loss
-
     dev_ll = (None if dev_pairs is None else
               lambda: -model.corpus_nll(dev_pairs))
-    return fit([(list(f), list(e)) for f, e in pairs], train_epoch,
+    return fit([(list(f), list(e)) for f, e in pairs],
+               lambda ordered: train_graphs(
+                   optimizer, lambda pair: model.loss_graph(*pair), ordered),
                EpochTracker(optimizer), epochs, dev_ll, rng=rng, shuffle=shuffle,
                log=log)

@@ -87,8 +87,6 @@ OP_GRADCHECK_CASES = {
     "concat_rows": lambda g, ps: g.concat_rows(*[g.param(p) for p in ps]),
     "concat_cols": lambda g, ps: g.concat_cols(*[g.param(p) for p in ps]),
     "transpose": lambda g, ps: g.transpose(g.param(ps[0])),
-    # (n, m) refilled column-major as (m, n)
-    "reshape": lambda g, ps: g.reshape(g.param(ps[0]), *ps[0].value.shape[::-1]),
     "lookup_column": lambda g, ps: g.lookup_column(g.param(ps[0]), [1, 0, 1]),
     # repeated ids into a computed matrix rather than a parameter
     "lookup_column_computed": lambda g, ps: g.lookup_column(
@@ -99,14 +97,13 @@ OP_GRADCHECK_CASES = {
     "scale": lambda g, ps: g.scale(g.param(ps[0]), 1.7),
     "affine": lambda g, ps: g.affine(*[g.param(p) for p in ps]),
     "lstm": lambda g, ps: padding_masked(g, g.lstm(g.param(ps[0]), g.param(ps[1])),
-                                         (2 * ps[1].value.shape[0], ps[1].value.shape[1])),
+                                         ps[1].value.shape),
     "lstm_no_forget": lambda g, ps: padding_masked(
-        g, g.lstm(g.param(ps[0]), g.param(ps[1]), forget=False),
-        (2 * ps[1].value.shape[0], ps[1].value.shape[1])),
+        g, g.lstm(g.param(ps[0]), g.param(ps[1]), forget=False), ps[1].value.shape),
     # the second step reads its memory cell from the first step's [h; c]
     "lstm_chain": lambda g, ps: padding_masked(
-        g, g.lstm(g.param(ps[2]), g.lstm(g.param(ps[0]), g.param(ps[1])), c_is_hc=True),
-        (2 * ps[1].value.shape[0], ps[1].value.shape[1])),
+        g, g.lstm(g.param(ps[2]), g.lstm(g.param(ps[0]), g.param(ps[1]))),
+        ps[1].value.shape),
     "rows": lambda g, ps: padding_masked(g, overlapping_rows(g, g.tanh(g.param(ps[0]))),
                                          (2, ps[0].value.shape[1])),
     "batch_dot": lambda g, ps: g.batch_dot(g.param(ps[0]), g.param(ps[1])),
@@ -157,10 +154,10 @@ def op_gradcheck_shapes(name, rng):
         return [(n, 3)]
     if name == "affine":    # bias broadcast across m >= 2 columns, two terms
         return [(n, 1), (n, k), (k, m), (n, m), (m, m)]
-    if name == "lstm_chain":        # two steps' gates and the first step's cell
-        return [(4 * n, m), (n, m), (4 * n, m)]
-    if name.startswith("lstm"):     # stacked gates and the memory cell, m columns
-        return [((3 if name.endswith("no_forget") else 4) * n, m), (n, m)]
+    if name == "lstm_chain":        # two steps' gates and the first step's [h; c]
+        return [(4 * n, m), (2 * n, m), (4 * n, m)]
+    if name.startswith("lstm"):     # stacked gates and the previous [h; c], m columns
+        return [((3 if name.endswith("no_forget") else 4) * n, m), (2 * n, m)]
     if name == "rows":
         return [(n + 3, m)]
     if name in ("batch_dot", "padded_attention"):     # S = m keys per column
@@ -216,8 +213,8 @@ class PerGateCell:
 
     def initial_state(self, g, batch=1):
         zeros = np.zeros((self.hidden_size, batch))
-        c = g.input(zeros) if self.has_cell else None
-        return RecurrentState(h=g.input(zeros), c=c, batch=batch)
+        c = g.input(np.zeros((2 * self.hidden_size, batch))) if self.has_cell else None
+        return RecurrentState(h=g.input(zeros), c=c)
 
     def _gate(self, g, gate, x, h, activation):
         p = self.params
@@ -229,19 +226,21 @@ class PerGateCell:
         h_prev = state.h
         if self.kind == "rnn":
             h = self._gate(g, "h", x, h_prev, g.tanh)
-            return RecurrentState(h=h, batch=state.batch)
+            return RecurrentState(h=h)
         if self.has_cell:
+            n = self.hidden_size
+            c_prev = g.rows(state.c, n, 2 * n)      # the cell half of [h; c]
             u = self._gate(g, "u", x, h_prev, g.tanh)
             i = self._gate(g, "i", x, h_prev, g.sigmoid)
             o = self._gate(g, "o", x, h_prev, g.sigmoid)
             gated_update = g.cmult(i, u)
             if self.kind == "lstm_forget":
                 f = self._gate(g, "f", x, h_prev, g.sigmoid)
-                c = g.add(gated_update, g.cmult(f, state.c))
+                c = g.add(gated_update, g.cmult(f, c_prev))
             else:
-                c = g.add(gated_update, state.c)
+                c = g.add(gated_update, c_prev)
             h = g.cmult(o, g.tanh(c))
-            return RecurrentState(h=h, c=c, batch=state.batch)
+            return RecurrentState(h=h, c=g.concat_rows(h, c))
         r = self._gate(g, "r", x, h_prev, g.sigmoid)
         z = self._gate(g, "z", x, h_prev, g.sigmoid)
         p = self.params
@@ -249,7 +248,7 @@ class PerGateCell:
                                   g.param(p["W_hh"]), g.cmult(r, h_prev)))
         delta = g.add(h_tilde, g.scale(h_prev, -1.0))
         h = g.add(h_prev, g.cmult(z, delta))
-        return RecurrentState(h=h, batch=state.batch)
+        return RecurrentState(h=h)
 
 
 def per_gate_model(model, stacks):
@@ -380,7 +379,7 @@ def two_pass_pick_neg_log_softmax(s, targets):
 
 def attention_scores_per_column(model, g, H_cols, h_dec):
     """Reference one-column-at-a-time attention scoring for ``model``, against
-    which its batched ``_attention_scores`` is checked; concatenates |F|
+    which its ``_attention`` scores are checked; concatenates |F|
     scalar scores."""
     scores = []
     for col in H_cols:
@@ -425,8 +424,7 @@ def graph_layer_states(g, layers, rows):
     """Graph inputs holding the columns ``rows`` of eagerly evaluated layer
     states."""
     return [RecurrentState(h=graph_columns(g, st.h, rows),
-                           c=None if st.c is None else graph_columns(g, st.c, rows),
-                           batch=len(rows), c_is_hc=st.c_is_hc)
+                           c=None if st.c is None else graph_columns(g, st.c, rows))
             for st in layers]
 
 
@@ -446,7 +444,7 @@ def graph_encdec_step(model, state, rows, prev_ids):
         H = g.input(encoding.H)
         context = graph_columns(g, state.context, rows)
     if encoding.src_proj is not None:
-        src = g.input(np.hstack([encoding.src_proj] * len(rows)))
+        src = g.input(np.repeat(encoding.src_proj, len(rows), axis=1))
         w_a2_t = g.input(encoding.w_a2_t)
     x, new_layers, new_context, alpha = model._step_nodes(
         g, replace(encoding, H=H, w_a2_t=w_a2_t), prev_ids, layers, context, src)

@@ -231,7 +231,8 @@ def test_criterion_04_lstm_memory_path():
     c0 = Parameter("c0", rng.normal(size=(hidden, 1)))
     xs = [rng.uniform(-0.5, 0.5, size=(hidden, 1)) for _ in range(T)]
     g = Graph()
-    state = RecurrentState(h=g.input(np.zeros((hidden, 1))), c=g.param(c0))
+    h0 = g.input(np.zeros((hidden, 1)))
+    state = RecurrentState(h=h0, c=g.concat_rows(h0, g.param(c0)))
     for x in xs:
         state = cell.step(g, g.input(x), state)
     g.sum(g.rows(state.c, hidden, 2 * hidden))      # c_T, the cell half of [h; c]

@@ -88,17 +88,6 @@ def test_relu_gradient_gate():
     assert p.grad[:, 0].tolist() == [0.0, 1.0]
 
 
-def test_step_forward_only():
-    g = Graph()
-    p = Parameter("x", [-0.5, 0.5])
-    out = g.step(g.param(p))
-    g.sum(out)
-    vals = g.forward()
-    assert out.value[:, 0].tolist() == [-1.0, 1.0]
-    with pytest.raises(GraphError, match="step"):
-        g.backward()
-
-
 def test_softmax_shift_invariance_and_sum():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -405,32 +394,30 @@ def test_the_product_helper_is_matmul_bit_for_bit(rows, inner, cols):
         assert same_bits(product, reference)
 
 
-def test_lstm_reads_a_cell_of_n_rows_or_the_last_n_rows_of_h_and_c():
+def test_lstm_reads_its_cell_from_the_last_n_rows_of_h_and_c():
     rng = np.random.default_rng(8)
     pre, cell = rng.normal(size=(12, 2)), rng.normal(size=(3, 2))
     hc = np.vstack([rng.normal(size=(3, 2)), cell])
+    zero_h = np.vstack([np.zeros((3, 2)), cell])
     with Eager() as e:
-        assert same_bits(e.lstm(pre, hc, c_is_hc=True), e.lstm(pre, cell))
-        assert same_bits(e.lstm(pre[:9], hc, forget=False, c_is_hc=True),
-                         e.lstm(pre[:9], cell, forget=False))
-        for bad_pre, bad_cell, c_is_hc in (
-                (pre, cell[:2], False), (pre, np.vstack([hc, cell]), True),
-                (pre, hc[:, :1], True), (pre[:10], cell, False),
-                (pre, cell, True), (pre, hc[:5], True), (pre, hc, False)):
+        assert same_bits(e.lstm(pre, hc), e.lstm(pre, zero_h))
+        assert same_bits(e.lstm(pre[:9], hc, forget=False),
+                         e.lstm(pre[:9], zero_h, forget=False))
+        for bad_pre, bad_hc in ((pre, cell), (pre, cell[:2]), (pre, np.vstack([hc, cell])),
+                                (pre, hc[:, :1]), (pre[:10], hc), (pre, hc[:5])):
             with pytest.raises(GraphError, match="lstm: gates"):
-                e.lstm(bad_pre, bad_cell, c_is_hc=c_is_hc)
+                e.lstm(bad_pre, bad_hc)
 
 
-def test_a_cell_of_2n_rows_not_marked_as_h_and_c_is_rejected():
-    # two n-row cells stacked, as a bidirectional bridge might stack them,
-    # are not a previous step's [h; c]: read as one, half of them would be lost
+def test_a_bare_cell_of_n_rows_is_rejected_at_its_node():
+    # the previous state is a whole [h; c]: a cell alone would be read as
+    # half of one
     rng = np.random.default_rng(9)
     g = Graph()
     pre = g.input(rng.normal(size=(12, 2)))
-    cells = g.concat_rows(g.input(rng.normal(size=(3, 2))),
-                          g.input(rng.normal(size=(3, 2))))
-    with pytest.raises(GraphError, match=r"node 4 lstm: gates \(12, 2\) for cell \(6, 2\)"):
-        g.lstm(pre, cells)
+    cell = g.tanh(g.input(rng.normal(size=(3, 2))))
+    with pytest.raises(GraphError, match=r"node 3 lstm: gates \(12, 2\) for \[h; c\] \(3, 2\)"):
+        g.lstm(pre, cell)
 
 
 def test_affine_rejects_bad_arity_and_shapes():
@@ -573,14 +560,12 @@ FINITE_PRESERVING_BUILDERS = {
     "concat_rows": lambda g, a, b: g.concat_rows(a, b),
     "concat_cols": lambda g, a, b: g.concat_cols(a, b),
     "transpose": lambda g, a, b: g.transpose(a),
-    "reshape": lambda g, a, b: g.reshape(a, 2, 3),
     "rows": lambda g, a, b: g.rows(a, 1, 3),
     # extreme gate pre-activations for a cell at the float range's edge
-    "lstm": lambda g, a, b: g.lstm(g.concat_rows(b, a, b, a), a),
+    "lstm": lambda g, a, b: g.lstm(g.concat_rows(b, a, b, a), g.concat_rows(b, a)),
     "tanh": lambda g, a, b: g.tanh(a),
     "sigmoid": lambda g, a, b: g.sigmoid(a),
     "relu": lambda g, a, b: g.relu(a),
-    "step": lambda g, a, b: g.step(a),
     "softmax": lambda g, a, b: g.softmax(a),
 }
 

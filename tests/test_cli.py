@@ -312,6 +312,30 @@ def test_translate_replace_unk(translation_setup, tmp_path):
     assert len(replaced_words) == len(plain_words)
 
 
+@pytest.mark.parametrize("command", ["translate", "ensemble-translate"])
+def test_replace_unk_rewrites_every_nbest_line(translation_setup, tmp_path, command):
+    _, model, _ = translation_setup
+    loaded = load_model(model)
+    # the beam's hypotheses are unknown tokens, ended after none or more
+    loaded.b_s.value[...] = -20.0
+    loaded.b_s.value[C.UNK_ID, 0] = 20.0
+    loaded.b_s.value[C.EOS_ID, 0] = 18.0
+    rigged = str(tmp_path / "rigged.bin")
+    save_model(loaded, rigged)
+    inputs = write(tmp_path / "one.txt", "c d e\n")
+    models = ["--model", rigged] if command == "translate" else ["--models", rigged]
+    argv = [command, *models, "--input", inputs, "--search", "beam",
+            "--beam-size", "3", "--max-len", "3", "--replace-unk"]
+    best, nbest = str(tmp_path / "best.txt"), str(tmp_path / "nbest.txt")
+    assert main(argv + ["--output", best]) == 0
+    assert main(argv + ["--output", nbest, "--nbest", "3"]) == 0
+    rows = [row.split(" ||| ") for row in Path(nbest).read_text(encoding="utf-8").splitlines()]
+    outputs = [words.split() for _, words, _ in rows]
+    assert len(rows) == 3 and sum(map(bool, outputs)) >= 2
+    assert all(set(words) <= {"c", "d", "e"} for words in outputs)
+    assert rows[0][1] == Path(best).read_text(encoding="utf-8").strip()
+
+
 def test_ensemble_translate_identical_members(translation_setup):
     tmp_path, model, inputs = translation_setup
     single = str(tmp_path / "single.txt")

@@ -28,7 +28,6 @@ SOURCE = [3, 5, 4, 6, 3]
 
 # ops the gradient checks do not cover: (shapes, builder)
 FORWARD_ONLY_CASES = {
-    "step": ([(3, 4)], lambda g, ps: g.step(g.param(ps[0]))),
     "sum": ([(3, 4)], lambda g, ps: g.sum(g.param(ps[0]))),
     "squared_distance": ([(3, 2), (3, 2)],
                          lambda g, ps: g.squared_distance(g.param(ps[0]), g.param(ps[1]))),

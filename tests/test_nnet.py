@@ -28,9 +28,9 @@ def run_one_step(cell, x, h=None, c=None):
     g = Graph()
     state = cell.initial_state(g)
     if h is not None:
-        state = RecurrentState(h=g.input(h), c=state.c, batch=1)
+        state = RecurrentState(h=g.input(h), c=state.c)
     if c is not None:
-        state = RecurrentState(h=state.h, c=g.input(c), batch=1)
+        state = RecurrentState(h=state.h, c=g.concat_rows(state.h, g.input(c)))
     new = cell.step(g, g.input(x), state)
     g.forward()
     return new
@@ -63,7 +63,8 @@ def test_forget_gate_saturated_open():
     c_prev = rng.normal(size=(3, 1))
 
     g = Graph()
-    state = RecurrentState(h=g.input(np.zeros((3, 1))), c=g.input(c_prev))
+    h_prev = g.input(np.zeros((3, 1)))
+    state = RecurrentState(h=h_prev, c=g.concat_rows(h_prev, g.input(c_prev)))
     new = cell.step(g, g.input(x), state)
     g.forward()
     gi, gu = cell.gate("i"), cell.gate("u")
@@ -129,7 +130,8 @@ def test_stacked_lstm_gradients_three_step_unroll(kind, layers, residual):
     def build():
         g = Graph()
         states = stack.initial_states(g, batch=2)
-        states[0] = RecurrentState(h=states[0].h, c=g.param(c0), batch=2)
+        states[0] = RecurrentState(h=states[0].h,
+                                   c=g.concat_rows(states[0].h, g.param(c0)))
         for x in xs:
             _, states = stack.step(g, g.input(x), states)
         terms = []
@@ -162,7 +164,8 @@ def test_lstm_memory_path_gradient_is_one():
     xs = [rng.uniform(-0.5, 0.5, size=(hidden, 1)) for _ in range(T)]
 
     g = Graph()
-    state = RecurrentState(h=g.input(np.zeros((hidden, 1))), c=g.param(c0))
+    h0 = g.input(np.zeros((hidden, 1)))
+    state = RecurrentState(h=h0, c=g.concat_rows(h0, g.param(c0)))
     for x in xs:
         state = cell.step(g, g.input(x), state)
     g.sum(g.rows(state.c, hidden, 2 * hidden))      # c_T, the cell half of [h; c]
@@ -573,7 +576,8 @@ def test_rnnlm_scoring_steps_only_the_live_columns(name, monkeypatch):
     widths, picked = [], []
     step, pick = RecurrentCell.step, Eager.pick_neg_log_softmax
     monkeypatch.setattr(RecurrentCell, "step", lambda self, g, x, state: widths.append(
-        (x.shape[1], state.h.shape[1], state.batch)) or step(self, g, x, state))
+        (x.shape[1], state.h.shape[1], (state.h if state.c is None else state.c).shape[1]))
+        or step(self, g, x, state))
     monkeypatch.setattr(Eager, "pick_neg_log_softmax", lambda self, s, target: picked.append(
         s.shape[1]) or pick(self, s, target))
     with Eager() as e:

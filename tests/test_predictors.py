@@ -240,7 +240,7 @@ def test_greedy_steps_gather_and_tile_nothing(kind, monkeypatch):
     else:
         model, source = RNNLM(LM_VOCAB, rng=np.random.default_rng(37)), None
     calls = []
-    for name in ("take", "hstack"):
+    for name in ("take", "repeat"):
         wrapped = getattr(np, name)
         monkeypatch.setattr(np, name, lambda *args, _name=name, _fn=wrapped, **kwargs:
                             calls.append(_name) or _fn(*args, **kwargs))

@@ -384,4 +384,4 @@ def test_nbest_line_format():
     vocab = C.build_vocab(["le chat"])
     hyp = Hypothesis(tokens=[vocab.id_of("le"), vocab.id_of("chat"), C.EOS_ID],
                      logprob=-1.5, finished=True)
-    assert nbest_lines([hyp], 3, vocab) == ["3 ||| le chat ||| -1.500000"]
+    assert nbest_lines([hyp], 3, [hyp.surface(vocab)]) == ["3 ||| le chat ||| -1.500000"]

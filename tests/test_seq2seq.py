@@ -106,9 +106,8 @@ def test_saturated_attention_picks_one_column():
     H_value[:, 1] = 5.0
     h_dec = np.ones((8, 1))
     H = g.input(H_value)
-    scores = model._attention_scores(g, one_source_encoding(model, g, H), g.input(h_dec))
-    alpha = g.softmax(scores)
-    context = g.matmul(g.input(H_value), alpha)
+    alpha, context = model._attention(g, one_source_encoding(model, g, H), g.input(h_dec),
+                                      None)
     g.forward()
     assert alpha.value[1, 0] == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(context.value[:, 0], H_value[:, 1], atol=1e-7)
@@ -122,7 +121,8 @@ def test_dot_score_closed_forms():
     ortho[1, 0] = 1.0
     g = Graph()
     H = g.concat_cols(g.input(unit), g.input(ortho))
-    s = model._attention_scores(g, one_source_encoding(model, g, H), g.input(unit))
+    alpha, _ = model._attention(g, one_source_encoding(model, g, H), g.input(unit), None)
+    s = alpha.parents[0]        # the scores the softmax read
     g.forward()
     assert s.value[0, 0] == 1.0
     assert s.value[1, 0] == 0.0
@@ -139,7 +139,8 @@ def test_batched_attention_equals_per_column(kind):
     g = Graph()
     H = g.input(H_value)
     encoding = one_source_encoding(model, g, H)
-    batched = model._attention_scores(g, encoding, g.input(h_value), encoding.src_proj)
+    alpha, _ = model._attention(g, encoding, g.input(h_value), encoding.src_proj)
+    batched = alpha.parents[0]  # the scores the softmax read
     cols = [g.input(H_value[:, j:j + 1]) for j in range(4)]
     single = attention_scores_per_column(model, g, cols, g.input(h_value))
     g.forward()
@@ -496,6 +497,28 @@ def test_a_copy_task_greedy_step_runs_fourteen_ops(monkeypatch):
         ops.clear()
         _, state, _ = model.step(state, [0], [prev])
         assert ops == COPY_TASK_STEP_OPS
+
+
+# the same step over 4 columns of one source: MLP attention scores t-major
+# keys, the source projection repeated once per column, with batch_dot
+COPY_TASK_BEAM_STEP_OPS = ["lookup_column", "concat_rows", "affine", "lstm", "rows", "matmul",
+                           "lookup_column", "add", "tanh", "lookup_column", "batch_dot",
+                           "softmax", "matmul", "concat_rows", "affine", "softmax"]
+
+
+def test_a_copy_task_beam_step_over_four_columns_runs_sixteen_ops(monkeypatch):
+    ops = []
+    op = Eager._op
+    monkeypatch.setattr(Eager, "_op", lambda self, name, *rest: ops.append(name) or
+                        op(self, name, *rest))
+    model = copy_task_model()
+    state = model.start([3, 4, 5, 6, 7])
+    for rows, prev_ids in (([0] * 4, [C.BOS_ID] * 4), ([3, 1, 1, 0], [4, 4, 5, 6]),
+                           ([0, 1, 2, 3], [5, 6, 7, 3])):
+        ops.clear()
+        _, state, alpha = model.step(state, rows, prev_ids)
+        assert ops == COPY_TASK_BEAM_STEP_OPS
+        assert alpha.shape == (5, 4)
 
 
 def test_decoder_steps_take_the_source_encoding_unwrapped(monkeypatch):
