@@ -104,12 +104,23 @@ OP_GRADCHECK_CASES = {
     "lstm_chain": lambda g, ps: padding_masked(
         g, g.lstm(g.param(ps[2]), g.lstm(g.param(ps[0]), g.param(ps[1]))),
         ps[1].value.shape),
+    # the same without forget gates: the cell's gradient passes to the first
+    # step's [h; c] unscaled
+    "lstm_chain_no_forget": lambda g, ps: padding_masked(
+        g, g.lstm(g.param(ps[2]), g.lstm(g.param(ps[0]), g.param(ps[1]), forget=False),
+                  forget=False),
+        ps[1].value.shape),
+    # a first step whose [h; c] is built from a given h and cell
+    "lstm_from_concat": lambda g, ps: padding_masked(
+        g, g.lstm(g.param(ps[0]), g.concat_rows(g.param(ps[1]), g.param(ps[2]))),
+        (2 * ps[1].value.shape[0], ps[1].value.shape[1])),
     "rows": lambda g, ps: padding_masked(g, overlapping_rows(g, g.tanh(g.param(ps[0]))),
                                          (2, ps[0].value.shape[1])),
     "batch_dot": lambda g, ps: g.batch_dot(g.param(ps[0]), g.param(ps[1])),
     "attend": lambda g, ps: g.attend(g.param(ps[0]), g.param(ps[1])),
     "padded_attention": lambda g, ps: padded_attention(g, g.param(ps[0]),
                                                        g.param(ps[1])),
+    "mlp_attention_keys": lambda g, ps: mlp_attention_keys(g, *[g.param(p) for p in ps]),
 }
 
 
@@ -138,6 +149,17 @@ def padded_attention(g, keys, queries):
     return g.attend(keys, alpha)
 
 
+def mlp_attention_keys(g, W_dec, h_dec, src, w_a2):
+    """MLP attention scores of K decoder columns laid out t-major, as
+    ``EncDecModel._attention`` builds them: key t·K + b adds column b's
+    ``W_dec·h`` to the source projection ``src`` of word t."""
+    batch = h_dec.shape[1]
+    length = src.shape[1] // batch
+    dec = g.lookup_column(g.matmul(W_dec, h_dec), list(range(batch)) * length)
+    keys = g.tanh(g.add(dec, src))
+    return g.batch_dot(keys, g.lookup_column(w_a2, [0] * batch))
+
+
 def op_gradcheck_shapes(name, rng):
     n, m, k = rng.integers(2, 5, size=3)
     if name == "matmul":
@@ -156,12 +178,18 @@ def op_gradcheck_shapes(name, rng):
         return [(n, 1), (n, k), (k, m), (n, m), (m, m)]
     if name == "lstm_chain":        # two steps' gates and the first step's [h; c]
         return [(4 * n, m), (2 * n, m), (4 * n, m)]
+    if name == "lstm_chain_no_forget":
+        return [(3 * n, m), (2 * n, m), (3 * n, m)]
+    if name == "lstm_from_concat":  # gates, h and the memory cell
+        return [(4 * n, m), (n, m), (n, m)]
     if name.startswith("lstm"):     # stacked gates and the previous [h; c], m columns
         return [((3 if name.endswith("no_forget") else 4) * n, m), (2 * n, m)]
     if name == "rows":
         return [(n + 3, m)]
     if name in ("batch_dot", "padded_attention"):     # S = m keys per column
         return [(n, m * k), (n, k)]
+    if name == "mlp_attention_keys":    # W_a1_dec, K = m columns, S = k words, w_a2
+        return [(n, n), (n, m), (n, m * k), (n, 1)]
     if name == "attend":
         return [(n, m * k), (m, k)]
     return [(n, m)]
