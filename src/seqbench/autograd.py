@@ -412,9 +412,12 @@ def _all_finite(value) -> bool:
 
 
 def _column_ids(index) -> list[int]:
-    """One id, or a sequence of ids, as a list of ints."""
+    """One id, or a sequence of ids, as a list of ints; a 1-d integer array
+    converts in one ``tolist``."""
     if isinstance(index, (int, np.integer)):
         return [int(index)]
+    if isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu":
+        return index.tolist()
     return list(map(int, index))
 
 

@@ -7,7 +7,11 @@ toy MLP for the equal/unequal function.
 
 Every builder method takes an evaluator ``g``: a :class:`~.autograd.Graph`
 when training needs gradients, an :class:`~.autograd.Eager` for decoding,
-scoring and prediction, which then hands back plain arrays.
+scoring and prediction, which then hands back plain arrays. Eager scoring of
+a batch without padding (one sentence, or sentences of one length) runs the
+training graph's ops and equals its loss bit for bit. A padded batch skips
+its padding and, in the RNNLM, takes the first layer's input terms from one
+product over all real positions, so its loss may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -78,6 +82,10 @@ class RecurrentCell:
         self.gates = GATES[kind]
         # the RNN's and GRU's last gate, the candidate h, keeps tensors of its own
         self.stacked = self.gates[:-1] if kind in ("rnn", "gru") else self.gates
+        # (input weight, recurrent weight, bias) of each affine a step forms
+        self.affines = ((("W_x", "W_h", "b"),) if self.stacked else ()) + tuple(
+            (f"W_x{gate}", f"W_h{gate}", f"b_{gate}")
+            for gate in self.gates[len(self.stacked):])
         # drawn gate by gate, W_x then W_h, whatever the layout
         drawn = {gate: (glorot(rng, hidden_size, input_size),
                         glorot(rng, hidden_size, hidden_size))
@@ -128,18 +136,33 @@ class RecurrentCell:
         c = g.input(np.zeros((2 * self.hidden_size, batch))) if self.has_cell else None
         return RecurrentState(h=g.input(zeros), c=c)
 
-    def _affine(self, g, keys, x, h):
+    def input_terms(self, g: Evaluator, X: Value) -> tuple:
+        """``W·X + b`` for all columns of ``X`` at once, one ``affine`` per
+        input weight in :attr:`affines` order (``W_x``, then the candidate's
+        ``W_xh``); :meth:`step` takes a column range of them as ``terms``."""
+        return tuple(g.affine(g.param(self.params[b]), g.param(self.params[w_x]), X)
+                     for w_x, _, b in self.affines)
+
+    def _affine(self, g, i, x, h, terms):
+        """The ``i``-th affine of a step: ``W_x·x + W_h·h + b``, or
+        ``W_h·h + terms[i]`` when the input terms were formed beforehand."""
+        keys = self.affines[i]
+        if terms is not None:
+            return g.affine(terms[i], g.param(self.params[keys[1]]), h)
         w_x, w_h, b = (g.param(self.params[key]) for key in keys)
         return g.affine(b, w_x, x, w_h, h)
 
-    def step(self, g: Evaluator, x: Value, state: RecurrentState) -> RecurrentState:
+    def step(self, g: Evaluator, x: Value, state: RecurrentState,
+             terms=None) -> RecurrentState:
+        """One time step fed ``x``. ``terms``, when given, are this step's
+        columns of :meth:`input_terms` of the input, and ``x`` is not read:
+        the step adds its recurrent products to them."""
         if self.has_cell and state.c is None:
             raise ValueError(f"{self.kind} cell requires a memory-cell state")
         h_prev, n = state.h, self.hidden_size
         if self.kind == "rnn":
-            h = g.tanh(self._affine(g, ("W_xh", "W_hh", "b_h"), x, h_prev))
-            return RecurrentState(h=h)
-        pre = self._affine(g, ("W_x", "W_h", "b"), x, h_prev)
+            return RecurrentState(h=g.tanh(self._affine(g, 0, x, h_prev, terms)))
+        pre = self._affine(g, 0, x, h_prev, terms)
         if self.has_cell:
             hc = g.lstm(pre, state.c, forget=self.kind == "lstm_forget")
             return RecurrentState(h=g.rows(hc, 0, n), c=hc)
@@ -147,8 +170,7 @@ class RecurrentCell:
         # h = h_prev + z * (h_tilde - h_prev)
         rz = g.sigmoid(pre)
         r, z = g.rows(rz, 0, n), g.rows(rz, n, 2 * n)
-        h_tilde = g.tanh(self._affine(g, ("W_xh", "W_hh", "b_h"), x,
-                                      g.cmult(r, h_prev)))
+        h_tilde = g.tanh(self._affine(g, 1, x, g.cmult(r, h_prev), terms))
         delta = g.add(h_tilde, g.scale(h_prev, -1.0))
         h = g.add(h_prev, g.cmult(z, delta))
         return RecurrentState(h=h)
@@ -185,12 +207,14 @@ class StackedRNN:
     def initial_states(self, g: Evaluator, batch: int = 1) -> list[RecurrentState]:
         return [cell.initial_state(g, batch) for cell in self.cells]
 
-    def step(self, g: Evaluator, x: Value, states: list[RecurrentState]):
-        """Returns (top-layer output node, new per-layer states)."""
+    def step(self, g: Evaluator, x: Value, states: list[RecurrentState], terms=None):
+        """Returns (top-layer output node, new per-layer states). ``terms``
+        goes to the first cell's :meth:`RecurrentCell.step`."""
         new_states = []
         inp = x
         for cell, state in zip(self.cells, states):
-            new = cell.step(g, inp, state)
+            new = cell.step(g, inp, state, terms)
+            terms = None
             if self.residual:
                 new = replace(new, h=g.add(new.h, inp))
             new_states.append(new)
@@ -262,8 +286,11 @@ class NeuralLM(LanguageModel):
         batches of up to ``SCORE_BATCH``, one eager ``batch_loss`` each,
         which scores only the batch's real positions, not its padding.
 
-        Batching changes how each column's products are blocked, so the
-        total may differ from a per-sentence sum in the last bits.
+        A batch without padding (one sentence, or sentences of one length)
+        scores as the training graph does, bit for bit. Batching changes how
+        each column's products are blocked, and a padded batch forms the
+        RNNLM's first-layer input terms in one product, so the total may
+        differ from a per-sentence sum in the last bits.
         """
         with Eager() as e:
             return sum(float(self.batch_loss(e, batch)[0, 0])
@@ -393,32 +420,51 @@ class RNNLM(NeuralLM):
         A :class:`~.autograd.Graph` steps all B columns to the end and masks
         the padded positions with one ``cmult``, which keeps training's
         gradients as they were. Under :class:`~.autograd.Eager` (scoring) a
-        column is dropped from the layer states once its sentence has ended,
-        so each step runs only the live columns (a suffix of a batch from
-        :func:`~.corpus.make_batches`, sorted by length), the output layer
-        sees only real positions and no mask is applied. A batch without
-        padding is scored by the same ops either way, less the mask.
+        batch without padding (one sentence, say) is scored by the same ops,
+        less the mask, so its total is the graph's bit for bit. A padded
+        batch drops a column from the layer states once its sentence has
+        ended, so each step runs only the live columns (a suffix of a batch
+        from :func:`~.corpus.make_batches`, sorted by length), and the output
+        layer sees only real positions. It also looks up every real
+        position's input once, t-major, and forms the first layer's input
+        terms for all of them in one product per input weight
+        (:meth:`RecurrentCell.input_terms`); each step reads its live
+        columns, one contiguous range, from them. Those products round apart
+        from per-step ones, so a padded batch's total may differ from the
+        graph's in the last bits.
         """
         T, B = batch.token_matrix.shape
         prev = _prev_token_rows(batch)
         lengths = np.asarray(batch.true_lengths)
         scoring = isinstance(g, Eager)
-        live = np.arange(B)
+        padded = scoring and lengths.min() < T
         states = self.rnn.initial_states(g, batch=B)
-        outputs, targets = [], []
+        real = slice(None)
+        if padded:
+            live = np.arange(B)
+            real = np.flatnonzero(batch.mask.reshape(-1))
+            widths = np.count_nonzero(batch.mask, axis=1).tolist()     # live per step
+            inputs = g.lookup_column(g.param(self.M), prev.reshape(-1)[real])
+            terms = self.rnn.cells[0].input_terms(g, inputs)
+            stop = 0
+        outputs = []
         for t in range(T):
-            if scoring:
-                keep = np.flatnonzero(lengths[live] > t)
-                if len(keep) < len(live):
+            if padded:
+                if widths[t] < len(live):
+                    keep = np.flatnonzero(lengths[live] > t)
                     states = gather_layer_states(states, keep)
                     live = live[keep]
-            x = g.lookup_column(g.param(self.M), prev[t, live])
-            out, states = self.rnn.step(g, x, states)
+                cols = slice(stop, stop + widths[t])
+                stop = cols.stop
+                out, states = self.rnn.step(g, inputs[:, cols], states,
+                                            [term[:, cols] for term in terms])
+            else:
+                x = g.lookup_column(g.param(self.M), prev[t])
+                out, states = self.rnn.step(g, x, states)
             outputs.append(out)
-            targets.append(batch.token_matrix[t, live])
         X = g.concat_cols(*outputs) if T > 1 else outputs[0]
         s = g.affine(g.param(self.b_s), g.param(self.W_hs), X)
-        losses = g.pick_neg_log_softmax(s, np.concatenate(targets))
+        losses = g.pick_neg_log_softmax(s, batch.token_matrix.reshape(-1)[real])
         if not scoring:
             losses = g.cmult(losses, g.input(batch.mask.reshape(1, -1)))
         return g.sum(losses)

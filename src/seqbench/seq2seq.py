@@ -19,7 +19,7 @@ are scored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +52,11 @@ class SourceEncoding:
     K columns of one source repeats each of its columns K times, so that
     column t·K + b lines up with decoder column b. An LSTM layer's initial
     ``c`` is an all-zero ``[h; c]``.
+
+    ``columns`` keeps, per width K, what MLP attention over K columns
+    builds alike at every eager step: the source projection laid out as the
+    keys, the ids that lay ``W_a1_dec·h`` out alike, and ``w_a2`` once per
+    column. A search steps at a few widths, so each is built once.
     """
 
     H: Value                            # (encoding_dim, S·B)
@@ -62,6 +67,7 @@ class SourceEncoding:
     # for one source
     src_proj: Value | None = None
     w_a2_t: Value | None = None
+    columns: dict = field(default_factory=dict)     # K -> (src, ids, w_a2); eager only
 
 
 @dataclass
@@ -298,7 +304,9 @@ class EncDecModel:
         own, with ``PAD_SCORE`` added at padded words. ``src`` is MLP
         attention's source projection ``W_a1_src·H``; a step over K columns
         of one source passes it repeated t-major, column t·K + b projecting
-        word t, the layout of a batch's keys. The other kinds ignore it.
+        word t, the layout of a batch's keys; under :class:`~.autograd.Eager`
+        it is read only when ``encoding.columns`` holds nothing for K columns.
+        The other kinds ignore it.
         """
         H, batch = encoding.H, h_dec.shape[1]
         one_source = len(encoding.lengths) == 1
@@ -312,10 +320,16 @@ class EncDecModel:
             pre = g.affine(src, g.param(self.W_a1_dec), h_dec)
             scores = g.transpose(g.matmul(encoding.w_a2_t, g.tanh(pre)))
         else:   # key t·K + b pairs decoder state b with word t of its source
-            dec = g.lookup_column(g.matmul(g.param(self.W_a1_dec), h_dec),
-                                  list(range(batch)) * max(encoding.lengths))
-            keys = g.tanh(g.add(dec, src))
-            scores = g.batch_dot(keys, g.lookup_column(g.param(self.w_a2), [0] * batch))
+            eager = isinstance(g, Eager)
+            parts = encoding.columns.get(batch) if eager else None
+            if parts is None:
+                parts = (src, np.tile(np.arange(batch), max(encoding.lengths)),
+                         g.lookup_column(g.param(self.w_a2), [0] * batch))
+                if eager:
+                    encoding.columns[batch] = parts
+            src, ids, w_a2 = parts
+            dec = g.lookup_column(g.matmul(g.param(self.W_a1_dec), h_dec), ids)
+            scores = g.batch_dot(g.tanh(g.add(dec, src)), w_a2)
         if encoding.mask is not None:
             scores = g.add(scores, encoding.mask)
         alpha = g.softmax(scores)
@@ -363,7 +377,7 @@ class EncDecModel:
         # H, the step invariants and the state's arrays came out of checked
         # ops: they enter as they are
         src = encoding.src_proj
-        if src is not None and len(rows) > 1:
+        if src is not None and len(rows) > 1 and len(rows) not in encoding.columns:
             src = np.repeat(src, len(rows), axis=1)
         context = state.context
         if context is not None and not same_columns(rows, context.shape[1]):

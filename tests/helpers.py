@@ -250,7 +250,9 @@ class PerGateCell:
                        g.param(p[f"W_h{gate}"]), h)
         return activation(pre)
 
-    def step(self, g, x, state):
+    def step(self, g, x, state, terms=None):
+        if terms is not None:
+            raise ValueError("the per-gate reference forms its own input products")
         h_prev = state.h
         if self.kind == "rnn":
             h = self._gate(g, "h", x, h_prev, g.tanh)

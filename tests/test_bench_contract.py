@@ -22,9 +22,9 @@ import pytest
 from helpers import decoding_nll
 from seqbench import corpus as C
 from seqbench import optim, search
-from seqbench.autograd import Graph, Parameter
-from seqbench.nnet import (FFNNLM, RNNLM, SCORE_BATCH, TOY_EQUALITY_DATA, NeuralLM,
-                           RecurrentCell, train_lm, train_toy_mlp)
+from seqbench.autograd import Eager, Graph, Parameter
+from seqbench.nnet import (CELL_KINDS, FFNNLM, RNNLM, SCORE_BATCH, TOY_EQUALITY_DATA,
+                           NeuralLM, RecurrentCell, train_lm, train_toy_mlp)
 from seqbench.optim import OPTIMIZERS, SGD, Optimizer
 from seqbench.seq2seq import EncDecModel, train_encdec
 
@@ -92,14 +92,48 @@ def test_lm_scoring_runs_through_the_traced_batch_loss_and_cell_step(monkeypatch
     sentences = [[3 + i % 4] * (1 + i % 7) + [C.EOS_ID] for i in range(SCORE_BATCH + 5)]
     calls = {"batch_loss": 0, "step": 0}
     for cls, name in ((RNNLM, "batch_loss"), (RecurrentCell, "step")):
-        def counted(*args, original=vars(cls)[name], name=name):
+        def counted(*args, original=vars(cls)[name], name=name, **kwargs):
             calls[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
         monkeypatch.setattr(cls, name, counted)
     model.corpus_nll(sentences)
     batches = C.make_batches(sentences, SCORE_BATCH)
     assert calls == {"batch_loss": len(batches),
                      "step": sum(batch.max_len for batch in batches)}
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_padded_lm_scoring_forms_each_input_product_once(kind, monkeypatch):
+    # eval_tok_s scores lm-train's dev set in padded batches of 10 sentences;
+    # each of the first layer's input weights enters one product over every
+    # real position, and no step forms a product with it of its own
+    model = RNNLM(LM_VOCAB, cell=kind, embed_size=8, hidden_size=8,
+                  rng=np.random.default_rng(12))
+    rng = np.random.default_rng(13)
+    lengths = rng.permutation(np.arange(5, 25, 2))
+    batch = C.make_batches([[int(i) for i in rng.integers(2, len(LM_VOCAB), size=n)]
+                            + [C.EOS_ID] for n in lengths], len(lengths))[0]
+    assert len(set(batch.true_lengths)) == 10
+    cell = model.rnn.cells[0]
+    inputs = [p.value for key, p in cell.params.items() if key.startswith("W_x")]
+    products = []
+    affine = Eager.affine
+
+    def counted(self, bias, *terms):
+        products.extend((w, x.shape[1]) for w, x in zip(terms[::2], terms[1::2])
+                        if any(w is weight for weight in inputs))
+        return affine(self, bias, *terms)
+
+    monkeypatch.setattr(Eager, "affine", counted)
+    with Eager() as e:
+        nll = float(model.batch_loss(e, batch)[0, 0])
+    monkeypatch.undo()
+    assert len(products) == len(inputs)
+    assert all(any(w is weight for w, _ in products) for weight in inputs)
+    assert {width for _, width in products} == {sum(batch.true_lengths)}
+    sentences = [batch.token_matrix[:n, b] for b, n in enumerate(batch.true_lengths)]
+    assert nll == pytest.approx(sum(model.sentence_nll(ids) for ids in sentences),
+                                rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("trainer", ["train_lm", "train_encdec", "train_toy_mlp"])

@@ -552,12 +552,17 @@ def eager_and_graph_batch_loss(model, batch):
 @pytest.mark.parametrize("name", SCORING_LMS)
 def test_eager_batch_loss_of_a_padded_batch_is_the_masked_graph_loss(name):
     # the graph steps and scores every padded position and masks it; scoring
-    # drops the padding, which may move only the last bits
+    # drops the padding and, in an RNNLM, forms the first layer's input terms
+    # in one product, which may move only the last bits
     model = SCORING_LMS[name]()
     batch = scoring_batch([0, 3, 3, 7, 12, 1, 29])
-    assert batch.mask.min() == 0.0
+    assert batch.mask.min() == 0.0 and 2 in batch.true_lengths      # a one-word sentence
+    assert C.UNK_ID in batch.token_matrix[batch.mask > 0]
     eager, graph = eager_and_graph_batch_loss(model, batch)
     assert eager == pytest.approx(graph, rel=1e-12, abs=0)
+    sentences = [batch.token_matrix[:n, b] for b, n in enumerate(batch.true_lengths)]
+    assert eager == pytest.approx(sum(model.sentence_nll(ids) for ids in sentences),
+                                  rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("name", SCORING_LMS)
@@ -575,16 +580,22 @@ def test_rnnlm_scoring_steps_only_the_live_columns(name, monkeypatch):
     batch = scoring_batch(lengths)
     widths, picked = [], []
     step, pick = RecurrentCell.step, Eager.pick_neg_log_softmax
-    monkeypatch.setattr(RecurrentCell, "step", lambda self, g, x, state: widths.append(
-        (x.shape[1], state.h.shape[1], (state.h if state.c is None else state.c).shape[1]))
-        or step(self, g, x, state))
+
+    def stepped(self, g, x, state, terms=None):
+        # a first layer's precomputed input terms cover only the live columns too
+        widths.append((x.shape[1], state.h.shape[1],
+                       (state.h if state.c is None else state.c).shape[1],
+                       *{term.shape[1] for term in terms or [x]}))
+        return step(self, g, x, state, terms)
+
+    monkeypatch.setattr(RecurrentCell, "step", stepped)
     monkeypatch.setattr(Eager, "pick_neg_log_softmax", lambda self, s, target: picked.append(
         s.shape[1]) or pick(self, s, target))
     with Eager() as e:
         model.batch_loss(e, batch)
     layers = len(model.rnn.cells)
     live = [sum(n + 1 > t for n in lengths) for t in range(max(lengths) + 1)]
-    assert widths == [(b, b, b) for b in live for _ in range(layers)]
+    assert widths == [(b, b, b, b) for b in live for _ in range(layers)]
     assert picked == [sum(batch.true_lengths)]
 
 

@@ -502,23 +502,34 @@ def test_a_copy_task_greedy_step_runs_fourteen_ops(monkeypatch):
 # the same step over 4 columns of one source: MLP attention scores t-major
 # keys, the source projection repeated once per column, with batch_dot
 COPY_TASK_BEAM_STEP_OPS = ["lookup_column", "concat_rows", "affine", "lstm", "rows", "matmul",
-                           "lookup_column", "add", "tanh", "lookup_column", "batch_dot",
-                           "softmax", "matmul", "concat_rows", "affine", "softmax"]
+                           "lookup_column", "add", "tanh", "batch_dot", "softmax", "matmul",
+                           "concat_rows", "affine", "softmax"]
 
 
-def test_a_copy_task_beam_step_over_four_columns_runs_sixteen_ops(monkeypatch):
+def test_a_copy_task_beam_step_over_four_columns_builds_its_width_parts_once(monkeypatch):
+    # the repeated source projection, the key ids and w_a2 once per column
+    # are built at the first step over 4 columns (w_a2's lookup_column) and
+    # kept on the encoding for the later ones
     ops = []
     op = Eager._op
     monkeypatch.setattr(Eager, "_op", lambda self, name, *rest: ops.append(name) or
                         op(self, name, *rest))
     model = copy_task_model()
     state = model.start([3, 4, 5, 6, 7])
+    first = COPY_TASK_BEAM_STEP_OPS[:5] + ["lookup_column"] + COPY_TASK_BEAM_STEP_OPS[5:]
+    parts = None
     for rows, prev_ids in (([0] * 4, [C.BOS_ID] * 4), ([3, 1, 1, 0], [4, 4, 5, 6]),
                            ([0, 1, 2, 3], [5, 6, 7, 3])):
         ops.clear()
         _, state, alpha = model.step(state, rows, prev_ids)
-        assert ops == COPY_TASK_BEAM_STEP_OPS
+        assert ops == (first if parts is None else COPY_TASK_BEAM_STEP_OPS)
         assert alpha.shape == (5, 4)
+        assert parts is None or state.encoding.columns[4] is parts
+        parts = state.encoding.columns[4]
+    src, ids, w_a2 = parts
+    assert np.array_equal(src, np.repeat(state.encoding.src_proj, 4, axis=1))
+    assert ids.tolist() == [0, 1, 2, 3] * 5
+    assert np.array_equal(w_a2, np.repeat(model.w_a2.value, 4, axis=1))
 
 
 def test_decoder_steps_take_the_source_encoding_unwrapped(monkeypatch):
